@@ -150,7 +150,7 @@ func BenchmarkDetailedSimulator2Core(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Detailed(ctx, w, traces, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU}, traces, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkBadcoSimulator2Core(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Approximate(ctx, w, models, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.BADCO, Policy: cache.LRU}, nil, models); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,14 +176,14 @@ func BenchmarkBadcoSimulator8Core(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Approximate(ctx, w, models, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.BADCO, Policy: cache.LRU}, nil, models); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointed policy sweeps: k policies over one workload, the warmup
+// Shared-warmup policy sweeps: k policies over one workload, the warmup
 // prefix paid once through snapshot/restore versus once per policy. The
 // window shape follows sample-simulation methodology (a long warming
 // prefix, a short measured sample), where the prefix dominates. Both
@@ -240,7 +240,7 @@ func BenchmarkPolicySweepColdWarmup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pols {
-			if _, err := multicore.DetailedWithWarmup(bctx, w, traces, p, sweepWarmupOps, sweepQuotaOps); err != nil {
+			if _, err := multicore.Run(bctx, w, multicore.Spec{Engine: multicore.Detailed, Policy: p, Warmup: sweepWarmupOps, Quota: sweepQuotaOps}, traces, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -418,7 +418,7 @@ func BenchmarkExactDetailed2Core10x(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multicore.Detailed(ctx, w, traces, cache.LRU, 0); err != nil {
+		if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU}, traces, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,12 +426,13 @@ func BenchmarkExactDetailed2Core10x(b *testing.B) {
 
 func BenchmarkSampledDetailed2Core10x(b *testing.B) {
 	traces, w := benchLongTraces(b)
-	spec := multicore.SamplingSpec{Unit: 10000, Window: 2000, Warmup: 2000}
+	spec := multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU,
+		Sampling: multicore.SamplingSpec{Unit: 10000, Window: 2000, Warmup: 2000}}
 	ctx := simCtx()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := multicore.DetailedSampled(ctx, w, traces, cache.LRU, spec, 0)
+		r, err := multicore.Run(ctx, w, spec, traces, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

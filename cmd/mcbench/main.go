@@ -290,6 +290,8 @@ const simUsage = "usage: mcbench sim [-warmup N] [-quota N] [-sample U:D:W[:F]] 
 
 // parseSampleSpec parses the -sample flag: colon-separated
 // unit:window:warmup µops with an optional fourth bounded-warming field.
+// A zero unit is refused (an exact run omits the flag); the run spec's
+// Validate checks the rest of the parsed schedule.
 func parseSampleSpec(s string) (multicore.SamplingSpec, error) {
 	var spec multicore.SamplingSpec
 	parts := strings.Split(s, ":")
@@ -304,7 +306,10 @@ func parseSampleSpec(s string) (multicore.SamplingSpec, error) {
 		}
 		*dst[i] = v
 	}
-	return spec, spec.Validate()
+	if !spec.Enabled() {
+		return spec, fmt.Errorf("-sample: empty sampling spec (omit the flag for an exact run)")
+	}
+	return spec, nil
 }
 
 // simulate runs one named workload under one policy with both simulators
@@ -333,12 +338,20 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	if _, err := cache.NewPolicy(policy, 0); err != nil {
 		return err
 	}
-	q := *quota
-	if q == 0 {
-		q = uint64(cfg.TraceLen)
+	spec := multicore.Spec{Policy: policy, Quota: *quota, Warmup: *warmup}
+	if *sample != "" {
+		smp, err := parseSampleSpec(*sample)
+		if err != nil {
+			return err
+		}
+		spec.Sampling = smp
 	}
-	if *warmup > q {
-		return fmt.Errorf("warmup %d exceeds the instruction quota %d (use -quota to lengthen the measurement window)", *warmup, q)
+	if err := spec.Validate(cfg.TraceLen); err != nil {
+		if !spec.Sampling.Enabled() {
+			// Without sampling the only rule left to break is warmup ≤ quota.
+			return fmt.Errorf("%w (use -quota to lengthen the measurement window)", err)
+		}
+		return err
 	}
 	src := cfg.Source
 	names := strings.Split(args[1], ",")
@@ -349,20 +362,13 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	w := multicore.Workload(names)
 	prov := bench.At(src, cfg.TraceLen)
 
-	if *sample != "" {
-		spec, err := parseSampleSpec(*sample)
-		if err != nil {
-			return err
-		}
-		if *warmup > 0 {
-			return fmt.Errorf("-warmup and -sample are mutually exclusive (the sample spec's warmup field plays that role per window)")
-		}
-		r, err := multicore.DetailedSampled(ctx, w, prov, policy, spec, *quota)
+	if spec.Sampling.Enabled() {
+		r, err := multicore.Run(ctx, w, spec, prov, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("workload %s under %s (sampled %s, %d windows of %d µops)\n",
-			w, policy, spec, r.Windows, spec.Window)
+			w, policy, spec.Sampling, r.Windows, spec.Sampling.Window)
 		fmt.Printf("%-12s  %10s  %10s  %8s\n", "thread", "IPC(est)", "±95% CI", "cv")
 		for i, n := range names {
 			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, r.IPC[i], r.CIHalf[i], r.CV[i])
@@ -370,7 +376,7 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		return nil
 	}
 
-	det, err := multicore.DetailedWithWarmup(ctx, w, prov, policy, *warmup, *quota)
+	det, err := multicore.Run(ctx, w, spec, prov, nil)
 	if err != nil {
 		return err
 	}
@@ -378,11 +384,12 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	if err != nil {
 		return err
 	}
-	app, err := multicore.ApproximateWithWarmup(ctx, w, models, policy, *warmup, *quota)
+	spec.Engine = multicore.BADCO
+	app, err := multicore.Run(ctx, w, spec, nil, models)
 	if err != nil {
 		return err
 	}
-	window := fmt.Sprintf("%d µops/thread", q)
+	window := fmt.Sprintf("%d µops/thread", det.Instructions)
 	if *warmup > 0 {
 		window += fmt.Sprintf(" after %d warmup", *warmup)
 	}

@@ -111,7 +111,7 @@ func TestCophaseTracksDetailedSimulation(t *testing.T) {
 	w := multicore.Workload{"cachey", "streamy"}
 	quota := uint64(12000)
 
-	ref, err := multicore.Detailed(context.Background(), w, multicore.TraceMap(traces), cache.LRU, quota)
+	ref, err := multicore.Run(context.Background(), w, multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU, Quota: quota}, multicore.TraceMap(traces), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

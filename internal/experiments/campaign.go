@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"mcbench/internal/cache"
-	"mcbench/internal/results"
 )
 
 // Simulator names the engine (or measurement) behind a warmed product.
@@ -172,23 +171,12 @@ func (l *Lab) ProductKey(r Request) (string, bool) {
 	if r.Cores <= 0 {
 		return "", false
 	}
-	proto := results.IPCTable{
-		Cores: r.Cores, Policy: string(r.Policy),
-		TraceLen: l.cfg.TraceLen, Seed: l.cfg.Seed,
-		Source: l.sourceKey(), Warmup: l.cfg.Warmup,
-	}
 	switch r.Sim {
-	case SimBadco:
-		proto.Simulator = "badco"
-		proto.Population = l.Population(r.Cores).Size()
-	case SimDetailed:
-		proto.Simulator = "detailed"
-		proto.Population = len(l.DetSample(r.Cores))
-		proto.Universe = l.Population(r.Cores).Size()
-	default:
-		return "", false
+	case SimBadco, SimDetailed:
+		id := l.tableIdentity(r.Sim, r.Cores, r.Policy)
+		return id.Key(), true
 	}
-	return proto.Key(), true
+	return "", false
 }
 
 // PartitionPlan reduces a campaign plan to its shardable products:

@@ -268,7 +268,7 @@ func (l *Lab) CophaseValidation(ctx context.Context) ([]CophaseRow, error) {
 			}
 			traces[n] = tr
 		}
-		ref, err := multicore.Detailed(ctx, w, multicore.TraceMap(traces), cache.LRU, quota)
+		ref, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU, Quota: quota}, multicore.TraceMap(traces), nil)
 		if err != nil {
 			return nil, err
 		}

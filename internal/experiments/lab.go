@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -92,14 +93,15 @@ type Config struct {
 	// prefix across the case-study policies: each workload is warmed
 	// once, snapshotted, and every policy's measurement fans out from
 	// the restored state (multicore.DetailedWarmup / DetailedFrom), so
-	// a k-policy sweep pays the warmup once instead of k times. Warmed
-	// tables persist under distinct cache keys. The default 0 measures
+	// a k-policy sweep pays the warmup once instead of k times; BADCO
+	// sweeps run each workload's warmup per policy. Warmed tables
+	// persist under distinct cache keys. The default 0 measures
 	// from reset and keeps every result — and every persisted cache
 	// file — bit-identical to previous versions.
 	Warmup int
 
 	// Sampling, when enabled, runs every detailed-simulator sweep under
-	// SMARTS-style systematic sampling (multicore.DetailedSampled)
+	// SMARTS-style systematic sampling (multicore.Spec.Sampling)
 	// instead of exactly: per spec.Unit µops one window of spec.Window
 	// µops is measured in detail after spec.Warmup detailed warmup µops,
 	// with the gap fast-forwarded under functional warming. The
@@ -544,57 +546,84 @@ func (l *Lab) toMulticore(w workload.Workload) multicore.Workload {
 // key block on it, and different keys sweep in parallel.
 func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
 	return l.badcoIPC.do(ctx, ipcKey{cores, policy}, func() ([][]float64, error) {
-		pop := l.Population(cores)
-		if table, ok := l.loadCached("badco", cores, policy, pop.Size(), 0); ok {
-			l.cacheHit("badco")
-			l.observe(ProductEvent{Sim: "badco", Cores: cores, Policy: string(policy),
-				Phase: "done", Cached: true, Rows: len(table)})
-			return table, nil
-		}
-		l.cacheMiss("badco")
-		ev := ProductEvent{Sim: "badco", Cores: cores, Policy: string(policy)}
-		return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
+		return l.ipcTable(ctx, SimBadco, cores, policy, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
 			models, err := l.Models(ctx)
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			l.badcoSweeps.Add(1)
+			pop := l.Population(cores)
 			ws := make([]multicore.Workload, pop.Size())
 			for i, w := range pop.Workloads {
 				ws[i] = l.toMulticore(w)
 			}
-			var results []multicore.Result
-			if warm := uint64(l.cfg.Warmup); warm > 0 {
-				// Warmed protocol: each workload runs warm µops per core
-				// before its measurement window (BADCO is cheap enough
-				// that sharing the prefix across policies buys nothing).
-				results = make([]multicore.Result, len(ws))
-				errs := make([]error, len(ws))
-				if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-					results[i], errs[i] = multicore.ApproximateWithWarmup(ctx, ws[i], models, policy, warm, 0)
-				}); err != nil {
-					return nil, err
-				}
-				if err := errors.Join(errs...); err != nil {
-					return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
-				}
-			} else {
-				var err error
-				results, err = multicore.SweepApproximate(ctx, ws, models, policy, 0)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
-				}
+			// A warmed protocol (Config.Warmup) runs each workload's prefix
+			// once per policy: BADCO is cheap enough that sharing it across
+			// policies buys nothing.
+			table, ci, cv, err = l.sweep(ctx, ws, l.runSpec(SimBadco, policy), nil, models)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
 			}
-			table := make([][]float64, len(results))
-			for i, r := range results {
-				table[i] = r.IPC
-			}
-			stop := telemetry.FromContext(ctx).Time("store_save")
-			l.saveCached("badco", cores, policy, table, 0)
-			stop()
-			return table, nil
+			return table, ci, cv, nil
 		})
 	})
+}
+
+// ipcTable serves one population IPC table from the persistent cache, or
+// computes it under the product's observer span and persists it.
+func (l *Lab) ipcTable(ctx context.Context, sim Simulator, cores int, policy cache.PolicyName, compute func(context.Context) (table, ci, cv [][]float64, err error)) ([][]float64, error) {
+	id := l.tableIdentity(sim, cores, policy)
+	if table, ok := l.loadCached(id); ok {
+		l.cacheHit(string(sim))
+		l.observe(ProductEvent{Sim: string(sim), Cores: cores, Policy: string(policy),
+			Phase: "done", Cached: true, Rows: len(table)})
+		return table, nil
+	}
+	l.cacheMiss(string(sim))
+	ev := ProductEvent{Sim: string(sim), Cores: cores, Policy: string(policy)}
+	return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
+		table, ci, cv, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		stop := telemetry.FromContext(ctx).Time("store_save")
+		l.saveCached(id, table, ci, cv)
+		stop()
+		return table, nil
+	})
+}
+
+// runSpec is the lab's run protocol for one simulator and policy: the
+// Config.Warmup prefix for both engines, and Config.Sampling for the
+// detailed one only (BADCO is already fast).
+func (l *Lab) runSpec(sim Simulator, policy cache.PolicyName) multicore.Spec {
+	spec := multicore.Spec{Engine: multicore.BADCO, Policy: policy, Warmup: uint64(l.cfg.Warmup)}
+	if sim == SimDetailed {
+		spec.Engine, spec.Sampling = multicore.Detailed, l.cfg.Sampling
+	}
+	return spec
+}
+
+// sweep runs the workloads under the spec and splits the results into
+// the IPC table and, for a sampled spec, its confidence and cv columns
+// (nil for exact runs, whose IPC is not an estimate).
+func (l *Lab) sweep(ctx context.Context, ws []multicore.Workload, spec multicore.Spec, traces multicore.TraceSource, models map[string]*badco.Model) (table, ci, cv [][]float64, err error) {
+	results, err := multicore.Sweep(ctx, ws, spec, traces, models)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	table = make([][]float64, len(results))
+	for i, r := range results {
+		table[i] = r.IPC
+	}
+	if spec.Sampling.Enabled() {
+		ci = make([][]float64, len(results))
+		cv = make([][]float64, len(results))
+		for i, r := range results {
+			ci[i], cv[i] = r.CIHalf, r.CV
+		}
+	}
+	return table, ci, cv, nil
 }
 
 // DetSample returns the population indices of the workloads simulated
@@ -622,118 +651,53 @@ func (l *Lab) DetSample(cores int) []int {
 // model. Row i corresponds to DetSample(cores)[i].
 func (l *Lab) DetailedIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
 	return l.detIPC.do(ctx, ipcKey{cores, policy}, func() ([][]float64, error) {
-		pop := l.Population(cores)
-		sample := l.DetSample(cores)
-		// Detailed keys always name the population the sample was drawn
-		// from (DetSample is deterministic given the seed and
-		// population): two configs with equal sample sizes but different
-		// Pop4Limit/Pop8Size must not share a table, and stamping even
-		// full-population tables keeps legacy un-stamped files — written
-		// by versions that never read them back — permanently unloadable.
-		universe := pop.Size()
-		if table, ok := l.loadCached("detailed", cores, policy, len(sample), universe); ok {
-			l.cacheHit("detailed")
-			l.observe(ProductEvent{Sim: "detailed", Cores: cores, Policy: string(policy),
-				Phase: "done", Cached: true, Rows: len(table)})
-			return table, nil
-		}
-		l.cacheMiss("detailed")
-		ev := ProductEvent{Sim: "detailed", Cores: cores, Policy: string(policy)}
-		return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
-			if l.cfg.Sampling.Enabled() {
-				table, ci, cv, err := l.detailedSampledSweep(ctx, cores, policy)
-				if err != nil {
-					return nil, err
-				}
-				stop := telemetry.FromContext(ctx).Time("store_save")
-				l.saveCachedSampled("detailed", cores, policy, table, ci, cv, universe)
-				stop()
-				return table, nil
-			}
-			table, err := l.detailedSweep(ctx, cores, policy)
-			if err != nil {
-				return nil, err
-			}
-			stop := telemetry.FromContext(ctx).Time("store_save")
-			l.saveCached("detailed", cores, policy, table, universe)
-			stop()
-			return table, nil
+		return l.ipcTable(ctx, SimDetailed, cores, policy, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
+			return l.detailedSweep(ctx, cores, policy)
 		})
 	})
 }
 
-// detailedSampledSweep computes one sampled detailed IPC table plus its
-// confidence and cv columns (see Config.Sampling).
-func (l *Lab) detailedSampledSweep(ctx context.Context, cores int, policy cache.PolicyName) (table, ci, cv [][]float64, err error) {
-	if l.cfg.Warmup > 0 {
-		return nil, nil, nil, fmt.Errorf("experiments: sampling and warmup are mutually exclusive (the sampled driver owns its warmup structure)")
+// detailedSweep computes one detailed IPC table, plus its confidence and
+// cv columns when Config.Sampling is set. With a positive Config.Warmup,
+// a case-study policy is served from the grouped shared-warmup sweep
+// (all policies at once, one warmed prefix per workload); any other
+// policy warms alone. A spec that also sets sampling goes to the plain
+// sweep, whose Run refuses the combination before simulating anything.
+// The warmup may exceed the trace length (a long warming prefix before a
+// short measured sample).
+func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) (table, ci, cv [][]float64, err error) {
+	spec := l.runSpec(SimDetailed, policy)
+	if spec.Warmup > 0 && spec.Sampling == (multicore.SamplingSpec{}) {
+		if slices.Contains(Policies(), policy) {
+			group, err := l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
+				return l.detailedSharedSweep(ctx, cores, Policies())
+			})
+			return group[policy], nil, nil, err
+		}
+		// Off the case-study list there is nothing to share the prefix
+		// with: warm this policy's runs on their own.
+		group, err := l.detailedSharedSweep(ctx, cores, []cache.PolicyName{policy})
+		return group[policy], nil, nil, err
 	}
 	l.detSweeps.Add(1)
+	// The sweep resolves traces lazily through the source: only
+	// benchmarks that actually appear in the sample are ever built.
+	table, ci, cv, err = l.sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("experiments: detailed sweep (%d cores, %s, %s): %w", cores, policy, spec.Sampling, err)
+	}
+	return table, ci, cv, nil
+}
+
+// detWorkloads returns the DetSample workloads, in sample order.
+func (l *Lab) detWorkloads(cores int) []multicore.Workload {
 	pop := l.Population(cores)
 	sample := l.DetSample(cores)
 	ws := make([]multicore.Workload, len(sample))
 	for i, wi := range sample {
 		ws[i] = l.toMulticore(pop.Workloads[wi])
 	}
-	results, err := multicore.SweepDetailedSampled(ctx, ws, l.Provider(), policy, l.cfg.Sampling, 0)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: sampled detailed sweep (%d cores, %s, %s): %w", cores, policy, l.cfg.Sampling, err)
-	}
-	table = make([][]float64, len(results))
-	ci = make([][]float64, len(results))
-	cv = make([][]float64, len(results))
-	for i, r := range results {
-		table[i] = r.IPC
-		ci[i] = r.CIHalf
-		cv[i] = r.CV
-	}
-	return table, ci, cv, nil
-}
-
-// detailedSweep computes one detailed IPC table. With a zero warmup it
-// is the plain population sweep. With a positive warmup, a case-study
-// policy is served from the grouped shared-warmup sweep (all policies at
-// once, one warmed prefix per workload); any other policy warms alone.
-func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
-	warm := uint64(l.cfg.Warmup)
-	if warm == 0 {
-		l.detSweeps.Add(1)
-		pop := l.Population(cores)
-		sample := l.DetSample(cores)
-		ws := make([]multicore.Workload, len(sample))
-		for i, wi := range sample {
-			ws[i] = l.toMulticore(pop.Workloads[wi])
-		}
-		// The sweep resolves traces lazily through the source: only
-		// benchmarks that actually appear in the sample are ever built.
-		results, err := multicore.SweepDetailed(ctx, ws, l.Provider(), policy, 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: detailed sweep (%d cores, %s): %w", cores, policy, err)
-		}
-		table := make([][]float64, len(results))
-		for i, r := range results {
-			table[i] = r.IPC
-		}
-		return table, nil
-	}
-	for _, p := range Policies() {
-		if p == policy {
-			group, err := l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
-				return l.detailedSharedSweep(ctx, cores, Policies())
-			})
-			if err != nil {
-				return nil, err
-			}
-			return group[policy], nil
-		}
-	}
-	// Off the case-study list there is nothing to share the prefix with:
-	// warm this policy's runs on their own.
-	group, err := l.detailedSharedSweep(ctx, cores, []cache.PolicyName{policy})
-	if err != nil {
-		return nil, err
-	}
-	return group[policy], nil
+	return ws
 }
 
 // detailedSharedSweep runs the detailed sample once per workload to the
@@ -747,18 +711,16 @@ func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyN
 // checkpoint per simulation slot rather than per workload.
 func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.PolicyName) (map[cache.PolicyName][][]float64, error) {
 	l.detSweeps.Add(1)
-	pop := l.Population(cores)
-	sample := l.DetSample(cores)
+	ws := l.detWorkloads(cores)
 	prov := l.Provider()
 	warm := uint64(l.cfg.Warmup)
 	tables := make(map[cache.PolicyName][][]float64, len(pols))
 	for _, p := range pols {
-		tables[p] = make([][]float64, len(sample))
+		tables[p] = make([][]float64, len(ws))
 	}
-	errs := make([]error, len(sample))
-	if err := multicore.RunBounded(ctx, len(sample), func(i int) {
-		w := l.toMulticore(pop.Workloads[sample[i]])
-		cp, err := multicore.DetailedWarmup(ctx, w, prov, pols[0], warm)
+	errs := make([]error, len(ws))
+	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
+		cp, err := multicore.DetailedWarmup(ctx, ws[i], prov, pols[0], warm)
 		if err != nil {
 			errs[i] = err
 			return
@@ -780,62 +742,56 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 	return tables, nil
 }
 
-// cacheIdentity builds the identity half of a persisted IPC table. The
-// sampling spec is folded in only for the detailed simulator — BADCO and
-// reference tables never run sampled, and stamping them would fragment
-// their caches for no reason.
-func (l *Lab) cacheIdentity(sim string, cores int, policy cache.PolicyName, population, universe int) results.IPCTable {
+// tableIdentity builds the persisted identity of the (sim, cores,
+// policy) population IPC table — the one key it is loaded, saved and
+// fleet-sharded under. Detailed tables cover the DetSample of the
+// population and always name the population it was drawn from
+// (DetSample is deterministic given the seed and population): two
+// configs with equal sample sizes but different Pop4Limit/Pop8Size must
+// not share a table, and stamping even full-population tables keeps
+// legacy un-stamped files — written by versions that never read them
+// back — permanently unloadable. The sampling spec is folded in only for
+// the detailed simulator: BADCO tables never run sampled, and stamping
+// them would fragment their caches for no reason.
+func (l *Lab) tableIdentity(sim Simulator, cores int, policy cache.PolicyName) results.IPCTable {
 	t := results.IPCTable{
-		Simulator: sim, Cores: cores, Policy: string(policy),
-		TraceLen: l.cfg.TraceLen, Population: population, Seed: l.cfg.Seed,
-		Universe: universe, Source: l.sourceKey(), Warmup: l.cfg.Warmup,
+		Simulator: string(sim), Cores: cores, Policy: string(policy),
+		TraceLen: l.cfg.TraceLen, Population: l.Population(cores).Size(), Seed: l.cfg.Seed,
+		Source: l.sourceKey(), Warmup: l.cfg.Warmup,
 	}
-	if sim == "detailed" && l.cfg.Sampling.Enabled() {
-		t.SampleUnit = int(l.cfg.Sampling.Unit)
-		t.SampleWindow = int(l.cfg.Sampling.Window)
-		t.SampleWarmup = int(l.cfg.Sampling.Warmup)
-		t.SampleWarm = int(l.cfg.Sampling.Warm)
+	if sim == SimDetailed {
+		t.Population, t.Universe = len(l.DetSample(cores)), t.Population
+		if s := l.cfg.Sampling; s.Enabled() {
+			t.SampleUnit, t.SampleWindow = int(s.Unit), int(s.Window)
+			t.SampleWarmup, t.SampleWarm = int(s.Warmup), int(s.Warm)
+		}
 	}
 	return t
 }
 
 // loadCached fetches a persisted IPC table if CacheDir is configured.
-// universe is non-zero when the table covers a sample of a larger
-// population (see DetailedIPC).
-func (l *Lab) loadCached(sim string, cores int, policy cache.PolicyName, population, universe int) ([][]float64, bool) {
+func (l *Lab) loadCached(id results.IPCTable) ([][]float64, bool) {
 	store := l.resultStore()
 	if store == nil {
 		return nil, false
 	}
-	t, ok, err := store.Load(l.cacheIdentity(sim, cores, policy, population, universe))
+	t, ok, err := store.Load(id)
 	if err != nil || !ok {
 		return nil, false
 	}
 	return t.IPC, true
 }
 
-// saveCached persists an IPC table if CacheDir is configured; failures
-// are non-fatal (the table is still returned to the caller).
-func (l *Lab) saveCached(sim string, cores int, policy cache.PolicyName, table [][]float64, universe int) {
+// saveCached persists an IPC table, with the confidence and cv columns
+// of a sampled sweep, if CacheDir is configured; failures are non-fatal
+// (the table is still returned to the caller).
+func (l *Lab) saveCached(id results.IPCTable, table, ci, cv [][]float64) {
 	store := l.resultStore()
 	if store == nil {
 		return
 	}
-	t := l.cacheIdentity(sim, cores, policy, len(table), universe)
-	t.IPC = table
-	_ = store.Save(&t)
-}
-
-// saveCachedSampled persists a sampled IPC table together with its
-// confidence and cv columns; like saveCached, failures are non-fatal.
-func (l *Lab) saveCachedSampled(sim string, cores int, policy cache.PolicyName, table, ci, cv [][]float64, universe int) {
-	store := l.resultStore()
-	if store == nil {
-		return
-	}
-	t := l.cacheIdentity(sim, cores, policy, len(table), universe)
-	t.IPC, t.CI, t.CV = table, ci, cv
-	_ = store.Save(&t)
+	id.IPC, id.CI, id.CV = table, ci, cv
+	_ = store.Save(&id)
 }
 
 // RefIPC returns the per-benchmark single-thread reference IPC on the

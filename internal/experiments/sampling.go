@@ -140,14 +140,14 @@ func (l *Lab) SamplingAccuracy(ctx context.Context) ([]SamplingPoint, error) {
 	errs := make([]error, len(ws))
 	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
 		start := time.Now()
-		cold, err := multicore.Detailed(ctx, ws[i], prov, cache.LRU, 0)
+		cold, err := multicore.Run(ctx, ws[i], multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU}, prov, nil)
 		coldDur[i] = time.Since(start)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		coldIPC[i] = cold.IPC
-		warmed, err := multicore.DetailedWithWarmup(ctx, ws[i], prov, cache.LRU, warm, uint64(n)-warm)
+		warmed, err := multicore.Run(ctx, ws[i], multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU, Warmup: warm, Quota: uint64(n) - warm}, prov, nil)
 		if err != nil {
 			errs[i] = err
 			return
@@ -180,11 +180,11 @@ func (l *Lab) SamplingAccuracy(ctx context.Context) ([]SamplingPoint, error) {
 		for _, w := range ws {
 			pt.Workload = append(pt.Workload, w.String())
 		}
-		res := make([]multicore.SampledResult, len(ws))
+		res := make([]multicore.Result, len(ws))
 		dur := make([]time.Duration, len(ws))
 		if err := multicore.RunBounded(ctx, len(ws), func(i int) {
 			start := time.Now()
-			r, err := multicore.DetailedSampled(ctx, ws[i], prov, cache.LRU, spec, 0)
+			r, err := multicore.Run(ctx, ws[i], multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU, Sampling: spec}, prov, nil)
 			dur[i] = time.Since(start)
 			if err != nil {
 				errs[i] = err

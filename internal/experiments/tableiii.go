@@ -78,7 +78,7 @@ func (l *Lab) TableIII(ctx context.Context, workloadsPerPoint int) ([]TableIIIRo
 
 		start := time.Now()
 		for _, w := range ws {
-			if _, err := multicore.Detailed(ctx, w, prov, cache.LRU, quota); err != nil {
+			if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU, Quota: quota}, prov, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -86,7 +86,7 @@ func (l *Lab) TableIII(ctx context.Context, workloadsPerPoint int) ([]TableIIIRo
 
 		start = time.Now()
 		for _, w := range ws {
-			if _, err := multicore.Approximate(ctx, w, models, cache.LRU, quota); err != nil {
+			if _, err := multicore.Run(ctx, w, multicore.Spec{Engine: multicore.BADCO, Policy: cache.LRU, Quota: quota}, nil, models); err != nil {
 				return nil, err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"mcbench/internal/cache"
 	"mcbench/internal/multicore"
+	"mcbench/internal/results"
 )
 
 // warmupConfig is a deliberately tiny campaign: the warmed sweeps run
@@ -67,7 +68,7 @@ func TestDetailedIPCSharedWarmup(t *testing.T) {
 	// the lab protocol and live machines.
 	for i, wi := range sample {
 		w := l.toMulticore(pop.Workloads[wi])
-		direct := must(multicore.DetailedWithWarmup(tctx, w, prov, pols[0], warm, 0))
+		direct := must(multicore.Run(tctx, w, multicore.Spec{Engine: multicore.Detailed, Policy: pols[0], Warmup: warm}, prov, nil))
 		row := must(l.DetailedIPC(tctx, 2, pols[0]))[i]
 		for k := range row {
 			if math.Float64bits(row[k]) != math.Float64bits(direct.IPC[k]) {
@@ -90,10 +91,79 @@ func TestBadcoIPCWarmup(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(got), pop.Size())
 	}
 	for i, w := range pop.Workloads {
-		want := must(multicore.ApproximateWithWarmup(tctx, l.toMulticore(w), models, cache.DRRIP, warm, 0))
+		want := must(multicore.Run(tctx, l.toMulticore(w), multicore.Spec{Engine: multicore.BADCO, Policy: cache.DRRIP, Warmup: warm}, nil, models))
 		for k := range got[i] {
 			if math.Float64bits(got[i][k]) != math.Float64bits(want.IPC[k]) {
 				t.Errorf("workload %d core %d: IPC %v, want %v", i, k, got[i][k], want.IPC[k])
+			}
+		}
+	}
+}
+
+// TestWarmupBeyondTraceLen: a lab may warm a prefix longer than the
+// measured sample (one trace length); both population tables run.
+func TestWarmupBeyondTraceLen(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.TraceLen = 2000
+	cfg.PopLimit = 3
+	cfg.DetailedCount = 3
+	cfg.Warmup = 5000
+	l := NewLab(cfg)
+	for name, table := range map[string][][]float64{
+		"badco":    must(l.BadcoIPC(tctx, 2, cache.LRU)),
+		"detailed": must(l.DetailedIPC(tctx, 2, cache.LRU)),
+	} {
+		if len(table) == 0 {
+			t.Errorf("%s: empty table", name)
+		}
+		for i, row := range table {
+			for k, ipc := range row {
+				if !(ipc > 0) {
+					t.Errorf("%s: workload %d core %d: IPC %v", name, i, k, ipc)
+				}
+			}
+		}
+	}
+}
+
+// TestProductKeyMatchesStoredKey pins ProductKey to the key the lab
+// actually persists a table under, for every run protocol (exact,
+// warmed, sampled) and both population tables: the fleet shards by
+// ProductKey and fetches by the stored key, so the two must never drift.
+func TestProductKeyMatchesStoredKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps")
+	}
+	for _, c := range []struct {
+		name     string
+		warmup   int
+		sampling multicore.SamplingSpec
+	}{
+		{"exact", 0, multicore.SamplingSpec{}},
+		{"warmed", 500, multicore.SamplingSpec{}},
+		{"sampled", 0, multicore.SamplingSpec{Unit: 1000, Window: 200, Warmup: 200}},
+	} {
+		cfg := QuickConfig()
+		cfg.TraceLen = 2000
+		cfg.PopLimit = 3
+		cfg.DetailedCount = 3
+		cfg.Warmup = c.warmup
+		cfg.Sampling = c.sampling
+		for _, sim := range []Simulator{SimBadco, SimDetailed} {
+			cfg.CacheDir = t.TempDir()
+			l := NewLab(cfg)
+			r := Request{Sim: sim, Cores: 2, Policy: cache.LRU}
+			if err := l.fulfill(tctx, r); err != nil {
+				t.Fatal(err)
+			}
+			store, err := results.Open(cfg.CacheDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := must(store.Keys())
+			key, ok := l.ProductKey(r)
+			if !ok || len(keys) != 1 || keys[0] != key {
+				t.Errorf("%s %s: ProductKey %q (ok=%v), stored keys %v", c.name, sim, key, ok, keys)
 			}
 		}
 	}

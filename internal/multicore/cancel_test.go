@@ -3,6 +3,7 @@ package multicore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -10,26 +11,42 @@ import (
 	"mcbench/internal/cache"
 )
 
-// TestDetailedCancelMidRun proves a single long simulation — both the
-// chunked single-core path and the batched multi-core path — aborts
-// promptly on cancellation instead of running to its quota.
+// TestDetailedCancelMidRun proves a single long simulation aborts
+// promptly on cancellation instead of running to its quota, under every
+// protocol phase it can be cancelled in: an exact run, the warmup stage
+// and the measurement stage of a warmed run — for both engines, on the
+// solo path (one core) and the batched multi-core path.
 func TestDetailedCancelMidRun(t *testing.T) {
-	trs := traces(t)
-	for _, w := range []Workload{{"mcf"}, {"mcf", "soplex"}} {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		// A quota far beyond the trace length: uncancelled this would
-		// re-run the trace thousands of times.
-		_, err := Detailed(ctx, w, trs, cache.LRU, uint64(testLen)*5000)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: error = %v, want context.Canceled", w, err)
-		}
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Errorf("%v: cancellation took %v", w, elapsed)
+	trs, mods := traces(t), models(t)
+	// A quota far beyond the trace length: uncancelled, a run would
+	// re-run the trace thousands of times.
+	const long = uint64(testLen) * 5000
+	for _, engine := range []Engine{Detailed, BADCO} {
+		for _, w := range []Workload{{"mcf"}, {"mcf", "soplex"}} {
+			for _, phase := range []struct {
+				name string
+				spec Spec
+			}{
+				{"exact", Spec{Quota: long}},
+				{"warm", Spec{Warmup: long, Quota: long}},
+				{"measure", Spec{Warmup: 1000, Quota: long}},
+			} {
+				spec := phase.spec
+				spec.Engine, spec.Policy = engine, cache.LRU
+				name := fmt.Sprintf("%s/%s/%s", engine, w, phase.name)
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(30*time.Millisecond, cancel)
+				start := time.Now()
+				_, err := Run(ctx, w, spec, trs, mods)
+				elapsed := time.Since(start)
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: error = %v, want context.Canceled", name, err)
+				}
+				if elapsed > time.Second {
+					t.Errorf("%s: cancellation took %v", name, elapsed)
+				}
+			}
 		}
 	}
 }
@@ -48,7 +65,7 @@ func TestSweepDetailedCancel(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := SweepDetailed(ctx, ws, trs, cache.LRU, 0); !errors.Is(err, context.Canceled) {
+	if _, err := Sweep(ctx, ws, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

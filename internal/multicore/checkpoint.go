@@ -1,302 +1,32 @@
-// Checkpointed simulation. A Checkpoint captures a whole machine —
-// every core (or BADCO machine), the shared uncore, and the driver's
-// progress — at a boundary of the per-step schedule, so a later run can
-// restore it into freshly built machines and continue bit-identically.
-//
-// Two workflows build on it:
-//
-//   - Shared warmup: run the expensive cache-warming prefix of a workload
-//     once (DetailedWarmup / ApproximateWarmup), then fan out k policy or
-//     quota variants from the same snapshot (DetailedFrom /
-//     ApproximateFrom, SweepPoliciesDetailed). A k-policy sweep pays for
-//     the warmup once instead of k times, which is where the sublinear
-//     sweep cost comes from.
-//
-//   - Crash resume: DetailedCheckpointed emits periodic snapshots while
-//     it runs; DetailedResume continues a snapshot to the original quota
-//     and returns the same Result the uninterrupted run would have —
-//     bit-identical, because the smallest-clock-first schedule is
-//     memoryless given the clocks, committed counts and machine state.
+// Shared-warmup checkpoints. A Checkpoint freezes a detailed machine —
+// every core and the shared uncore — at a warmup boundary, so a k-policy
+// sweep can run a workload's expensive cache-warming prefix once
+// (DetailedWarmup) and fan every policy's measurement out from the
+// restored state (DetailedFrom) instead of paying the warmup k times. The
+// restored run is bit-identical to the live two-stage Run under the
+// warmup policy, because the smallest-clock-first schedule is memoryless
+// given the clocks, committed counts and machine state.
 package multicore
 
 import (
 	"context"
 	"fmt"
 
-	"mcbench/internal/badco"
 	"mcbench/internal/cache"
 	"mcbench/internal/cpu"
 	"mcbench/internal/telemetry"
 	"mcbench/internal/uncore"
 )
 
-// Checkpoint is a restorable snapshot of a multicore simulation. Exactly
-// one of CPU or BADCO is populated, distinguishing the engine. All
-// fields are exported so checkpoints survive encoding/gob persistence
-// (see results.SaveCheckpoint).
+// Checkpoint is a detailed machine frozen at a warmup boundary.
+// Restores only read it, so one checkpoint may feed concurrent
+// DetailedFrom calls.
 type Checkpoint struct {
-	Workload Workload
-	Policy   cache.PolicyName
-
-	// Quota is the per-thread instruction target of the interrupted run,
-	// for Resume. A warmup checkpoint (a finished prefix, not an
-	// interrupted run) has Quota 0.
-	Quota uint64
-
-	// Committed and Clocks index per core: µops committed and the local
-	// clock at capture time.
-	Committed []uint64
-	Clocks    []uint64
-
-	// Reached and QuotaCycle carry the driver's progress for Resume:
-	// which cores crossed Quota already, and at which cycle. Warmup
-	// checkpoints leave them nil.
-	Reached    []bool
-	QuotaCycle []uint64
-
-	CPU    []cpu.State   // detailed engine, one per core
-	BADCO  []badco.State // approximate engine, one per machine
-	Uncore uncore.State
+	workload Workload
+	policy   cache.PolicyName
+	cores    []cpu.State
+	unc      uncore.State
 }
-
-// Detailed reports whether the checkpoint holds detailed-core state.
-func (cp *Checkpoint) Detailed() bool { return len(cp.CPU) > 0 }
-
-// captureShared fills the engine-independent fields from live state.
-func (cp *Checkpoint) captureShared(w Workload, policy cache.PolicyName, quota uint64, cores []stepper, reached []bool, quotaCycle []uint64) {
-	cp.Workload = append(cp.Workload[:0], w...)
-	cp.Policy = policy
-	cp.Quota = quota
-	cp.Committed = cp.Committed[:0]
-	cp.Clocks = cp.Clocks[:0]
-	for _, c := range cores {
-		cp.Committed = append(cp.Committed, c.Committed())
-		cp.Clocks = append(cp.Clocks, c.Now())
-	}
-	if reached != nil {
-		cp.Reached = append(cp.Reached[:0], reached...)
-		cp.QuotaCycle = append(cp.QuotaCycle[:0], quotaCycle...)
-	}
-}
-
-func (cp *Checkpoint) validate(engine string, cores int) error {
-	if len(cp.Workload) != cores {
-		return fmt.Errorf("multicore: checkpoint workload has %d cores, want %d", len(cp.Workload), cores)
-	}
-	switch engine {
-	case "detailed":
-		if len(cp.CPU) != cores {
-			return fmt.Errorf("multicore: checkpoint is not a %d-core detailed snapshot", cores)
-		}
-	case "badco":
-		if len(cp.BADCO) != cores {
-			return fmt.Errorf("multicore: checkpoint is not a %d-core BADCO snapshot", cores)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Drivers
-
-// runToBoundary advances the cores on the smallest-local-clock-first
-// discipline until each has committed at least warmup µops; unlike the
-// measured run, a core that crosses the boundary halts (leaves the pick
-// set) so the snapshot is taken with every thread at — for the detailed
-// model, exactly at — the boundary. The batched loop reproduces the
-// per-step schedule of runToBoundaryReference by the same argument as
-// runInterleaved: clocks are nondecreasing and only the picked core's
-// clock moves, so the pick is stable until it reaches the runner-up.
-func runToBoundary(ctx context.Context, cores []stepper, warmup uint64) error {
-	n := len(cores)
-	done := ctx.Done()
-	halted := make([]bool, n)
-	clocks := make([]uint64, n)
-	remaining := 0
-	for i, c := range cores {
-		clocks[i] = c.Now()
-		if c.Committed() >= warmup {
-			halted[i] = true
-		} else {
-			remaining++
-		}
-	}
-	for batch := 0; remaining > 0; batch++ {
-		if done != nil && batch&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		// Lowest-index minimum over the active cores; o is the runner-up.
-		m, o := -1, -1
-		for i := 0; i < n; i++ {
-			if halted[i] {
-				continue
-			}
-			switch {
-			case m < 0 || clocks[i] < clocks[m]:
-				m, o = i, m
-			case o < 0 || clocks[i] < clocks[o]:
-				o = i
-			}
-		}
-		limit := clocks[m] + soloChunkCycles
-		if o >= 0 {
-			limit = clocks[o]
-			if m < o {
-				limit++
-			}
-		}
-		c := cores[m]
-		c.StepUntil(limit, warmup)
-		clocks[m] = c.Now()
-		if c.Committed() >= warmup {
-			halted[m] = true
-			remaining--
-		}
-	}
-	return nil
-}
-
-// runToBoundaryReference is the per-step executable specification of the
-// warmup schedule: step the smallest-clock core that has not yet
-// committed warmup µops. The golden tests pin runToBoundary to it.
-func runToBoundaryReference(_ context.Context, cores []stepper, warmup uint64) error {
-	for {
-		m := -1
-		for i, c := range cores {
-			if c.Committed() >= warmup {
-				continue
-			}
-			if m < 0 || c.Now() < cores[m].Now() {
-				m = i
-			}
-		}
-		if m < 0 {
-			return nil
-		}
-		cores[m].Step()
-	}
-}
-
-// runInterleavedFrom is runInterleaved generalised for restored and
-// two-stage runs: per-core absolute commit targets, driver progress
-// (reached/quotaCycle) carried in from a checkpoint and mutated in
-// place, and an optional periodic capture hook invoked between batches
-// whenever the minimum local clock crosses a multiple of `every`
-// cycles. Batch boundaries never change the simulated state (StepUntil
-// is resumable and reproduces the per-step schedule), so captures are
-// always taken at states the per-step schedule passes through.
-func runInterleavedFrom(ctx context.Context, cores []stepper, targets []uint64, reached []bool, quotaCycle []uint64, every uint64, capture func() error) error {
-	n := len(cores)
-	done := ctx.Done()
-	remaining := 0
-	for _, r := range reached {
-		if !r {
-			remaining++
-		}
-	}
-	clocks := make([]uint64, n)
-	for i, c := range cores {
-		clocks[i] = c.Now()
-	}
-	minClock := func() uint64 {
-		min := clocks[0]
-		for _, cl := range clocks[1:] {
-			if cl < min {
-				min = cl
-			}
-		}
-		return min
-	}
-	var nextCap uint64
-	if capture != nil {
-		if every == 0 {
-			return fmt.Errorf("multicore: checkpoint interval must be positive")
-		}
-		nextCap = (minClock()/every + 1) * every
-	}
-	for batch := 0; remaining > 0; batch++ {
-		if done != nil && batch&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		m, o := 0, -1
-		for i := 1; i < n; i++ {
-			switch {
-			case clocks[i] < clocks[m]:
-				m, o = i, m
-			case o < 0 || clocks[i] < clocks[o]:
-				o = i
-			}
-		}
-		lim := clocks[m] + soloChunkCycles
-		if o >= 0 {
-			lim = clocks[o]
-			if m < o {
-				lim++
-			}
-		}
-		quotaCap := never
-		if !reached[m] {
-			quotaCap = targets[m]
-		}
-		c := cores[m]
-		c.StepUntil(lim, quotaCap)
-		if !reached[m] && c.Committed() >= targets[m] {
-			reached[m] = true
-			quotaCycle[m] = c.Now()
-			remaining--
-		}
-		clocks[m] = c.Now()
-		if capture != nil {
-			if min := minClock(); min >= nextCap {
-				if err := capture(); err != nil {
-					return err
-				}
-				nextCap = (min/every + 1) * every
-			}
-		}
-	}
-	return nil
-}
-
-// runInterleavedFromReference is the per-step executable specification
-// of runInterleavedFrom (without capture): pick the smallest-clock core,
-// step it one µop, record target crossings. The golden tests pin the
-// batched continuation driver to it.
-func runInterleavedFromReference(_ context.Context, cores []stepper, targets []uint64, reached []bool, quotaCycle []uint64) error {
-	remaining := 0
-	for _, r := range reached {
-		if !r {
-			remaining++
-		}
-	}
-	for remaining > 0 {
-		min := 0
-		for i := 1; i < len(cores); i++ {
-			if cores[i].Now() < cores[min].Now() {
-				min = i
-			}
-		}
-		c := cores[min]
-		c.Step()
-		if !reached[min] && c.Committed() >= targets[min] {
-			reached[min] = true
-			quotaCycle[min] = c.Now()
-			remaining--
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Detailed engine
 
 // DetailedWarmup runs the workload's first warmup µops per thread under
 // the detailed model and returns the machine frozen at that boundary.
@@ -310,309 +40,51 @@ func DetailedWarmup(ctx context.Context, w Workload, traces TraceSource, policy 
 	if err != nil {
 		return nil, err
 	}
-	steppers := asSteppers(cores)
 	stop := telemetry.FromContext(ctx).Time(phaseWarmup)
-	err = runToBoundary(ctx, steppers, warmup)
+	err = runToBoundary(ctx, asSteppers(cores), warmup)
 	stop()
 	if err != nil {
 		return nil, err
 	}
-	cp := &Checkpoint{}
-	cp.captureShared(w, policy, 0, steppers, nil, nil)
-	cp.CPU = make([]cpu.State, len(cores))
-	for i, c := range cores {
-		c.Snapshot(&cp.CPU[i])
+	cp := &Checkpoint{
+		workload: append(Workload(nil), w...),
+		policy:   policy,
+		cores:    make([]cpu.State, len(cores)),
 	}
-	unc.Snapshot(&cp.Uncore)
+	for i, c := range cores {
+		c.Snapshot(&cp.cores[i])
+	}
+	unc.Snapshot(&cp.unc)
 	return cp, nil
 }
 
-// restoreDetailed rebuilds a machine from a detailed checkpoint: fresh
-// cores and uncore constructed under the checkpoint's policy (so the
-// restored policy metadata matches), state restored, and then — for
-// policy fan-out — the LLC policy swapped for a fresh instance of the
-// requested one while the warmed cache contents stay.
-func restoreDetailed(ctx context.Context, cp *Checkpoint, traces TraceSource, policy cache.PolicyName) (*uncore.Uncore, []*cpu.Core, error) {
-	unc, cores, _, err := buildDetailed(ctx, cp.Workload, traces, cp.Policy, never)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := cp.validate("detailed", len(cores)); err != nil {
-		return nil, nil, err
-	}
+// restore loads the checkpoint into machines built for its workload
+// under its warmup policy (so the restored policy metadata matches) and
+// then, for policy fan-out, swaps the LLC policy for a fresh instance of
+// the requested one while the warmed cache contents stay.
+func (cp *Checkpoint) restore(unc *uncore.Uncore, cores []*cpu.Core, policy cache.PolicyName) error {
 	for i, c := range cores {
-		c.Restore(&cp.CPU[i])
+		c.Restore(&cp.cores[i])
 	}
-	unc.Restore(&cp.Uncore)
-	if policy != cp.Policy {
-		if err := unc.SetPolicy(policy, unc.Config().PolicySeed); err != nil {
-			return nil, nil, err
-		}
+	unc.Restore(&cp.unc)
+	if policy == cp.policy {
+		return nil
 	}
-	return unc, cores, nil
+	return unc.SetPolicy(policy, unc.Config().PolicySeed)
 }
 
 // DetailedFrom restores a warmup checkpoint and measures quota further
-// µops per thread under the given policy (which may differ from the
+// µops per thread under the given policy, which may differ from the
 // warmup policy: the LLC keeps its warmed contents and the replacement
-// metadata restarts fresh, exactly as SweepPoliciesDetailed needs).
-// Cycles and IPC are relative to the restore point. A zero quota
-// defaults to the trace length.
+// metadata restarts fresh. Cycles and IPC are relative to the restore
+// point. A zero quota defaults to the trace length.
 func DetailedFrom(ctx context.Context, cp *Checkpoint, traces TraceSource, policy cache.PolicyName, quota uint64) (Result, error) {
-	_, cores, err := restoreDetailed(ctx, cp, traces, policy)
+	unc, cores, quota, err := buildDetailed(ctx, cp.workload, traces, cp.policy, quota)
 	if err != nil {
 		return Result{}, err
 	}
-	return measureFrom(ctx, cp, asSteppers(cores), policy, quotaOrTrace(ctx, cp, traces, quota))
-}
-
-// quotaOrTrace resolves a zero quota to the first benchmark's trace
-// length, matching Detailed's default.
-func quotaOrTrace(ctx context.Context, cp *Checkpoint, traces TraceSource, quota uint64) uint64 {
-	if quota != 0 {
-		return quota
-	}
-	tr, err := traces.Trace(ctx, cp.Workload[0])
-	if err != nil || tr == nil {
-		return 0
-	}
-	return uint64(tr.Len())
-}
-
-// measureFrom runs the measurement stage from the restored (or live,
-// for the uninterrupted two-stage runs) boundary state: each thread's
-// target is its boundary commit count plus quota, and its cycle count
-// is measured from its boundary clock.
-func measureFrom(ctx context.Context, cp *Checkpoint, cores []stepper, policy cache.PolicyName, quota uint64) (Result, error) {
-	if quota == 0 {
-		return Result{}, fmt.Errorf("multicore: zero quota")
-	}
-	n := len(cores)
-	targets := make([]uint64, n)
-	for i := range targets {
-		targets[i] = cp.Committed[i] + quota
-	}
-	reached := make([]bool, n)
-	quotaCycle := make([]uint64, n)
-	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	err := runInterleavedFrom(ctx, cores, targets, reached, quotaCycle, 0, nil)
-	stop()
-	if err != nil {
+	if err := cp.restore(unc, cores, policy); err != nil {
 		return Result{}, err
 	}
-	cycles := make([]uint64, n)
-	for i := range cycles {
-		cycles[i] = quotaCycle[i] - cp.Clocks[i]
-	}
-	return assemble(cp.Workload, policy, cycles, quota), nil
-}
-
-// DetailedWithWarmup is the uninterrupted two-stage run: warm to the
-// boundary and measure quota µops beyond it, on the same machines with
-// no snapshot or restore in between. DetailedWarmup + DetailedFrom
-// under the warmup policy produces bit-identical Results (the golden
-// tests pin this); a zero warmup is exactly Detailed.
-func DetailedWithWarmup(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, warmup, quota uint64) (Result, error) {
-	if warmup == 0 {
-		return Detailed(ctx, w, traces, policy, quota)
-	}
-	_, cores, quota, err := buildDetailed(ctx, w, traces, policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	steppers := asSteppers(cores)
-	stop := telemetry.FromContext(ctx).Time(phaseWarmup)
-	err = runToBoundary(ctx, steppers, warmup)
-	stop()
-	if err != nil {
-		return Result{}, err
-	}
-	cp := &Checkpoint{}
-	cp.captureShared(w, policy, 0, steppers, nil, nil)
-	return measureFrom(ctx, cp, steppers, policy, quota)
-}
-
-// DetailedCheckpointed is Detailed with periodic snapshots: every
-// `every` cycles of the minimum local clock, the whole machine is
-// captured and handed to sink. A sink error aborts the run. The
-// snapshots restore through DetailedResume to the same Result the
-// uninterrupted run returns.
-func DetailedCheckpointed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota, every uint64, sink func(*Checkpoint) error) (Result, error) {
-	unc, cores, quota, err := buildDetailed(ctx, w, traces, policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	steppers := asSteppers(cores)
-	n := len(cores)
-	targets := make([]uint64, n)
-	for i := range targets {
-		targets[i] = quota
-	}
-	reached := make([]bool, n)
-	quotaCycle := make([]uint64, n)
-	capture := func() error {
-		cp := &Checkpoint{}
-		cp.captureShared(w, policy, quota, steppers, reached, quotaCycle)
-		cp.CPU = make([]cpu.State, n)
-		for i, c := range cores {
-			c.Snapshot(&cp.CPU[i])
-		}
-		unc.Snapshot(&cp.Uncore)
-		return sink(cp)
-	}
-	if err := runInterleavedFrom(ctx, steppers, targets, reached, quotaCycle, every, capture); err != nil {
-		return Result{}, err
-	}
-	return assemble(w, policy, quotaCycle, quota), nil
-}
-
-// DetailedResume continues an interrupted run from its checkpoint to
-// the original quota and returns the Result the uninterrupted run
-// would have returned, bit-identically: the schedule is memoryless
-// given the restored clocks, committed counts and machine state, and
-// the crossing cycles of already-finished threads ride along in the
-// checkpoint.
-func DetailedResume(ctx context.Context, cp *Checkpoint, traces TraceSource) (Result, error) {
-	if cp.Quota == 0 {
-		return Result{}, fmt.Errorf("multicore: checkpoint has no quota (warmup checkpoints resume via DetailedFrom)")
-	}
-	_, cores, err := restoreDetailed(ctx, cp, traces, cp.Policy)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(cores)
-	targets := make([]uint64, n)
-	for i := range targets {
-		targets[i] = cp.Quota
-	}
-	reached := append([]bool(nil), cp.Reached...)
-	quotaCycle := append([]uint64(nil), cp.QuotaCycle...)
-	if err := runInterleavedFrom(ctx, asSteppers(cores), targets, reached, quotaCycle, 0, nil); err != nil {
-		return Result{}, err
-	}
-	return assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota), nil
-}
-
-// SweepPoliciesDetailed measures the workload under every policy. With a
-// zero warmup it runs len(policies) independent simulations — exactly
-// the results of calling Detailed per policy. With a positive warmup it
-// warms once under policies[0], snapshots, and fans each policy out
-// from the shared prefix in parallel, so the warmup cost is paid once
-// instead of len(policies) times.
-func SweepPoliciesDetailed(ctx context.Context, w Workload, traces TraceSource, policies []cache.PolicyName, warmup, quota uint64) ([]Result, error) {
-	if len(policies) == 0 {
-		return nil, fmt.Errorf("multicore: no policies")
-	}
-	results := make([]Result, len(policies))
-	errs := make([]error, len(policies))
-	if warmup == 0 {
-		if err := RunBounded(ctx, len(policies), func(i int) {
-			results[i], errs[i] = Detailed(ctx, w, traces, policies[i], quota)
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		cp, err := DetailedWarmup(ctx, w, traces, policies[0], warmup)
-		if err != nil {
-			return nil, err
-		}
-		// Restores only read the checkpoint, so the fan-out shares it.
-		if err := RunBounded(ctx, len(policies), func(i int) {
-			results[i], errs[i] = DetailedFrom(ctx, cp, traces, policies[i], quota)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// ---------------------------------------------------------------------------
-// Approximate engine
-
-// ApproximateWarmup is DetailedWarmup for BADCO machines. A machine
-// halts at its first node boundary at or beyond warmup (BADCO commits
-// node-sized chunks), so the boundary may overshoot by a few µops; the
-// overshoot is recorded in the checkpoint's Committed counts and
-// ApproximateFrom measures relative to them.
-func ApproximateWarmup(ctx context.Context, w Workload, models map[string]*badco.Model, policy cache.PolicyName, warmup uint64) (*Checkpoint, error) {
-	if warmup == 0 {
-		return nil, fmt.Errorf("multicore: zero warmup")
-	}
-	unc, machines, _, err := buildApproximate(w, models, policy, warmup)
-	if err != nil {
-		return nil, err
-	}
-	steppers := make([]stepper, len(machines))
-	for i, ma := range machines {
-		steppers[i] = badcoStepper{ma}
-	}
-	stop := telemetry.FromContext(ctx).Time(phaseWarmup)
-	err = runToBoundary(ctx, steppers, warmup)
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	cp := &Checkpoint{}
-	cp.captureShared(w, policy, 0, steppers, nil, nil)
-	cp.BADCO = make([]badco.State, len(machines))
-	for i, ma := range machines {
-		ma.Snapshot(&cp.BADCO[i])
-	}
-	unc.Snapshot(&cp.Uncore)
-	return cp, nil
-}
-
-// ApproximateFrom is DetailedFrom for BADCO machines.
-func ApproximateFrom(ctx context.Context, cp *Checkpoint, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) (Result, error) {
-	unc, machines, quota, err := buildApproximate(cp.Workload, models, cp.Policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := cp.validate("badco", len(machines)); err != nil {
-		return Result{}, err
-	}
-	for i, ma := range machines {
-		ma.Restore(&cp.BADCO[i])
-	}
-	unc.Restore(&cp.Uncore)
-	if policy != cp.Policy {
-		if err := unc.SetPolicy(policy, unc.Config().PolicySeed); err != nil {
-			return Result{}, err
-		}
-	}
-	steppers := make([]stepper, len(machines))
-	for i, ma := range machines {
-		steppers[i] = badcoStepper{ma}
-	}
-	return measureFrom(ctx, cp, steppers, policy, quota)
-}
-
-// ApproximateWithWarmup is the uninterrupted two-stage BADCO run (see
-// DetailedWithWarmup); a zero warmup is exactly Approximate.
-func ApproximateWithWarmup(ctx context.Context, w Workload, models map[string]*badco.Model, policy cache.PolicyName, warmup, quota uint64) (Result, error) {
-	if warmup == 0 {
-		return Approximate(ctx, w, models, policy, quota)
-	}
-	_, machines, quota, err := buildApproximate(w, models, policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	steppers := make([]stepper, len(machines))
-	for i, ma := range machines {
-		steppers[i] = badcoStepper{ma}
-	}
-	stop := telemetry.FromContext(ctx).Time(phaseWarmup)
-	err = runToBoundary(ctx, steppers, warmup)
-	stop()
-	if err != nil {
-		return Result{}, err
-	}
-	cp := &Checkpoint{}
-	cp.captureShared(w, policy, 0, steppers, nil, nil)
-	return measureFrom(ctx, cp, steppers, policy, quota)
+	return measure(ctx, cp.workload, policy, asSteppers(cores), quota, runInterleaved)
 }

@@ -9,242 +9,133 @@ import (
 )
 
 // The checkpoint golden tests prove the snapshot layer's central claim:
-// a run interrupted at any schedule boundary and restored — into fresh
-// machines or over dirty ones — finishes bit-identically to the
-// uninterrupted run, and a shared-warmup fan-out reproduces exactly the
-// sequential warm-then-swap reference.
+// a warmup checkpoint restored — into fresh machines or over dirty ones —
+// measures bit-identically to the live two-stage run, and a
+// shared-warmup policy fan-out reproduces exactly the sequential
+// warm-then-swap reference.
 
-// TestGoldenCheckpointResumeDetailed interrupts runs at randomized clock
-// boundaries and resumes each checkpoint into fresh machines.
-func TestGoldenCheckpointResumeDetailed(t *testing.T) {
-	trs := traces(t)
-	ctx := context.Background()
-	w := Workload{"mcf", "soplex"}
-	const quota = 8000
-	uninterrupted, err := Detailed(ctx, w, trs, cache.DRRIP, quota)
+// warmed is the live two-stage detailed run the checkpoints must match.
+func warmed(t *testing.T, w Workload, pol cache.PolicyName, warmup, quota uint64) Result {
+	t.Helper()
+	r, err := Run(context.Background(), w, Spec{Engine: Detailed, Policy: pol, Warmup: warmup, Quota: quota}, traces(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// resume takes a warmup checkpoint and measures from it under pol.
+func resume(t *testing.T, w Workload, warmPol, pol cache.PolicyName, warmup, quota uint64) Result {
+	t.Helper()
+	ctx := context.Background()
+	cp, err := DetailedWarmup(ctx, w, traces(t), warmPol, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := DetailedFrom(ctx, cp, traces(t), pol, quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestGoldenCheckpointResumeDetailed takes warmup checkpoints at
+// randomized boundaries and resumes each into fresh machines.
+func TestGoldenCheckpointResumeDetailed(t *testing.T) {
+	w := Workload{"mcf", "soplex"}
+	const quota = 6000
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 3; trial++ {
-		every := uint64(400 + rng.Intn(2000))
-		var cps []*Checkpoint
-		run, err := DetailedCheckpointed(ctx, w, trs, cache.DRRIP, quota, every, func(cp *Checkpoint) error {
-			cps = append(cps, cp)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "checkpointed run", run, uninterrupted)
-		if len(cps) == 0 {
-			t.Fatalf("no checkpoints captured at interval %d", every)
-		}
-		cp := cps[rng.Intn(len(cps))]
-		resumed, err := DetailedResume(ctx, cp, trs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "resumed", resumed, uninterrupted)
+		warmup := uint64(400 + rng.Intn(quota-400))
+		assertBitIdentical(t, "resumed", resume(t, w, cache.DRRIP, cache.DRRIP, warmup, quota), warmed(t, w, cache.DRRIP, warmup, quota))
 	}
 }
 
-// TestGoldenCheckpointResumeSingleCore pins the solo fast path of the
-// continuation driver, including periodic capture.
+// TestGoldenCheckpointResumeSingleCore pins the solo path of the
+// measurement driver behind a restore.
 func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
-	trs := traces(t)
-	ctx := context.Background()
 	w := Workload{"hmmer"}
-	const quota = 6000
-	uninterrupted, err := Detailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []*Checkpoint
-	run, err := DetailedCheckpointed(ctx, w, trs, cache.LRU, quota, 700, func(cp *Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "solo checkpointed run", run, uninterrupted)
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	for _, cp := range []*Checkpoint{cps[0], cps[len(cps)-1]} {
-		resumed, err := DetailedResume(ctx, cp, trs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "solo resumed", resumed, uninterrupted)
+	for _, warmup := range []uint64{700, 5500} {
+		assertBitIdentical(t, "solo resumed", resume(t, w, cache.LRU, cache.LRU, warmup, 6000), warmed(t, w, cache.LRU, warmup, 6000))
 	}
 }
 
-// TestGoldenCheckpointRestoreModes restores one checkpoint three ways —
-// into fresh machines continued by the batched driver, into fresh
-// machines continued by the retained per-step reference stepper, and
-// over machines dirtied by unrelated progress — and demands the same
-// bits from all of them.
+// TestGoldenCheckpointRestoreModes restores one warmup checkpoint three
+// ways — into fresh machines measured by the batched driver, into fresh
+// machines measured by the per-step reference driver, and over machines
+// dirtied by unrelated progress — and demands the same bits from all of
+// them.
 func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
 	w := Workload{"mcf", "povray"}
-	const quota = 8000
-	uninterrupted, err := Detailed(ctx, w, trs, cache.LRU, quota)
+	const warmup, quota = 3000, 5000
+	want := warmed(t, w, cache.LRU, warmup, quota)
+	cp, err := DetailedWarmup(ctx, w, trs, cache.LRU, warmup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cps []*Checkpoint
-	if _, err := DetailedCheckpointed(ctx, w, trs, cache.LRU, quota, 1500, func(cp *Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) < 2 {
-		t.Fatalf("want at least 2 checkpoints, got %d", len(cps))
-	}
-	cp := cps[len(cps)/2]
 
-	// Fresh machines, batched continuation (the DetailedResume path).
-	fresh, err := DetailedResume(ctx, cp, trs)
+	// Fresh machines, batched continuation (the DetailedFrom path).
+	fresh, err := DetailedFrom(ctx, cp, trs, cache.LRU, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "fresh restore", fresh, uninterrupted)
+	assertBitIdentical(t, "fresh restore", fresh, want)
 
-	// Fresh machines, per-step reference continuation.
-	continueFrom := func(cores []stepper) Result {
-		t.Helper()
-		targets := make([]uint64, len(cores))
-		for i := range targets {
-			targets[i] = cp.Quota
-		}
-		reached := append([]bool(nil), cp.Reached...)
-		quotaCycle := append([]uint64(nil), cp.QuotaCycle...)
-		if err := runInterleavedFromReference(ctx, cores, targets, reached, quotaCycle); err != nil {
+	// Restore over machines built for the workload: fresh ones, measured
+	// by the per-step reference, and dirty ones advanced to an unrelated
+	// point first, measured by the batched driver.
+	for _, mode := range []struct {
+		name  string
+		dirty uint64
+		drive driver
+	}{
+		{"reference-stepper restore", 0, runInterleavedReference},
+		{"dirty restore", 1234, runInterleaved},
+	} {
+		unc, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota)
+		if mode.dirty > 0 {
+			if err := runToBoundary(ctx, asSteppers(cores), mode.dirty); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cp.restore(unc, cores, cache.LRU); err != nil {
+			t.Fatal(err)
+		}
+		got, err := measure(ctx, w, cache.LRU, asSteppers(cores), quota, mode.drive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, mode.name, got, want)
 	}
-	_, refCores, err := restoreDetailed(ctx, cp, trs, cp.Policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "reference-stepper restore", continueFrom(asSteppers(refCores)), uninterrupted)
-
-	// Dirty machines: advance an identically built machine set to an
-	// unrelated point, then restore the checkpoint over it.
-	unc, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steppers := asSteppers(cores)
-	if err := runToBoundary(ctx, steppers, 1234); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cores {
-		c.Restore(&cp.CPU[i])
-	}
-	unc.Restore(&cp.Uncore)
-	targets := make([]uint64, len(cores))
-	for i := range targets {
-		targets[i] = cp.Quota
-	}
-	reached := append([]bool(nil), cp.Reached...)
-	quotaCycle := append([]uint64(nil), cp.QuotaCycle...)
-	if err := runInterleavedFrom(ctx, steppers, targets, reached, quotaCycle, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "dirty restore", assemble(cp.Workload, cp.Policy, quotaCycle, cp.Quota), uninterrupted)
 }
 
 // TestGoldenWarmupSnapshotRestore pins warmup + restore + measure to the
-// uninterrupted two-stage run, for both engines and across policies with
-// RNG-bearing replacement state.
+// live two-stage run across policies with RNG-bearing replacement state.
 func TestGoldenWarmupSnapshotRestore(t *testing.T) {
-	trs := traces(t)
-	ctx := context.Background()
 	w := Workload{"soplex", "hmmer"}
 	const warmup, quota = 3000, 5000
 	for _, pol := range []cache.PolicyName{cache.LRU, cache.DRRIP, cache.Random, cache.DIP} {
-		direct, err := DetailedWithWarmup(ctx, w, trs, pol, warmup, quota)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := DetailedWarmup(ctx, w, trs, pol, warmup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := DetailedFrom(ctx, cp, trs, pol, quota)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "detailed warmup "+string(pol), restored, direct)
+		assertBitIdentical(t, "detailed warmup "+string(pol), resume(t, w, pol, pol, warmup, quota), warmed(t, w, pol, warmup, quota))
 	}
-
-	mods := models(t)
-	direct, err := ApproximateWithWarmup(ctx, w, mods, cache.DRRIP, warmup, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ApproximateWarmup(ctx, w, mods, cache.DRRIP, warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ApproximateFrom(ctx, cp, mods, cache.DRRIP, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "badco warmup", restored, direct)
 }
 
 // TestGoldenWarmupMatchesReferenceSchedule pins the batched two-stage
 // run to a fully per-step one: per-step warmup boundary, per-step
 // measurement.
 func TestGoldenWarmupMatchesReferenceSchedule(t *testing.T) {
-	trs := traces(t)
-	ctx := context.Background()
-	w := Workload{"mcf", "gcc"}
-	const warmup, quota = 2500, 4000
-
-	batched, err := DetailedWithWarmup(ctx, w, trs, cache.LRU, warmup, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steppers := asSteppers(cores)
-	if err := runToBoundaryReference(ctx, steppers, warmup); err != nil {
-		t.Fatal(err)
-	}
-	cp := &Checkpoint{}
-	cp.captureShared(w, cache.LRU, 0, steppers, nil, nil)
-	targets := make([]uint64, len(steppers))
-	for i := range targets {
-		targets[i] = cp.Committed[i] + quota
-	}
-	reached := make([]bool, len(steppers))
-	quotaCycle := make([]uint64, len(steppers))
-	if err := runInterleavedFromReference(ctx, steppers, targets, reached, quotaCycle); err != nil {
-		t.Fatal(err)
-	}
-	cycles := make([]uint64, len(steppers))
-	for i := range cycles {
-		cycles[i] = quotaCycle[i] - cp.Clocks[i]
-	}
-	assertBitIdentical(t, "two-stage reference", batched, assemble(w, cache.LRU, cycles, quota))
+	assertMatchesReference(t, Workload{"mcf", "gcc"}, Spec{Engine: Detailed, Policy: cache.LRU, Warmup: 2500, Quota: 4000})
 }
 
-// TestGoldenSharedWarmupPolicySweep pins the snapshot-sharing sweep to a
-// sequential reference that warms live machines under the base policy
-// and swaps the LLC policy in place — no snapshot, no restore — per
-// policy. It also checks the zero-warmup path degenerates to Detailed
-// exactly.
+// TestGoldenSharedWarmupPolicySweep pins the lab's shared-warmup fan-out
+// — one DetailedWarmup under the base policy, then DetailedFrom per
+// policy — to a sequential reference that warms live machines under the
+// base policy and swaps the LLC policy in place, with no snapshot and no
+// restore.
 func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
@@ -252,11 +143,15 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 	const warmup, quota = 3000, 4000
 	policies := cache.PaperPolicies()
 
-	swept, err := SweepPoliciesDetailed(ctx, w, trs, policies, warmup, quota)
+	cp, err := DetailedWarmup(ctx, w, trs, policies[0], warmup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pol := range policies {
+	for _, pol := range policies {
+		swept, err := DetailedFrom(ctx, cp, trs, pol, quota)
+		if err != nil {
+			t.Fatal(err)
+		}
 		unc, cores, _, err := buildDetailed(ctx, w, trs, policies[0], quota)
 		if err != nil {
 			t.Fatal(err)
@@ -265,29 +160,15 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 		if err := runToBoundary(ctx, steppers, warmup); err != nil {
 			t.Fatal(err)
 		}
-		cp := &Checkpoint{}
-		cp.captureShared(w, pol, 0, steppers, nil, nil)
 		if pol != policies[0] {
 			if err := unc.SetPolicy(pol, unc.Config().PolicySeed); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ref, err := measureFrom(ctx, cp, steppers, pol, quota)
+		ref, err := measure(ctx, w, pol, steppers, quota, runInterleaved)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, "shared sweep "+string(pol), swept[i], ref)
-	}
-
-	swept0, err := SweepPoliciesDetailed(ctx, w, trs, policies[:2], 0, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pol := range policies[:2] {
-		plain, err := Detailed(ctx, w, trs, pol, quota)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, "zero-warmup sweep "+string(pol), swept0[i], plain)
+		assertBitIdentical(t, "shared sweep "+string(pol), swept, ref)
 	}
 }

@@ -85,17 +85,120 @@ func (w Workload) String() string {
 	return s
 }
 
-// Result is the outcome of simulating one workload under one policy.
+// Engine selects the core model a run simulates.
+type Engine int
+
+const (
+	// Detailed is the cycle-level out-of-order core model (package cpu).
+	Detailed Engine = iota
+	// BADCO is the behavioural approximate core model (package badco).
+	BADCO
+)
+
+// String names the engine.
+func (e Engine) String() string {
+	switch e {
+	case Detailed:
+		return "detailed"
+	case BADCO:
+		return "badco"
+	}
+	return fmt.Sprintf("Engine(%d)", int(e))
+}
+
+// Spec is one run configuration: the engine, the LLC policy, the
+// per-thread quota of measured µops (0: one trace length) and the
+// measurement protocol. With Warmup and Sampling zero the run measures
+// exactly from reset; a positive Warmup measures exactly after that many
+// µops per thread; an enabled Sampling estimates the steady-state IPC
+// under systematic sampling (see SamplingSpec). Spec is comparable.
+type Spec struct {
+	Engine   Engine
+	Policy   cache.PolicyName
+	Quota    uint64
+	Warmup   uint64
+	Sampling SamplingSpec
+}
+
+// Validate checks the spec's protocol rules, resolving a zero Quota to
+// traceLen. It is meant for the boundaries that take a spec from outside
+// input (the library options, the server, the CLI). Beyond the rules Run
+// enforces itself (see runnable), the warmup must fit in the quota: a
+// warmup beyond it almost always means swapped arguments, so it is
+// rejected rather than run as a measurement that mostly discards work.
+// The kernel itself runs such a spec, for callers that deliberately warm
+// a long prefix before a short measured sample. The errors carry no
+// package prefix, so the library, the server and the CLI each report
+// them under their own.
+func (s Spec) Validate(traceLen int) error {
+	if err := s.runnable(); err != nil {
+		return err
+	}
+	q := s.Quota
+	if q == 0 {
+		q = uint64(traceLen)
+	}
+	if s.Warmup > q {
+		return fmt.Errorf("warmup %d exceeds the instruction quota %d", s.Warmup, q)
+	}
+	return nil
+}
+
+// runnable checks what Run cannot execute at all: the engine is known,
+// and a spec with any sampling field set carries a valid SamplingSpec,
+// runs on the detailed engine and has no whole-run warmup (the sampling
+// spec's own warmup plays that role per window).
+func (s Spec) runnable() error {
+	if s.Engine != Detailed && s.Engine != BADCO {
+		return fmt.Errorf("unknown engine %v", s.Engine)
+	}
+	if s.Sampling == (SamplingSpec{}) {
+		return nil
+	}
+	if err := s.Sampling.Validate(); err != nil {
+		return err
+	}
+	if s.Engine != Detailed {
+		return fmt.Errorf("sampling requires the %s engine (BADCO is already fast; sample the slow simulator)", Detailed)
+	}
+	if s.Warmup > 0 {
+		return fmt.Errorf("sampling and warmup are mutually exclusive (the sampling spec's warmup warms each window)")
+	}
+	return nil
+}
+
+// Result is the outcome of simulating one workload under one Spec.
 type Result struct {
 	Workload Workload
 	Policy   cache.PolicyName
-	// IPC per core, measured on the first quota instructions of each
-	// thread.
+	// IPC per core. An exact run measures each thread's first quota µops
+	// (after the warmup, if any). A sampled run reports the inverse of
+	// the mean per-window CPI: every window measures the same µop count,
+	// so the mean CPI is exactly total measured cycles over total
+	// measured µops, the unbiased ratio estimate (averaging per-window
+	// IPCs directly would be Jensen-biased upward).
 	IPC []float64
-	// Cycles per core at which the quota was reached.
+	// Cycles per core spent on the measured µops.
 	Cycles []uint64
-	// Instructions is the per-thread quota.
+	// Instructions is the measured µops per thread: the quota, or
+	// windows × window length for a sampled run.
 	Instructions uint64
+
+	// Windows, CIHalf, CV and Samples describe a sampled run's estimate;
+	// exact runs leave them zero and nil.
+	//
+	// Windows is the number of measured windows per thread.
+	Windows int
+	// CIHalf is the per-core half-width of the SampledConfidence
+	// interval around IPC: the Student-t interval on the mean window
+	// CPI, mapped to the IPC scale by the delta method. Zero when only
+	// one window was measured.
+	CIHalf []float64
+	// CV is the per-core coefficient of variation of the per-window
+	// CPIs (the cv SMARTS-style sampling reports).
+	CV []float64
+	// Samples holds the raw per-window IPCs, indexed [core][window].
+	Samples [][]float64
 }
 
 // CPI returns the per-core cycles per instruction. A core with zero IPC
@@ -115,29 +218,56 @@ type stepper interface {
 	Committed() uint64
 }
 
-// driver advances a set of cores until each has committed quota µops and
-// returns the cycle at which each crossed it. A driver returns early with
-// ctx.Err() when the context is cancelled mid-simulation.
-type driver func(ctx context.Context, cores []stepper, quota uint64) ([]uint64, error)
+// driver advances the cores until each core i has committed targets[i]
+// µops and returns the cycle at which each crossed its target. A driver
+// returns early with ctx.Err() when the context is cancelled.
+type driver func(ctx context.Context, cores []stepper, targets []uint64) ([]uint64, error)
+
+// schedule pairs the drivers of a run's two stages: warm halts every
+// core at a committed-count boundary, measure drives the measured quota.
+type schedule struct {
+	warm    func(ctx context.Context, cores []stepper, boundary uint64) error
+	measure driver
+}
+
+// batched is the production schedule. The golden tests pin it to the
+// per-step reference schedule.
+var batched = schedule{runToBoundary, runInterleaved}
 
 // never is a clock/quota bound that no simulation reaches.
 const never = ^uint64(0)
 
-// cancelCheckMask throttles context polling in the batch loop: the
-// cancellation check (a non-blocking channel receive) runs once every
-// cancelCheckMask+1 batches, keeping it off the per-batch fast path
-// while still bounding the reaction latency to microseconds.
+// cancelCheckMask throttles context polling in the batch loops: while
+// several cores share the pick, batches are short and the cancellation
+// check (a non-blocking channel receive) runs once every
+// cancelCheckMask+1 batches, keeping it off the per-batch fast path while
+// still bounding the reaction latency to microseconds.
 const cancelCheckMask = 1023
 
-// soloChunkCycles is the clock-batch size of single-core simulations:
-// with no other core to bound a batch, the driver runs the core in
-// fixed-size clock windows so cancellation stays responsive. StepUntil
-// is resumable, so chunking does not change results.
+// soloChunkCycles is the clock-batch size of a core alone in the pick
+// set (a single-core run, or the last core still short of a boundary):
+// with no runner-up to bound its batch, the driver runs it in fixed-size
+// clock windows and polls the context once per window, so cancellation
+// stays responsive. StepUntil is resumable, so chunking does not change
+// results.
 const soloChunkCycles = 1 << 18
 
+// cancelled polls done without blocking. The batch loops call it only
+// on a solo batch or once every cancelCheckMask+1 batches, so the
+// per-batch fast path stays a couple of compares.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // runInterleaved advances the cores on the smallest-local-clock-first
-// discipline until every core has committed at least quota instructions,
-// then returns each core's quota completion cycle.
+// discipline until each core i has committed targets[i] instructions,
+// then returns each core's crossing cycle. A core that crosses keeps
+// running (restarted, as in the paper) until every core has crossed.
 //
 // It produces the same schedule as the per-step reference driver
 // (runInterleavedReference) but dispatches whole batches: a core's local
@@ -149,27 +279,10 @@ const soloChunkCycles = 1 << 18
 // instead of per simulated µop. Between batches a single pass over the
 // cached clocks carries the pick and the runner-up through a 2-element
 // tournament, instead of a full rescan per µop.
-func runInterleaved(ctx context.Context, cores []stepper, quota uint64) ([]uint64, error) {
+func runInterleaved(ctx context.Context, cores []stepper, targets []uint64) ([]uint64, error) {
 	n := len(cores)
 	done := ctx.Done()
-	quotaCycle := make([]uint64, n)
-	if n == 1 {
-		// A single core is always the pick: run to the quota in clock
-		// chunks so cancellation can interrupt a long solo run.
-		c := cores[0]
-		for c.Committed() < quota {
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			c.StepUntil(c.Now()+soloChunkCycles, quota)
-		}
-		quotaCycle[0] = c.Now()
-		return quotaCycle, nil
-	}
+	cross := make([]uint64, n)
 	reached := make([]bool, n)
 	remaining := n
 	clocks := make([]uint64, n)
@@ -177,13 +290,6 @@ func runInterleaved(ctx context.Context, cores []stepper, quota uint64) ([]uint6
 		clocks[i] = c.Now()
 	}
 	for batch := 0; remaining > 0; batch++ {
-		if done != nil && batch&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
 		// One pass, ties to the lower index: m is the core the per-step
 		// driver would pick, o the runner-up it would pick next.
 		m, o := 0, -1
@@ -195,86 +301,162 @@ func runInterleaved(ctx context.Context, cores []stepper, quota uint64) ([]uint6
 				o = i
 			}
 		}
+		if done != nil && (o < 0 || batch&cancelCheckMask == 0) && cancelled(done) {
+			return nil, ctx.Err()
+		}
 		// Core m keeps the pick while its clock is below the runner-up's
 		// — or equal to it, when m wins the lower-index tie-break.
-		limit := clocks[o]
-		if m < o {
-			limit++
+		limit := clocks[m] + soloChunkCycles
+		if o >= 0 {
+			limit = clocks[o]
+			if m < o {
+				limit++
+			}
 		}
-		// A core that has not crossed the quota stops its batch at the
+		// A core that has not crossed its target stops its batch at the
 		// crossing so the crossing cycle is captured; afterwards it keeps
-		// running (restarted) until all cores reach the quota, as in the
-		// paper.
-		quotaCap := never
+		// running until all cores reach theirs.
+		target := never
 		if !reached[m] {
-			quotaCap = quota
+			target = targets[m]
 		}
 		c := cores[m]
-		c.StepUntil(limit, quotaCap)
-		if !reached[m] && c.Committed() >= quota {
+		c.StepUntil(limit, target)
+		if !reached[m] && c.Committed() >= targets[m] {
 			reached[m] = true
-			quotaCycle[m] = c.Now()
+			cross[m] = c.Now()
 			remaining--
 		}
 		clocks[m] = c.Now()
 	}
-	return quotaCycle, nil
+	return cross, nil
 }
 
-// runInterleavedReference is the original per-step driver: pick the core
-// with the smallest local clock, step it one µop, repeat. It is retained
-// as the executable specification of the schedule; the golden
-// determinism test asserts the batched driver reproduces its results
-// bit-identically. It ignores the context (it only runs in tests).
-func runInterleavedReference(_ context.Context, cores []stepper, quota uint64) ([]uint64, error) {
+// runToBoundary advances the cores on the smallest-local-clock-first
+// discipline until each has committed at least boundary µops; unlike the
+// measured run, a core that crosses the boundary halts (leaves the pick
+// set) so the state is frozen with every thread at — for the detailed
+// model, exactly at — the boundary. The batched loop reproduces the
+// per-step schedule of runToBoundaryReference by the same argument as
+// runInterleaved: clocks are nondecreasing and only the picked core's
+// clock moves, so the pick is stable until it reaches the runner-up.
+func runToBoundary(ctx context.Context, cores []stepper, boundary uint64) error {
 	n := len(cores)
-	quotaCycle := make([]uint64, n)
-	reached := make([]bool, n)
-	remaining := n
-	for remaining > 0 {
-		// Pick the unfinished-or-not core with the smallest local clock.
-		// Finished threads keep running (restarted) until all reach the
-		// quota, as in the paper, so they stay in the pick set.
-		min := 0
-		for i := 1; i < n; i++ {
-			if cores[i].Now() < cores[min].Now() {
-				min = i
+	done := ctx.Done()
+	halted := make([]bool, n)
+	clocks := make([]uint64, n)
+	remaining := 0
+	for i, c := range cores {
+		clocks[i] = c.Now()
+		if c.Committed() >= boundary {
+			halted[i] = true
+		} else {
+			remaining++
+		}
+	}
+	for batch := 0; remaining > 0; batch++ {
+		// Lowest-index minimum over the active cores; o is the runner-up.
+		m, o := -1, -1
+		for i := 0; i < n; i++ {
+			if halted[i] {
+				continue
+			}
+			switch {
+			case m < 0 || clocks[i] < clocks[m]:
+				m, o = i, m
+			case o < 0 || clocks[i] < clocks[o]:
+				o = i
 			}
 		}
-		c := cores[min]
-		c.Step()
-		if !reached[min] && c.Committed() >= quota {
-			reached[min] = true
-			quotaCycle[min] = c.Now()
+		if done != nil && (o < 0 || batch&cancelCheckMask == 0) && cancelled(done) {
+			return ctx.Err()
+		}
+		limit := clocks[m] + soloChunkCycles
+		if o >= 0 {
+			limit = clocks[o]
+			if m < o {
+				limit++
+			}
+		}
+		c := cores[m]
+		c.StepUntil(limit, boundary)
+		clocks[m] = c.Now()
+		if c.Committed() >= boundary {
+			halted[m] = true
 			remaining--
 		}
 	}
-	return quotaCycle, nil
+	return nil
 }
 
-// Detailed simulates the workload with the detailed core model under the
-// given LLC policy. quota is the per-thread instruction count (commonly
-// the trace length). Traces are resolved through the source at this
-// boundary — lazily built on first use — and are not released here: the
-// caller owns the retention policy. A cancelled context aborts the
-// simulation and returns ctx.Err().
-func Detailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) (Result, error) {
-	return detailedWith(ctx, w, traces, policy, quota, runInterleaved)
+// Run simulates the workload under the spec. Detailed runs resolve their
+// traces through the source at this boundary — lazily built on first
+// use, and not released here: the caller owns the retention policy.
+// BADCO runs replay the models, keyed by benchmark name, and their quota
+// must be a multiple of the model trace length. The source the engine
+// does not use may be nil. A zero Spec.Quota defaults to the first
+// benchmark's trace length. A cancelled context aborts the simulation
+// and returns ctx.Err().
+func Run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) (Result, error) {
+	return run(ctx, w, spec, traces, models, batched)
 }
 
-// detailedWith is Detailed with an explicit driver, so the golden test
-// can run the reference per-step driver through the identical
-// construction path.
-func detailedWith(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64, drive driver) (Result, error) {
-	_, cores, quota, err := buildDetailed(ctx, w, traces, policy, quota)
+// run is Run under an explicit schedule, so the golden tests can run the
+// per-step reference schedule through the identical construction path.
+func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model, sch schedule) (Result, error) {
+	if err := spec.runnable(); err != nil {
+		return Result{}, fmt.Errorf("multicore: %w", err)
+	}
+	var (
+		cores    []stepper
+		detailed []*cpu.Core
+		quota    uint64
+		err      error
+	)
+	if spec.Engine == Detailed {
+		_, detailed, quota, err = buildDetailed(ctx, w, traces, spec.Policy, spec.Quota)
+		cores = asSteppers(detailed)
+	} else {
+		cores, quota, err = buildApproximate(w, models, spec.Policy, spec.Quota)
+	}
 	if err != nil {
 		return Result{}, err
 	}
+	if spec.Sampling.Enabled() {
+		return sampled(ctx, w, spec.Policy, spec.Sampling, detailed, quota)
+	}
+	if spec.Warmup > 0 {
+		stop := telemetry.FromContext(ctx).Time(phaseWarmup)
+		err := sch.warm(ctx, cores, spec.Warmup)
+		stop()
+		if err != nil {
+			return Result{}, err
+		}
+	}
+	return measure(ctx, w, spec.Policy, cores, quota, sch.measure)
+}
+
+// measure drives the cores quota µops beyond their current commit counts
+// and reports each core's cycles from its current clock: from reset for
+// an exact run, from the warmup boundary for a warmed or restored one.
+func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []stepper, quota uint64, drive driver) (Result, error) {
+	if quota == 0 {
+		return Result{}, fmt.Errorf("multicore: zero quota")
+	}
+	targets := make([]uint64, len(cores))
+	start := make([]uint64, len(cores))
+	for i, c := range cores {
+		targets[i] = c.Committed() + quota
+		start[i] = c.Now()
+	}
 	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	cycles, err := drive(ctx, asSteppers(cores), quota)
+	cycles, err := drive(ctx, cores, targets)
 	stop()
 	if err != nil {
 		return Result{}, err
+	}
+	for i := range cycles {
+		cycles[i] -= start[i]
 	}
 	return assemble(w, policy, cycles, quota), nil
 }
@@ -326,59 +508,33 @@ func asSteppers[T stepper](cores []T) []stepper {
 // length).
 type badcoStepper struct{ *badco.Machine }
 
-// Approximate runs the workload with BADCO machines sharing a real
-// uncore. models maps benchmark name to its behavioural model; quota must
-// be a multiple of the model trace length (0 means one trace length). A
-// cancelled context aborts the simulation and returns ctx.Err().
-func Approximate(ctx context.Context, w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) (Result, error) {
-	return approximateWith(ctx, w, models, policy, quota, runInterleaved)
-}
-
-// approximateWith is Approximate with an explicit driver (see
-// detailedWith).
-func approximateWith(ctx context.Context, w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64, drive driver) (Result, error) {
-	_, machines, quota, err := buildApproximate(w, models, policy, quota)
-	if err != nil {
-		return Result{}, err
-	}
-	cores := make([]stepper, len(machines))
-	for i, ma := range machines {
-		cores[i] = badcoStepper{ma}
-	}
-	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	cycles, err := drive(ctx, cores, quota)
-	stop()
-	if err != nil {
-		return Result{}, err
-	}
-	return assemble(w, policy, cycles, quota), nil
-}
-
-// buildApproximate is buildDetailed's BADCO counterpart.
-func buildApproximate(w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) (*uncore.Uncore, []*badco.Machine, uint64, error) {
+// buildApproximate is buildDetailed's BADCO counterpart: BADCO machines
+// sharing a real uncore, one per workload slot. A zero quota defaults to
+// the first model's trace length.
+func buildApproximate(w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) ([]stepper, uint64, error) {
 	if len(w) == 0 {
-		return nil, nil, 0, fmt.Errorf("multicore: empty workload")
+		return nil, 0, fmt.Errorf("multicore: empty workload")
 	}
 	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	machines := make([]*badco.Machine, len(w))
+	machines := make([]stepper, len(w))
 	for i, name := range w {
 		m, ok := models[name]
 		if !ok {
-			return nil, nil, 0, fmt.Errorf("multicore: no model for benchmark %q", name)
+			return nil, 0, fmt.Errorf("multicore: no model for benchmark %q", name)
 		}
 		if quota == 0 {
 			quota = uint64(m.TraceLen)
 		}
 		ma, err := badco.NewMachine(i, m, unc)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		machines[i] = ma
+		machines[i] = badcoStepper{ma}
 	}
-	return unc, machines, quota, nil
+	return machines, quota, nil
 }
 
 func assemble(w Workload, policy cache.PolicyName, cycles []uint64, quota uint64) Result {
@@ -397,43 +553,19 @@ func assemble(w Workload, policy cache.PolicyName, cycles []uint64, quota uint64
 	return r
 }
 
-// SweepResult couples a workload index with its simulation result.
-type SweepResult struct {
-	Index  int
-	Result Result
-}
-
-// SweepApproximate simulates many workloads with BADCO in parallel across
-// CPU cores (each workload simulation is independent and deterministic).
-// The returned slice is indexed like workloads. Cancelling the context
+// Sweep runs Run over many workloads under one spec in parallel on the
+// shared simulation budget (see RunBounded); the results are indexed
+// like workloads. Traces resolve lazily through the source (concurrent
+// workloads sharing a benchmark share one build) and stay resident for
+// the caller to release: a sweep touches each distinct benchmark many
+// times, so releasing per workload would thrash. Cancelling the context
 // stops dispatching new workloads, interrupts the running ones, and
 // returns ctx.Err().
-func SweepApproximate(ctx context.Context, workloads []Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) ([]Result, error) {
+func Sweep(ctx context.Context, workloads []Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) ([]Result, error) {
 	results := make([]Result, len(workloads))
 	errs := make([]error, len(workloads))
 	if err := RunBounded(ctx, len(workloads), func(i int) {
-		results[i], errs[i] = Approximate(ctx, workloads[i], models, policy, quota)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// SweepDetailed simulates many workloads with the detailed model in
-// parallel across CPU cores. Traces resolve lazily through the source
-// (concurrent workloads sharing a benchmark share one build) and stay
-// resident for the caller to release: a sweep touches each distinct
-// benchmark many times, so releasing per workload would thrash.
-func SweepDetailed(ctx context.Context, workloads []Workload, traces TraceSource, policy cache.PolicyName, quota uint64) ([]Result, error) {
-	results := make([]Result, len(workloads))
-	errs := make([]error, len(workloads))
-	if err := RunBounded(ctx, len(workloads), func(i int) {
-		results[i], errs[i] = Detailed(ctx, workloads[i], traces, policy, quota)
+		results[i], errs[i] = Run(ctx, workloads[i], spec, traces, models)
 	}); err != nil {
 		return nil, err
 	}

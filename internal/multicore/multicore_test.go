@@ -43,11 +43,11 @@ func models(t *testing.T) map[string]*badco.Model {
 
 func TestDetailedSingleVsPair(t *testing.T) {
 	trs := traces(t)
-	solo, err := Detailed(context.Background(), Workload{"mcf"}, trs, cache.LRU, 0)
+	solo, err := Run(context.Background(), Workload{"mcf"}, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := Detailed(context.Background(), Workload{"mcf", "soplex"}, trs, cache.LRU, 0)
+	pair, err := Run(context.Background(), Workload{"mcf", "soplex"}, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,24 +63,24 @@ func TestDetailedSingleVsPair(t *testing.T) {
 
 func TestDetailedErrors(t *testing.T) {
 	trs := traces(t)
-	if _, err := Detailed(context.Background(), Workload{}, trs, cache.LRU, 0); err == nil {
+	if _, err := Run(context.Background(), Workload{}, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, err := Detailed(context.Background(), Workload{"nosuch"}, trs, cache.LRU, 0); err == nil {
+	if _, err := Run(context.Background(), Workload{"nosuch"}, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Detailed(context.Background(), Workload{"mcf"}, trs, "NOPOL", 0); err == nil {
+	if _, err := Run(context.Background(), Workload{"mcf"}, Spec{Engine: Detailed, Policy: "NOPOL"}, trs, nil); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 func TestDetailedDeterminism(t *testing.T) {
 	trs := traces(t)
-	a, err := Detailed(context.Background(), Workload{"gcc", "mcf"}, trs, cache.DIP, 0)
+	a, err := Run(context.Background(), Workload{"gcc", "mcf"}, Spec{Engine: Detailed, Policy: cache.DIP}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Detailed(context.Background(), Workload{"gcc", "mcf"}, trs, cache.DIP, 0)
+	b, err := Run(context.Background(), Workload{"gcc", "mcf"}, Spec{Engine: Detailed, Policy: cache.DIP}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDetailedDeterminism(t *testing.T) {
 
 func TestDuplicateBenchmarksGetDistinctPages(t *testing.T) {
 	trs := traces(t)
-	r, err := Detailed(context.Background(), Workload{"bzip2", "bzip2"}, trs, cache.LRU, 0)
+	r, err := Run(context.Background(), Workload{"bzip2", "bzip2"}, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestApproximateMatchesDetailedRanking(t *testing.T) {
 	trs := traces(t)
 	mods := models(t)
 	w := Workload{"mcf", "povray"}
-	det, err := Detailed(context.Background(), w, trs, cache.LRU, 0)
+	det, err := Run(context.Background(), w, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := Approximate(context.Background(), w, mods, cache.LRU, 0)
+	app, err := Run(context.Background(), w, Spec{Engine: BADCO, Policy: cache.LRU}, nil, mods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestApproximateMatchesDetailedRanking(t *testing.T) {
 
 func TestApproximateErrors(t *testing.T) {
 	mods := models(t)
-	if _, err := Approximate(context.Background(), Workload{}, mods, cache.LRU, 0); err == nil {
+	if _, err := Run(context.Background(), Workload{}, Spec{Engine: BADCO, Policy: cache.LRU}, nil, mods); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, err := Approximate(context.Background(), Workload{"nosuch"}, mods, cache.LRU, 0); err == nil {
+	if _, err := Run(context.Background(), Workload{"nosuch"}, Spec{Engine: BADCO, Policy: cache.LRU}, nil, mods); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestSweepApproximate(t *testing.T) {
 		{"libquantum", "hmmer"},
 		{"soplex", "astar"},
 	}
-	rs, err := SweepApproximate(context.Background(), ws, mods, cache.DRRIP, 0)
+	rs, err := Sweep(context.Background(), ws, Spec{Engine: BADCO, Policy: cache.DRRIP}, nil, mods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSweepApproximate(t *testing.T) {
 		}
 	}
 	// Sweep must be deterministic despite parallelism.
-	rs2, err := SweepApproximate(context.Background(), ws, mods, cache.DRRIP, 0)
+	rs2, err := Sweep(context.Background(), ws, Spec{Engine: BADCO, Policy: cache.DRRIP}, nil, mods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSweepApproximate(t *testing.T) {
 func TestSweepDetailed(t *testing.T) {
 	trs := traces(t)
 	ws := []Workload{{"hmmer", "povray"}, {"mcf", "mcf"}}
-	rs, err := SweepDetailed(context.Background(), ws, trs, cache.FIFO, 0)
+	rs, err := Sweep(context.Background(), ws, Spec{Engine: Detailed, Policy: cache.FIFO}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPolicyAffectsThroughput(t *testing.T) {
 	w := Workload{"soplex", "bzip2"}
 	var ipcs []float64
 	for _, pol := range cache.PaperPolicies() {
-		r, err := Approximate(context.Background(), w, mods, pol, 0)
+		r, err := Run(context.Background(), w, Spec{Engine: BADCO, Policy: pol}, nil, mods)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,14 +246,14 @@ func TestResultCPI(t *testing.T) {
 
 func TestQuotaHonored(t *testing.T) {
 	trs := traces(t)
-	r, err := Detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 5000)
+	r, err := Run(context.Background(), Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU, Quota: 5000}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Instructions != 5000 {
 		t.Errorf("quota %d, want 5000", r.Instructions)
 	}
-	full, _ := Detailed(context.Background(), Workload{"hmmer"}, trs, cache.LRU, 0)
+	full, _ := Run(context.Background(), Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU}, trs, nil)
 	if r.Cycles[0] >= full.Cycles[0] {
 		t.Errorf("5000-op quota took %d cycles, full trace %d", r.Cycles[0], full.Cycles[0])
 	}

@@ -63,22 +63,22 @@ type SamplingSpec struct {
 func (s SamplingSpec) Enabled() bool { return s.Unit > 0 }
 
 // Validate checks the spec's internal consistency. The zero (disabled)
-// spec is valid.
+// spec is valid. Like Spec.Validate, its errors carry no package prefix.
 func (s SamplingSpec) Validate() error {
 	if !s.Enabled() {
 		if s.Window != 0 || s.Warmup != 0 || s.Warm != 0 {
-			return fmt.Errorf("multicore: sampling window/warmup set without a unit")
+			return fmt.Errorf("sampling window/warmup set without a unit")
 		}
 		return nil
 	}
 	if s.Window == 0 {
-		return fmt.Errorf("multicore: sampling window must be positive")
+		return fmt.Errorf("sampling window must be positive")
 	}
 	if s.Warmup+s.Window > s.Unit {
-		return fmt.Errorf("multicore: sampling warmup %d + window %d exceed unit %d", s.Warmup, s.Window, s.Unit)
+		return fmt.Errorf("sampling warmup %d + window %d exceed unit %d", s.Warmup, s.Window, s.Unit)
 	}
 	if s.Warm > s.Unit-s.Warmup-s.Window {
-		return fmt.Errorf("multicore: sampling warm %d exceeds gap %d", s.Warm, s.Unit-s.Warmup-s.Window)
+		return fmt.Errorf("sampling warm %d exceeds gap %d", s.Warm, s.Unit-s.Warmup-s.Window)
 	}
 	return nil
 }
@@ -96,53 +96,17 @@ func (s SamplingSpec) String() string {
 	return fmt.Sprintf("u%dd%dw%d", s.Unit, s.Window, s.Warmup)
 }
 
-// SampledResult is the outcome of a sampled detailed run. The embedded
-// Result reports the estimate: IPC per core is the inverse of the mean
-// per-window CPI — every window measures the same µop count, so the
-// mean CPI is exactly total measured cycles over total measured µops,
-// the unbiased ratio estimate (averaging per-window IPCs directly
-// would be Jensen-biased upward). Instructions is the µops measured in
-// detail per thread (windows × window length), Cycles the per-core
-// detailed cycles spent measuring them.
-type SampledResult struct {
-	Result
-	// Spec is the sampling configuration that produced the estimate.
-	Spec SamplingSpec
-	// Windows is the number of measured windows per thread.
-	Windows int
-	// CIHalf is the per-core half-width of the SampledConfidence
-	// interval around IPC: the Student-t interval on the mean window
-	// CPI, mapped to the IPC scale by the delta method. Zero when only
-	// one window was measured.
-	CIHalf []float64
-	// CV is the per-core coefficient of variation of the per-window
-	// CPIs (the cv SMARTS-style sampling reports).
-	CV []float64
-	// Samples holds the raw per-window IPCs, indexed [core][window].
-	Samples [][]float64
-}
-
-// DetailedSampled runs the workload under systematic sampling: per
+// sampled runs the workload's freshly built detailed cores under
+// systematic sampling (Run dispatches here for an enabled spec): per
 // sampling unit of spec.Unit µops, fast-forward the gap functionally,
 // warm spec.Warmup µops and measure spec.Window µops in full detail.
-// A zero quota defaults to the first trace's length; quota/spec.Unit
-// full units are sampled (a partial tail unit is not simulated at
-// all — that is where the speedup comes from). The estimate and its
-// confidence interval are over the per-window IPCs.
-func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, spec SamplingSpec, quota uint64) (SampledResult, error) {
-	if !spec.Enabled() {
-		return SampledResult{}, fmt.Errorf("multicore: sampling spec disabled (use Detailed for exact runs)")
-	}
-	if err := spec.Validate(); err != nil {
-		return SampledResult{}, err
-	}
-	_, cores, quota, err := buildDetailed(ctx, w, traces, policy, quota)
-	if err != nil {
-		return SampledResult{}, err
-	}
+// quota/spec.Unit full units are sampled (a partial tail unit is not
+// simulated at all — that is where the speedup comes from). The estimate
+// and its confidence interval are over the per-window IPCs.
+func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec SamplingSpec, cores []*cpu.Core, quota uint64) (Result, error) {
 	windows := quota / spec.Unit
 	if windows == 0 {
-		return SampledResult{}, fmt.Errorf("multicore: sampling unit %d exceeds quota %d", spec.Unit, quota)
+		return Result{}, fmt.Errorf("multicore: sampling unit %d exceeds quota %d", spec.Unit, quota)
 	}
 	steppers := asSteppers(cores)
 	n := len(cores)
@@ -172,7 +136,7 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 		err := runToBoundary(ctx, steppers, prologue)
 		stop()
 		if err != nil {
-			return SampledResult{}, err
+			return Result{}, err
 		}
 		for i, c := range steppers {
 			if now := c.Now(); now > 0 {
@@ -192,7 +156,7 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 	// fast-forward.
 	for k := uint64(0); k < windows; k++ {
 		if err := ctx.Err(); err != nil {
-			return SampledResult{}, err
+			return Result{}, err
 		}
 		base := k * spec.Unit
 		stopFF := sp.Time(phaseFastForward)
@@ -225,7 +189,7 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 			err := runToBoundary(ctx, steppers, base+gap+spec.Warmup)
 			stopW()
 			if err != nil {
-				return SampledResult{}, err
+				return Result{}, err
 			}
 			// Warmups cost different wall-cycles per core (a slow core's
 			// warmup runs long after the fast ones halted), so the clocks
@@ -242,7 +206,7 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 		err := runWindowOvershoot(ctx, steppers, base+spec.Unit, base+spec.Unit+gap, cross)
 		stopM()
 		if err != nil {
-			return SampledResult{}, err
+			return Result{}, err
 		}
 		for i := range steppers {
 			cyc := cross[i] - clocks[i]
@@ -256,19 +220,16 @@ func DetailedSampled(ctx context.Context, w Workload, traces TraceSource, policy
 		}
 	}
 
-	res := SampledResult{
-		Result: Result{
-			Workload:     append(Workload(nil), w...),
-			Policy:       policy,
-			IPC:          make([]float64, n),
-			Cycles:       totalCycles,
-			Instructions: windows * spec.Window,
-		},
-		Spec:    spec,
-		Windows: int(windows),
-		CIHalf:  make([]float64, n),
-		CV:      make([]float64, n),
-		Samples: samples,
+	res := Result{
+		Workload:     append(Workload(nil), w...),
+		Policy:       policy,
+		IPC:          make([]float64, n),
+		Cycles:       totalCycles,
+		Instructions: windows * spec.Window,
+		Windows:      int(windows),
+		CIHalf:       make([]float64, n),
+		CV:           make([]float64, n),
+		Samples:      samples,
 	}
 	cpis := make([]float64, windows)
 	for i := range samples {
@@ -424,22 +385,4 @@ func runWindowOvershoot(ctx context.Context, cores []stepper, target, cap uint64
 		}
 	}
 	return nil
-}
-
-// SweepDetailedSampled runs DetailedSampled over many workloads in
-// parallel (see SweepDetailed for the residency contract).
-func SweepDetailedSampled(ctx context.Context, workloads []Workload, traces TraceSource, policy cache.PolicyName, spec SamplingSpec, quota uint64) ([]SampledResult, error) {
-	results := make([]SampledResult, len(workloads))
-	errs := make([]error, len(workloads))
-	if err := RunBounded(ctx, len(workloads), func(i int) {
-		results[i], errs[i] = DetailedSampled(ctx, workloads[i], traces, policy, spec, quota)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

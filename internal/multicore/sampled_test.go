@@ -50,10 +50,10 @@ func TestSamplingSpecValidate(t *testing.T) {
 
 // formatSampled renders every numeric field of a sampled result with
 // full float bit patterns, so the golden pins the run byte-identically.
-func formatSampled(r SampledResult) string {
+func formatSampled(r Result, spec SamplingSpec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload=%s policy=%s spec=%s windows=%d instructions=%d\n",
-		r.Result.Workload, r.Policy, r.Spec, r.Windows, r.Instructions)
+		r.Workload, r.Policy, spec, r.Windows, r.Instructions)
 	for i := range r.IPC {
 		fmt.Fprintf(&b, "core %d cycles=%d ipc=%.9f(%016x) ci=%.9f(%016x) cv=%.9f(%016x)\n",
 			i, r.Cycles[i],
@@ -73,11 +73,11 @@ func formatSampled(r SampledResult) string {
 func TestSampledGolden(t *testing.T) {
 	trs := traces(t)
 	spec := SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}
-	r, err := DetailedSampled(context.Background(), Workload{"mcf", "povray"}, trs, cache.LRU, spec, 0)
+	r, err := Run(context.Background(), Workload{"mcf", "povray"}, Spec{Engine: Detailed, Policy: cache.LRU, Sampling: spec}, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := formatSampled(r)
+	got := formatSampled(r, spec)
 	path := filepath.Join("testdata", "sampled_golden.txt")
 	if *updateSampledGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -101,15 +101,16 @@ func TestSampledGolden(t *testing.T) {
 func TestSampledDeterministic(t *testing.T) {
 	trs := traces(t)
 	spec := SamplingSpec{Unit: 5000, Window: 1000, Warmup: 1000}
-	a, err := DetailedSampled(context.Background(), Workload{"soplex", "gcc"}, trs, cache.DRRIP, spec, 0)
+	run := Spec{Engine: Detailed, Policy: cache.DRRIP, Sampling: spec}
+	a, err := Run(context.Background(), Workload{"soplex", "gcc"}, run, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DetailedSampled(context.Background(), Workload{"soplex", "gcc"}, trs, cache.DRRIP, spec, 0)
+	b, err := Run(context.Background(), Workload{"soplex", "gcc"}, run, trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if formatSampled(a) != formatSampled(b) {
+	if formatSampled(a, spec) != formatSampled(b, spec) {
 		t.Error("two identical sampled runs diverged")
 	}
 }
@@ -159,7 +160,7 @@ func seededTraces(t *testing.T, names []string, n int, off int64) TraceMap {
 // independent trace draws and workloads, the reported interval must
 // contain the exact steady-state IPC at no less than the configured
 // rate, and the mean relative error must stay within the accuracy
-// target. The baseline is a warmed exact run (DetailedWithWarmup)
+// target. The baseline is a warmed exact run (Spec.Warmup)
 // rather than a cold one: systematic sampling estimates steady-state
 // IPC by construction — its windows never cover the cold-start
 // transient, which on traces this short is a measurable fraction of a
@@ -183,11 +184,11 @@ func TestSampledCICoversExact(t *testing.T) {
 	for _, off := range []int64{0, 7000, 14000} {
 		trs := seededTraces(t, names, n, off)
 		for _, w := range workloads {
-			exact, err := DetailedWithWarmup(ctx, w, trs, cache.LRU, spec.Unit, n-spec.Unit)
+			exact, err := Run(ctx, w, Spec{Engine: Detailed, Policy: cache.LRU, Warmup: spec.Unit, Quota: n - spec.Unit}, trs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sampled, err := DetailedSampled(ctx, w, trs, cache.LRU, spec, 0)
+			sampled, err := Run(ctx, w, Spec{Engine: Detailed, Policy: cache.LRU, Sampling: spec}, trs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,17 +212,44 @@ func TestSampledCICoversExact(t *testing.T) {
 	}
 }
 
-// TestSampledErrors exercises the argument contract.
+// TestSampledErrors exercises the argument contract: the sampling rules
+// of Spec.Validate hold at Run, and a unit beyond the quota is refused.
 func TestSampledErrors(t *testing.T) {
-	trs := traces(t)
+	trs, mods := traces(t), models(t)
 	ctx := context.Background()
-	if _, err := DetailedSampled(ctx, Workload{"mcf"}, trs, cache.LRU, SamplingSpec{}, 0); err == nil {
-		t.Error("disabled spec accepted")
+	spec := SamplingSpec{Unit: 1000, Window: 100}
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"BADCO sampling", Spec{Engine: BADCO, Policy: cache.LRU, Sampling: spec}},
+		{"sampling with warmup", Spec{Engine: Detailed, Policy: cache.LRU, Sampling: spec, Warmup: 100}},
+		{"overfull unit", Spec{Engine: Detailed, Policy: cache.LRU, Sampling: SamplingSpec{Unit: 100, Window: 80, Warmup: 30}}},
+		{"window without unit", Spec{Engine: Detailed, Policy: cache.LRU, Sampling: SamplingSpec{Window: 10}}},
+		{"unit beyond quota", Spec{Engine: Detailed, Policy: cache.LRU, Sampling: SamplingSpec{Unit: never, Window: 10}}},
+	} {
+		if _, err := Run(ctx, Workload{"mcf"}, c.spec, trs, mods); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := DetailedSampled(ctx, Workload{"mcf"}, trs, cache.LRU, SamplingSpec{Unit: 100, Window: 80, Warmup: 30}, 0); err == nil {
-		t.Error("overfull unit accepted")
-	}
-	if _, err := DetailedSampled(ctx, Workload{"mcf"}, trs, cache.LRU, SamplingSpec{Unit: never, Window: 10}, 0); err == nil {
-		t.Error("unit beyond quota accepted")
+}
+
+// TestRunWarmupBeyondQuota: warmup ≤ quota is a front-end rule
+// (Spec.Validate), not a kernel one. Run executes a long warming prefix
+// before a short measured sample on both engines.
+func TestRunWarmupBeyondQuota(t *testing.T) {
+	trs, mods := traces(t), models(t)
+	for _, e := range []Engine{Detailed, BADCO} {
+		spec := Spec{Engine: e, Policy: cache.LRU, Quota: uint64(mods["mcf"].TraceLen), Warmup: 3 * uint64(mods["mcf"].TraceLen)}
+		if err := spec.Validate(0); err == nil {
+			t.Errorf("%v: Validate accepted warmup %d beyond quota %d", e, spec.Warmup, spec.Quota)
+		}
+		r, err := Run(context.Background(), Workload{"mcf", "povray"}, spec, trs, mods)
+		if err != nil {
+			t.Fatalf("%v: Run: %v", e, err)
+		}
+		if r.Instructions != spec.Quota || r.IPC[0] <= 0 || r.IPC[1] <= 0 {
+			t.Errorf("%v: result %+v", e, r)
+		}
 	}
 }

@@ -44,11 +44,11 @@ func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 	ws := equivWorkloads()
 
 	for _, pol := range []cache.PolicyName{cache.LRU, cache.DRRIP} {
-		want, err := SweepDetailed(ctx, ws, legacySrc, pol, 0)
+		want, err := Sweep(ctx, ws, Spec{Engine: Detailed, Policy: pol}, legacySrc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SweepDetailed(ctx, ws, prov, pol, 0)
+		got, err := Sweep(ctx, ws, Spec{Engine: Detailed, Policy: pol}, prov, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 		t.Fatal("BADCO models diverge between SuiteSource and trace.NewSuite")
 	}
 	for _, pol := range []cache.PolicyName{cache.LRU, cache.DRRIP} {
-		want, err := SweepApproximate(ctx, ws, wantModels, pol, 0)
+		want, err := Sweep(ctx, ws, Spec{Engine: BADCO, Policy: pol}, nil, wantModels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SweepApproximate(ctx, ws, gotModels, pol, 0)
+		got, err := Sweep(ctx, ws, Spec{Engine: BADCO, Policy: pol}, nil, gotModels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +114,11 @@ func TestDirSourceIdenticalResults(t *testing.T) {
 	}
 	prov := bench.At(src, n)
 	ws := []Workload{{"mcf", "povray"}, {"gcc", "soplex"}, {"mcf", "gcc", "povray", "soplex"}}
-	want, err := SweepDetailed(ctx, ws, mem, cache.LRU, 0)
+	want, err := Sweep(ctx, ws, Spec{Engine: Detailed, Policy: cache.LRU}, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SweepDetailed(ctx, ws, prov, cache.LRU, 0)
+	got, err := Sweep(ctx, ws, Spec{Engine: Detailed, Policy: cache.LRU}, prov, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"mcbench/internal/faultinject"
-	"mcbench/internal/multicore"
 )
 
 // TestFooterRoundTrip pins the footer codec on itself.
@@ -209,90 +208,6 @@ func TestQuarantineKeepsGenerations(t *testing.T) {
 	entries, err := os.ReadDir(qdir)
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("quarantine holds %d files, want 2 (err %v)", len(entries), err)
-	}
-}
-
-// checkpoint returns a minimal valid checkpoint for persistence tests.
-func checkpoint() *multicore.Checkpoint {
-	return &multicore.Checkpoint{Workload: []string{"a", "b"}}
-}
-
-// TestCheckpointFooterRoundTrip pins SaveCheckpoint/LoadCheckpoint
-// through the footer.
-func TestCheckpointFooterRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "run"+checkpointExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hasFooter, valid := splitFooter(data); !hasFooter || !valid {
-		t.Fatalf("checkpoint footer: has=%v valid=%v", hasFooter, valid)
-	}
-	cp, ok, err := s.LoadCheckpoint("run")
-	if err != nil || !ok || len(cp.Workload) != 2 {
-		t.Fatalf("LoadCheckpoint = %+v, %v, %v", cp, ok, err)
-	}
-}
-
-// TestCorruptCheckpointQuarantined pins the resume-safety contract: a
-// torn or garbled checkpoint reports absent (resume from scratch), never
-// an error and never garbage machine state, and moves to quarantine.
-func TestCorruptCheckpointQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "run"+checkpointExt)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, ok, err := s.LoadCheckpoint("run")
-	if err != nil || ok || cp != nil {
-		t.Fatalf("corrupt checkpoint: %+v, %v, %v; want miss", cp, ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, "run"+checkpointExt)); err != nil {
-		t.Errorf("corrupt checkpoint not quarantined: %v", err)
-	}
-	// Re-save and reload cleanly.
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.LoadCheckpoint("run"); err != nil || !ok {
-		t.Fatalf("reload after recompute: %v, %v", ok, err)
-	}
-}
-
-// TestLegacyCheckpointLoads pins that a footer-less gob checkpoint from
-// an older version still loads.
-func TestLegacyCheckpointLoads(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.SaveCheckpoint("run", checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "run"+checkpointExt)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, hasFooter, _ := splitFooter(data)
-	if !hasFooter {
-		t.Fatal("fresh checkpoint has no footer")
-	}
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if cp, ok, err := s.LoadCheckpoint("run"); err != nil || !ok || len(cp.Workload) != 2 {
-		t.Fatalf("legacy checkpoint: %+v, %v, %v", cp, ok, err)
 	}
 }
 

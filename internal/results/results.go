@@ -292,8 +292,8 @@ func (s *Store) path(key string) string {
 // Integrity footer. Every file the store writes ends with a fixed-width
 // CRC32-C line over the payload that precedes it, so Load can tell a
 // complete table from a torn or bit-flipped one before decoding. The
-// footer sits *after* the payload (a trailing line a JSON or gob decoder
-// never reaches), so files written by older versions — no footer at all —
+// footer sits *after* the payload (a trailing line a JSON decoder never
+// reaches), so files written by older versions — no footer at all —
 // keep loading unchanged; only a present-but-wrong footer is corruption.
 const (
 	footerMagic = "\nmcbench-crc32:"

@@ -479,3 +479,29 @@ func TestValidateRejectsBadSampledTables(t *testing.T) {
 		t.Errorf("Validate rejected good sampled table: %v", err)
 	}
 }
+
+// TestWarmupKeyedSeparately pins that warmed tables live under their own
+// cache keys while zero-warmup keys keep the historic format, so files
+// persisted before warmup existed stay loadable.
+func TestWarmupKeyedSeparately(t *testing.T) {
+	a := table()
+	if got, want := a.Key(), "badco-c2-LRU-l1000-p3-s7"; got != want {
+		t.Fatalf("zero-warmup key %q, want historic %q", got, want)
+	}
+	b := table()
+	b.Warmup = 500
+	if a.Key() == b.Key() {
+		t.Fatalf("warmed and unwarmed tables share key %q", a.Key())
+	}
+
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Load(*b); err != nil || ok {
+		t.Fatalf("warmed proto loaded the unwarmed table (ok=%v, err=%v)", ok, err)
+	}
+}

@@ -98,7 +98,7 @@ type SimulateRequest struct {
 	// workload's own width.
 	Cores int `json:"cores,omitempty"`
 	// Sampling, when set, runs the detailed simulation under systematic
-	// sampling (multicore.DetailedSampled): the returned IPCs become
+	// sampling (multicore.Spec.Sampling): the returned IPCs become
 	// steady-state estimates with confidence and cv columns. Requires
 	// the detailed engine and is mutually exclusive with Warmup.
 	Sampling *SampleSpec `json:"sampling,omitempty"`
@@ -177,21 +177,13 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if err != nil {
 			return req, "", err
 		}
-		if err := checkWarmup(s.Warmup, s.Quota, traceLen); err != nil {
-			return req, "", err
-		}
-		if err := checkSampling(s.Sampling, engine, s.Warmup); err != nil {
+		protocol, err := checkProtocol(runSpec(policy, engine, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen)
+		if err != nil {
 			return req, "", err
 		}
 		s.Workload, s.Policy, s.Engine = w[0], policy, engine
 		canon := SubmitRequest{Kind: KindSimulate, Simulate: &s}
-		key := fmt.Sprintf("sim|%s|%s|q%d|%s", engine, policy, s.Quota, strings.Join(s.Workload, ","))
-		if s.Warmup > 0 {
-			key += fmt.Sprintf("|w%d", s.Warmup)
-		}
-		if s.Sampling != nil {
-			key += "|smp" + s.Sampling.spec().String()
-		}
+		key := fmt.Sprintf("sim|%s|%s|q%d|%s", engine, policy, s.Quota, strings.Join(s.Workload, ",")) + protocol
 		return canon, key, nil
 
 	case KindSweep:
@@ -206,10 +198,8 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if err != nil {
 			return req, "", err
 		}
-		if err := checkWarmup(s.Warmup, s.Quota, traceLen); err != nil {
-			return req, "", err
-		}
-		if err := checkSampling(s.Sampling, engine, s.Warmup); err != nil {
+		protocol, err := checkProtocol(runSpec(policy, engine, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen)
+		if err != nil {
 			return req, "", err
 		}
 		s.Workloads, s.Policy, s.Engine = w, policy, engine
@@ -221,13 +211,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			h.Write([]byte(strings.Join(wl, ",")))
 			h.Write([]byte{'\n'})
 		}
-		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", engine, policy, s.Quota, len(s.Workloads), h.Sum64())
-		if s.Warmup > 0 {
-			key += fmt.Sprintf("|w%d", s.Warmup)
-		}
-		if s.Sampling != nil {
-			key += "|smp" + s.Sampling.spec().String()
-		}
+		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", engine, policy, s.Quota, len(s.Workloads), h.Sum64()) + protocol
 		return canon, key, nil
 
 	case KindWarm:
@@ -304,41 +288,35 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	return r.Normalized(), nil
 }
 
-// checkSampling rejects an unusable sampling schedule before it is
-// enqueued: the spec itself must validate, only the detailed engine can
-// be sampled, and a whole-run warmup cannot combine with it (the spec's
-// own warmup field plays that role per window).
-func checkSampling(s *SampleSpec, engine string, warmup uint64) error {
-	if s == nil {
-		return nil
+// runSpec maps the protocol fields of a simulate or sweep request onto
+// the kernel's run spec. The wire engine names are multicore.Engine's.
+func runSpec(policy, engine string, quota, warmup uint64, sampling *SampleSpec) multicore.Spec {
+	spec := multicore.Spec{Policy: cache.PolicyName(policy), Quota: quota, Warmup: warmup, Sampling: sampling.spec()}
+	if engine == EngineBadco {
+		spec.Engine = multicore.BADCO
 	}
-	if err := s.spec().Validate(); err != nil {
-		return badRequest("serve: %v", err)
-	}
-	if !s.spec().Enabled() {
-		return badRequest("serve: empty sampling spec (omit the field for an exact run)")
-	}
-	if engine != EngineDetailed {
-		return badRequest("serve: sampling requires the %q engine", EngineDetailed)
-	}
-	if warmup > 0 {
-		return badRequest("serve: warmup and sampling are mutually exclusive (the sampling spec's warmup field warms each window)")
-	}
-	return nil
+	return spec
 }
 
-// checkWarmup rejects a warmup prefix that exceeds the measurement
-// quota (a zero quota resolves to one trace length, as in the drivers),
-// so an impossible run is refused before it is enqueued.
-func checkWarmup(warmup, quota uint64, traceLen int) error {
-	q := quota
-	if q == 0 {
-		q = uint64(traceLen)
+// checkProtocol rejects an impossible run before it is enqueued — the
+// rules of multicore.Spec.Validate, with a zero quota resolved to one
+// trace length, plus a present-but-empty sampling field — and returns
+// the protocol's dedup-key suffix: none for an exact run, "|w<warmup>"
+// for a warmed one and "|smp<spec>" for a sampled one, so the three
+// never coalesce onto each other.
+func checkProtocol(spec multicore.Spec, sampling *SampleSpec, traceLen int) (string, error) {
+	if err := spec.Validate(traceLen); err != nil {
+		return "", badRequest("serve: %v", err)
 	}
-	if warmup > q {
-		return badRequest("serve: warmup %d exceeds the instruction quota %d", warmup, q)
+	switch {
+	case sampling != nil && !spec.Sampling.Enabled():
+		return "", badRequest("serve: empty sampling spec (omit the field for an exact run)")
+	case sampling != nil:
+		return "|smp" + spec.Sampling.String(), nil
+	case spec.Warmup > 0:
+		return fmt.Sprintf("|w%d", spec.Warmup), nil
 	}
-	return nil
+	return "", nil
 }
 
 // canonSim validates and canonicalizes the shared simulate/sweep fields:

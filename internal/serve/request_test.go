@@ -248,3 +248,53 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalizeKeysPinned asserts the full dedup key of every run
+// protocol byte for byte, for simulate and sweep alike: exact, warmed,
+// sampled, and sampled with a bounded warming stretch. The expected
+// keys were recorded before the protocol suffix had a single builder,
+// so they pin that no key moved.
+func TestCanonicalizeKeysPinned(t *testing.T) {
+	src := suiteSrc()
+	smp := &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500}
+	smpWarm := &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000}
+	ws := [][]string{{"mcf", "gcc"}, {"povray", "milc"}}
+	for _, c := range []struct {
+		name string
+		req  SubmitRequest
+		want string
+	}{
+		{"simulate exact", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
+			Workload: []string{"mcf", "povray"}, Policy: "DRRIP", Quota: 5000}},
+			"sim|detailed|DRRIP|q5000|mcf,povray"},
+		{"simulate warmed", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
+			Workload: []string{"mcf", "povray"}, Engine: EngineBadco, Warmup: 2500}},
+			"sim|badco|LRU|q0|mcf,povray|w2500"},
+		{"simulate sampled", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
+			Workload: []string{"mcf"}, Cores: 2, Sampling: smp}},
+			"sim|detailed|LRU|q0|mcf,mcf|smpu4000d1000w500"},
+		{"simulate sampled warm", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
+			Workload: []string{"mcf", "povray"}, Quota: 8000, Sampling: smpWarm}},
+			"sim|detailed|LRU|q8000|mcf,povray|smpu4000d1000w500f2000"},
+		{"sweep exact", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
+			Workloads: ws, Engine: EngineBadco}},
+			"sweep|badco|LRU|q0|n2|399d4bcff7655460"},
+		{"sweep warmed", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
+			Workloads: ws, Policy: "DIP", Quota: 6000, Warmup: 100}},
+			"sweep|detailed|DIP|q6000|n2|399d4bcff7655460|w100"},
+		{"sweep sampled", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
+			Workloads: ws, Sampling: smp}},
+			"sweep|detailed|LRU|q0|n2|399d4bcff7655460|smpu4000d1000w500"},
+		{"sweep sampled warm", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
+			Workloads: [][]string{{"mcf"}}, Cores: 2, Sampling: smpWarm}},
+			"sweep|detailed|LRU|q0|n1|db1e7c476bb5d98f|smpu4000d1000w500f2000"},
+	} {
+		_, key, err := canonicalize(c.req, src, testTraceLen)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if key != c.want {
+			t.Errorf("%s: key %q, want %q", c.name, key, c.want)
+		}
+	}
+}

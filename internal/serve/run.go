@@ -206,7 +206,7 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (*JobResult, error) 
 // runSimulate executes one ad-hoc workload at the lab's trace length.
 func (s *Server) runSimulate(ctx context.Context, j *job) (*JobResult, error) {
 	req := j.req.Simulate
-	results, err := s.adhocSweep(ctx, j, [][]string{req.Workload}, req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling)
+	results, err := s.adhocSweep(ctx, j, [][]string{req.Workload}, runSpec(req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling), req.Sampling)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func (s *Server) runSimulate(ctx context.Context, j *job) (*JobResult, error) {
 // runSweep executes many ad-hoc workloads under one configuration.
 func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
 	req := j.req.Sweep
-	results, err := s.adhocSweep(ctx, j, req.Workloads, req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling)
+	results, err := s.adhocSweep(ctx, j, req.Workloads, runSpec(req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling), req.Sampling)
 	if err != nil {
 		return nil, err
 	}
@@ -225,9 +225,10 @@ func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
 
 // adhocSweep is the shared simulate/sweep executor: traces resolve
 // through the lab's memoized source, BADCO models are built for the
-// distinct benchmarks the request touches, and the multicore sweeps
-// parallelise across the process-wide simulation budget.
-func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, policy, engine string, quota, warmup uint64, sampling *SampleSpec) ([]SimResult, error) {
+// distinct benchmarks the request touches, and the multicore sweep
+// parallelises across the process-wide simulation budget. sampling is
+// the request's wire spec, echoed into sampled results.
+func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, spec multicore.Spec, sampling *SampleSpec) ([]SimResult, error) {
 	src := s.lab.Source()
 	distinct, err := bench.CheckNames(src, workloads)
 	if err != nil {
@@ -238,100 +239,43 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, p
 	for i, w := range workloads {
 		ws[i] = multicore.Workload(w)
 	}
-	pol := cache.PolicyName(policy)
-	if spec := sampling.spec(); spec.Enabled() {
-		// Sampled runs are detailed-only (canonicalize enforced it).
-		sampled, err := multicore.SweepDetailedSampled(ctx, ws, prov, pol, spec, quota)
-		for _, n := range distinct {
-			prov.Release(n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]SimResult, len(sampled))
-		for i, r := range sampled {
-			out[i] = SimResult{
-				Workload:     append([]string(nil), r.Workload...),
-				Policy:       string(r.Policy),
-				Engine:       engine,
-				IPC:          r.IPC,
-				Cycles:       r.Cycles,
-				Instructions: r.Instructions,
-				Sampling:     sampling,
-				CIHalf:       r.CIHalf,
-				CV:           r.CV,
-				Windows:      r.Windows,
-			}
-		}
-		return out, nil
-	}
-	var results []multicore.Result
-	switch engine {
-	case EngineBadco:
-		models, err := multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig())
+	var models map[string]*badco.Model
+	if spec.Engine == multicore.BADCO {
+		models, err = multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig())
 		if err != nil {
 			return nil, err
 		}
 		j.emit("models", fmt.Sprintf("%d BADCO models built", len(models)), map[string]any{"models": len(models)})
-		if warmup > 0 {
-			results, err = warmedSweep(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.ApproximateWithWarmup(ctx, w, models, pol, warmup, quota)
-			})
-		} else {
-			results, err = multicore.SweepApproximate(ctx, ws, models, pol, quota)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		if warmup > 0 {
-			results, err = warmedSweep(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.DetailedWithWarmup(ctx, w, prov, pol, warmup, quota)
-			})
-		} else {
-			results, err = multicore.SweepDetailed(ctx, ws, prov, pol, quota)
-		}
-		// Ad-hoc jobs are one-shot: release every trace the sweep built
-		// (the BADCO branch releases through BuildModels) so a
-		// long-running server's resident memory tracks in-flight work,
-		// not the history of benchmarks clients ever touched. The traces
-		// rebuild deterministically if asked again.
+	}
+	results, err := multicore.Sweep(ctx, ws, spec, prov, models)
+	// Ad-hoc jobs are one-shot: release every trace the sweep built
+	// (BuildModels already released the ones it built) so a long-running
+	// server's resident memory tracks in-flight work, not the history of
+	// benchmarks clients ever touched. The traces rebuild
+	// deterministically if asked again.
+	if spec.Engine == multicore.Detailed {
 		for _, n := range distinct {
 			prov.Release(n)
 		}
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	out := make([]SimResult, len(results))
 	for i, r := range results {
 		out[i] = SimResult{
-			Warmup:       warmup,
 			Workload:     append([]string(nil), r.Workload...),
 			Policy:       string(r.Policy),
-			Engine:       engine,
+			Engine:       spec.Engine.String(),
 			IPC:          r.IPC,
 			Cycles:       r.Cycles,
 			Instructions: r.Instructions,
+			Warmup:       spec.Warmup,
+			Sampling:     sampling,
+			CIHalf:       r.CIHalf,
+			CV:           r.CV,
+			Windows:      r.Windows,
 		}
 	}
 	return out, nil
-}
-
-// warmedSweep runs the two-stage (warmup + measure) simulation per
-// workload on the shared simulation budget, mirroring the plain sweeps.
-func warmedSweep(ctx context.Context, ws []multicore.Workload, run func(context.Context, multicore.Workload) (multicore.Result, error)) ([]multicore.Result, error) {
-	results := make([]multicore.Result, len(ws))
-	errs := make([]error, len(ws))
-	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-		results[i], errs[i] = run(ctx, ws[i])
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

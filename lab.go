@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
@@ -134,31 +135,17 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 	if _, err := bench.CheckNames(l.lab.Source(), [][]string{w}); err != nil {
 		return nil, err
 	}
-	switch o.engine {
-	case BADCO:
-		models, err := l.lab.Models(ctx)
-		if err != nil {
+	var models map[string]*badco.Model
+	if o.engine == BADCO {
+		if models, err = l.lab.Models(ctx); err != nil {
 			return nil, err
 		}
-		r, err := multicore.ApproximateWithWarmup(ctx, multicore.Workload(w), models, o.policy, o.warmup, o.quota)
-		if err != nil {
-			return nil, err
-		}
-		return convert(r, BADCO), nil
-	default:
-		if o.sampling.Enabled() {
-			r, err := multicore.DetailedSampled(ctx, multicore.Workload(w), l.lab.Provider(), o.policy, o.sampling, o.quota)
-			if err != nil {
-				return nil, err
-			}
-			return convertSampled(r), nil
-		}
-		r, err := multicore.DetailedWithWarmup(ctx, multicore.Workload(w), l.lab.Provider(), o.policy, o.warmup, o.quota)
-		if err != nil {
-			return nil, err
-		}
-		return convert(r, Detailed), nil
 	}
+	r, err := multicore.Run(ctx, multicore.Workload(w), o.spec(), l.lab.Provider(), models)
+	if err != nil {
+		return nil, err
+	}
+	return convert(r, o.engine), nil
 }
 
 // Diffs returns the per-workload throughput differences d(w) between

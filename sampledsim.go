@@ -60,12 +60,3 @@ func (o options) wireSampling() *serve.SampleSpec {
 		Warmup: o.sampling.Warmup, Warm: o.sampling.Warm,
 	}
 }
-
-// convertSampled maps a sampled multicore result into the public Result.
-func convertSampled(r multicore.SampledResult) *Result {
-	out := convert(r.Result, Detailed)
-	out.CIHalf = r.CIHalf
-	out.CV = r.CV
-	out.Windows = r.Windows
-	return out
-}

@@ -107,10 +107,10 @@ func WithQuota(q uint64) Option { return func(o *options) { o.quota = q } }
 // WithWarmup runs each thread for n committed µops before the
 // measurement window opens (default 0: measure from reset). Caches,
 // predictors and prefetchers warm during the prefix; IPC and cycles
-// cover only the quota µops beyond it. The warmed machine state is
-// snapshotted through the checkpoint layer, so sweeping several
-// policies over one workload pays the warmup once (see
-// multicore.SweepPoliciesDetailed and experiments.Config.Warmup).
+// cover only the quota µops beyond it. Simulate and Sweep run the
+// warmup and the measurement back to back, once per workload; a Lab
+// with experiments.Config.Warmup set shares one warmed snapshot across
+// the policies of its detailed sweeps instead.
 func WithWarmup(n uint64) Option { return func(o *options) { o.warmup = n } }
 
 // WithTraceLen sets the per-benchmark trace length in µops (default
@@ -151,15 +151,6 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// effectiveQuota resolves the per-thread measurement quota: WithQuota
-// when given, one trace length otherwise (the drivers' default).
-func (o options) effectiveQuota() uint64 {
-	if o.quota != 0 {
-		return o.quota
-	}
-	return uint64(o.traceLen)
-}
-
 // source resolves the configured benchmark source.
 func (o options) source() Source {
 	if o.suite != nil {
@@ -186,6 +177,15 @@ func resolveWorkload(workload []string, cores int) ([]string, error) {
 	return nil, fmt.Errorf("mcbench: workload has %d threads but WithCores(%d) was given", len(workload), cores)
 }
 
+// spec maps the options onto the kernel's run spec. The public Engine
+// values mirror multicore.Engine's.
+func (o options) spec() multicore.Spec {
+	return multicore.Spec{
+		Engine: multicore.Engine(o.engine), Policy: o.policy,
+		Quota: o.quota, Warmup: o.warmup, Sampling: o.sampling,
+	}
+}
+
 // validate checks the options against the workload and returns the
 // resolved thread list.
 func (o options) validate(workload []string) ([]string, error) {
@@ -195,25 +195,8 @@ func (o options) validate(workload []string) ([]string, error) {
 	if _, err := cache.NewPolicy(o.policy, 0); err != nil {
 		return nil, err
 	}
-	if o.engine != Detailed && o.engine != BADCO {
-		return nil, fmt.Errorf("mcbench: unknown engine %v", o.engine)
-	}
-	// The quota defaults to one trace length per thread. A warmup beyond
-	// it almost always means swapped arguments, so it is rejected here
-	// rather than silently accepted as a run that mostly discards work.
-	if q := o.effectiveQuota(); o.warmup > q {
-		return nil, fmt.Errorf("mcbench: warmup %d exceeds the instruction quota %d", o.warmup, q)
-	}
-	if o.sampling.Enabled() || o.sampling != (multicore.SamplingSpec{}) {
-		if err := o.sampling.Validate(); err != nil {
-			return nil, fmt.Errorf("mcbench: %w", err)
-		}
-		if o.engine != Detailed {
-			return nil, fmt.Errorf("mcbench: WithSampling requires the Detailed engine (BADCO is already fast; sample the slow simulator)")
-		}
-		if o.warmup > 0 {
-			return nil, fmt.Errorf("mcbench: WithSampling and WithWarmup are mutually exclusive (the sampled run owns its warmup structure; see WithSampling's warmup argument)")
-		}
+	if err := o.spec().Validate(o.traceLen); err != nil {
+		return nil, fmt.Errorf("mcbench: %w", err)
 	}
 	return resolveWorkload(workload, o.cores)
 }
@@ -227,7 +210,19 @@ func convert(r multicore.Result, engine Engine) *Result {
 		IPC:          r.IPC,
 		Cycles:       r.Cycles,
 		Instructions: r.Instructions,
+		CIHalf:       r.CIHalf,
+		CV:           r.CV,
+		Windows:      r.Windows,
 	}
+}
+
+// models builds the BADCO models of the named benchmarks when the
+// engine needs them (nil otherwise).
+func (o options) models(ctx context.Context, prov bench.Provider, names []string) (map[string]*badco.Model, error) {
+	if o.engine != BADCO {
+		return nil, nil
+	}
+	return multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
 }
 
 // Simulate runs one multiprogrammed workload — one benchmark name per
@@ -250,31 +245,15 @@ func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, 
 		return nil, err
 	}
 	prov := bench.At(src, o.traceLen)
-	switch o.engine {
-	case BADCO:
-		models, err := multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
-		if err != nil {
-			return nil, err
-		}
-		r, err := multicore.ApproximateWithWarmup(ctx, multicore.Workload(w), models, o.policy, o.warmup, o.quota)
-		if err != nil {
-			return nil, err
-		}
-		return convert(r, BADCO), nil
-	default:
-		if o.sampling.Enabled() {
-			r, err := multicore.DetailedSampled(ctx, multicore.Workload(w), prov, o.policy, o.sampling, o.quota)
-			if err != nil {
-				return nil, err
-			}
-			return convertSampled(r), nil
-		}
-		r, err := multicore.DetailedWithWarmup(ctx, multicore.Workload(w), prov, o.policy, o.warmup, o.quota)
-		if err != nil {
-			return nil, err
-		}
-		return convert(r, Detailed), nil
+	models, err := o.models(ctx, prov, names)
+	if err != nil {
+		return nil, err
 	}
+	r, err := multicore.Run(ctx, multicore.Workload(w), o.spec(), prov, models)
+	if err != nil {
+		return nil, err
+	}
+	return convert(r, o.engine), nil
 }
 
 // Sweep simulates many workloads under one configuration, in parallel
@@ -301,67 +280,17 @@ func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result
 		return nil, err
 	}
 	prov := bench.At(src, o.traceLen)
-	var results []multicore.Result
-	switch o.engine {
-	case BADCO:
-		models, err := multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
-		if err != nil {
-			return nil, err
-		}
-		if o.warmup > 0 {
-			results, err = sweepWarmed(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.ApproximateWithWarmup(ctx, w, models, o.policy, o.warmup, o.quota)
-			})
-		} else {
-			results, err = multicore.SweepApproximate(ctx, ws, models, o.policy, o.quota)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		if o.sampling.Enabled() {
-			sampled, err := multicore.SweepDetailedSampled(ctx, ws, prov, o.policy, o.sampling, o.quota)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]*Result, len(sampled))
-			for i, r := range sampled {
-				out[i] = convertSampled(r)
-			}
-			return out, nil
-		}
-		if o.warmup > 0 {
-			results, err = sweepWarmed(ctx, ws, func(ctx context.Context, w multicore.Workload) (multicore.Result, error) {
-				return multicore.DetailedWithWarmup(ctx, w, prov, o.policy, o.warmup, o.quota)
-			})
-		} else {
-			results, err = multicore.SweepDetailed(ctx, ws, prov, o.policy, o.quota)
-		}
-		if err != nil {
-			return nil, err
-		}
+	models, err := o.models(ctx, prov, names)
+	if err != nil {
+		return nil, err
+	}
+	results, err := multicore.Sweep(ctx, ws, o.spec(), prov, models)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*Result, len(results))
 	for i, r := range results {
 		out[i] = convert(r, o.engine)
 	}
 	return out, nil
-}
-
-// sweepWarmed runs the two-stage (warmup + measure) simulation per
-// workload on the shared simulation budget, like the plain sweeps.
-func sweepWarmed(ctx context.Context, ws []multicore.Workload, run func(context.Context, multicore.Workload) (multicore.Result, error)) ([]multicore.Result, error) {
-	results := make([]multicore.Result, len(ws))
-	errs := make([]error, len(ws))
-	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-		results[i], errs[i] = run(ctx, ws[i])
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

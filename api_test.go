@@ -91,6 +91,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"empty workload", nil, nil},
 		{"unknown benchmark", []string{"nosuch"}, nil},
 		{"cores mismatch", []string{"mcf", "gcc"}, []mcbench.Option{mcbench.WithCores(4)}},
+		{"negative cores", []string{"mcf"}, []mcbench.Option{mcbench.WithCores(-1)}},
 		{"bad policy", []string{"mcf"}, []mcbench.Option{mcbench.WithPolicy("NOPE")}},
 		{"bad trace length", []string{"mcf"}, []mcbench.Option{mcbench.WithTraceLen(-1)}},
 		{"warmup beyond default quota", []string{"mcf"}, []mcbench.Option{

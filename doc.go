@@ -225,17 +225,14 @@
 // batches (StepUntil) instead of per µop — provably the same schedule,
 // enforced bit-for-bit by golden tests against a retained per-step
 // reference driver — and the cpu/cache/uncore hot paths run free of map
-// traffic and steady-state allocations. Every machine component also
-// snapshots into and restores from reusable state buffers
-// (Snapshot/Restore on cpu.Core, badco.Machine, uncore and below), the
-// checkpoint layer behind WithWarmup's shared-warmup sweeps and the
-// results store's crash-resume checkpoints; golden tests pin
+// traffic and steady-state allocations. The detailed machine's
+// components also snapshot into and restore from reusable state buffers
+// (Snapshot/Restore on cpu.Core, uncore and below), the checkpoint layer
+// behind WithWarmup's shared-warmup sweeps; golden tests pin
 // snapshot→restore→run bit-identical to the uninterrupted run. See
 // README.md's Performance, "Checkpointed sweeps" and "Sampled
 // simulation" sections, with measured speedups in BENCH_2.json,
 // BENCH_6.json and BENCH_9.json (scripts/bench.sh).
 //
-// See DESIGN.md for the system inventory and substitutions, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each table and figure.
+// The benchmarks in bench_test.go regenerate each table and figure.
 package mcbench

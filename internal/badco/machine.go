@@ -158,8 +158,9 @@ func (ma *Machine) Step() uint64 {
 //
 // The loop body is Step's node replay with the machine state held in
 // locals and the committed count maintained incrementally; the golden
-// determinism tests (internal/multicore) pin it to the Step-based
-// reference driver, so the two cannot drift apart unnoticed.
+// determinism tests (internal/multicore) pin it to the per-step
+// reference driver (driveReference), so the two cannot drift apart
+// unnoticed.
 func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 	m := ma.model
 	nodes := m.Nodes

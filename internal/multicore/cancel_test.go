@@ -15,7 +15,8 @@ import (
 // promptly on cancellation instead of running to its quota, under every
 // protocol phase it can be cancelled in: an exact run, the warmup stage
 // and the measurement stage of a warmed run — for both engines, on the
-// solo path (one core) and the batched multi-core path.
+// solo path (one core) and the batched multi-core path — and the
+// fast-forward of a sampled run's single long unit (detailed only).
 func TestDetailedCancelMidRun(t *testing.T) {
 	trs, mods := traces(t), models(t)
 	// A quota far beyond the trace length: uncancelled, a run would
@@ -30,8 +31,12 @@ func TestDetailedCancelMidRun(t *testing.T) {
 				{"exact", Spec{Quota: long}},
 				{"warm", Spec{Warmup: long, Quota: long}},
 				{"measure", Spec{Warmup: 1000, Quota: long}},
+				{"sampled", Spec{Quota: long, Sampling: SamplingSpec{Unit: long, Window: 1000, Warmup: 1000}}},
 			} {
 				spec := phase.spec
+				if engine == BADCO && spec.Sampling.Enabled() {
+					continue
+				}
 				spec.Engine, spec.Policy = engine, cache.LRU
 				name := fmt.Sprintf("%s/%s/%s", engine, w, phase.name)
 				ctx, cancel := context.WithCancel(context.Background())

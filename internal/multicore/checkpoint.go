@@ -33,6 +33,11 @@ type Checkpoint struct {
 // The checkpoint is the shared prefix of every run that DetailedFrom
 // fans out from it.
 func DetailedWarmup(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, warmup uint64) (*Checkpoint, error) {
+	return detailedWarmup(ctx, w, traces, policy, warmup, drive)
+}
+
+// detailedWarmup is DetailedWarmup under an explicit driver.
+func detailedWarmup(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, warmup uint64, drv driver) (*Checkpoint, error) {
 	if warmup == 0 {
 		return nil, fmt.Errorf("multicore: zero warmup")
 	}
@@ -41,7 +46,7 @@ func DetailedWarmup(ctx context.Context, w Workload, traces TraceSource, policy 
 		return nil, err
 	}
 	stop := telemetry.FromContext(ctx).Time(phaseWarmup)
-	err = runToBoundary(ctx, asSteppers(cores), warmup)
+	err = warm(ctx, drv, asSteppers(cores), warmup)
 	stop()
 	if err != nil {
 		return nil, err
@@ -79,6 +84,11 @@ func (cp *Checkpoint) restore(unc *uncore.Uncore, cores []*cpu.Core, policy cach
 // metadata restarts fresh. Cycles and IPC are relative to the restore
 // point. A zero quota defaults to the trace length.
 func DetailedFrom(ctx context.Context, cp *Checkpoint, traces TraceSource, policy cache.PolicyName, quota uint64) (Result, error) {
+	return detailedFrom(ctx, cp, traces, policy, quota, drive)
+}
+
+// detailedFrom is DetailedFrom under an explicit driver.
+func detailedFrom(ctx context.Context, cp *Checkpoint, traces TraceSource, policy cache.PolicyName, quota uint64, drv driver) (Result, error) {
 	unc, cores, quota, err := buildDetailed(ctx, cp.workload, traces, cp.policy, quota)
 	if err != nil {
 		return Result{}, err
@@ -86,5 +96,5 @@ func DetailedFrom(ctx context.Context, cp *Checkpoint, traces TraceSource, polic
 	if err := cp.restore(unc, cores, policy); err != nil {
 		return Result{}, err
 	}
-	return measure(ctx, cp.workload, policy, asSteppers(cores), quota, runInterleaved)
+	return measure(ctx, cp.workload, policy, asSteppers(cores), quota, drv)
 }

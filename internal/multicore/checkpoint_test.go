@@ -60,11 +60,11 @@ func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpointRestoreModes restores one warmup checkpoint three
-// ways — into fresh machines measured by the batched driver, into fresh
-// machines measured by the per-step reference driver, and over machines
-// dirtied by unrelated progress — and demands the same bits from all of
-// them.
+// TestGoldenCheckpointRestoreModes restores warmup checkpoints three
+// ways — into fresh machines measured by the batched driver, through a
+// checkpoint taken and measured by the per-step reference driver, and
+// over machines dirtied by unrelated progress — and demands the same bits
+// from all of them.
 func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
@@ -83,35 +83,33 @@ func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	}
 	assertBitIdentical(t, "fresh restore", fresh, want)
 
-	// Restore over machines built for the workload: fresh ones, measured
-	// by the per-step reference, and dirty ones advanced to an unrelated
-	// point first, measured by the batched driver.
-	for _, mode := range []struct {
-		name  string
-		dirty uint64
-		drive driver
-	}{
-		{"reference-stepper restore", 0, runInterleavedReference},
-		{"dirty restore", 1234, runInterleaved},
-	} {
-		unc, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode.dirty > 0 {
-			if err := runToBoundary(ctx, asSteppers(cores), mode.dirty); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cp.restore(unc, cores, cache.LRU); err != nil {
-			t.Fatal(err)
-		}
-		got, err := measure(ctx, w, cache.LRU, asSteppers(cores), quota, mode.drive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, mode.name, got, want)
+	// The whole restored protocol under the per-step reference.
+	refCP, err := detailedWarmup(ctx, w, trs, cache.LRU, warmup, driveReference)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ref, err := detailedFrom(ctx, refCP, trs, cache.LRU, quota, driveReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "reference restore", ref, want)
+
+	// Restore over machines advanced to an unrelated point first.
+	unc, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm(ctx, drive, asSteppers(cores), 1234); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.restore(unc, cores, cache.LRU); err != nil {
+		t.Fatal(err)
+	}
+	dirty, err := measure(ctx, w, cache.LRU, asSteppers(cores), quota, drive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "dirty restore", dirty, want)
 }
 
 // TestGoldenWarmupSnapshotRestore pins warmup + restore + measure to the
@@ -157,7 +155,7 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		steppers := asSteppers(cores)
-		if err := runToBoundary(ctx, steppers, warmup); err != nil {
+		if err := warm(ctx, drive, steppers, warmup); err != nil {
 			t.Fatal(err)
 		}
 		if pol != policies[0] {
@@ -165,7 +163,7 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref, err := measure(ctx, w, pol, steppers, quota, runInterleaved)
+		ref, err := measure(ctx, w, pol, steppers, quota, drive)
 		if err != nil {
 			t.Fatal(err)
 		}

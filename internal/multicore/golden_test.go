@@ -8,55 +8,32 @@ import (
 	"mcbench/internal/cache"
 )
 
-// The golden determinism tests prove the batched drivers' central claim:
+// The golden determinism tests prove the batched driver's central claim:
 // dispatching the minimum-clock core in batches (StepUntil up to the
 // runner-up's clock) produces the exact schedule of the per-step
-// reference drivers, so every simulation result is bit-identical.
+// reference driver, so every simulation result is bit-identical.
 
-// reference is the per-step executable specification of the schedule.
-var reference = schedule{runToBoundaryReference, runInterleavedReference}
-
-// runInterleavedReference is the per-step measurement driver: pick the
-// core with the smallest local clock, step it one µop, record target
-// crossings, repeat. Cores that crossed keep running (restarted) until
-// all have, as in the paper, so they stay in the pick set. It ignores
-// the context.
-func runInterleavedReference(_ context.Context, cores []stepper, targets []uint64) ([]uint64, error) {
-	n := len(cores)
-	cross := make([]uint64, n)
-	reached := make([]bool, n)
-	for remaining := n; remaining > 0; {
-		min := 0
-		for i := 1; i < n; i++ {
-			if cores[i].Now() < cores[min].Now() {
-				min = i
-			}
-		}
-		c := cores[min]
-		c.Step()
-		if !reached[min] && c.Committed() >= targets[min] {
-			reached[min] = true
-			cross[min] = c.Now()
-			remaining--
-		}
-	}
-	return cross, nil
-}
-
-// runToBoundaryReference is the per-step warmup driver: step the
-// smallest-clock core that has not yet committed boundary µops.
-func runToBoundaryReference(_ context.Context, cores []stepper, boundary uint64) error {
+// driveReference is the per-step executable specification of the
+// schedule: among the cores that have not reached their cap, Step the
+// one with the smallest local clock (the lowest index on ties) once,
+// record target crossings, and repeat until every core has crossed.
+// A crossed core keeps running until its cap (with cap = never it is
+// restarted, as in the paper). It ignores the context.
+func driveReference(_ context.Context, cores []stepper, target, cap, cross []uint64) error {
+	reached := make([]bool, len(cores))
 	for {
-		m := -1
+		m, remaining := -1, false
 		for i, c := range cores {
-			if c.Committed() >= boundary {
-				continue
+			if !reached[i] && c.Committed() >= target[i] {
+				reached[i] = true
+				cross[i] = c.Now()
 			}
-			if m < 0 || c.Now() < cores[m].Now() {
+			remaining = remaining || !reached[i]
+			if c.Committed() < cap[i] && (m < 0 || c.Now() < cores[m].Now()) {
 				m = i
 			}
 		}
-		if m < 0 {
+		if !remaining {
 			return nil
 		}
 		cores[m].Step()
@@ -86,7 +63,7 @@ func assertBitIdentical(t *testing.T, name string, batched, reference Result) {
 }
 
 // assertMatchesReference runs the spec under the batched and the
-// reference schedule and demands the same bits.
+// reference driver and demands the same bits.
 func assertMatchesReference(t *testing.T, w Workload, spec Spec) {
 	t.Helper()
 	trs, mods := traces(t), models(t)
@@ -94,11 +71,18 @@ func assertMatchesReference(t *testing.T, w Workload, spec Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := run(context.Background(), w, spec, trs, mods, reference)
+	ref, err := run(context.Background(), w, spec, trs, mods, driveReference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, spec.Engine.String()+" "+string(spec.Policy)+" "+w.String(), batched, ref)
+	name := spec.Engine.String() + " " + string(spec.Policy) + " " + w.String()
+	assertBitIdentical(t, name, batched, ref)
+	if !spec.Sampling.Enabled() {
+		return
+	}
+	if got, want := formatSampled(batched, spec.Sampling), formatSampled(ref, spec.Sampling); got != want {
+		t.Errorf("%s %s: sampled run diverged from the reference:\n--- batched ---\n%s--- reference ---\n%s", name, spec.Sampling, got, want)
+	}
 }
 
 func TestGoldenDetailedMatchesReference(t *testing.T) {
@@ -137,4 +121,24 @@ func TestGoldenAcrossPolicies(t *testing.T) {
 func TestGoldenSingleCore(t *testing.T) {
 	assertMatchesReference(t, Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU, Quota: 5000})
 	assertMatchesReference(t, Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU, Quota: 5000, Warmup: 2000})
+}
+
+// TestGoldenSampledMatchesReference pins the sampled protocol — the
+// calibration prologue, the per-window warmup boundaries and the
+// overshooting measured windows — to the per-step reference, on the solo
+// path, a pair and a four-core mix, with the whole gap warmed and with a
+// bounded warming stretch.
+func TestGoldenSampledMatchesReference(t *testing.T) {
+	for _, w := range []Workload{
+		{"hmmer"},
+		{"mcf", "povray"},
+		{"mcf", "soplex", "gcc", "libquantum"},
+	} {
+		for _, s := range []SamplingSpec{
+			{Unit: 4000, Window: 1000, Warmup: 500},
+			{Unit: 5000, Window: 1000, Warmup: 1000, Warm: 1500},
+		} {
+			assertMatchesReference(t, w, Spec{Engine: Detailed, Policy: cache.LRU, Sampling: s})
+		}
+	}
 }

@@ -218,26 +218,24 @@ type stepper interface {
 	Committed() uint64
 }
 
-// driver advances the cores until each core i has committed targets[i]
-// µops and returns the cycle at which each crossed its target. A driver
+// driver advances the cores on the smallest-local-clock-first
+// discipline until each core i has committed target[i] µops, recording
+// the local clock at which it crossed in cross[i]. A core that crosses
+// keeps running, timed, until it commits cap[i] (cap[i] >= target[i])
+// and then halts; the driver returns once every core has crossed. It
 // returns early with ctx.Err() when the context is cancelled.
-type driver func(ctx context.Context, cores []stepper, targets []uint64) ([]uint64, error)
-
-// schedule pairs the drivers of a run's two stages: warm halts every
-// core at a committed-count boundary, measure drives the measured quota.
-type schedule struct {
-	warm    func(ctx context.Context, cores []stepper, boundary uint64) error
-	measure driver
-}
-
-// batched is the production schedule. The golden tests pin it to the
-// per-step reference schedule.
-var batched = schedule{runToBoundary, runInterleaved}
+//
+// The three protocol stages differ only in cap: the measured quota runs
+// with cap = never (a crossed thread is restarted, as in the paper),
+// a warmup or checkpoint boundary with cap = target (every core halts
+// exactly at it), and a sampled window with cap = the start of the next
+// warmup region (overshooters stay timed but keep the windows aligned).
+type driver func(ctx context.Context, cores []stepper, target, cap, cross []uint64) error
 
 // never is a clock/quota bound that no simulation reaches.
 const never = ^uint64(0)
 
-// cancelCheckMask throttles context polling in the batch loops: while
+// cancelCheckMask throttles context polling in the batch loop: while
 // several cores share the pick, batches are short and the cancellation
 // check (a non-blocking channel receive) runs once every
 // cancelCheckMask+1 batches, keeping it off the per-batch fast path while
@@ -252,9 +250,10 @@ const cancelCheckMask = 1023
 // results.
 const soloChunkCycles = 1 << 18
 
-// cancelled polls done without blocking. The batch loops call it only
+// cancelled polls done without blocking. The batch loop calls it only
 // on a solo batch or once every cancelCheckMask+1 batches, so the
-// per-batch fast path stays a couple of compares.
+// per-batch fast path stays a couple of compares; the fast-forward calls
+// it once per round.
 func cancelled(done <-chan struct{}) bool {
 	select {
 	case <-done:
@@ -264,30 +263,33 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// runInterleaved advances the cores on the smallest-local-clock-first
-// discipline until each core i has committed targets[i] instructions,
-// then returns each core's crossing cycle. A core that crosses keeps
-// running (restarted, as in the paper) until every core has crossed.
-//
-// It produces the same schedule as the per-step reference driver
-// (runInterleavedReference) but dispatches whole batches: a core's local
-// clock never decreases and the other cores' clocks cannot change while
-// it runs, so the reference loop would keep re-picking the current
-// minimum-clock core until its clock reaches the runner-up's. StepUntil
-// runs that whole stretch as one tight monomorphic loop inside the core
-// model — one interface dispatch and one scheduling decision per batch
-// instead of per simulated µop. Between batches a single pass over the
-// cached clocks carries the pick and the runner-up through a 2-element
-// tournament, instead of a full rescan per µop.
-func runInterleaved(ctx context.Context, cores []stepper, targets []uint64) ([]uint64, error) {
+// drive is the production driver. It produces the same schedule as the
+// per-step reference driver (driveReference) but dispatches whole
+// batches: a core's local clock never decreases and the other cores'
+// clocks cannot change while it runs, so the reference loop would keep
+// re-picking the current minimum-clock core until its clock reaches the
+// runner-up's. StepUntil runs that whole stretch as one tight
+// monomorphic loop inside the core model — one interface dispatch and
+// one scheduling decision per batch instead of per simulated µop.
+// Between batches a single pass over the cached clocks carries the pick
+// and the runner-up through a 2-element tournament; a halted core is
+// parked at clock never, so it can never win the pick.
+func drive(ctx context.Context, cores []stepper, target, cap, cross []uint64) error {
 	n := len(cores)
 	done := ctx.Done()
-	cross := make([]uint64, n)
 	reached := make([]bool, n)
-	remaining := n
 	clocks := make([]uint64, n)
+	remaining := n
 	for i, c := range cores {
 		clocks[i] = c.Now()
+		if cm := c.Committed(); cm >= target[i] {
+			reached[i] = true
+			cross[i] = clocks[i]
+			remaining--
+			if cm >= cap[i] {
+				clocks[i] = never
+			}
+		}
 	}
 	for batch := 0; remaining > 0; batch++ {
 		// One pass, ties to the lower index: m is the core the per-step
@@ -301,92 +303,54 @@ func runInterleaved(ctx context.Context, cores []stepper, targets []uint64) ([]u
 				o = i
 			}
 		}
-		if done != nil && (o < 0 || batch&cancelCheckMask == 0) && cancelled(done) {
-			return nil, ctx.Err()
+		solo := o < 0 || clocks[o] == never
+		if done != nil && (solo || batch&cancelCheckMask == 0) && cancelled(done) {
+			return ctx.Err()
 		}
 		// Core m keeps the pick while its clock is below the runner-up's
 		// — or equal to it, when m wins the lower-index tie-break.
 		limit := clocks[m] + soloChunkCycles
-		if o >= 0 {
+		if !solo {
 			limit = clocks[o]
 			if m < o {
 				limit++
 			}
 		}
 		// A core that has not crossed its target stops its batch at the
-		// crossing so the crossing cycle is captured; afterwards it keeps
-		// running until all cores reach theirs.
-		target := never
+		// crossing so the crossing cycle is captured; afterwards it runs
+		// on to its cap.
+		quota := cap[m]
 		if !reached[m] {
-			target = targets[m]
+			quota = target[m]
 		}
 		c := cores[m]
-		c.StepUntil(limit, target)
-		if !reached[m] && c.Committed() >= targets[m] {
+		c.StepUntil(limit, quota)
+		clocks[m] = c.Now()
+		if quota == never {
+			continue // crossed, never halts: nothing left to record
+		}
+		cm := c.Committed()
+		if !reached[m] && cm >= target[m] {
 			reached[m] = true
-			cross[m] = c.Now()
+			cross[m] = clocks[m]
 			remaining--
 		}
-		clocks[m] = c.Now()
-	}
-	return cross, nil
-}
-
-// runToBoundary advances the cores on the smallest-local-clock-first
-// discipline until each has committed at least boundary µops; unlike the
-// measured run, a core that crosses the boundary halts (leaves the pick
-// set) so the state is frozen with every thread at — for the detailed
-// model, exactly at — the boundary. The batched loop reproduces the
-// per-step schedule of runToBoundaryReference by the same argument as
-// runInterleaved: clocks are nondecreasing and only the picked core's
-// clock moves, so the pick is stable until it reaches the runner-up.
-func runToBoundary(ctx context.Context, cores []stepper, boundary uint64) error {
-	n := len(cores)
-	done := ctx.Done()
-	halted := make([]bool, n)
-	clocks := make([]uint64, n)
-	remaining := 0
-	for i, c := range cores {
-		clocks[i] = c.Now()
-		if c.Committed() >= boundary {
-			halted[i] = true
-		} else {
-			remaining++
-		}
-	}
-	for batch := 0; remaining > 0; batch++ {
-		// Lowest-index minimum over the active cores; o is the runner-up.
-		m, o := -1, -1
-		for i := 0; i < n; i++ {
-			if halted[i] {
-				continue
-			}
-			switch {
-			case m < 0 || clocks[i] < clocks[m]:
-				m, o = i, m
-			case o < 0 || clocks[i] < clocks[o]:
-				o = i
-			}
-		}
-		if done != nil && (o < 0 || batch&cancelCheckMask == 0) && cancelled(done) {
-			return ctx.Err()
-		}
-		limit := clocks[m] + soloChunkCycles
-		if o >= 0 {
-			limit = clocks[o]
-			if m < o {
-				limit++
-			}
-		}
-		c := cores[m]
-		c.StepUntil(limit, boundary)
-		clocks[m] = c.Now()
-		if c.Committed() >= boundary {
-			halted[m] = true
-			remaining--
+		if cm >= cap[m] {
+			clocks[m] = never
 		}
 	}
 	return nil
+}
+
+// warm drives every core to boundary committed µops and halts it there,
+// freezing the machine with every thread at — for the detailed model,
+// exactly at — the boundary.
+func warm(ctx context.Context, drv driver, cores []stepper, boundary uint64) error {
+	b := make([]uint64, len(cores))
+	for i := range b {
+		b[i] = boundary
+	}
+	return drv(ctx, cores, b, b, make([]uint64, len(cores)))
 }
 
 // Run simulates the workload under the spec. Detailed runs resolve their
@@ -398,12 +362,12 @@ func runToBoundary(ctx context.Context, cores []stepper, boundary uint64) error 
 // benchmark's trace length. A cancelled context aborts the simulation
 // and returns ctx.Err().
 func Run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) (Result, error) {
-	return run(ctx, w, spec, traces, models, batched)
+	return run(ctx, w, spec, traces, models, drive)
 }
 
-// run is Run under an explicit schedule, so the golden tests can run the
-// per-step reference schedule through the identical construction path.
-func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model, sch schedule) (Result, error) {
+// run is Run under an explicit driver, so the golden tests can run the
+// per-step reference driver through the identical construction path.
+func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model, drv driver) (Result, error) {
 	if err := spec.runnable(); err != nil {
 		return Result{}, fmt.Errorf("multicore: %w", err)
 	}
@@ -423,34 +387,35 @@ func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models 
 		return Result{}, err
 	}
 	if spec.Sampling.Enabled() {
-		return sampled(ctx, w, spec.Policy, spec.Sampling, detailed, quota)
+		return sampled(ctx, w, spec.Policy, spec.Sampling, detailed, quota, drv)
 	}
 	if spec.Warmup > 0 {
 		stop := telemetry.FromContext(ctx).Time(phaseWarmup)
-		err := sch.warm(ctx, cores, spec.Warmup)
+		err := warm(ctx, drv, cores, spec.Warmup)
 		stop()
 		if err != nil {
 			return Result{}, err
 		}
 	}
-	return measure(ctx, w, spec.Policy, cores, quota, sch.measure)
+	return measure(ctx, w, spec.Policy, cores, quota, drv)
 }
 
 // measure drives the cores quota µops beyond their current commit counts
 // and reports each core's cycles from its current clock: from reset for
 // an exact run, from the warmup boundary for a warmed or restored one.
-func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []stepper, quota uint64, drive driver) (Result, error) {
+func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []stepper, quota uint64, drv driver) (Result, error) {
 	if quota == 0 {
 		return Result{}, fmt.Errorf("multicore: zero quota")
 	}
-	targets := make([]uint64, len(cores))
-	start := make([]uint64, len(cores))
+	n := len(cores)
+	target, caps, cycles, start := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	for i, c := range cores {
-		targets[i] = c.Committed() + quota
+		target[i] = c.Committed() + quota
+		caps[i] = never
 		start[i] = c.Now()
 	}
 	stop := telemetry.FromContext(ctx).Time(phaseMeasure)
-	cycles, err := drive(ctx, cores, targets)
+	err := drv(ctx, cores, target, caps, cycles)
 	stop()
 	if err != nil {
 		return Result{}, err

@@ -103,7 +103,7 @@ func (s SamplingSpec) String() string {
 // quota/spec.Unit full units are sampled (a partial tail unit is not
 // simulated at all — that is where the speedup comes from). The estimate
 // and its confidence interval are over the per-window IPCs.
-func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec SamplingSpec, cores []*cpu.Core, quota uint64) (Result, error) {
+func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec SamplingSpec, cores []*cpu.Core, quota uint64, drv driver) (Result, error) {
 	windows := quota / spec.Unit
 	if windows == 0 {
 		return Result{}, fmt.Errorf("multicore: sampling unit %d exceeds quota %d", spec.Unit, quota)
@@ -119,6 +119,8 @@ func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec Samp
 	totalCycles := make([]uint64, n)
 	clocks := make([]uint64, n)   // reused per-window clock baseline
 	cross := make([]uint64, n)    // per-window boundary-crossing clocks
+	target := make([]uint64, n)   // per-window unit boundary
+	caps := make([]uint64, n)     // per-window overshoot cap
 	weights := make([]float64, n) // recent per-core speed, drives ffInterleaved
 
 	// Calibration prologue: one window-equivalent of detailed execution
@@ -133,7 +135,7 @@ func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec Samp
 	sp := telemetry.FromContext(ctx)
 	if prologue := min(spec.Warmup+spec.Window, gap); prologue > 0 {
 		stop := sp.Time(phaseWarmup)
-		err := runToBoundary(ctx, steppers, prologue)
+		err := warm(ctx, drv, steppers, prologue)
 		stop()
 		if err != nil {
 			return Result{}, err
@@ -146,18 +148,14 @@ func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec Samp
 	}
 
 	// The warmup phase drives the cores to an exact committed-count
-	// boundary with the halt-at-boundary discipline (runToBoundary); the
-	// measure phase uses the overshoot discipline of the exact run
-	// (runWindowOvershoot): a core that crosses the unit boundary keeps
-	// running — timed, into its own next gap — so the stragglers' window
-	// tails see the same shared-hierarchy contention a full detailed run
-	// would produce, halting before the next warmup region so the window
-	// layout stays aligned. Overshot µops are simply skipped by the next
-	// fast-forward.
+	// boundary, halting each there; the measure phase uses the overshoot
+	// discipline of the exact run: a core that crosses the unit boundary
+	// keeps running — timed, into its own next gap — so the stragglers'
+	// window tails see the same shared-hierarchy contention a full
+	// detailed run would produce, halting before the next warmup region so
+	// the window layout stays aligned. Overshot µops are simply skipped by
+	// the next fast-forward.
 	for k := uint64(0); k < windows; k++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
 		base := k * spec.Unit
 		stopFF := sp.Time(phaseFastForward)
 		// A bounded warming stretch skips the gap's prefix outright (no
@@ -176,7 +174,10 @@ func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec Samp
 		// is the only lever for approximating the per-cycle mixing of a
 		// timed execution — sequential whole-gap runs would weight a slow
 		// core's pollution as heavily as a fast core's.
-		ffInterleaved(cores, weights, base+gap)
+		if err := ffInterleaved(ctx, cores, weights, base+gap); err != nil {
+			stopFF()
+			return Result{}, err
+		}
 		// Resynchronize the local clocks before timing resumes: the shared
 		// uncore books bus/DRAM slots in absolute time, so a core whose
 		// clock fell behind would otherwise pay the skew as fake queueing
@@ -186,7 +187,7 @@ func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec Samp
 		// Detailed warmup to the window start.
 		if spec.Warmup > 0 {
 			stopW := sp.Time(phaseWarmup)
-			err := runToBoundary(ctx, steppers, base+gap+spec.Warmup)
+			err := warm(ctx, drv, steppers, base+gap+spec.Warmup)
 			stopW()
 			if err != nil {
 				return Result{}, err
@@ -201,9 +202,10 @@ func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec Samp
 		// window start to its crossing of the unit boundary.
 		for i, c := range steppers {
 			clocks[i] = c.Now()
+			target[i], caps[i] = base+spec.Unit, base+spec.Unit+gap
 		}
 		stopM := sp.Time(phaseMeasure)
-		err := runWindowOvershoot(ctx, steppers, base+spec.Unit, base+spec.Unit+gap, cross)
+		err := drv(ctx, steppers, target, caps, cross)
 		stopM()
 		if err != nil {
 			return Result{}, err
@@ -275,8 +277,10 @@ const ffChunk = 256
 // interleaves per-*cycle* — a core running 8× slower contributes 8×
 // fewer insertions per unit time. Chunking by speed reproduces that
 // mixture. Cores with no speed estimate (a zero weight) advance at the
-// fastest core's pace.
-func ffInterleaved(cores []*cpu.Core, weights []float64, tgt uint64) {
+// fastest core's pace. It polls the context once per round and returns
+// ctx.Err() when it is cancelled.
+func ffInterleaved(ctx context.Context, cores []*cpu.Core, weights []float64, tgt uint64) error {
+	done := ctx.Done()
 	wmax := 0.0
 	for _, w := range weights {
 		if w > wmax {
@@ -284,6 +288,9 @@ func ffInterleaved(cores []*cpu.Core, weights []float64, tgt uint64) {
 		}
 	}
 	for {
+		if done != nil && cancelled(done) {
+			return ctx.Err()
+		}
 		active := false
 		for i, c := range cores {
 			cm := c.Committed()
@@ -306,83 +313,7 @@ func ffInterleaved(cores []*cpu.Core, weights []float64, tgt uint64) {
 			}
 		}
 		if !active {
-			return
+			return nil
 		}
 	}
-}
-
-// runWindowOvershoot advances the cores on the smallest-local-clock-first
-// discipline until each has committed at least target µops, recording
-// each core's local clock at its crossing in cross. Unlike runToBoundary,
-// a core that crosses does not halt: it keeps running — timed — so the
-// stragglers' window tails see the same shared-hierarchy contention the
-// measured full run produces (whose cores overshoot their quota for
-// exactly this reason). Overshooters consume their own next inter-sample
-// gap, so they are capped at cap (the next warmup region's start) and
-// the following fast-forward skips whatever they already executed.
-func runWindowOvershoot(ctx context.Context, cores []stepper, target, cap uint64, cross []uint64) error {
-	n := len(cores)
-	done := ctx.Done()
-	halted := make([]bool, n)
-	reached := make([]bool, n)
-	clocks := make([]uint64, n)
-	remaining := 0
-	for i, c := range cores {
-		clocks[i] = c.Now()
-		cross[i] = clocks[i]
-		if c.Committed() >= target {
-			reached[i] = true
-		} else {
-			remaining++
-		}
-		halted[i] = c.Committed() >= cap
-	}
-	for batch := 0; remaining > 0; batch++ {
-		if done != nil && batch&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		// Lowest-index minimum over the active cores; o is the runner-up.
-		m, o := -1, -1
-		for i := 0; i < n; i++ {
-			if halted[i] {
-				continue
-			}
-			switch {
-			case m < 0 || clocks[i] < clocks[m]:
-				m, o = i, m
-			case o < 0 || clocks[i] < clocks[o]:
-				o = i
-			}
-		}
-		if m < 0 {
-			break
-		}
-		limit := clocks[m] + soloChunkCycles
-		if o >= 0 {
-			limit = clocks[o]
-			if m < o {
-				limit++
-			}
-		}
-		c := cores[m]
-		quota := target
-		if reached[m] {
-			quota = cap
-		}
-		c.StepUntil(limit, quota)
-		clocks[m] = c.Now()
-		if !reached[m] && c.Committed() >= target {
-			reached[m] = true
-			cross[m] = clocks[m]
-			remaining--
-		}
-		if reached[m] && c.Committed() >= cap {
-			halted[m] = true
-		}
-	}
-	return nil
 }

@@ -336,14 +336,11 @@ func canonSim(src bench.Source, workloads [][]string, policy, engine string, cor
 	default:
 		return nil, "", "", badRequest("serve: unknown engine %q (want %q or %q)", engine, EngineDetailed, EngineBadco)
 	}
-	if cores < 0 {
-		return nil, "", "", badRequest("serve: negative cores %d", cores)
-	}
 	resolved = make([][]string, len(workloads))
 	for i, w := range workloads {
-		rw, err := resolveWorkload(w, cores)
+		rw, err := bench.ResolveWorkload(w, cores)
 		if err != nil {
-			return nil, "", "", err
+			return nil, "", "", badRequest("serve: %v", err)
 		}
 		resolved[i] = rw
 	}
@@ -351,24 +348,4 @@ func canonSim(src bench.Source, workloads [][]string, policy, engine string, cor
 		return nil, "", "", badRequest("%v (see /benches)", err)
 	}
 	return resolved, policy, engine, nil
-}
-
-// resolveWorkload applies the cores option to one named workload: a
-// single benchmark is replicated onto all cores, a multi-benchmark
-// workload must already match.
-func resolveWorkload(workload []string, cores int) ([]string, error) {
-	if len(workload) == 0 {
-		return nil, badRequest("serve: empty workload")
-	}
-	if cores == 0 || cores == len(workload) {
-		return append([]string(nil), workload...), nil
-	}
-	if len(workload) == 1 {
-		w := make([]string, cores)
-		for i := range w {
-			w[i] = workload[0]
-		}
-		return w, nil
-	}
-	return nil, badRequest("serve: workload has %d threads but cores=%d was given", len(workload), cores)
 }

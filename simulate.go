@@ -159,24 +159,6 @@ func (o options) source() Source {
 	return defaultSource()
 }
 
-// resolveWorkload applies WithCores to the named workload.
-func resolveWorkload(workload []string, cores int) ([]string, error) {
-	if len(workload) == 0 {
-		return nil, fmt.Errorf("mcbench: empty workload")
-	}
-	if cores <= 0 || cores == len(workload) {
-		return workload, nil
-	}
-	if len(workload) == 1 {
-		w := make([]string, cores)
-		for i := range w {
-			w[i] = workload[0]
-		}
-		return w, nil
-	}
-	return nil, fmt.Errorf("mcbench: workload has %d threads but WithCores(%d) was given", len(workload), cores)
-}
-
 // spec maps the options onto the kernel's run spec. The public Engine
 // values mirror multicore.Engine's.
 func (o options) spec() multicore.Spec {
@@ -198,7 +180,11 @@ func (o options) validate(workload []string) ([]string, error) {
 	if err := o.spec().Validate(o.traceLen); err != nil {
 		return nil, fmt.Errorf("mcbench: %w", err)
 	}
-	return resolveWorkload(workload, o.cores)
+	w, err := bench.ResolveWorkload(workload, o.cores)
+	if err != nil {
+		return nil, fmt.Errorf("mcbench: %w", err)
+	}
+	return w, nil
 }
 
 // convert maps a multicore result into the public Result.

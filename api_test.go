@@ -86,23 +86,41 @@ func TestSimulateValidation(t *testing.T) {
 	cases := []struct {
 		name     string
 		workload []string
+		traceLen int
 		opts     []mcbench.Option
 	}{
-		{"empty workload", nil, nil},
-		{"unknown benchmark", []string{"nosuch"}, nil},
-		{"cores mismatch", []string{"mcf", "gcc"}, []mcbench.Option{mcbench.WithCores(4)}},
-		{"negative cores", []string{"mcf"}, []mcbench.Option{mcbench.WithCores(-1)}},
-		{"bad policy", []string{"mcf"}, []mcbench.Option{mcbench.WithPolicy("NOPE")}},
-		{"bad trace length", []string{"mcf"}, []mcbench.Option{mcbench.WithTraceLen(-1)}},
-		{"warmup beyond default quota", []string{"mcf"}, []mcbench.Option{
-			mcbench.WithTraceLen(4000), mcbench.WithWarmup(4001)}},
-		{"warmup beyond explicit quota", []string{"mcf"}, []mcbench.Option{
+		{"empty workload", nil, 0, nil},
+		{"unknown benchmark", []string{"nosuch"}, 0, nil},
+		{"cores mismatch", []string{"mcf", "gcc"}, 0, []mcbench.Option{mcbench.WithCores(4)}},
+		{"negative cores", []string{"mcf"}, 0, []mcbench.Option{mcbench.WithCores(-1)}},
+		{"cores beyond the limit", []string{"mcf"}, 0, []mcbench.Option{mcbench.WithCores(1 << 40)}},
+		{"bad policy", []string{"mcf"}, 0, []mcbench.Option{mcbench.WithPolicy("NOPE")}},
+		{"bad trace length", []string{"mcf"}, -1, nil},
+		{"warmup beyond default quota", []string{"mcf"}, 4000, []mcbench.Option{
+			mcbench.WithWarmup(4001)}},
+		{"warmup beyond explicit quota", []string{"mcf"}, 0, []mcbench.Option{
 			mcbench.WithQuota(2000), mcbench.WithWarmup(3000)}},
 	}
 	for _, c := range cases {
-		if _, err := mcbench.Simulate(apiCtx, c.workload, c.opts...); err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
+		rejectBoth(t, c.name, c.workload, c.traceLen, c.opts)
+	}
+}
+
+// rejectBoth asserts that the package-level Simulate (with
+// WithTraceLen(traceLen) when traceLen is non-zero) and Lab.Simulate on
+// a lab of that trace length both reject the case.
+func rejectBoth(t *testing.T, name string, workload []string, traceLen int, opts []mcbench.Option) {
+	t.Helper()
+	cfg, simOpts := tinyConfig(), opts
+	if traceLen != 0 {
+		cfg.TraceLen = traceLen
+		simOpts = append([]mcbench.Option{mcbench.WithTraceLen(traceLen)}, opts...)
+	}
+	if _, err := mcbench.Simulate(apiCtx, workload, simOpts...); err == nil {
+		t.Errorf("%s: Simulate accepted", name)
+	}
+	if _, err := mcbench.NewLab(cfg).Simulate(apiCtx, workload, opts...); err == nil {
+		t.Errorf("%s: Lab.Simulate accepted", name)
 	}
 }
 
@@ -488,9 +506,7 @@ func TestSimulateSampledValidation(t *testing.T) {
 			mcbench.WithSamplingWarm(2501)}},
 	}
 	for _, c := range cases {
-		if _, err := mcbench.Simulate(apiCtx, []string{"mcf"}, c.opts...); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
+		rejectBoth(t, c.name, []string{"mcf"}, 0, c.opts)
 	}
 }
 

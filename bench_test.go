@@ -35,10 +35,10 @@ var bctx = context.Background()
 
 // simCtx carries a telemetry span the way the lab's product runs do, so
 // the simulator micro-benchmarks time the instrumented kernel path (the
-// span is built once, outside the timed loop). scripts/bench.sh diffs
-// these against a MCBENCH_TELEMETRY=off pass to bound the recording
-// overhead; without the span the instrumented run would measure the
-// disabled fast path and the A/B would be vacuous.
+// span is built once, outside the timed loop). Diffing these against a
+// MCBENCH_TELEMETRY=off pass bounds the recording overhead; without the
+// span the instrumented run would measure the disabled fast path and
+// the A/B would be vacuous.
 func simCtx() context.Context {
 	return telemetry.NewContext(context.Background(), telemetry.StartSpan())
 }
@@ -389,10 +389,10 @@ func BenchmarkCophaseRun(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Sampled vs exact detailed simulation on 10×-length traces — the regime
 // systematic sampling exists for. The pair shares one trace set so
-// scripts/bench.sh can report their ratio as the mix sampled-vs-exact
-// speedup (a 2-core heterogeneous mix, the estimator's hardest case for
-// accuracy but a fair timing A/B). The error side of the frontier comes
-// from the sampling-accuracy experiment, which bench.sh also runs.
+// their ratio is the mix sampled-vs-exact speedup (a 2-core
+// heterogeneous mix, the estimator's hardest case for accuracy but a
+// fair timing A/B). The error side of the frontier comes from the
+// sampling-accuracy experiment.
 
 func benchLongTraces(b *testing.B) (multicore.TraceMap, multicore.Workload) {
 	b.Helper()

@@ -270,36 +270,53 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		payload = data
 	}
+	_, data, err := c.exchange(ctx, method, path, payload)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		c.failures.Inc() // an undecodable answer fails the exchange
+		return fmt.Errorf("mcbench: decoding %s: %w", path, err)
+	}
+	return nil
+}
+
+// exchange performs one HTTP exchange with retries and returns the 2xx
+// status and body. Connection errors, 503s and, for GETs, 429/502/504
+// are retried with backoff; any other non-2xx response comes back as
+// *APIError. A nil payload sends no body.
+func (c *Client) exchange(ctx context.Context, method, path string, payload []byte) (int, []byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.retries.Inc()
 			if err := sleepCtx(ctx, c.retryDelay(attempt, lastErr)); err != nil {
 				c.failures.Inc()
-				return lastErr
+				return 0, nil, lastErr
 			}
 		}
-		err := c.once(ctx, method, path, payload, out)
+		status, data, err := c.once(ctx, method, path, payload)
 		if err == nil {
-			return nil
+			return status, data, nil
 		}
 		lastErr = err
 		if attempt >= c.maxRetries || !retryable(method, err) || ctx.Err() != nil {
 			c.failures.Inc()
-			return err
+			return 0, nil, err
 		}
 	}
 }
 
-// once performs a single JSON exchange.
-func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
+// once performs a single HTTP exchange, preserving the status for
+// callers that dispatch on it (Result's 202-while-running).
+func (c *Client) once(ctx context.Context, method, path string, payload []byte) (int, []byte, error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return fmt.Errorf("mcbench: %w", err)
+		return 0, nil, fmt.Errorf("mcbench: %w", err)
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -311,23 +328,17 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return &connError{err}
+		return 0, nil, &connError{err}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return &connError{err}
+		return 0, nil, &connError{err}
 	}
 	if resp.StatusCode >= 300 {
-		return newAPIError(resp, data)
+		return 0, nil, newAPIError(resp, data)
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("mcbench: decoding %s: %w", path, err)
-	}
-	return nil
+	return resp.StatusCode, data, nil
 }
 
 // Metrics fetches the server's telemetry snapshot
@@ -500,7 +511,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (*JobStatus, error) {
 // running it returns (nil, false, nil); a failed or cancelled job is an
 // error carrying the server's reason.
 func (c *Client) Result(ctx context.Context, id string) (*JobResult, bool, error) {
-	status, data, err := c.getRaw(ctx, "/jobs/"+url.PathEscape(id)+"/result")
+	status, data, err := c.exchange(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/result", nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -508,7 +519,7 @@ func (c *Client) Result(ctx context.Context, id string) (*JobResult, bool, error
 	case http.StatusAccepted:
 		return nil, false, nil
 	case http.StatusOK:
-	default: // unreachable: getRaw converts non-2xx into *APIError
+	default: // unreachable: exchange converts non-2xx into *APIError
 		return nil, false, &APIError{StatusCode: status, Message: strings.TrimSpace(string(data))}
 	}
 	// A terminal non-done job answers 200 with its status wrapped.
@@ -523,58 +534,6 @@ func (c *Client) Result(ctx context.Context, id string) (*JobResult, bool, error
 		return nil, true, fmt.Errorf("mcbench: decoding result: %w", err)
 	}
 	return &res, true, nil
-}
-
-// getRaw performs a retrying GET and returns the 2xx status and body;
-// non-2xx responses come back as *APIError (and 503/429/502/504 and
-// connection errors were retried first, like do).
-func (c *Client) getRaw(ctx context.Context, path string) (int, []byte, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Inc()
-			if err := sleepCtx(ctx, c.retryDelay(attempt, lastErr)); err != nil {
-				c.failures.Inc()
-				return 0, nil, lastErr
-			}
-		}
-		status, data, err := c.onceRaw(ctx, path)
-		if err == nil {
-			return status, data, nil
-		}
-		lastErr = err
-		if attempt >= c.maxRetries || !retryable(http.MethodGet, err) || ctx.Err() != nil {
-			c.failures.Inc()
-			return 0, nil, err
-		}
-	}
-}
-
-// onceRaw performs a single GET, preserving the status for callers that
-// dispatch on it (Result's 202-while-running).
-func (c *Client) onceRaw(ctx context.Context, path string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return 0, nil, fmt.Errorf("mcbench: %w", err)
-	}
-	start := time.Now()
-	defer func() {
-		c.reqCount.Inc()
-		c.reqLatency.ObserveDuration(time.Since(start))
-	}()
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, &connError{err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, &connError{err}
-	}
-	if resp.StatusCode >= 300 {
-		return 0, nil, newAPIError(resp, data)
-	}
-	return resp.StatusCode, data, nil
 }
 
 // Events long-polls the job's progress log from the cursor (0 = start),

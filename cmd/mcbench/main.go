@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -290,8 +291,8 @@ const simUsage = "usage: mcbench sim [-warmup N] [-quota N] [-sample U:D:W[:F]] 
 
 // parseSampleSpec parses the -sample flag: colon-separated
 // unit:window:warmup µops with an optional fourth bounded-warming field.
-// A zero unit is refused (an exact run omits the flag); the run spec's
-// Validate checks the rest of the parsed schedule.
+// A zero unit is refused (an exact run omits the flag); multicore.Check
+// checks the rest of the parsed schedule.
 func parseSampleSpec(s string) (multicore.SamplingSpec, error) {
 	var spec multicore.SamplingSpec
 	parts := strings.Split(s, ":")
@@ -335,9 +336,6 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		return fmt.Errorf("%s", simUsage)
 	}
 	policy := cache.PolicyName(args[0])
-	if _, err := cache.NewPolicy(policy, 0); err != nil {
-		return err
-	}
 	spec := multicore.Spec{Policy: policy, Quota: *quota, Warmup: *warmup}
 	if *sample != "" {
 		smp, err := parseSampleSpec(*sample)
@@ -346,21 +344,17 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		}
 		spec.Sampling = smp
 	}
-	if err := spec.Validate(cfg.TraceLen); err != nil {
-		if !spec.Sampling.Enabled() {
-			// Without sampling the only rule left to break is warmup ≤ quota.
-			return fmt.Errorf("%w (use -quota to lengthen the measurement window)", err)
-		}
+	prov := bench.At(cfg.Source, cfg.TraceLen)
+	ws, distinct, err := multicore.Check(prov, spec, [][]string{strings.Split(args[1], ",")}, 0)
+	switch {
+	case errors.Is(err, multicore.ErrUnknownBenchmark):
+		return fmt.Errorf("%w (run `mcbench benches`)", err)
+	case errors.Is(err, multicore.ErrWarmupOverQuota):
+		return fmt.Errorf("%w (use -quota to lengthen the measurement window)", err)
+	case err != nil:
 		return err
 	}
-	src := cfg.Source
-	names := strings.Split(args[1], ",")
-	distinct, err := bench.CheckNames(src, [][]string{names})
-	if err != nil {
-		return fmt.Errorf("%w (run `mcbench benches`)", err)
-	}
-	w := multicore.Workload(names)
-	prov := bench.At(src, cfg.TraceLen)
+	w := ws[0]
 
 	if spec.Sampling.Enabled() {
 		r, err := multicore.Run(ctx, w, spec, prov, nil)
@@ -370,7 +364,7 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		fmt.Printf("workload %s under %s (sampled %s, %d windows of %d µops)\n",
 			w, policy, spec.Sampling, r.Windows, spec.Sampling.Window)
 		fmt.Printf("%-12s  %10s  %10s  %8s\n", "thread", "IPC(est)", "±95% CI", "cv")
-		for i, n := range names {
+		for i, n := range w {
 			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, r.IPC[i], r.CIHalf[i], r.CV[i])
 		}
 		return nil
@@ -395,7 +389,7 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	}
 	fmt.Printf("workload %s under %s (%s)\n", w, policy, window)
 	fmt.Printf("%-12s  %10s  %10s\n", "thread", "detailed", "BADCO")
-	for i, n := range names {
+	for i, n := range w {
 		fmt.Printf("%-12s  %10.4f  %10.4f\n", n, det.IPC[i], app.IPC[i])
 	}
 	return nil

@@ -161,8 +161,8 @@
 //
 // `mcbench top` renders the live view in a terminal; `mcbench -timing`
 // prints the phase table after a batch campaign. Recording is zero-alloc
-// on the hot path, bounded ≤ 1% of simulator time (the
-// MCBENCH_TELEMETRY=off A/B in scripts/bench.sh), and disabled entirely
+// on the hot path, bounded ≤ 1% of simulator time (A/B it with
+// MCBENCH_TELEMETRY=off bash benchmark/run.sh), and disabled entirely
 // by that switch. See the README's "Observability" section for the
 // metric catalogue.
 //
@@ -232,7 +232,7 @@
 // snapshot→restore→run bit-identical to the uninterrupted run. See
 // README.md's Performance, "Checkpointed sweeps" and "Sampled
 // simulation" sections, with measured speedups in BENCH_2.json,
-// BENCH_6.json and BENCH_9.json (scripts/bench.sh).
+// BENCH_6.json and BENCH_9.json (bash benchmark/run.sh is the benchmark).
 //
 // The benchmarks in bench_test.go regenerate each table and figure.
 package mcbench

@@ -60,7 +60,7 @@ func (c *Client) SubmitWarm(ctx context.Context, products []ProductRef) (*JobSta
 // (GET /cache/{key}), integrity footer included — the fleet's result
 // fabric. ok is false on a plain 404 miss.
 func (c *Client) CacheGet(ctx context.Context, key string) (data []byte, ok bool, err error) {
-	_, data, err = c.getRaw(ctx, "/cache/"+url.PathEscape(key))
+	_, data, err = c.exchange(ctx, http.MethodGet, "/cache/"+url.PathEscape(key), nil)
 	if err != nil {
 		if IsNotFound(err) {
 			return nil, false, nil

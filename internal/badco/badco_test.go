@@ -171,10 +171,17 @@ func TestMachineFasterThanDetailed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The fastest of three runs per side: background load on a shared
+	// host only ever adds time, and one descheduled run must not decide
+	// the comparison.
 	timeIt := func(f func()) time.Duration {
-		start := time.Now()
-		f()
-		return time.Since(start)
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			f()
+			best = min(best, time.Since(start))
+		}
+		return best
 	}
 	detDur := timeIt(func() {
 		det := cpu.MustNew(0, cpu.DefaultConfig(), tr,

@@ -248,51 +248,3 @@ func (p Provider) Source() Source { return p.src }
 
 // Len returns the bound trace length in µops.
 func (p Provider) Len() int { return p.n }
-
-// ResolveWorkload applies a cores count to one named workload: zero, or
-// the workload's own thread count, keeps it as given; a single benchmark
-// is replicated onto all cores; a multi-benchmark workload of another
-// size, an empty workload and a negative count are errors. The errors
-// carry no package prefix, so each front end reports them under its own.
-func ResolveWorkload(workload []string, cores int) ([]string, error) {
-	switch {
-	case len(workload) == 0:
-		return nil, fmt.Errorf("empty workload")
-	case cores < 0:
-		return nil, fmt.Errorf("negative cores %d", cores)
-	case cores == 0 || cores == len(workload):
-		return append([]string(nil), workload...), nil
-	case len(workload) == 1:
-		w := make([]string, cores)
-		for i := range w {
-			w[i] = workload[0]
-		}
-		return w, nil
-	}
-	return nil, fmt.Errorf("workload has %d threads but %d cores were given", len(workload), cores)
-}
-
-// CheckNames validates every workload name against the source before
-// any simulation starts, and returns the distinct names in first-use
-// order — the model-build list of a BADCO sweep. It is the one shared
-// validation path of the public API and the CLI.
-func CheckNames(src Source, workloads [][]string) ([]string, error) {
-	valid := map[string]bool{}
-	for _, n := range src.Names() {
-		valid[n] = true
-	}
-	seen := map[string]bool{}
-	var distinct []string
-	for _, w := range workloads {
-		for _, name := range w {
-			if !valid[name] {
-				return nil, fmt.Errorf("bench: %s: unknown benchmark %q", src.Name(), name)
-			}
-			if !seen[name] {
-				seen[name] = true
-				distinct = append(distinct, name)
-			}
-		}
-	}
-	return distinct, nil
-}

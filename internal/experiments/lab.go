@@ -754,11 +754,11 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 // the detailed simulator: BADCO tables never run sampled, and stamping
 // them would fragment their caches for no reason.
 func (l *Lab) tableIdentity(sim Simulator, cores int, policy cache.PolicyName) results.IPCTable {
-	t := results.IPCTable{
+	t := results.IPCTable{Identity: results.Identity{
 		Simulator: string(sim), Cores: cores, Policy: string(policy),
 		TraceLen: l.cfg.TraceLen, Population: l.Population(cores).Size(), Seed: l.cfg.Seed,
 		Source: l.sourceKey(), Warmup: l.cfg.Warmup,
-	}
+	}}
 	if sim == SimDetailed {
 		t.Population, t.Universe = len(l.DetSample(cores)), t.Population
 		if s := l.cfg.Sampling; s.Enabled() {

@@ -100,7 +100,7 @@ func TestSamplingWarmupMutuallyExclusive(t *testing.T) {
 // TestSamplingAccuracyTable runs the registered experiment on a scaled-
 // down lab and sanity-checks the table shape and the invariants that do
 // not depend on machine speed (wall-clock speedup is reported but not
-// asserted here; scripts/bench.sh measures it at bench scale).
+// asserted here; the experiment itself reports it at full scale).
 func TestSamplingAccuracyTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation ensemble")

@@ -11,12 +11,15 @@ package multicore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mcbench/internal/badco"
+	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/cpu"
 	"mcbench/internal/telemetry"
@@ -120,17 +123,20 @@ type Spec struct {
 	Sampling SamplingSpec
 }
 
-// Validate checks the spec's protocol rules, resolving a zero Quota to
-// traceLen. It is meant for the boundaries that take a spec from outside
-// input (the library options, the server, the CLI). Beyond the rules Run
-// enforces itself (see runnable), the warmup must fit in the quota: a
-// warmup beyond it almost always means swapped arguments, so it is
-// rejected rather than run as a measurement that mostly discards work.
-// The kernel itself runs such a spec, for callers that deliberately warm
-// a long prefix before a short measured sample. The errors carry no
-// package prefix, so the library, the server and the CLI each report
-// them under their own.
+// Validate checks the spec's rules, resolving a zero Quota to traceLen.
+// It is meant for the boundaries that take a spec from outside input
+// (see Check). Beyond the rules Run enforces itself (see runnable), the
+// policy must be known and the warmup must fit in the quota: a warmup
+// beyond it almost always means swapped arguments, so it is rejected
+// rather than run as a measurement that mostly discards work. The kernel
+// itself runs such a spec, for callers that deliberately warm a long
+// prefix before a short measured sample. The errors carry no package
+// prefix, so the library, the server and the CLI each report them under
+// their own.
 func (s Spec) Validate(traceLen int) error {
+	if _, err := cache.NewPolicy(s.Policy, 0); err != nil {
+		return err
+	}
 	if err := s.runnable(); err != nil {
 		return err
 	}
@@ -139,9 +145,70 @@ func (s Spec) Validate(traceLen int) error {
 		q = uint64(traceLen)
 	}
 	if s.Warmup > q {
-		return fmt.Errorf("warmup %d exceeds the instruction quota %d", s.Warmup, q)
+		return fmt.Errorf("warmup %d %w %d", s.Warmup, ErrWarmupOverQuota, q)
 	}
 	return nil
+}
+
+// Errors that front ends attach a hint to, matched with errors.Is.
+var (
+	ErrUnknownBenchmark = errors.New("unknown benchmark")
+	ErrWarmupOverQuota  = errors.New("exceeds the instruction quota")
+)
+
+// MaxCores bounds the machine of an ad-hoc run, well above the paper's
+// 8 cores: every core has its own caches and pipeline, so without a
+// bound one request could replicate a benchmark past the host's memory.
+const MaxCores = 64
+
+// Check holds the rules of one ad-hoc run, shared by the library's
+// Simulate and Sweep, Lab.Simulate, the server's simulate and sweep jobs
+// and the CLI's sim. The provider's trace length must be positive and
+// the spec must pass Validate at it. Each workload is resolved against
+// cores: zero, or the workload's own width, keeps it as given, and a
+// single benchmark is replicated onto all cores; any other width, an
+// empty workload and a machine beyond MaxCores are errors. Every name
+// must be in the provider's source. Check returns the resolved workloads
+// and the distinct names in first-use order, the model-build list of a
+// BADCO run. Like Validate's, its errors carry no package prefix.
+func Check(prov bench.Provider, spec Spec, workloads [][]string, cores int) ([]Workload, []string, error) {
+	if prov.Len() <= 0 {
+		return nil, nil, fmt.Errorf("non-positive trace length %d", prov.Len())
+	}
+	if err := spec.Validate(prov.Len()); err != nil {
+		return nil, nil, err
+	}
+	if cores < 0 || cores > MaxCores {
+		return nil, nil, fmt.Errorf("cores %d outside [0, %d]", cores, MaxCores)
+	}
+	used := map[string]bool{} // known names; true once in distinct
+	for _, n := range prov.Names() {
+		used[n] = false
+	}
+	var distinct []string
+	ws := make([]Workload, len(workloads))
+	for i, w := range workloads {
+		switch {
+		case len(w) == 0 || len(w) > MaxCores:
+			return nil, nil, fmt.Errorf("workload of %d threads outside [1, %d]", len(w), MaxCores)
+		case cores == 0 || cores == len(w):
+			ws[i] = slices.Clone(Workload(w))
+		case len(w) == 1:
+			ws[i] = slices.Repeat(Workload(w), cores)
+		default:
+			return nil, nil, fmt.Errorf("workload has %d threads but %d cores were given", len(w), cores)
+		}
+		for _, name := range w {
+			switch u, ok := used[name]; {
+			case !ok:
+				return nil, nil, fmt.Errorf("%s: %w %q", prov.Source().Name(), ErrUnknownBenchmark, name)
+			case !u:
+				used[name] = true
+				distinct = append(distinct, name)
+			}
+		}
+	}
+	return ws, distinct, nil
 }
 
 // runnable checks what Run cannot execute at all: the engine is known,

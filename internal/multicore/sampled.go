@@ -36,16 +36,16 @@ const SampledConfidence = 0.95
 // along every existing params/request struct without changing their
 // meaning. The struct is comparable and participates in memo and dedup
 // identities: a sampled result must never satisfy a request for an
-// exact one, or vice versa.
+// exact one, or vice versa. The JSON form is the server's wire form.
 type SamplingSpec struct {
 	// Unit is the sampling unit U: one window is measured out of every
 	// Unit µops per thread. Zero disables sampling.
-	Unit uint64
+	Unit uint64 `json:"unit"`
 	// Window is the detailed measurement window D (µops per thread).
-	Window uint64
+	Window uint64 `json:"window"`
 	// Warmup is the detailed warmup W run before each window (µops per
 	// thread) to refill the timing state the fast-forward path skips.
-	Warmup uint64
+	Warmup uint64 `json:"warmup,omitempty"`
 	// Warm bounds the functional-warming stretch per gap: only the last
 	// Warm µops of each inter-sample gap run under the functional path;
 	// everything earlier is skipped outright with no state updates
@@ -56,7 +56,7 @@ type SamplingSpec struct {
 	// caches tolerate it because a window's hit rate is governed by
 	// recency, and the warming stretch re-establishes the recent
 	// insertions while older cache contents survive the skip untouched.
-	Warm uint64
+	Warm uint64 `json:"warm,omitempty"`
 }
 
 // Enabled reports whether the spec asks for sampling.

@@ -131,7 +131,7 @@ const coverageRate = 0.70
 // strongly bimodal, cv ≈ 0.8) rather than estimator bias; the wide
 // intervals those runs report are exactly what the coverage assertion
 // checks. Bench-scale accuracy (many more windows on 10×-longer traces)
-// is measured by scripts/bench.sh instead.
+// is measured by the sampling-accuracy experiment instead.
 const maxMeanSampledError = 0.06
 
 // seededTraces generates the named benchmarks at length n with every

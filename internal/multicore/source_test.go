@@ -2,9 +2,11 @@ package multicore
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -194,5 +196,56 @@ func TestBuildModelsWorkingSet(t *testing.T) {
 	}
 	if got := bench.Resident(src); got != 0 {
 		t.Errorf("%d traces still resident after BuildModels", got)
+	}
+}
+
+// TestCheck pins the ad-hoc run rules every front end shares: workload
+// resolution against cores, name checks, the spec's rules at the
+// provider's trace length, and the distinct-name model-build list.
+func TestCheck(t *testing.T) {
+	prov := bench.At(bench.NewSuite(), 4000)
+	lru := Spec{Policy: cache.LRU}
+	ws, names, err := Check(prov, lru, [][]string{{"mcf"}, {"gcc", "mcf"}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Workload{{"mcf", "mcf"}, {"gcc", "mcf"}}; !reflect.DeepEqual(ws, want) {
+		t.Errorf("workloads %v, want %v", ws, want)
+	}
+	if want := []string{"mcf", "gcc"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("distinct names %v, want %v", names, want)
+	}
+	if ws, _, err := Check(prov, lru, [][]string{{"mcf", "gcc", "povray"}}, 0); err != nil || len(ws[0]) != 3 {
+		t.Errorf("cores 0: %v, %v", ws, err)
+	}
+	for _, c := range []struct {
+		name      string
+		prov      bench.Provider
+		spec      Spec
+		workloads [][]string
+		cores     int
+		is        error
+	}{
+		{"empty workload", prov, lru, [][]string{{}}, 0, nil},
+		{"negative cores", prov, lru, [][]string{{"mcf"}}, -1, nil},
+		{"width mismatch", prov, lru, [][]string{{"mcf", "gcc"}}, 4, nil},
+		{"replication beyond MaxCores", prov, lru, [][]string{{"mcf"}}, 1 << 40, nil},
+		{"workload beyond MaxCores", prov, lru, [][]string{slices.Repeat([]string{"mcf"}, MaxCores+1)}, 0, nil},
+		{"unknown benchmark", prov, lru, [][]string{{"mcf"}, {"nosuch"}}, 0, ErrUnknownBenchmark},
+		{"unknown policy", prov, Spec{Policy: "NOPE"}, [][]string{{"mcf"}}, 0, nil},
+		{"unknown engine", prov, Spec{Policy: cache.LRU, Engine: 7}, [][]string{{"mcf"}}, 0, nil},
+		{"warmup over default quota", prov, Spec{Policy: cache.LRU, Warmup: 4001}, [][]string{{"mcf"}}, 0, ErrWarmupOverQuota},
+		{"warmup over quota", prov, Spec{Policy: cache.LRU, Quota: 100, Warmup: 101}, [][]string{{"mcf"}}, 0, ErrWarmupOverQuota},
+		{"bad sampling", prov, Spec{Policy: cache.LRU, Sampling: SamplingSpec{Unit: 100, Window: 101}}, [][]string{{"mcf"}}, 0, nil},
+		{"non-positive trace length", bench.At(bench.NewSuite(), 0), lru, [][]string{{"mcf"}}, 0, nil},
+	} {
+		_, _, err := Check(c.prov, c.spec, c.workloads, c.cores)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if c.is != nil && !errors.Is(err, c.is) {
+			t.Errorf("%s: %v is not %v", c.name, err, c.is)
+		}
 	}
 }

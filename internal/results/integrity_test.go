@@ -63,7 +63,7 @@ func TestSavedFilesCarryFooter(t *testing.T) {
 	if err := json.Unmarshal(payload, &got); err != nil {
 		t.Fatalf("payload before footer is not plain JSON: %v", err)
 	}
-	if !got.sameIdentity(want) {
+	if got.Identity != want.Identity {
 		t.Error("payload identity changed through Save")
 	}
 }
@@ -85,7 +85,7 @@ func TestLegacyFileWithoutFooterLoads(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("legacy file did not load: ok=%v err=%v", ok, err)
 	}
-	if !got.sameIdentity(want) {
+	if got.Identity != want.Identity {
 		t.Error("legacy load changed identity")
 	}
 	// And List must not call it corrupt.
@@ -130,7 +130,7 @@ func TestTornWriteEveryBoundary(t *testing.T) {
 			if n != len(payload) && n != len(payload)+1 {
 				t.Fatalf("torn file at %d of %d bytes served a table", n, len(full))
 			}
-			if !got.sameIdentity(want) {
+			if got.Identity != want.Identity {
 				t.Fatalf("torn file at %d bytes served a WRONG table", n)
 			}
 			continue

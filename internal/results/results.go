@@ -24,8 +24,14 @@ import (
 	"mcbench/internal/telemetry"
 )
 
-// IPCTable is one sweep result: row per workload, column per core.
-type IPCTable struct {
+// Identity is what names a sweep result: the configuration it was
+// computed under. Two tables with equal identities are interchangeable,
+// and Load serves a stored table only when its identity equals the
+// requested one. Identity is comparable, and loads compare it raw, not by
+// Key: sanitize collapses distinct source names ("dir:a/b" and
+// "dir:a_b") onto one file name, and the raw comparison keeps such a
+// collision from serving the other source's table.
+type Identity struct {
 	Simulator  string `json:"simulator"` // "detailed" or "badco"
 	Cores      int    `json:"cores"`
 	Policy     string `json:"policy"`
@@ -54,11 +60,18 @@ type IPCTable struct {
 	// pre-sampling keys and files unchanged. A sampled table is an
 	// *estimate*, so the spec is identity: an exact and a sampled sweep
 	// of the same configuration must never share a cache entry.
-	SampleUnit   int         `json:"sample_unit,omitempty"`
-	SampleWindow int         `json:"sample_window,omitempty"`
-	SampleWarmup int         `json:"sample_warmup,omitempty"`
-	SampleWarm   int         `json:"sample_warm,omitempty"`
-	IPC          [][]float64 `json:"ipc"`
+	SampleUnit   int `json:"sample_unit,omitempty"`
+	SampleWindow int `json:"sample_window,omitempty"`
+	SampleWarmup int `json:"sample_warmup,omitempty"`
+	SampleWarm   int `json:"sample_warm,omitempty"`
+}
+
+// IPCTable is one sweep result: row per workload, column per core. The
+// embedded Identity names the sweep; its fields encode first, so the
+// JSON form is flat.
+type IPCTable struct {
+	Identity
+	IPC [][]float64 `json:"ipc"`
 	// CI and CV carry the per-workload per-core confidence half-interval
 	// and coefficient of variation of sampled sweeps (same shape as IPC);
 	// both are empty for exact sweeps, whose IPC is not an estimate.
@@ -66,12 +79,12 @@ type IPCTable struct {
 	CV [][]float64 `json:"cv,omitempty"`
 }
 
-// Key returns the table's filename-safe identity. Non-default sources
+// Key returns the filename-safe form of the identity. Non-default sources
 // append their sanitized name plus a short hash of the raw name:
 // sanitization is lossy ("dir:a/b" and "dir:a_b" collapse), and
 // without the hash two such sources would alternately clobber each
 // other's cache file.
-func (t *IPCTable) Key() string {
+func (t Identity) Key() string {
 	key := fmt.Sprintf("%s-c%d-%s-l%d-p%d-s%d",
 		t.Simulator, t.Cores, t.Policy, t.TraceLen, t.Population, t.Seed)
 	if t.Universe > 0 {
@@ -478,7 +491,7 @@ func (s *Store) Load(proto IPCTable) (*IPCTable, bool, error) {
 		s.quarantine(path)
 		return s.loadRemote(proto)
 	}
-	if !t.sameIdentity(&proto) {
+	if t.Identity != proto.Identity {
 		// Not corruption: sanitize collapses distinct source names onto
 		// one filename, and this file is the *other* source's valid
 		// table. Report a miss; the recompute will overwrite it.
@@ -532,7 +545,7 @@ func (s *Store) fetchRemote(proto IPCTable) (*IPCTable, bool) {
 	if err := json.Unmarshal(payload, &t); err != nil {
 		return nil, false
 	}
-	if t.Validate() != nil || !t.sameIdentity(&proto) {
+	if t.Validate() != nil || t.Identity != proto.Identity {
 		return nil, false
 	}
 	s.publish(key+"-*.tmp", s.path(key), data, "results.fetch.write")
@@ -591,20 +604,6 @@ func (s *Store) ReadRaw(key string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// sameIdentity compares the raw identity fields, not the filename-safe
-// key: sanitize collapses distinct source names ("dir:a/b" and
-// "dir:a_b") onto one file name, and the raw comparison is what keeps
-// such a collision from silently serving the other source's table.
-func (t *IPCTable) sameIdentity(o *IPCTable) bool {
-	return t.Simulator == o.Simulator && t.Cores == o.Cores &&
-		t.Policy == o.Policy && t.TraceLen == o.TraceLen &&
-		t.Population == o.Population && t.Seed == o.Seed &&
-		t.Universe == o.Universe && t.Source == o.Source &&
-		t.Warmup == o.Warmup &&
-		t.SampleUnit == o.SampleUnit && t.SampleWindow == o.SampleWindow &&
-		t.SampleWarmup == o.SampleWarmup && t.SampleWarm == o.SampleWarm
-}
-
 // Entry describes one stored table for listings: the filename key plus
 // the raw identity fields, so a cache browser can report what a
 // directory actually holds. Keys() alone cannot — sanitize is lossy, so
@@ -629,25 +628,6 @@ type Entry struct {
 	// listed (they tell an operator data was lost to corruption and
 	// recomputed) but never served.
 	Quarantined bool `json:"quarantined,omitempty"`
-}
-
-// tableIdentity mirrors IPCTable's identity fields without the IPC
-// rows, so listing a store never materialises the (potentially
-// multi-megabyte) row arrays of every table it describes.
-type tableIdentity struct {
-	Simulator    string `json:"simulator"`
-	Cores        int    `json:"cores"`
-	Policy       string `json:"policy"`
-	TraceLen     int    `json:"trace_len"`
-	Population   int    `json:"population"`
-	Seed         int64  `json:"seed"`
-	Universe     int    `json:"universe,omitempty"`
-	Source       string `json:"source,omitempty"`
-	Warmup       int    `json:"warmup,omitempty"`
-	SampleUnit   int    `json:"sample_unit,omitempty"`
-	SampleWindow int    `json:"sample_window,omitempty"`
-	SampleWarmup int    `json:"sample_warmup,omitempty"`
-	SampleWarm   int    `json:"sample_warm,omitempty"`
 }
 
 // List returns one identity-preserving entry per stored table, sorted by
@@ -736,22 +716,12 @@ func (e *Entry) decodeIdentity(path string) {
 		e.Corrupt = true
 		return
 	}
-	var id tableIdentity
-	t := IPCTable{}
-	if json.Unmarshal(payload, &id) == nil {
-		t = IPCTable{
-			Simulator: id.Simulator, Cores: id.Cores, Policy: id.Policy,
-			TraceLen: id.TraceLen, Population: id.Population, Seed: id.Seed,
-			Universe: id.Universe, Source: id.Source, Warmup: id.Warmup,
-			SampleUnit: id.SampleUnit, SampleWindow: id.SampleWindow,
-			SampleWarmup: id.SampleWarmup, SampleWarm: id.SampleWarm,
-		}
-	}
-	if t.Simulator == "" || t.Key() != e.Key {
+	var id Identity
+	if json.Unmarshal(payload, &id) != nil || id.Simulator == "" || id.Key() != e.Key {
 		e.Corrupt = true
 		return
 	}
-	e.Table = t
+	e.Table = IPCTable{Identity: id}
 }
 
 // Keys lists the stored table keys, sorted.

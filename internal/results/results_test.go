@@ -11,13 +11,15 @@ import (
 
 func table() *IPCTable {
 	return &IPCTable{
-		Simulator:  "badco",
-		Cores:      2,
-		Policy:     "LRU",
-		TraceLen:   1000,
-		Population: 3,
-		Seed:       7,
-		IPC:        [][]float64{{1, 2}, {0.5, 1.5}, {2, 2}},
+		Identity: Identity{
+			Simulator:  "badco",
+			Cores:      2,
+			Policy:     "LRU",
+			TraceLen:   1000,
+			Population: 3,
+			Seed:       7,
+		},
+		IPC: [][]float64{{1, 2}, {0.5, 1.5}, {2, 2}},
 	}
 }
 
@@ -30,9 +32,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Load(IPCTable{
+	got, ok, err := s.Load(IPCTable{Identity: Identity{
 		Simulator: "badco", Cores: 2, Policy: "LRU", TraceLen: 1000, Population: 3, Seed: 7,
-	})
+	}})
 	if err != nil || !ok {
 		t.Fatalf("Load: ok=%v err=%v", ok, err)
 	}
@@ -47,7 +49,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadAbsent(t *testing.T) {
 	s, _ := Open(t.TempDir())
-	_, ok, err := s.Load(IPCTable{Simulator: "x", Cores: 1, Policy: "LRU", TraceLen: 1, Population: 0})
+	_, ok, err := s.Load(IPCTable{Identity: Identity{Simulator: "x", Cores: 1, Policy: "LRU", TraceLen: 1, Population: 0}})
 	if err != nil || ok {
 		t.Fatalf("absent load: ok=%v err=%v", ok, err)
 	}
@@ -175,10 +177,7 @@ func TestConcurrentSaveLoadSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := table()
-	proto := IPCTable{
-		Simulator: want.Simulator, Cores: want.Cores, Policy: want.Policy,
-		TraceLen: want.TraceLen, Population: want.Population, Seed: want.Seed,
-	}
+	proto := IPCTable{Identity: want.Identity}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

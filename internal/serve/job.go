@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mcbench/internal/faultinject"
+	"mcbench/internal/multicore"
 )
 
 // State is a job's lifecycle state.
@@ -91,10 +92,10 @@ type SimResult struct {
 	// per-core 95% confidence half-width and coefficient of variation of
 	// the window IPCs and the number of detailed windows measured. All
 	// four are absent on exact runs.
-	Sampling *SampleSpec `json:"sampling,omitempty"`
-	CIHalf   []float64   `json:"ci_half,omitempty"`
-	CV       []float64   `json:"cv,omitempty"`
-	Windows  int         `json:"windows,omitempty"`
+	Sampling *multicore.SamplingSpec `json:"sampling,omitempty"`
+	CIHalf   []float64               `json:"ci_half,omitempty"`
+	CV       []float64               `json:"cv,omitempty"`
+	Windows  int                     `json:"windows,omitempty"`
 }
 
 // JobResult is a completed job's payload: a table (experiment jobs) or

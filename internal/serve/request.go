@@ -10,6 +10,7 @@ package serve
 // persistent table cache.
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -94,45 +95,62 @@ type SimulateRequest struct {
 	// exceed the quota; submissions violating that are rejected before
 	// enqueueing.
 	Warmup uint64 `json:"warmup,omitempty"`
-	// Cores replicates a single-benchmark workload; 0 keeps the
-	// workload's own width.
+	// Cores replicates a single-benchmark workload, up to
+	// multicore.MaxCores; 0 keeps the workload's own width.
 	Cores int `json:"cores,omitempty"`
 	// Sampling, when set, runs the detailed simulation under systematic
 	// sampling (multicore.Spec.Sampling): the returned IPCs become
 	// steady-state estimates with confidence and cv columns. Requires
 	// the detailed engine and is mutually exclusive with Warmup.
-	Sampling *SampleSpec `json:"sampling,omitempty"`
-}
-
-// SampleSpec is the wire form of a systematic-sampling schedule (see
-// multicore.SamplingSpec): per Unit µops one Window of detailed
-// measurement after Warmup detailed warmup µops, the gap fast-forwarded
-// under functional warming (bounded to the last Warm µops when Warm is
-// non-zero).
-type SampleSpec struct {
-	Unit   uint64 `json:"unit"`
-	Window uint64 `json:"window"`
-	Warmup uint64 `json:"warmup,omitempty"`
-	Warm   uint64 `json:"warm,omitempty"`
-}
-
-// spec converts the wire form to the kernel's.
-func (s *SampleSpec) spec() multicore.SamplingSpec {
-	if s == nil {
-		return multicore.SamplingSpec{}
-	}
-	return multicore.SamplingSpec{Unit: s.Unit, Window: s.Window, Warmup: s.Warmup, Warm: s.Warm}
+	Sampling *multicore.SamplingSpec `json:"sampling,omitempty"`
 }
 
 // SweepRequest is SimulateRequest over many workloads at once.
 type SweepRequest struct {
-	Workloads [][]string  `json:"workloads"`
-	Policy    string      `json:"policy,omitempty"`
-	Engine    string      `json:"engine,omitempty"`
-	Quota     uint64      `json:"quota,omitempty"`
-	Warmup    uint64      `json:"warmup,omitempty"`
-	Cores     int         `json:"cores,omitempty"`
-	Sampling  *SampleSpec `json:"sampling,omitempty"`
+	Workloads [][]string              `json:"workloads"`
+	Policy    string                  `json:"policy,omitempty"`
+	Engine    string                  `json:"engine,omitempty"`
+	Quota     uint64                  `json:"quota,omitempty"`
+	Warmup    uint64                  `json:"warmup,omitempty"`
+	Cores     int                     `json:"cores,omitempty"`
+	Sampling  *multicore.SamplingSpec `json:"sampling,omitempty"`
+}
+
+// sweep views a simulate request as a sweep of its one workload.
+func (s *SimulateRequest) sweep() *SweepRequest {
+	return &SweepRequest{
+		Workloads: [][]string{s.Workload}, Policy: s.Policy, Engine: s.Engine,
+		Quota: s.Quota, Warmup: s.Warmup, Cores: s.Cores, Sampling: s.Sampling,
+	}
+}
+
+// check fills the policy and engine defaults into the request's run spec
+// and checks the run with multicore.Check at the provider's trace
+// length. It returns the spec, the resolved workloads and the distinct
+// benchmark names; a rejection is a submitError.
+func (s *SweepRequest) check(prov bench.Provider) (multicore.Spec, []multicore.Workload, []string, error) {
+	spec := multicore.Spec{Policy: cache.PolicyName(s.Policy), Quota: s.Quota, Warmup: s.Warmup}
+	if spec.Policy == "" {
+		spec.Policy = cache.LRU
+	}
+	switch s.Engine {
+	case "", EngineDetailed:
+	case EngineBadco:
+		spec.Engine = multicore.BADCO
+	default:
+		return spec, nil, nil, badRequest("serve: unknown engine %q (want %q or %q)", s.Engine, EngineDetailed, EngineBadco)
+	}
+	if s.Sampling != nil {
+		spec.Sampling = *s.Sampling
+	}
+	ws, names, err := multicore.Check(prov, spec, s.Workloads, s.Cores)
+	switch {
+	case errors.Is(err, multicore.ErrUnknownBenchmark):
+		return spec, nil, nil, badRequest("serve: %v (see /benches)", err)
+	case err != nil:
+		return spec, nil, nil, badRequest("serve: %v", err)
+	}
+	return spec, ws, names, nil
 }
 
 // submitError is a validation failure; the handler maps it to 400.
@@ -149,6 +167,7 @@ func badRequest(format string, args ...any) error {
 // request plus its dedup key. traceLen is the lab's per-benchmark trace
 // length; it resolves a zero quota when validating the warmup window.
 func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequest, string, error) {
+	prov := bench.At(src, traceLen)
 	switch req.Kind {
 	case KindExperiment:
 		if req.Experiment == nil {
@@ -173,17 +192,17 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			return req, "", badRequest("serve: simulate submission without payload")
 		}
 		s := *req.Simulate
-		w, policy, engine, err := canonSim(src, [][]string{s.Workload}, s.Policy, s.Engine, s.Cores)
+		spec, ws, _, err := s.sweep().check(prov)
 		if err != nil {
 			return req, "", err
 		}
-		protocol, err := checkProtocol(runSpec(policy, engine, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen)
+		protocol, err := checkProtocol(spec, s.Sampling)
 		if err != nil {
 			return req, "", err
 		}
-		s.Workload, s.Policy, s.Engine = w[0], policy, engine
+		s.Workload, s.Policy, s.Engine = ws[0], string(spec.Policy), spec.Engine.String()
 		canon := SubmitRequest{Kind: KindSimulate, Simulate: &s}
-		key := fmt.Sprintf("sim|%s|%s|q%d|%s", engine, policy, s.Quota, strings.Join(s.Workload, ",")) + protocol
+		key := fmt.Sprintf("sim|%s|%s|q%d|%s", s.Engine, s.Policy, s.Quota, strings.Join(s.Workload, ",")) + protocol
 		return canon, key, nil
 
 	case KindSweep:
@@ -194,15 +213,18 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if len(s.Workloads) == 0 {
 			return req, "", badRequest("serve: empty sweep")
 		}
-		w, policy, engine, err := canonSim(src, s.Workloads, s.Policy, s.Engine, s.Cores)
+		spec, ws, _, err := s.check(prov)
 		if err != nil {
 			return req, "", err
 		}
-		protocol, err := checkProtocol(runSpec(policy, engine, s.Quota, s.Warmup, s.Sampling), s.Sampling, traceLen)
+		protocol, err := checkProtocol(spec, s.Sampling)
 		if err != nil {
 			return req, "", err
 		}
-		s.Workloads, s.Policy, s.Engine = w, policy, engine
+		s.Workloads, s.Policy, s.Engine = make([][]string, len(ws)), string(spec.Policy), spec.Engine.String()
+		for i, w := range ws {
+			s.Workloads[i] = w
+		}
 		canon := SubmitRequest{Kind: KindSweep, Sweep: &s}
 		// Workload lists can be large; the key carries a digest plus the
 		// shape so distinct sweeps cannot collide in practice.
@@ -211,7 +233,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			h.Write([]byte(strings.Join(wl, ",")))
 			h.Write([]byte{'\n'})
 		}
-		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", engine, policy, s.Quota, len(s.Workloads), h.Sum64()) + protocol
+		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", s.Engine, s.Policy, s.Quota, len(s.Workloads), h.Sum64()) + protocol
 		return canon, key, nil
 
 	case KindWarm:
@@ -273,7 +295,9 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 		if p.Policy == "" {
 			return experiments.Request{}, badRequest("serve: product %q needs a policy", p.Sim)
 		}
-		if _, err := cache.NewPolicy(cache.PolicyName(p.Policy), 0); err != nil {
+		// The product's run spec must validate; its policy is the only
+		// field a warm request sets.
+		if err := (multicore.Spec{Policy: cache.PolicyName(p.Policy)}).Validate(0); err != nil {
 			return experiments.Request{}, badRequest("serve: %v", err)
 		}
 	case experiments.SimRef:
@@ -288,26 +312,11 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	return r.Normalized(), nil
 }
 
-// runSpec maps the protocol fields of a simulate or sweep request onto
-// the kernel's run spec. The wire engine names are multicore.Engine's.
-func runSpec(policy, engine string, quota, warmup uint64, sampling *SampleSpec) multicore.Spec {
-	spec := multicore.Spec{Policy: cache.PolicyName(policy), Quota: quota, Warmup: warmup, Sampling: sampling.spec()}
-	if engine == EngineBadco {
-		spec.Engine = multicore.BADCO
-	}
-	return spec
-}
-
-// checkProtocol rejects an impossible run before it is enqueued — the
-// rules of multicore.Spec.Validate, with a zero quota resolved to one
-// trace length, plus a present-but-empty sampling field — and returns
+// checkProtocol rejects a present-but-empty sampling field and returns
 // the protocol's dedup-key suffix: none for an exact run, "|w<warmup>"
 // for a warmed one and "|smp<spec>" for a sampled one, so the three
 // never coalesce onto each other.
-func checkProtocol(spec multicore.Spec, sampling *SampleSpec, traceLen int) (string, error) {
-	if err := spec.Validate(traceLen); err != nil {
-		return "", badRequest("serve: %v", err)
-	}
+func checkProtocol(spec multicore.Spec, sampling *multicore.SamplingSpec) (string, error) {
 	switch {
 	case sampling != nil && !spec.Sampling.Enabled():
 		return "", badRequest("serve: empty sampling spec (omit the field for an exact run)")
@@ -317,35 +326,4 @@ func checkProtocol(spec multicore.Spec, sampling *SampleSpec, traceLen int) (str
 		return fmt.Sprintf("|w%d", spec.Warmup), nil
 	}
 	return "", nil
-}
-
-// canonSim validates and canonicalizes the shared simulate/sweep fields:
-// policy and engine defaults, WithCores-style replication, and name
-// validation against the source.
-func canonSim(src bench.Source, workloads [][]string, policy, engine string, cores int) (resolved [][]string, pol, eng string, err error) {
-	if policy == "" {
-		policy = string(cache.LRU)
-	}
-	if _, err := cache.NewPolicy(cache.PolicyName(policy), 0); err != nil {
-		return nil, "", "", badRequest("serve: %v", err)
-	}
-	switch engine {
-	case "":
-		engine = EngineDetailed
-	case EngineDetailed, EngineBadco:
-	default:
-		return nil, "", "", badRequest("serve: unknown engine %q (want %q or %q)", engine, EngineDetailed, EngineBadco)
-	}
-	resolved = make([][]string, len(workloads))
-	for i, w := range workloads {
-		rw, err := bench.ResolveWorkload(w, cores)
-		if err != nil {
-			return nil, "", "", badRequest("serve: %v", err)
-		}
-		resolved[i] = rw
-	}
-	if _, err := bench.CheckNames(src, resolved); err != nil {
-		return nil, "", "", badRequest("%v (see /benches)", err)
-	}
-	return resolved, policy, engine, nil
 }

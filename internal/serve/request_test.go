@@ -4,10 +4,15 @@ package serve
 // and validation errors.
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mcbench/internal/bench"
+	"mcbench/internal/multicore"
 )
 
 func suiteSrc() bench.Source { return bench.NewSuite() }
@@ -177,7 +182,7 @@ func TestCanonicalizeWarmupKeys(t *testing.T) {
 
 func TestCanonicalizeSamplingKeys(t *testing.T) {
 	src := suiteSrc()
-	smp := &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500}
+	smp := &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}
 	// A sampled request computes estimates, not the exact numbers: it
 	// must never dedup onto an exact job.
 	_, keySmp, err := canonicalize(SubmitRequest{
@@ -201,7 +206,7 @@ func TestCanonicalizeSamplingKeys(t *testing.T) {
 	_, keyWarm, err := canonicalize(SubmitRequest{
 		Kind: KindSimulate, Simulate: &SimulateRequest{
 			Workload: []string{"mcf", "povray"},
-			Sampling: &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000},
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000},
 		},
 	}, src, testTraceLen)
 	if err != nil {
@@ -231,14 +236,14 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 		req  SimulateRequest
 	}{
 		{"badco engine", SimulateRequest{Workload: []string{"mcf"}, Engine: EngineBadco,
-			Sampling: &SampleSpec{Unit: 4000, Window: 1000}}},
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000}}},
 		{"with warmup", SimulateRequest{Workload: []string{"mcf"}, Warmup: 100,
-			Sampling: &SampleSpec{Unit: 4000, Window: 1000}}},
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000}}},
 		{"overfull unit", SimulateRequest{Workload: []string{"mcf"},
-			Sampling: &SampleSpec{Unit: 1000, Window: 800, Warmup: 300}}},
-		{"empty spec", SimulateRequest{Workload: []string{"mcf"}, Sampling: &SampleSpec{}}},
+			Sampling: &multicore.SamplingSpec{Unit: 1000, Window: 800, Warmup: 300}}},
+		{"empty spec", SimulateRequest{Workload: []string{"mcf"}, Sampling: &multicore.SamplingSpec{}}},
 		{"warm beyond gap", SimulateRequest{Workload: []string{"mcf"},
-			Sampling: &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2501}}},
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2501}}},
 	}
 	for _, c := range cases {
 		req := c.req
@@ -249,17 +254,20 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeKeysPinned asserts the full dedup key of every run
-// protocol byte for byte, for simulate and sweep alike: exact, warmed,
-// sampled, and sampled with a bounded warming stretch. The expected
-// keys were recorded before the protocol suffix had a single builder,
-// so they pin that no key moved.
-func TestCanonicalizeKeysPinned(t *testing.T) {
-	src := suiteSrc()
-	smp := &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500}
-	smpWarm := &SampleSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000}
+// pinnedKeyCases are the requests of every run protocol, for simulate
+// and sweep alike — exact, warmed, sampled, and sampled with a bounded
+// warming stretch — with their full dedup keys. The keys were recorded
+// before one function rendered the protocol suffix, so they pin that no
+// key moved.
+func pinnedKeyCases() []struct {
+	name string
+	req  SubmitRequest
+	want string
+} {
+	smp := &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}
+	smpWarm := &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000}
 	ws := [][]string{{"mcf", "gcc"}, {"povray", "milc"}}
-	for _, c := range []struct {
+	return []struct {
 		name string
 		req  SubmitRequest
 		want string
@@ -288,13 +296,94 @@ func TestCanonicalizeKeysPinned(t *testing.T) {
 		{"sweep sampled warm", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
 			Workloads: [][]string{{"mcf"}}, Cores: 2, Sampling: smpWarm}},
 			"sweep|detailed|LRU|q0|n1|db1e7c476bb5d98f|smpu4000d1000w500f2000"},
-	} {
+	}
+}
+
+// TestCanonicalizeKeysPinned asserts the full dedup key of every run
+// protocol byte for byte (see pinnedKeyCases).
+func TestCanonicalizeKeysPinned(t *testing.T) {
+	src := suiteSrc()
+	for _, c := range pinnedKeyCases() {
 		_, key, err := canonicalize(c.req, src, testTraceLen)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if key != c.want {
 			t.Errorf("%s: key %q, want %q", c.name, key, c.want)
+		}
+	}
+}
+
+// FuzzCanonicalize decodes arbitrary bytes the way handleSubmit does and
+// canonicalizes the result. It must never panic, a rejection must be a
+// *submitError (a 400, never a 500), and canonicalizing an accepted
+// request again must return the same request and key.
+func FuzzCanonicalize(f *testing.F) {
+	for _, c := range pinnedKeyCases() {
+		data, err := json.Marshal(c.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	src := suiteSrc()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req SubmitRequest
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) != nil {
+			return
+		}
+		canon, key, err := canonicalize(req, src, testTraceLen)
+		if err != nil {
+			var se *submitError
+			if !errors.As(err, &se) {
+				t.Fatalf("rejection %v is not a submitError", err)
+			}
+			return
+		}
+		again, key2, err := canonicalize(canon, src, testTraceLen)
+		if err != nil {
+			t.Fatalf("canonical request %s rejected: %v", data, err)
+		}
+		if key2 != key || !reflect.DeepEqual(again, canon) {
+			t.Fatalf("canonicalizing %s twice moved it: key %q -> %q", data, key, key2)
+		}
+	})
+}
+
+// TestSamplingWireBytesPinned pins the JSON of a sampled simulate
+// request and a sampled result, with the bounded-warming field zero
+// (omitted) and set. Clients and stored job logs depend on these bytes.
+func TestSamplingWireBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"request", SimulateRequest{Workload: []string{"mcf"},
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}},
+			`{"workload":["mcf"],"sampling":{"unit":4000,"window":1000,"warmup":500}}`},
+		{"request warm", SimulateRequest{Workload: []string{"mcf", "gcc"}, Policy: "DRRIP",
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warm: 2000}},
+			`{"workload":["mcf","gcc"],"policy":"DRRIP","sampling":{"unit":4000,"window":1000,"warm":2000}}`},
+		{"result", SimResult{Workload: []string{"mcf"}, Policy: "LRU", Engine: EngineDetailed,
+			IPC: []float64{0.5}, Cycles: []uint64{8000}, Instructions: 4000,
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500},
+			CIHalf:   []float64{0.01}, CV: []float64{0.25}, Windows: 4},
+			`{"workload":["mcf"],"policy":"LRU","engine":"detailed","ipc":[0.5],"cycles":[8000],"instructions":4000,"sampling":{"unit":4000,"window":1000,"warmup":500},"ci_half":[0.01],"cv":[0.25],"windows":4}`},
+		{"result warm", SimResult{Workload: []string{"mcf"}, Policy: "LRU", Engine: EngineDetailed,
+			IPC: []float64{0.5}, Cycles: []uint64{8000}, Instructions: 4000,
+			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000},
+			CIHalf:   []float64{0.01}, CV: []float64{0.25}, Windows: 4},
+			`{"workload":["mcf"],"policy":"LRU","engine":"detailed","ipc":[0.5],"cycles":[8000],"instructions":4000,"sampling":{"unit":4000,"window":1000,"warmup":500,"warm":2000},"ci_half":[0.01],"cv":[0.25],"windows":4}`},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mcbench/internal/badco"
-	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
@@ -206,7 +205,7 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (*JobResult, error) 
 // runSimulate executes one ad-hoc workload at the lab's trace length.
 func (s *Server) runSimulate(ctx context.Context, j *job) (*JobResult, error) {
 	req := j.req.Simulate
-	results, err := s.adhocSweep(ctx, j, [][]string{req.Workload}, runSpec(req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling), req.Sampling)
+	results, err := s.adhocSweep(ctx, j, req.sweep())
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +215,7 @@ func (s *Server) runSimulate(ctx context.Context, j *job) (*JobResult, error) {
 // runSweep executes many ad-hoc workloads under one configuration.
 func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
 	req := j.req.Sweep
-	results, err := s.adhocSweep(ctx, j, req.Workloads, runSpec(req.Policy, req.Engine, req.Quota, req.Warmup, req.Sampling), req.Sampling)
+	results, err := s.adhocSweep(ctx, j, req)
 	if err != nil {
 		return nil, err
 	}
@@ -226,18 +225,13 @@ func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
 // adhocSweep is the shared simulate/sweep executor: traces resolve
 // through the lab's memoized source, BADCO models are built for the
 // distinct benchmarks the request touches, and the multicore sweep
-// parallelises across the process-wide simulation budget. sampling is
-// the request's wire spec, echoed into sampled results.
-func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, spec multicore.Spec, sampling *SampleSpec) ([]SimResult, error) {
-	src := s.lab.Source()
-	distinct, err := bench.CheckNames(src, workloads)
+// parallelises across the process-wide simulation budget. The request's
+// sampling spec is echoed into sampled results.
+func (s *Server) adhocSweep(ctx context.Context, j *job, req *SweepRequest) ([]SimResult, error) {
+	prov := s.lab.Provider()
+	spec, ws, distinct, err := req.check(prov)
 	if err != nil {
 		return nil, err
-	}
-	prov := s.lab.Provider()
-	ws := make([]multicore.Workload, len(workloads))
-	for i, w := range workloads {
-		ws[i] = multicore.Workload(w)
 	}
 	var models map[string]*badco.Model
 	if spec.Engine == multicore.BADCO {
@@ -271,7 +265,7 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, workloads [][]string, s
 			Cycles:       r.Cycles,
 			Instructions: r.Instructions,
 			Warmup:       spec.Warmup,
-			Sampling:     sampling,
+			Sampling:     req.Sampling,
 			CIHalf:       r.CIHalf,
 			CV:           r.CV,
 			Windows:      r.Windows,

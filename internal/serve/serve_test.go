@@ -23,6 +23,7 @@ import (
 	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/experiments"
+	"mcbench/internal/multicore"
 )
 
 // testPolicies are the five sweep products srvtest-many warms.
@@ -588,7 +589,7 @@ func TestAdhocSampledJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	smp := &SampleSpec{Unit: 500, Window: 100, Warmup: 100}
+	smp := &multicore.SamplingSpec{Unit: 500, Window: 100, Warmup: 100}
 	st := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
 		Workload: []string{"mcf", "povray"}, Sampling: smp,
 	}})
@@ -618,7 +619,13 @@ func TestAdhocSampledJob(t *testing.T) {
 			t.Errorf("core %d: ipc %g ci %g", i, r.IPC[i], r.CIHalf[i])
 		}
 	}
+	// The exact job shares the sampled job's traces and may still be
+	// running on the second worker; both must settle before every trace
+	// is released.
+	if _, final := waitTerminal(t, ts.URL, exact.ID, 60*time.Second); final != StateDone {
+		t.Fatalf("exact job state %q", final)
+	}
 	if got := bench.Resident(s.Lab().Source()); got != 0 {
-		t.Errorf("%d traces resident after sampled job, want 0", got)
+		t.Errorf("%d traces resident after the sampled and exact jobs, want 0", got)
 	}
 }

@@ -13,9 +13,10 @@
 //   - Standard library only, so the simulation kernel can be
 //     instrumented without pulling a dependency into every import.
 //   - Recording can be disabled process-wide (SetEnabled / Disabled)
-//     to measure the instrumentation's own overhead A/B; scripts/
-//     bench.sh drives this via the MCBENCH_TELEMETRY=off environment
-//     variable, honoured at init.
+//     to measure the instrumentation's own overhead A/B, through the
+//     MCBENCH_TELEMETRY=off environment variable, honoured at init:
+//     MCBENCH_TELEMETRY=off bash benchmark/run.sh passes it on to every
+//     workload process.
 //
 // Histograms record int64 values into power-of-two buckets. By
 // convention a histogram whose name ends in "_seconds" is fed

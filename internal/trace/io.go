@@ -207,7 +207,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading op count: %w", err)
 	}
-	if count == 0 || count > 1<<31 {
+	// Each op takes at least 3 bytes (tag, PC delta, ILine delta), so a
+	// count beyond a third of the remaining payload is a lie; rejecting
+	// it here keeps a crafted header from forcing a huge allocation.
+	if count == 0 || count > 1<<31 || count > uint64(br.Len())/3 {
 		return nil, fmt.Errorf("trace: implausible op count %d", count)
 	}
 

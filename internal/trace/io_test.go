@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -177,4 +180,54 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// withFooter appends the FNV-64a footer Read verifies.
+func withFooter(payload []byte) []byte {
+	h := fnv.New64a()
+	h.Write(payload)
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), payload...), h.Sum64())
+}
+
+// TestReadRejectsCraftedOpCount: a tiny file with a valid footer that
+// declares 2^28 ops must be rejected before the op slice is allocated.
+// Every op takes at least 3 bytes, so the count cannot exceed a third
+// of the remaining payload.
+func TestReadRejectsCraftedOpCount(t *testing.T) {
+	payload := append([]byte(traceMagic), traceVersion, 1, 'x')
+	payload = binary.AppendUvarint(payload, 1<<28)
+	payload = append(payload, 0, 0, 0)
+	if _, err := Read(bytes.NewReader(withFooter(payload))); err == nil {
+		t.Fatal("crafted op count accepted")
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read, as is and behind a valid
+// footer (so the mutator reaches the decoder instead of stopping at the
+// checksum). Read must never panic, and a trace it accepts must come
+// back unchanged through WriteTo and Read.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := MustGenerate(ioParams(), 64).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes()[:buf.Len()-8])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		Read(bytes.NewReader(payload))
+		tr, err := Read(bytes.NewReader(withFooter(payload)))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := tr.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-reading an accepted trace: %v", err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("round trip changed the trace: %+v != %+v", got, tr)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mcbench/internal/badco"
-	"mcbench/internal/bench"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
 )
@@ -127,13 +126,10 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 	if o.suite != nil {
 		return nil, fmt.Errorf("mcbench: WithSuite applies to the package-level Simulate; a Lab's source is Config.Source")
 	}
-	o.traceLen = l.lab.Config().TraceLen
-	w, err := o.validate(workload)
+	prov := l.lab.Provider()
+	ws, _, err := multicore.Check(prov, o.spec(), [][]string{workload}, o.cores)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := bench.CheckNames(l.lab.Source(), [][]string{w}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mcbench: %w", err)
 	}
 	var models map[string]*badco.Model
 	if o.engine == BADCO {
@@ -141,7 +137,7 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 			return nil, err
 		}
 	}
-	r, err := multicore.Run(ctx, multicore.Workload(w), o.spec(), l.lab.Provider(), models)
+	r, err := multicore.Run(ctx, ws[0], o.spec(), prov, models)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package mcbench
 
-import (
-	"mcbench/internal/multicore"
-	"mcbench/internal/serve"
-)
+import "mcbench/internal/multicore"
 
 // WithSampling runs the detailed simulation under SMARTS-style
 // systematic sampling instead of exactly: per unit µops committed by
@@ -51,12 +48,9 @@ func WithSamplingWarm(n uint64) Option {
 // wireSampling renders the sampling options for a server submission
 // (nil when no sampling option was given, keeping exact submissions
 // byte-identical to previous versions).
-func (o options) wireSampling() *serve.SampleSpec {
+func (o options) wireSampling() *multicore.SamplingSpec {
 	if o.sampling == (multicore.SamplingSpec{}) {
 		return nil
 	}
-	return &serve.SampleSpec{
-		Unit: o.sampling.Unit, Window: o.sampling.Window,
-		Warmup: o.sampling.Warmup, Warm: o.sampling.Warm,
-	}
+	return &o.sampling
 }

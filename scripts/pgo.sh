@@ -1,6 +1,6 @@
 #!/bin/sh
 # pgo.sh — regenerate default.pgo, the profile feeding profile-guided
-# optimization of the simulator benchmarks (see scripts/bench.sh).
+# optimization of `go build` and the simulator benchmarks in bench_test.go.
 # Profiles the hot simulator paths and merges them.
 set -eu
 cd "$(dirname "$0")/.."

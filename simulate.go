@@ -151,14 +151,6 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// source resolves the configured benchmark source.
-func (o options) source() Source {
-	if o.suite != nil {
-		return o.suite
-	}
-	return defaultSource()
-}
-
 // spec maps the options onto the kernel's run spec. The public Engine
 // values mirror multicore.Engine's.
 func (o options) spec() multicore.Spec {
@@ -166,25 +158,6 @@ func (o options) spec() multicore.Spec {
 		Engine: multicore.Engine(o.engine), Policy: o.policy,
 		Quota: o.quota, Warmup: o.warmup, Sampling: o.sampling,
 	}
-}
-
-// validate checks the options against the workload and returns the
-// resolved thread list.
-func (o options) validate(workload []string) ([]string, error) {
-	if o.traceLen <= 0 {
-		return nil, fmt.Errorf("mcbench: non-positive trace length %d", o.traceLen)
-	}
-	if _, err := cache.NewPolicy(o.policy, 0); err != nil {
-		return nil, err
-	}
-	if err := o.spec().Validate(o.traceLen); err != nil {
-		return nil, fmt.Errorf("mcbench: %w", err)
-	}
-	w, err := bench.ResolveWorkload(workload, o.cores)
-	if err != nil {
-		return nil, fmt.Errorf("mcbench: %w", err)
-	}
-	return w, nil
 }
 
 // convert maps a multicore result into the public Result.
@@ -202,15 +175,6 @@ func convert(r multicore.Result, engine Engine) *Result {
 	}
 }
 
-// models builds the BADCO models of the named benchmarks when the
-// engine needs them (nil otherwise).
-func (o options) models(ctx context.Context, prov bench.Provider, names []string) (map[string]*badco.Model, error) {
-	if o.engine != BADCO {
-		return nil, nil
-	}
-	return multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
-}
-
 // Simulate runs one multiprogrammed workload — one benchmark name per
 // core — under the configured policy and engine, and returns the
 // per-thread IPCs. The context cancels the simulation promptly:
@@ -220,26 +184,14 @@ func (o options) models(ctx context.Context, prov bench.Provider, names []string
 //	    mcbench.WithSimulator(mcbench.BADCO),
 //	    mcbench.WithTraceLen(20000))
 func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, error) {
-	o := buildOptions(opts)
-	w, err := o.validate(workload)
+	out, err := simulate(ctx, [][]string{workload}, opts, func(ctx context.Context, ws []multicore.Workload, spec multicore.Spec, traces multicore.TraceSource, models map[string]*badco.Model) ([]multicore.Result, error) {
+		r, err := multicore.Run(ctx, ws[0], spec, traces, models)
+		return []multicore.Result{r}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	src := o.source()
-	names, err := bench.CheckNames(src, [][]string{w})
-	if err != nil {
-		return nil, err
-	}
-	prov := bench.At(src, o.traceLen)
-	models, err := o.models(ctx, prov, names)
-	if err != nil {
-		return nil, err
-	}
-	r, err := multicore.Run(ctx, multicore.Workload(w), o.spec(), prov, models)
-	if err != nil {
-		return nil, err
-	}
-	return convert(r, o.engine), nil
+	return out[0], nil
 }
 
 // Sweep simulates many workloads under one configuration, in parallel
@@ -247,30 +199,32 @@ func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, 
 // through the (shared) source and BADCO models are built once per
 // distinct benchmark. The returned slice is indexed like workloads.
 func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result, error) {
+	return simulate(ctx, workloads, opts, multicore.Sweep)
+}
+
+// simulate checks the workloads against the options with
+// multicore.Check, builds the BADCO models of their distinct benchmarks
+// when the engine needs them, and runs them through run: multicore.Run
+// for Simulate, multicore.Sweep for Sweep.
+func simulate(ctx context.Context, workloads [][]string, opts []Option,
+	run func(context.Context, []multicore.Workload, multicore.Spec, multicore.TraceSource, map[string]*badco.Model) ([]multicore.Result, error)) ([]*Result, error) {
 	o := buildOptions(opts)
-	ws := make([]multicore.Workload, len(workloads))
-	for i, w := range workloads {
-		resolved, err := o.validate(w)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = multicore.Workload(resolved)
-	}
-	all := make([][]string, len(ws))
-	for i, w := range ws {
-		all[i] = []string(w)
-	}
-	src := o.source()
-	names, err := bench.CheckNames(src, all)
-	if err != nil {
-		return nil, err
+	src := o.suite
+	if src == nil {
+		src = defaultSource()
 	}
 	prov := bench.At(src, o.traceLen)
-	models, err := o.models(ctx, prov, names)
+	ws, names, err := multicore.Check(prov, o.spec(), workloads, o.cores)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mcbench: %w", err)
 	}
-	results, err := multicore.Sweep(ctx, ws, o.spec(), prov, models)
+	var models map[string]*badco.Model
+	if o.engine == BADCO {
+		if models, err = multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig()); err != nil {
+			return nil, err
+		}
+	}
+	results, err := run(ctx, ws, o.spec(), prov, models)
 	if err != nil {
 		return nil, err
 	}

@@ -128,20 +128,24 @@ func KMeans(rng *rand.Rand, points [][]float64, k, maxIter int) (*Result, error)
 
 // seedPlusPlus picks k initial centroids: the first uniformly, each next
 // with probability proportional to the squared distance from the nearest
-// chosen centroid (k-means++).
+// chosen centroid (k-means++). d2 keeps each point's running minimum, so
+// a round compares points against the newest centroid only: O(n·k) in
+// all, and bit-identical to rescanning every centroid each round (a
+// minimum is exact, and total sums the same values in the same order).
 func seedPlusPlus(rng *rand.Rand, points [][]float64, k int) [][]float64 {
 	centroids := make([][]float64, 0, k)
 	first := points[rng.Intn(len(points))]
 	centroids = append(centroids, append([]float64(nil), first...))
 	d2 := make([]float64, len(points))
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		total := 0.0
 		for i, p := range points {
-			d2[i] = math.Inf(1)
-			for _, c := range centroids {
-				if d := sqDist(p, c); d < d2[i] {
-					d2[i] = d
-				}
+			if d := sqDist(p, newest); d < d2[i] {
+				d2[i] = d
 			}
 			total += d2[i]
 		}

@@ -265,6 +265,25 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, compute func() (V, er
 	}
 }
 
+// cached returns key's value if a computation of it has already
+// succeeded, without waiting on or starting one.
+func (g *flightGroup[K, V]) cached(key K) (V, bool) {
+	g.mu.Lock()
+	f, ok := g.m[key]
+	g.mu.Unlock()
+	if ok {
+		select {
+		case <-f.done:
+			if f.err == nil {
+				return f.val, true
+			}
+		default:
+		}
+	}
+	var zero V
+	return zero, false
+}
+
 // isCtxErr reports whether err is a context cancellation/deadline — the
 // only failures worth retrying on behalf of a live waiter (a
 // deterministic compute error would just fail again).
@@ -294,9 +313,10 @@ type Lab struct {
 	namesOnce sync.Once
 	names     []string // benchmark order (source order)
 
-	models   lazy[map[string]*badco.Model]
-	mpki     lazy[[]float64]          // per benchmark: alone LLC misses per kilo-op
-	profiles lazy[[]*profile.Profile] // per benchmark: microarch-independent profile
+	models   lazy[map[string]*badco.Model]     // every benchmark's model, drawn from model
+	model    flightGroup[string, *badco.Model] // per benchmark, shared with ad-hoc jobs
+	mpki     lazy[[]float64]                   // per benchmark: alone LLC misses per kilo-op
+	profiles lazy[[]*profile.Profile]          // per benchmark: microarch-independent profile
 
 	storeOnce sync.Once
 	store     *results.Store // nil: no CacheDir, or the directory is unusable
@@ -442,20 +462,60 @@ func (l *Lab) Names() []string {
 	return l.names
 }
 
-// Models returns the BADCO models, building them on first use (two
-// detailed calibration runs per benchmark, in parallel). Each
-// benchmark's trace is resolved lazily just before its calibration runs
-// and released right after its model is built, so peak trace memory is
-// O(parallelism · TraceLen) instead of O(B · TraceLen) — the property
-// that makes paper-scale populations (B up to 512) fit a small host.
+// Models returns the BADCO models of every benchmark, building them on
+// first use (two detailed calibration runs per benchmark, in parallel)
+// through ModelsFor, so they are the very models ad-hoc jobs get.
 func (l *Lab) Models(ctx context.Context) (map[string]*badco.Model, error) {
 	return l.models.get(ctx, func() (map[string]*badco.Model, error) {
 		return observeRun(l, ctx, ProductEvent{Sim: "models"},
 			func(m map[string]*badco.Model) int { return len(m) },
 			func(ctx context.Context) (map[string]*badco.Model, error) {
-				return multicore.BuildModels(ctx, l.Provider(), l.Names(), badco.DefaultBuildConfig())
+				models, _, err := l.ModelsFor(ctx, l.Names())
+				return models, err
 			})
 	})
+}
+
+// ModelsFor returns the BADCO models of the named benchmarks. Each
+// benchmark's model is built at most once per lab, with single-flight
+// semantics: concurrent callers share one build, and a failed or
+// cancelled build is not memoized. Builds run in parallel on the
+// simulation budget; each trace is resolved just before its calibration
+// runs and released right after, so peak trace memory is
+// O(parallelism · TraceLen) instead of O(B · TraceLen), the property
+// that makes paper-scale populations (B up to 512) fit a small host.
+// built counts the models this call built itself.
+func (l *Lab) ModelsFor(ctx context.Context, names []string) (models map[string]*badco.Model, built int, err error) {
+	// Models already built are read without a simulation slot, so a job
+	// whose models are all memoized never queues behind running sweeps.
+	models = make(map[string]*badco.Model, len(names))
+	var missing []string
+	for _, name := range names {
+		if m, ok := l.model.cached(name); ok {
+			models[name] = m
+		} else {
+			missing = append(missing, name)
+		}
+	}
+	got := make([]*badco.Model, len(missing))
+	errs := make([]error, len(missing))
+	var builds atomic.Int64
+	prov := l.Provider()
+	if err := multicore.RunBounded(ctx, len(missing), func(i int) {
+		got[i], errs[i] = l.model.do(ctx, missing[i], func() (*badco.Model, error) {
+			builds.Add(1)
+			return multicore.BuildModel(ctx, prov, missing[i], badco.DefaultBuildConfig())
+		})
+	}); err != nil {
+		return nil, 0, err
+	}
+	for i, name := range missing {
+		if errs[i] != nil {
+			return nil, 0, errs[i]
+		}
+		models[name] = got[i]
+	}
+	return models, int(builds.Load()), nil
 }
 
 // resultStore returns the persistent store, opened once, or nil when

@@ -680,36 +680,45 @@ func RunBounded(ctx context.Context, n int, fn func(int)) error {
 
 // BuildModels constructs BADCO models for the named benchmarks, in
 // parallel. It is the "one person-month of model building" step of the
-// paper, automated. Each benchmark's trace is resolved through the
-// source just before its two calibration runs and released right after
-// its model is built, so peak trace memory tracks the in-flight build
-// parallelism — O(GOMAXPROCS) traces — instead of the whole benchmark
-// population (the models themselves are orders of magnitude smaller
-// than the traces they summarise).
+// paper, automated. Each model is built by BuildModel, so peak trace
+// memory tracks the in-flight build parallelism — O(GOMAXPROCS) traces —
+// instead of the whole benchmark population (the models themselves are
+// orders of magnitude smaller than the traces they summarise).
 func BuildModels(ctx context.Context, traces TraceSource, names []string, cfg badco.BuildConfig) (map[string]*badco.Model, error) {
 	built := make([]*badco.Model, len(names))
 	errs := make([]error, len(names))
-	sp := telemetry.FromContext(ctx)
 	if err := RunBounded(ctx, len(names), func(i int) {
-		stop := sp.Time(phaseTraceLoad)
-		tr, err := traces.Trace(ctx, names[i])
-		stop()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer traces.Release(names[i])
-		defer sp.Time(phaseModelBuild)()
-		built[i], errs[i] = badco.Build(tr, cfg)
+		built[i], errs[i] = BuildModel(ctx, traces, names[i], cfg)
 	}); err != nil {
 		return nil, err
 	}
 	models := make(map[string]*badco.Model, len(names))
 	for i, name := range names {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("multicore: building model %s: %w", name, errs[i])
+			return nil, errs[i]
 		}
 		models[name] = built[i]
 	}
 	return models, nil
+}
+
+// BuildModel constructs one benchmark's BADCO model. The trace is
+// resolved through the source just before its two calibration runs and
+// released right after the model is built; the context's span is
+// charged the trace load and the model build as separate phases.
+func BuildModel(ctx context.Context, traces TraceSource, name string, cfg badco.BuildConfig) (*badco.Model, error) {
+	sp := telemetry.FromContext(ctx)
+	stop := sp.Time(phaseTraceLoad)
+	tr, err := traces.Trace(ctx, name)
+	stop()
+	if err != nil {
+		return nil, fmt.Errorf("multicore: building model %s: %w", name, err)
+	}
+	defer traces.Release(name)
+	defer sp.Time(phaseModelBuild)()
+	m, err := badco.Build(tr, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("multicore: building model %s: %w", name, err)
+	}
+	return m, nil
 }

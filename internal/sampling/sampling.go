@@ -191,8 +191,12 @@ func (s *stratified) allocate(w int) []int {
 
 func (s *stratified) Draw(rng *rand.Rand, w int) ([]int, []float64) {
 	alloc := s.allocate(w)
-	var idx []int
-	var weights []float64
+	n := 0
+	for _, wh := range alloc {
+		n += wh
+	}
+	idx := make([]int, 0, n)
+	weights := make([]float64, 0, n)
 	for h, st := range s.strata {
 		wh := alloc[h]
 		weight := float64(len(st)) / float64(s.total) / float64(wh)

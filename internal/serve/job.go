@@ -44,7 +44,7 @@ type Event struct {
 	Type string `json:"type"`
 	Msg  string `json:"msg,omitempty"`
 	// Data carries type-specific fields (product events: sim, cores,
-	// policy, phase, cached, rows).
+	// policy, phase, cached, rows; models events: models, built).
 	Data map[string]any `json:"data,omitempty"`
 }
 

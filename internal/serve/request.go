@@ -174,8 +174,10 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			return req, "", badRequest("serve: experiment submission without payload")
 		}
 		e := *req.Experiment
-		if e.Cores < 0 {
-			return req, "", badRequest("serve: negative cores %d", e.Cores)
+		// The job sizes its populations by cores: bound it like an ad-hoc
+		// machine (0 is the lab's default).
+		if e.Cores < 0 || e.Cores > multicore.MaxCores {
+			return req, "", badRequest("serve: cores %d outside [0, %d]", e.Cores, multicore.MaxCores)
 		}
 		if _, ok := experiments.Lookup(e.Name); !ok {
 			msg := fmt.Sprintf("serve: unknown experiment %q", e.Name)
@@ -289,8 +291,8 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	sim := experiments.Simulator(p.Sim)
 	switch sim {
 	case experiments.SimBadco, experiments.SimDetailed:
-		if p.Cores <= 0 {
-			return experiments.Request{}, badRequest("serve: product %q needs cores > 0", p.Sim)
+		if p.Cores <= 0 || p.Cores > multicore.MaxCores {
+			return experiments.Request{}, badRequest("serve: product %q needs cores in [1, %d]", p.Sim, multicore.MaxCores)
 		}
 		if p.Policy == "" {
 			return experiments.Request{}, badRequest("serve: product %q needs a policy", p.Sim)
@@ -301,8 +303,8 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 			return experiments.Request{}, badRequest("serve: %v", err)
 		}
 	case experiments.SimRef:
-		if p.Cores <= 0 {
-			return experiments.Request{}, badRequest("serve: product %q needs cores > 0", p.Sim)
+		if p.Cores <= 0 || p.Cores > multicore.MaxCores {
+			return experiments.Request{}, badRequest("serve: product %q needs cores in [1, %d]", p.Sim, multicore.MaxCores)
 		}
 	case experiments.SimMPKI, experiments.SimModels:
 	default:

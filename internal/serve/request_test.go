@@ -105,10 +105,26 @@ func TestCanonicalizeRejections(t *testing.T) {
 		// Warmup beyond the default quota (one trace length).
 		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Warmup: testTraceLen + 1}},
 		{Kind: KindSweep, Sweep: &SweepRequest{Workloads: [][]string{{"mcf"}}, Quota: 500, Warmup: 600}},
+		// Cores beyond the largest machine: the job would size its
+		// populations and BADCO tables by them.
+		{Kind: KindExperiment, Experiment: &ExperimentRequest{Name: "fig1", Cores: multicore.MaxCores + 1}},
+		{Kind: KindExperiment, Experiment: &ExperimentRequest{Name: "fig5", Cores: 1000000}},
+		{Kind: KindWarm, Warm: &WarmRequest{Products: []ProductRef{{Sim: "badco", Cores: 1000000, Policy: "LRU"}}}},
+		{Kind: KindWarm, Warm: &WarmRequest{Products: []ProductRef{{Sim: "detailed", Cores: multicore.MaxCores + 1, Policy: "LRU"}}}},
+		{Kind: KindWarm, Warm: &WarmRequest{Products: []ProductRef{{Sim: "ref", Cores: 1 << 40}}}},
 	}
 	for i, req := range cases {
 		if _, _, err := canonicalize(req, src, testTraceLen); err == nil {
 			t.Errorf("case %d (%+v): accepted", i, req)
+		}
+	}
+	// The cores bound is inclusive.
+	for _, req := range []SubmitRequest{
+		{Kind: KindExperiment, Experiment: &ExperimentRequest{Name: "fig1", Cores: multicore.MaxCores}},
+		{Kind: KindWarm, Warm: &WarmRequest{Products: []ProductRef{{Sim: "badco", Cores: multicore.MaxCores, Policy: "LRU"}}}},
+	} {
+		if _, _, err := canonicalize(req, src, testTraceLen); err != nil {
+			t.Errorf("%+v rejected: %v", req, err)
 		}
 	}
 }

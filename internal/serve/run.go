@@ -5,8 +5,9 @@ package serve
 // clients cheap — and the event router forwards the lab's product
 // events (sweeps starting, tables landing, cache hits) to every job that
 // declared an interest in the product. Ad-hoc simulate/sweep jobs
-// resolve traces through the lab's source (memoized, shared) and build
-// the few BADCO models they need per job.
+// resolve traces through the lab's source (memoized, shared) and take
+// their BADCO models from the lab's per-benchmark model memo, so each
+// benchmark's model is built once per server, not once per job.
 
 import (
 	"context"
@@ -223,8 +224,9 @@ func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
 }
 
 // adhocSweep is the shared simulate/sweep executor: traces resolve
-// through the lab's memoized source, BADCO models are built for the
-// distinct benchmarks the request touches, and the multicore sweep
+// through the lab's memoized source, the BADCO models of the distinct
+// benchmarks the request touches come from the lab's model memo (built
+// on first use, shared by every later job), and the multicore sweep
 // parallelises across the process-wide simulation budget. The request's
 // sampling spec is echoed into sampled results.
 func (s *Server) adhocSweep(ctx context.Context, j *job, req *SweepRequest) ([]SimResult, error) {
@@ -235,17 +237,19 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, req *SweepRequest) ([]S
 	}
 	var models map[string]*badco.Model
 	if spec.Engine == multicore.BADCO {
-		models, err = multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig())
+		var built int
+		models, built, err = s.lab.ModelsFor(ctx, distinct)
 		if err != nil {
 			return nil, err
 		}
-		j.emit("models", fmt.Sprintf("%d BADCO models built", len(models)), map[string]any{"models": len(models)})
+		j.emit("models", fmt.Sprintf("%d BADCO models ready (%d built, %d reused)", len(models), built, len(models)-built),
+			map[string]any{"models": len(models), "built": built})
 	}
 	results, err := multicore.Sweep(ctx, ws, spec, prov, models)
 	// Ad-hoc jobs are one-shot: release every trace the sweep built
-	// (BuildModels already released the ones it built) so a long-running
-	// server's resident memory tracks in-flight work, not the history of
-	// benchmarks clients ever touched. The traces rebuild
+	// (model builds already released the ones they resolved) so a
+	// long-running server's resident memory tracks in-flight work, not
+	// the history of benchmarks clients ever touched. The traces rebuild
 	// deterministically if asked again.
 	if spec.Engine == multicore.Detailed {
 		for _, n := range distinct {

@@ -287,6 +287,40 @@ func TestAdhocSimulateJob(t *testing.T) {
 	}
 }
 
+// TestAdhocBadcoReusesModels runs two BADCO simulate jobs over the same
+// benchmark under different keys: the first builds mcf's model, the
+// second takes it from the lab's memo and builds nothing.
+func TestAdhocBadcoReusesModels(t *testing.T) {
+	s := newTestServer(t, "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i, c := range []struct {
+		policy string
+		built  float64
+	}{{"LRU", 1}, {"DRRIP", 0}} {
+		st := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
+			Workload: []string{"mcf"}, Cores: 2, Engine: EngineBadco, Policy: c.policy,
+		}})
+		events, final := waitTerminal(t, ts.URL, st.ID, 60*time.Second)
+		if final != StateDone {
+			t.Fatalf("job %d: final state %q", i, final)
+		}
+		var models []Event
+		for _, ev := range events {
+			if ev.Type == "models" {
+				models = append(models, ev)
+			}
+		}
+		if len(models) != 1 {
+			t.Fatalf("job %d: %d models events, want 1", i, len(models))
+		}
+		if got := models[0].Data["built"]; got != c.built || models[0].Data["models"] != 1.0 {
+			t.Errorf("job %d: models event %q %v, want 1 model, %v built", i, models[0].Msg, models[0].Data, c.built)
+		}
+	}
+}
+
 // TestDedupConcurrentSubmissions is the acceptance test of the dedup
 // tentpole: M concurrent identical submissions coalesce onto one job and
 // execute exactly one underlying sweep.

@@ -5,6 +5,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -149,20 +150,41 @@ func FromWorkloads(b, k int, ws []Workload) *Population {
 
 func newPopulation(b, k int, all []Workload) *Population {
 	idx := make(map[string]int, len(all))
+	var buf []byte
 	for i, w := range all {
-		idx[w.Key()] = i
+		buf = appendIndexKey(buf[:0], w)
+		idx[string(buf)] = i
 	}
 	return &Population{B: b, K: k, Workloads: all, index: idx}
 }
 
+// appendIndexKey appends the population index key of a sorted workload:
+// the uvarint of each member. Uvarints are prefix-free, so the key is
+// injective over workloads of any length and any int values (a negative
+// index maps to a large uvarint no valid member has).
+func appendIndexKey(dst []byte, w Workload) []byte {
+	for _, b := range w {
+		dst = binary.AppendUvarint(dst, uint64(b))
+	}
+	return dst
+}
+
+// stackK is the widest workload IndexOf sorts and keys in stack buffers;
+// wider ones still resolve, through heap copies.
+const stackK = 16
+
 // Size returns the number of workloads in the population.
 func (p *Population) Size() int { return len(p.Workloads) }
 
-// IndexOf returns the position of w in the population, or -1.
+// IndexOf returns the position of w in the population, or -1. It does
+// not allocate for workloads of up to stackK benchmarks: the Monte-Carlo
+// samplers call it for every drawn workload.
 func (p *Population) IndexOf(w Workload) int {
-	sorted := append(Workload(nil), w...)
-	sort.Ints(sorted)
-	if i, ok := p.index[sorted.Key()]; ok {
+	var sorted [stackK]int
+	var key [stackK * binary.MaxVarintLen64]byte
+	s := append(sorted[:0], w...)
+	sort.Ints(s)
+	if i, ok := p.index[string(appendIndexKey(key[:0], s))]; ok {
 		return i
 	}
 	return -1

@@ -35,6 +35,7 @@ type Client struct {
 	hc         *http.Client
 	maxRetries int
 	baseDelay  time.Duration
+	maxBody    int64 // response-body cap, maxResponseBytes outside tests
 
 	// Transport telemetry, snapshotted by Stats. Standalone instruments
 	// (registered in no registry — a client is not a scrape target):
@@ -114,6 +115,17 @@ const (
 	maxRetryDelay     = 5 * time.Second
 )
 
+// maxResponseBytes caps every response body the client reads, so that a
+// broken or hostile server (a fleet peer included) cannot exhaust the
+// caller's memory. The largest legitimate responses are sweep results.
+// Measured on suite benchmark names, a four-core workload takes ~420
+// bytes of result for an exact sweep and ~820 for a sampled one, about
+// 17 times its bytes in the submission. A sampled sweep of the whole
+// four-core population (12,650 workloads) is then ~10 MB, and 256 MiB
+// holds the result of the largest submission a server accepts (8 MiB)
+// with room to spare. Stored tables and fleet scrapes are smaller.
+const maxResponseBytes = 256 << 20
+
 // NewClient validates the base URL ("http://host:port") and returns a
 // client. With no options the client retries transient failures
 // (connection errors, 503 queue-full rejections, and 429/502/504 on
@@ -135,6 +147,7 @@ func NewClient(baseURL string, opts ...ClientOptions) (*Client, error) {
 		hc:         o.HTTPClient,
 		maxRetries: o.MaxRetries,
 		baseDelay:  o.BaseDelay,
+		maxBody:    maxResponseBytes,
 	}
 	if c.hc == nil {
 		c.hc = &http.Client{}
@@ -331,9 +344,13 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte) 
 		return 0, nil, &connError{err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody+1))
 	if err != nil {
 		return 0, nil, &connError{err}
+	}
+	if int64(len(data)) > c.maxBody {
+		// Not a connError: a retry would read the same oversized body.
+		return 0, nil, fmt.Errorf("mcbench: %s %s: response body exceeds the %d-byte cap", method, path, c.maxBody)
 	}
 	if resp.StatusCode >= 300 {
 		return 0, nil, newAPIError(resp, data)

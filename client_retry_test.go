@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -298,5 +299,47 @@ func TestClientStatsVisibility(t *testing.T) {
 	st = c.Stats()
 	if st.Requests != 4 || st.Retries != 2 || st.Failures != 1 {
 		t.Errorf("after 404: %+v, want 4 requests / 2 retries / 1 failure", st)
+	}
+}
+
+// TestClientCapsResponseBodies pins the response-body cap: a peer that
+// streams a body without end fails the call once, without a retry and
+// with an error naming the cap, while a body of exactly the cap still
+// decodes.
+func TestClientCapsResponseBodies(t *testing.T) {
+	const limit = 1 << 20
+	var endless atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/healthz" { // exactly the cap: payload padded with spaces
+			payload := `{"ok":true,"workers":2}`
+			fmt.Fprint(w, payload+strings.Repeat(" ", limit-len(payload)))
+			return
+		}
+		// Stream until the client hangs up. The 64× ceiling only keeps a
+		// client that lost its cap from eating the test host's memory:
+		// it then fails on the decode instead of on the cap.
+		endless.Add(1)
+		chunk := []byte(strings.Repeat(" ", 32<<10))
+		for sent := 0; sent < 64*limit; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	c := fastClient(t, ts.URL)
+	mcbench.SetResponseCap(c, limit)
+
+	hl, err := c.Health(t.Context())
+	if err != nil || !hl.OK {
+		t.Fatalf("Health with a body of exactly the cap: %+v, %v", hl, err)
+	}
+	_, err = c.Cache(t.Context())
+	if err == nil || !strings.Contains(err.Error(), "1048576-byte cap") {
+		t.Fatalf("Cache over an endless body = %v, want an error naming the 1048576-byte cap", err)
+	}
+	if n, st := endless.Load(), c.Stats(); n != 1 || st.Retries != 0 || st.Failures != 1 {
+		t.Errorf("endless body: %d requests, stats %+v; want 1 request, 0 retries, 1 failure", n, st)
 	}
 }

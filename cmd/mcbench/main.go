@@ -445,9 +445,10 @@ func printGroup(w io.Writer, g experiments.Group) {
 }
 
 // printEntry is the one place the catalogue's column layout lives, so
-// `mcbench list` and the usage text cannot drift apart.
+// `mcbench list` and the usage text cannot drift apart. The separating
+// space keeps a name of 18 or more characters off its synopsis.
 func printEntry(w io.Writer, name, synopsis string) {
-	fmt.Fprintf(w, "  %-18s%s\n", name, synopsis)
+	fmt.Fprintf(w, "  %-18s %s\n", name, synopsis)
 }
 
 // usage is generated from the registry, so a newly registered experiment

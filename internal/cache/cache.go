@@ -75,7 +75,6 @@ type Cache struct {
 	policy   Policy
 	lru      *lruPolicy   // policy devirtualized, when it is plain LRU
 	addrObs  AddressAware // non-nil if the policy wants addresses
-	gen      uint64       // bumped whenever contents change (see Generation)
 	stats    Stats
 }
 
@@ -154,13 +153,6 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Policy returns the attached replacement policy.
 func (c *Cache) Policy() Policy { return c.policy }
-
-// Generation counts content changes: it advances every time a line is
-// installed, invalidated or flushed (never on hits or misses alone). A
-// line observed resident is therefore still resident while Generation
-// is unchanged — the contract behind the uncore's prefetch-proposal
-// filter.
-func (c *Cache) Generation() uint64 { return c.gen }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	lineAddr := addr >> c.setShift
@@ -288,7 +280,6 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
 		c.stats.PrefetchFills++
 	}
 	ways[way] = nl
-	c.gen++
 	if c.lru != nil {
 		c.lru.touch(set, way)
 	} else {
@@ -311,7 +302,6 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 		if ways[w]&^(lineDirty|linePref) == want {
 			dirty = ways[w].dirty()
 			ways[w] &^= lineValid
-			c.gen++
 			return true, dirty
 		}
 	}
@@ -327,7 +317,6 @@ func (c *Cache) Flush() (dirty int) {
 		}
 		c.lines[i] = 0
 	}
-	c.gen++
 	return dirty
 }
 

@@ -195,10 +195,9 @@ func (p *shipPolicy) restoreState(from *PolicyState) {
 // Cache snapshot/restore
 
 // State is a reusable deep-copy buffer for one Cache: line strips,
-// content generation, statistics and the attached policy's metadata.
+// statistics and the attached policy's metadata.
 type State struct {
 	Lines  []line
-	Gen    uint64
 	Stats  Stats
 	Policy PolicyState
 }
@@ -209,7 +208,6 @@ type State struct {
 // a silently partial snapshot would corrupt restored runs.
 func (c *Cache) Snapshot(into *State) {
 	into.Lines = append(into.Lines[:0], c.lines...)
-	into.Gen = c.gen
 	into.Stats = c.stats
 	cp, ok := c.policy.(policyCheckpointer)
 	if !ok {
@@ -226,7 +224,6 @@ func (c *Cache) Restore(from *State) {
 		panic("cache " + c.name + ": restoring a snapshot of different geometry")
 	}
 	copy(c.lines, from.Lines)
-	c.gen = from.Gen
 	c.stats = from.Stats
 	cp, ok := c.policy.(policyCheckpointer)
 	if !ok {
@@ -291,11 +288,13 @@ func (p *StrideStreamPrefetcher) Snapshot(into *StrideStreamState) {
 	into.Clock = p.stream.clock
 }
 
-// Restore overwrites the training tables from the buffer.
+// Restore overwrites the training tables from the buffer and rebuilds
+// the stream prefetcher's derived index from them.
 func (p *StrideStreamPrefetcher) Restore(from *StrideStreamState) {
 	p.stride.table = from.Stride
 	p.stream.keys = from.Keys
 	p.stream.clocks = from.Clocks
 	p.stream.hits = from.Hits
 	p.stream.clock = from.Clock
+	p.stream.reindex()
 }

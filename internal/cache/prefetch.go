@@ -112,30 +112,47 @@ func (p *ipStridePrefetcher) Observe(pc, addr uint64, _ bool) []uint64 {
 // Stream
 
 const (
-	streamTableSize = 16
-	streamTrainHits = 2
-	streamIdxBits   = 4 // log2(streamTableSize), for the victim-scan packing
+	streamTableSize  = 16
+	streamTrainHits  = 2
+	streamFilterSize = 256 // buckets of the key filter (a power of two)
 )
 
-// The victim scan packs (clock, index) into one word, so the table size
-// must stay in sync with streamIdxBits.
-var _ [streamTableSize - 1<<streamIdxBits]struct{}
-var _ [1<<streamIdxBits - streamTableSize]struct{}
+// The list links are uint8 slot indices, so the table must fit them.
+var _ [256 - streamTableSize]struct{}
 
-// streamPrefetcher stores its table as parallel strips so each scan reads
-// one dense 128-byte run of words:
+// streamPrefetcher stores its table as parallel strips so the match scan
+// reads one dense 128-byte run of words:
 //
 //   - keys[i] holds the stream's lastLine+2 (0 = no stream), so
 //     keys[i] == line+2 is a repeat access and keys[i] == line+1 extends
 //     the stream, and an empty slot matches neither;
-//   - clocks[i] is the entry's LRU clock (0 = empty slot, the allocation
-//     scan's strip);
+//   - clocks[i] is the entry's LRU clock (0 = empty slot);
 //   - hits[i] counts consecutive sequential observations.
+//
+// Two derived structures make Observe O(1) without changing a result:
+//
+//   - filter counts the live keys per bucket key%streamFilterSize, and the
+//     match scan runs only when the bucket of line+2 or of line+1 is
+//     non-zero, that is, only when it could match. Keys are not unique
+//     (observing lines 8, 10, 9, 10 leaves two slots keyed 12), so the
+//     scan, not an index, still picks the first match in index order.
+//   - older/newer link the live slots from the least recently used (lru)
+//     to the most recently used (mru). Slots fill in index order and never
+//     empty again, because keys are ≥ 2 and clocks ≥ 1, so the victim is
+//     slot used while the table has room and the lru end after that. The
+//     clocks are unique and increase, so that is the slot a scan for the
+//     first empty slot, else the minimum clock, would pick.
 type streamPrefetcher struct {
 	keys   [streamTableSize]uint64
 	clocks [streamTableSize]uint64
 	hits   [streamTableSize]uint8
 	clock  uint64
+
+	filter       [streamFilterSize]uint8
+	older, newer [streamTableSize]uint8
+	mru, lru     uint8
+	used         int
+
 	degree int
 	buf    []uint64
 }
@@ -156,47 +173,99 @@ func (p *streamPrefetcher) Observe(_, addr uint64, _ bool) []uint64 {
 	p.clock++
 	p.buf = p.buf[:0]
 
-	// Find a stream this access extends (same line or the next one); the
-	// mostly-not-taken compares predict well, so the scan stays a plain
-	// early-out loop over the dense key strip.
-	// (&p.keys: ranging over the array value would copy it each call.)
+	// Find a stream this access extends (same line or the next one), the
+	// first in index order. (&p.keys: ranging over the array value would
+	// copy it each call.)
 	rk := line + 2
-	for i, k := range &p.keys {
-		if k == rk { // repeat access: keep the stream warm
-			p.clocks[i] = p.clock
-			return nil
-		}
-		if k == line+1 { // sequential: extend the stream
-			p.keys[i] = rk
-			p.clocks[i] = p.clock
-			if p.hits[i] < streamTrainHits {
-				p.hits[i]++
+	if p.filter[rk%streamFilterSize] != 0 || p.filter[(line+1)%streamFilterSize] != 0 {
+		for i, k := range &p.keys {
+			if k == rk { // repeat access: keep the stream warm
+				p.clocks[i] = p.clock
+				p.promote(uint8(i))
+				return nil
 			}
-			if p.hits[i] >= streamTrainHits {
-				for d := 1; d <= p.degree; d++ {
-					p.buf = append(p.buf, (line+uint64(d))*LineSize)
+			if k == line+1 { // sequential: extend the stream
+				p.filter[k%streamFilterSize]--
+				p.filter[rk%streamFilterSize]++
+				p.keys[i] = rk
+				p.clocks[i] = p.clock
+				p.promote(uint8(i))
+				if p.hits[i] < streamTrainHits {
+					p.hits[i]++
 				}
+				if p.hits[i] >= streamTrainHits {
+					for d := 1; d <= p.degree; d++ {
+						p.buf = append(p.buf, (line+uint64(d))*LineSize)
+					}
+				}
+				return p.buf
 			}
-			return p.buf
 		}
 	}
 
-	// Allocate for a potential new stream: the first empty slot, else the
-	// least recently used. Packing (clock, index) into one word makes the
-	// scan a plain min: an empty slot's key is its bare index, which
-	// undercuts every real clock, and unique clocks break ties exactly
-	// like the index order of a first-minimum scan.
-	best := ^uint64(0)
-	for i, c := range &p.clocks {
-		if v := c<<streamIdxBits | uint64(i); v < best {
-			best = v
-		}
+	// Allocate for a potential new stream: the next empty slot, else the
+	// least recently used.
+	var victim uint8
+	if p.used < streamTableSize {
+		victim = uint8(p.used)
+		p.used++
+		p.push(victim)
+	} else {
+		victim = p.lru
+		p.filter[p.keys[victim]%streamFilterSize]--
+		p.promote(victim)
 	}
-	victim := int(best & (streamTableSize - 1))
+	p.filter[rk%streamFilterSize]++
 	p.keys[victim] = rk
 	p.clocks[victim] = p.clock
 	p.hits[victim] = 0
 	return nil
+}
+
+// push links slot i, not yet in the list, in at the mru end.
+func (p *streamPrefetcher) push(i uint8) {
+	p.older[i] = p.mru
+	p.newer[p.mru] = i
+	p.mru = i
+}
+
+// promote moves live slot i to the mru end of the list.
+func (p *streamPrefetcher) promote(i uint8) {
+	if i == p.mru {
+		return
+	}
+	o, n := p.older[i], p.newer[i]
+	if i == p.lru {
+		p.lru = n
+	} else {
+		p.newer[o] = n
+	}
+	p.older[n] = o
+	p.push(i)
+}
+
+// reindex rebuilds the filter, the used count and the list from keys and
+// clocks, allocation-free.
+func (p *streamPrefetcher) reindex() {
+	p.filter = [streamFilterSize]uint8{}
+	p.used = 0
+	for p.used < streamTableSize && p.clocks[p.used] != 0 {
+		p.filter[p.keys[p.used]%streamFilterSize]++
+		p.used++
+	}
+	// Insertion-sort the live slots by clock, least recent first.
+	var order [streamTableSize]uint8
+	for i := 0; i < p.used; i++ {
+		j := i
+		for ; j > 0 && p.clocks[order[j-1]] > p.clocks[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = uint8(i)
+	}
+	p.mru, p.lru = order[0], order[0]
+	for k := 1; k < p.used; k++ {
+		p.push(order[k])
+	}
 }
 
 // ---------------------------------------------------------------------------

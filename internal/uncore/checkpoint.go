@@ -3,9 +3,10 @@ package uncore
 // Checkpoint support: an Uncore's State deep-copies the LLC (lines,
 // policy metadata, statistics), the bus and DRAM cursors, the MSHR file,
 // the write buffer, the per-core page tables with the bump allocator's
-// position, the translation caches and the LLC prefetchers into a
-// reusable buffer. pfScratch is deliberately not state — it is dead
-// between Access calls. Fields are exported so snapshots survive
+// position, the translation caches, the LLC prefetchers and the LLC
+// residency bitmap into a reusable buffer. pfScratch is deliberately not
+// state — it is dead between Access calls — and the MSHR tag counts are
+// rebuilt from the MSHR file on Restore. Fields are exported so snapshots survive
 // encoding/gob persistence; page tables are flattened to parallel slices
 // because gob cannot be trusted with map iteration order (the contents,
 // not the order, are the state). Snapshot into a warmed buffer and
@@ -47,8 +48,7 @@ type State struct {
 	XlatVPage []uint64
 	XlatPPage []uint64
 
-	PropLine [16]uint64
-	PropGen  [16]uint64
+	Resident []uint64
 }
 
 // Snapshot deep-copies the uncore's mutable state into the buffer. The
@@ -90,8 +90,7 @@ func (u *Uncore) Snapshot(into *State) {
 		into.XlatPPage = append(into.XlatPPage, u.xlat[i].ppage)
 	}
 
-	into.PropLine = u.propLine
-	into.PropGen = u.propGen
+	into.Resident = append(into.Resident[:0], u.resident...)
 }
 
 // Restore overwrites the uncore's mutable state from the buffer. The
@@ -114,6 +113,7 @@ func (u *Uncore) Restore(from *State) {
 
 	copy(u.mshrLine, from.MSHRLine)
 	copy(u.mshrDone, from.MSHRDone)
+	u.countMSHRTags()
 	u.mshrMax = from.MSHRMax
 	u.writeBuf = append(u.writeBuf[:0], from.WriteBuf...)
 
@@ -131,8 +131,7 @@ func (u *Uncore) Restore(from *State) {
 		u.xlat[i].ppage = from.XlatPPage[i]
 	}
 
-	u.propLine = from.PropLine
-	u.propGen = from.PropGen
+	u.resident = append(u.resident[:0], from.Resident...)
 }
 
 // SetPolicy swaps the LLC's replacement policy for a fresh instance of

@@ -57,7 +57,7 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 // functional warming leaves the LLC warmer than any timed execution,
 // and measured windows overestimate IPC by tens of percent.
 func (u *Uncore) prefetchFunctional(line uint64) {
-	if u.llc.Probe(line) {
+	if u.isResident(line) {
 		return
 	}
 	rate := 1.0
@@ -76,7 +76,7 @@ func (u *Uncore) prefetchFunctional(line uint64) {
 // fillFunctional installs a line and counts (but does not schedule) the
 // dirty-victim writeback.
 func (u *Uncore) fillFunctional(line uint64, write, prefetch bool) {
-	ev := u.llc.Fill(line, write, prefetch)
+	ev := u.fill(line, write, prefetch)
 	if ev.Valid && ev.Dirty {
 		u.stats.Writebacks++
 	}

@@ -107,6 +107,10 @@ type Uncore struct {
 	// is free. The fixed arrays keep the hot path free of map traffic.
 	mshrLine []uint64
 	mshrDone []uint64
+	// mshrTags counts the slots whose line falls in each bucket (see
+	// mshrBucket), empty slots included, so a lookup skips the scan when
+	// its bucket is empty. A count never exceeds len(mshrLine), an int.
+	mshrTags [mshrBuckets]int
 
 	// MSHR-pressure prefetch-drop calibration (see prefetchFunctional):
 	// the timed path counts proposals reaching its pressure check and
@@ -142,16 +146,25 @@ type Uncore struct {
 	// allocation-free.
 	pfScratch []uint64
 
-	// propLine/propGen form an exact filter over prefetcher proposals:
-	// propLine[h] was observed resident in the LLC while its content
-	// generation was propGen[h]. Trained streams re-propose the lines
-	// they just prefetched on almost every access (>90% of proposals are
-	// already-resident no-ops), and as long as the LLC generation is
-	// unchanged a previously verified line is provably still resident,
-	// so the proposal can be skipped without touching the cache.
-	propLine [16]uint64
-	propGen  [16]uint64
+	// resident is the LLC's residency bitmap: bit line/LineSize%64 of
+	// resident[line/PageSize] is set while line is in the LLC (a page
+	// holds exactly 64 lines). The uncore is the LLC's only writer and
+	// keeps the bitmap in step through fill. It grows with the lines
+	// filled, not with the allocated pages, because prefetch proposals
+	// may point past the last allocated page; a page beyond its end holds
+	// no resident line.
+	resident []uint64
 }
+
+// A page's lines must fit one bitmap word.
+var _ [PageSize/cache.LineSize - 64]struct{}
+var _ [64 - PageSize/cache.LineSize]struct{}
+
+// mshrBuckets is the number of MSHR line-tag buckets (a power of two).
+const mshrBuckets = 64
+
+// mshrBucket returns line's bucket in mshrTags.
+func mshrBucket(line uint64) int { return int(line/cache.LineSize) & (mshrBuckets - 1) }
 
 // xlatEntries is the per-core translation-cache size (a power of two).
 const xlatEntries = 512
@@ -187,7 +200,7 @@ func New(cfg Config) (*Uncore, error) {
 		tables[i] = make(map[uint64]uint64)
 	}
 	pref := cache.NewStrideStream(cfg.PrefetchDegree)
-	return &Uncore{
+	u := &Uncore{
 		cfg:        cfg,
 		llc:        llc,
 		bus:        bus,
@@ -200,7 +213,9 @@ func New(cfg Config) (*Uncore, error) {
 		pageTables: tables,
 		nextPage:   1, // keep physical page 0 unused
 		xlat:       make([]xlatEntry, cfg.Cores*xlatEntries),
-	}, nil
+	}
+	u.countMSHRTags()
+	return u, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -261,7 +276,7 @@ func (u *Uncore) translateSlow(core int, vpage, vaddr uint64, e *xlatEntry) uint
 // mshrLookup returns the completion time of an in-flight fill of line, if
 // any.
 func (u *Uncore) mshrLookup(line, now uint64) (uint64, bool) {
-	if now >= u.mshrMax {
+	if now >= u.mshrMax || u.mshrTags[mshrBucket(line)] == 0 {
 		return 0, false
 	}
 	for i, l := range u.mshrLine {
@@ -320,7 +335,7 @@ func (u *Uncore) mshrInsert(line, done, now uint64) {
 	}
 	for i, d := range u.mshrDone {
 		if d <= now {
-			u.mshrLine[i], u.mshrDone[i] = line, done
+			u.setMSHR(i, line, done)
 			return
 		}
 	}
@@ -332,7 +347,44 @@ func (u *Uncore) mshrInsert(line, done, now uint64) {
 			min = i
 		}
 	}
-	u.mshrLine[min], u.mshrDone[min] = line, done
+	u.setMSHR(min, line, done)
+}
+
+// setMSHR books slot i for line, keeping mshrTags in step.
+func (u *Uncore) setMSHR(i int, line, done uint64) {
+	u.mshrTags[mshrBucket(u.mshrLine[i])]--
+	u.mshrTags[mshrBucket(line)]++
+	u.mshrLine[i], u.mshrDone[i] = line, done
+}
+
+// countMSHRTags rebuilds mshrTags from the slots' lines.
+func (u *Uncore) countMSHRTags() {
+	u.mshrTags = [mshrBuckets]int{}
+	for _, l := range u.mshrLine {
+		u.mshrTags[mshrBucket(l)]++
+	}
+}
+
+// isResident reports whether line is in the LLC, as llc.Probe would,
+// from the residency bitmap.
+func (u *Uncore) isResident(line uint64) bool {
+	page, bit := line/PageSize, line/cache.LineSize%64
+	return page < uint64(len(u.resident)) && u.resident[page]>>bit&1 != 0
+}
+
+// fill installs line in the LLC and updates the residency bitmap: the
+// filled line's bit is set and the victim's, if any, cleared.
+func (u *Uncore) fill(line uint64, write, prefetch bool) cache.Eviction {
+	ev := u.llc.Fill(line, write, prefetch)
+	if ev.Valid {
+		u.resident[ev.Addr/PageSize] &^= 1 << (ev.Addr / cache.LineSize % 64)
+	}
+	page := line / PageSize
+	if page >= uint64(len(u.resident)) {
+		u.resident = append(u.resident, make([]uint64, page+1-uint64(len(u.resident)))...)
+	}
+	u.resident[page] |= 1 << (line / cache.LineSize % 64)
+	return ev
 }
 
 // Access implements Memory.
@@ -410,21 +462,12 @@ func (u *Uncore) demandAccess(line uint64, write bool, now uint64) uint64 {
 // nor in flight and an MSHR is free. Prefetches are dropped rather than
 // stalled when resources are exhausted.
 //
-// A residency filter fronts the set scan: if the line was seen resident
-// and the LLC's content generation has not moved, it is provably still
-// resident (see Cache.Generation) and the access completes at the hit
-// latency without touching the cache — the exact result the scan would
-// produce. Trained streams re-propose the lines they just prefetched on
-// almost every access (>90% of proposals are already-resident no-ops),
-// which is what makes the filter pay.
+// Residency is read from the uncore's bitmap, not from the LLC's sets:
+// most prefetches (BADCO's satellites and trained streams re-proposing
+// the lines they just fetched) find the line resident and are no-ops,
+// and a bitmap test is cheaper than a 16-way set scan.
 func (u *Uncore) prefetchAccess(line uint64, now uint64) uint64 {
-	h := int(line/cache.LineSize) & (len(u.propLine) - 1)
-	gen := u.llc.Generation()
-	if u.propGen[h] == gen && u.propLine[h] == line {
-		return now + u.cfg.LLCLatency
-	}
-	if u.llc.Probe(line) {
-		u.propLine[h], u.propGen[h] = line, gen
+	if u.isResident(line) {
 		return now + u.cfg.LLCLatency
 	}
 	return u.prefetchMiss(line, now)
@@ -463,7 +506,7 @@ func (u *Uncore) scheduleFill(line uint64, write, prefetch bool, start uint64) u
 	_, dataDone := u.bus.TransferLine(dramDone)
 	u.mshrInsert(line, dataDone, start)
 
-	ev := u.llc.Fill(line, write, prefetch)
+	ev := u.fill(line, write, prefetch)
 	if ev.Valid && ev.Dirty {
 		u.scheduleWriteback(dataDone)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Scaled-population limits. The lower bound keeps every intensity class
 // populated; the upper bound keeps a full trace set addressable on a
-// small host (512 benchmarks × 100 k µops × 32 B/µop ≈ 1.6 GB if someone
+// small host (512 benchmarks × 100 k µops × 24 B/µop ≈ 1.2 GB if someone
 // insists on materialising everything — the lazy source exists so nobody
 // has to).
 const (

@@ -33,7 +33,7 @@ func TestCallReturnOpsExecute(t *testing.T) {
 		switch op.Kind {
 		case trace.Call:
 			calls++
-			if op.Addr == 0 {
+			if op.Addr() == 0 {
 				t.Fatal("call op without target")
 			}
 		case trace.Ret:

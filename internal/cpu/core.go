@@ -350,10 +350,10 @@ func (c *Core) fetch(op *trace.Op, i uint64) uint64 {
 		}
 	}
 	// Instruction delivery: one IL1 access per new code line.
-	if !c.haveILine || op.ILine != c.lastILine {
-		c.lastILine = op.ILine
+	if iline := op.ILine(); !c.haveILine || iline != c.lastILine {
+		c.lastILine = iline
 		c.haveILine = true
-		line := codeBase + uint64(op.ILine)*cache.LineSize
+		line := codeBase + uint64(iline)*cache.LineSize
 		ft = c.instrFetch(line, line, ft)
 	}
 	if ft > c.fetchCycle {
@@ -406,13 +406,13 @@ func (c *Core) il1Prefetch(pc, line uint64, t uint64) {
 // station free, load/store queue entry free, issue slot free.
 func (c *Core) issue(op *trace.Op, i, fetch uint64) uint64 {
 	ready := fetch + c.cfg.FetchToIssue
-	if op.Dep1 > 0 {
-		if t := c.completeT[(i-uint64(op.Dep1))%ring]; t > ready {
+	if d := op.Dep1(); d > 0 {
+		if t := c.completeT[(i-uint64(d))%ring]; t > ready {
 			ready = t
 		}
 	}
-	if op.Dep2 > 0 {
-		if t := c.completeT[(i-uint64(op.Dep2))%ring]; t > ready {
+	if d := op.Dep2(); d > 0 {
+		if t := c.completeT[(i-uint64(d))%ring]; t > ready {
 			ready = t
 		}
 	}
@@ -464,10 +464,10 @@ func (c *Core) bookIssueSlot(earliest uint64) uint64 {
 // 16-entry RAS (the predictor) and the unbounded shadow stack (the
 // architectural truth).
 func (c *Core) doCall(op *trace.Op, complete uint64) {
-	target := op.Addr
+	target := op.Addr()
 	var predicted uint64
 	var ok bool
-	if op.Indirect {
+	if op.Indirect() {
 		predicted, ok = c.ind.Predict(op.PC)
 		c.ind.Update(op.PC, target)
 	} else {
@@ -515,12 +515,12 @@ func (c *Core) execute(op *trace.Op, issue uint64) uint64 {
 
 // load models DTLB + DL1 access (with MSHRs and prefetch) for a load.
 func (c *Core) load(op *trace.Op, issue uint64) uint64 {
-	t := issue
-	if !c.dtlb.lookup(op.Addr / uncore.PageSize) {
+	t, addr := issue, op.Addr()
+	if !c.dtlb.lookup(addr / uncore.PageSize) {
 		t += c.cfg.TLBWalkLat
 	}
 	t += c.cfg.DL1Lat
-	line := cache.AlignLine(op.Addr)
+	line := cache.AlignLine(addr)
 	hit := c.dl1.Access(line, false)
 	var done uint64
 	if hit {
@@ -531,7 +531,7 @@ func (c *Core) load(op *trace.Op, issue uint64) uint64 {
 	} else {
 		done = c.dl1FillMiss(op.PC, line, false, t)
 	}
-	c.dl1PrefetchObserve(op.PC, op.Addr, !hit, t)
+	c.dl1PrefetchObserve(op.PC, addr, !hit, t)
 	return done
 }
 
@@ -539,16 +539,16 @@ func (c *Core) load(op *trace.Op, issue uint64) uint64 {
 // buffer without blocking; a write miss allocates the line in the
 // background (RFO).
 func (c *Core) store(op *trace.Op, issue uint64) {
-	t := issue
-	if !c.dtlb.lookup(op.Addr / uncore.PageSize) {
+	t, addr := issue, op.Addr()
+	if !c.dtlb.lookup(addr / uncore.PageSize) {
 		t += c.cfg.TLBWalkLat
 	}
 	t += c.cfg.DL1Lat
-	line := cache.AlignLine(op.Addr)
+	line := cache.AlignLine(addr)
 	if hit := c.dl1.Access(line, true); !hit {
 		c.dl1FillMiss(op.PC, line, true, t)
 	}
-	c.dl1PrefetchObserve(op.PC, op.Addr, false, t)
+	c.dl1PrefetchObserve(op.PC, addr, false, t)
 }
 
 // dl1FillMiss services a DL1 demand miss at time t through the MSHRs and

@@ -109,9 +109,9 @@ func TestILPSensitivity(t *testing.T) {
 	mk := func(dep uint16) *trace.Trace {
 		ops := make([]trace.Op, n)
 		for i := range ops {
-			ops[i] = trace.Op{Kind: trace.ALU, PC: 0x10000000, ILine: 0}
+			ops[i] = trace.Op{Kind: trace.ALU, PC: 0x10000000}
 			if i > 0 {
-				ops[i].Dep1 = dep
+				ops[i].SetDep1(dep)
 			}
 		}
 		return &trace.Trace{Name: "chain", Ops: ops}

@@ -98,10 +98,10 @@ func (c *Core) ffStep(fm functionalMemory) {
 	op := &c.tr.Ops[c.pos]
 
 	// Instruction delivery: one IL1 access per new code line.
-	if !c.haveILine || op.ILine != c.lastILine {
-		c.lastILine = op.ILine
+	if iline := op.ILine(); !c.haveILine || iline != c.lastILine {
+		c.lastILine = iline
 		c.haveILine = true
-		line := codeBase + uint64(op.ILine)*cache.LineSize
+		line := codeBase + uint64(iline)*cache.LineSize
 		c.itlb.lookup(line / uncore.PageSize)
 		hit := c.il1.Access(line, false)
 		if !hit {
@@ -123,12 +123,12 @@ func (c *Core) ffStep(fm functionalMemory) {
 	case trace.Branch:
 		c.bp.Predict(op.PC, op.Taken)
 	case trace.Call:
-		if op.Indirect {
+		if op.Indirect() {
 			c.ind.Predict(op.PC)
-			c.ind.Update(op.PC, op.Addr)
+			c.ind.Update(op.PC, op.Addr())
 		} else {
 			c.btac.Predict(op.PC)
-			c.btac.Update(op.PC, op.Addr)
+			c.btac.Update(op.PC, op.Addr())
 		}
 		ret := op.PC + 16
 		c.ras.Push(ret)
@@ -141,20 +141,22 @@ func (c *Core) ffStep(fm functionalMemory) {
 		}
 		c.ras.Pop(want)
 	case trace.Load:
-		c.dtlb.lookup(op.Addr / uncore.PageSize)
-		line := cache.AlignLine(op.Addr)
+		addr := op.Addr()
+		c.dtlb.lookup(addr / uncore.PageSize)
+		line := cache.AlignLine(addr)
 		hit := c.dl1.Access(line, false)
 		if !hit {
 			c.ffFill(fm, op.PC, line, false)
 		}
-		c.ffPrefetchObserve(fm, op.PC, op.Addr, !hit)
+		c.ffPrefetchObserve(fm, op.PC, addr, !hit)
 	case trace.Store:
-		c.dtlb.lookup(op.Addr / uncore.PageSize)
-		line := cache.AlignLine(op.Addr)
+		addr := op.Addr()
+		c.dtlb.lookup(addr / uncore.PageSize)
+		line := cache.AlignLine(addr)
 		if !c.dl1.Access(line, true) {
 			c.ffFill(fm, op.PC, line, true)
 		}
-		c.ffPrefetchObserve(fm, op.PC, op.Addr, false)
+		c.ffPrefetchObserve(fm, op.PC, addr, false)
 	}
 
 	c.seq++

@@ -93,16 +93,12 @@ func Compute(tr *trace.Trace) (*Profile, error) {
 
 	for i := range tr.Ops {
 		op := &tr.Ops[i]
-		codeLines[op.ILine] = struct{}{}
-		if op.Dep1 > 0 || op.Dep2 > 0 {
+		codeLines[op.ILine()] = struct{}{}
+		dep1, dep2 := op.Dep1(), op.Dep2()
+		if dep1 > 0 || dep2 > 0 {
 			deps++
 		}
-		if op.Dep1 > 0 {
-			depSum += int(op.Dep1)
-		}
-		if op.Dep2 > 0 {
-			depSum += int(op.Dep2)
-		}
+		depSum += int(dep1) + int(dep2)
 		switch op.Kind {
 		case trace.Load:
 			p.LoadFrac++
@@ -128,7 +124,7 @@ func Compute(tr *trace.Trace) (*Profile, error) {
 		if op.Kind != trace.Load && op.Kind != trace.Store {
 			continue
 		}
-		line := op.Addr / trace.CacheLine
+		line := op.Addr() / trace.CacheLine
 		memTime++
 		if havePrevLine && (line == prevLine || line == prevLine+1) {
 			seq++

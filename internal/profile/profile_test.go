@@ -272,7 +272,7 @@ func TestStackDistanceAgainstOracle(t *testing.T) {
 	var refs []uint64
 	for _, op := range tr.Ops {
 		if op.Kind == trace.Load || op.Kind == trace.Store {
-			refs = append(refs, op.Addr/trace.CacheLine)
+			refs = append(refs, op.Addr()/trace.CacheLine)
 		}
 	}
 	lastPos := map[uint64]int{}

@@ -2,7 +2,7 @@ package trace
 
 // Binary trace serialisation, standing in for the SimpleScalar EIO traces
 // the paper generates with Zesto ([18]). The format is a compact
-// delta/varint encoding: ~3-4 bytes per µop instead of the 32 in memory,
+// delta/varint encoding: ~3-4 bytes per µop instead of the 24 in memory,
 // so a full 22-benchmark suite fits comfortably on disk and model
 // building can skip regeneration.
 //
@@ -113,13 +113,14 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		if op.Taken {
 			tag |= tagTaken
 		}
-		if op.Indirect {
+		if op.Indirect() {
 			tag |= tagIndirect
 		}
-		if op.Dep1 > 0 {
+		dep1, dep2 := op.Dep1(), op.Dep2()
+		if dep1 > 0 {
 			tag |= tagHasDep1
 		}
-		if op.Dep2 > 0 {
+		if dep2 > 0 {
 			tag |= tagHasDep2
 		}
 		if err := bw.WriteByte(tag); err != nil {
@@ -131,22 +132,24 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		}
 		prevPC[pcl] = op.PC
 		if acl, ok := addrClass(op.Kind); ok {
-			if err := putUvarint(zigzag(int64(op.Addr) - int64(prevAddr[acl]))); err != nil {
+			addr := op.Addr()
+			if err := putUvarint(zigzag(int64(addr) - int64(prevAddr[acl]))); err != nil {
 				return cw.n, err
 			}
-			prevAddr[acl] = op.Addr
+			prevAddr[acl] = addr
 		}
-		if err := putUvarint(zigzag(int64(op.ILine) - int64(prevILine))); err != nil {
+		iline := op.ILine()
+		if err := putUvarint(zigzag(int64(iline) - int64(prevILine))); err != nil {
 			return cw.n, err
 		}
-		prevILine = op.ILine
-		if op.Dep1 > 0 {
-			if err := putUvarint(uint64(op.Dep1)); err != nil {
+		prevILine = iline
+		if dep1 > 0 {
+			if err := putUvarint(uint64(dep1)); err != nil {
 				return cw.n, err
 			}
 		}
-		if op.Dep2 > 0 {
-			if err := putUvarint(uint64(op.Dep2)); err != nil {
+		if dep2 > 0 {
+			if err := putUvarint(uint64(dep2)); err != nil {
 				return cw.n, err
 			}
 		}
@@ -230,7 +233,7 @@ func Read(r io.Reader) (*Trace, error) {
 		op := &ops[i]
 		op.Kind = kind
 		op.Taken = tag&tagTaken != 0
-		op.Indirect = tag&tagIndirect != 0
+		op.SetIndirect(tag&tagIndirect != 0)
 
 		d, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -245,28 +248,34 @@ func Read(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: op %d addr: %w", i, err)
 			}
 			prevAddr[acl] = uint64(int64(prevAddr[acl]) + unzigzag(d))
-			op.Addr = prevAddr[acl]
+			if prevAddr[acl] > maxAddr {
+				return nil, fmt.Errorf("trace: op %d: addr %#x exceeds %#x", i, prevAddr[acl], uint64(maxAddr))
+			}
+			op.SetAddr(prevAddr[acl])
 		}
 		d, err = binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: op %d iline: %w", i, err)
 		}
 		prevILine = uint32(int64(prevILine) + unzigzag(d))
-		op.ILine = prevILine
+		if prevILine > maxILine {
+			return nil, fmt.Errorf("trace: op %d: iline %#x exceeds %#x", i, prevILine, maxILine)
+		}
+		op.SetILine(prevILine)
 
 		if tag&tagHasDep1 != 0 {
 			d, err = binary.ReadUvarint(br)
 			if err != nil || d == 0 || d > 65535 {
 				return nil, fmt.Errorf("trace: op %d dep1 invalid", i)
 			}
-			op.Dep1 = uint16(d)
+			op.SetDep1(uint16(d))
 		}
 		if tag&tagHasDep2 != 0 {
 			d, err = binary.ReadUvarint(br)
 			if err != nil || d == 0 || d > 65535 {
 				return nil, fmt.Errorf("trace: op %d dep2 invalid", i)
 			}
-			op.Dep2 = uint16(d)
+			op.SetDep2(uint16(d))
 		}
 	}
 	if br.Len() != 0 {

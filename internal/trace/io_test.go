@@ -68,7 +68,7 @@ func TestEncodingIsCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	perOp := float64(buf.Len()) / float64(tr.Len())
-	// In-memory ops are 32+ bytes; the wire format must be far denser.
+	// In-memory ops are 24 bytes; the wire format must be far denser.
 	if perOp > 8 {
 		t.Errorf("%.1f bytes/op on the wire; expected < 8", perOp)
 	}

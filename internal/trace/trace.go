@@ -60,15 +60,75 @@ func (k Kind) String() string {
 // the op was fetched from (the code-walk position); it is kept separate
 // from PC so that stable per-site branch/load PCs do not perturb the
 // instruction-fetch stream.
+//
+// An Op takes 24 bytes. Addr shares a word with Dep1 and ILine one with
+// Indirect, so those fields sit behind accessors and setters; the only
+// narrowed widths are Addr (below 2^48, the x86-64 user address width)
+// and ILine (below 2^24, a 1 GiB code footprint). A 16-byte op cannot
+// hold the fields losslessly: they total 197 bits.
 type Op struct {
-	PC       uint64 // instruction address (synthetic)
-	Addr     uint64 // data address for Load/Store, call target for Call, 0 otherwise
-	ILine    uint32 // instruction-cache line index within the code footprint
-	Dep1     uint16 // register dependency distance (ops back), 0 = none
-	Dep2     uint16 // second dependency distance, 0 = none
-	Kind     Kind
-	Taken    bool // branch outcome (Branch only)
-	Indirect bool // Call through a function pointer (Call only)
+	PC    uint64 // instruction address (synthetic)
+	a     uint64 // Addr in the low 48 bits, Dep1 in the high 16
+	b     uint32 // ILine in the low 24 bits, Indirect in bit 24
+	dep2  uint16
+	Kind  Kind
+	Taken bool // branch outcome (Branch only)
+}
+
+// Field limits of the packed Op.
+const (
+	maxAddr  = 1<<48 - 1
+	maxILine = 1<<24 - 1
+
+	indirectBit = 1 << 24
+)
+
+// Addr is the data address for Load/Store, the call target for Call, 0
+// otherwise.
+func (op Op) Addr() uint64 { return op.a & maxAddr }
+
+// ILine is the instruction-cache line index within the code footprint.
+func (op Op) ILine() uint32 { return op.b & maxILine }
+
+// Dep1 is the register dependency distance (ops back), 0 = none.
+func (op Op) Dep1() uint16 { return uint16(op.a >> 48) }
+
+// Dep2 is the second dependency distance, 0 = none.
+func (op Op) Dep2() uint16 { return op.dep2 }
+
+// Indirect reports a Call through a function pointer (Call only).
+func (op Op) Indirect() bool { return op.b&indirectBit != 0 }
+
+// SetAddr sets Addr; a > maxAddr panics (Read and Validate keep every
+// trace below it).
+func (op *Op) SetAddr(a uint64) {
+	if a > maxAddr {
+		panic(fmt.Sprintf("trace: address %#x exceeds %#x", a, uint64(maxAddr)))
+	}
+	op.a = op.a&^maxAddr | a
+}
+
+// SetILine sets ILine; l > maxILine panics (Read and Validate keep every
+// trace below it).
+func (op *Op) SetILine(l uint32) {
+	if l > maxILine {
+		panic(fmt.Sprintf("trace: instruction line %#x exceeds %#x", l, maxILine))
+	}
+	op.b = op.b&^maxILine | l
+}
+
+// SetDep1 sets Dep1.
+func (op *Op) SetDep1(d uint16) { op.a = op.a&maxAddr | uint64(d)<<48 }
+
+// SetDep2 sets Dep2.
+func (op *Op) SetDep2(d uint16) { op.dep2 = d }
+
+// SetIndirect sets Indirect.
+func (op *Op) SetIndirect(ind bool) {
+	op.b &^= indirectBit
+	if ind {
+		op.b |= indirectBit
+	}
 }
 
 // Trace is an immutable µop sequence for one benchmark. Traces are built
@@ -217,13 +277,20 @@ func (p *Params) Validate() error {
 		if ps.Weight < 0 {
 			return fmt.Errorf("trace: %s: negative pattern weight", p.Name)
 		}
+		// A region (or a stride's span) wider than the gap between
+		// regions would alias the next pattern and could carry an
+		// address past maxAddr.
+		if ps.Bytes < 0 || ps.Bytes > regionGap || ps.Stride < 0 || ps.Stride > regionGap {
+			return fmt.Errorf("trace: %s: %s pattern of %d bytes, stride %d, outside [0,%d]",
+				p.Name, ps.Kind, ps.Bytes, ps.Stride, regionGap)
+		}
 		total += ps.Weight
 	}
 	if total == 0 {
 		return fmt.Errorf("trace: %s: all pattern weights zero", p.Name)
 	}
-	if p.CodeBytes <= 0 {
-		return fmt.Errorf("trace: %s: code footprint %d", p.Name, p.CodeBytes)
+	if p.CodeBytes <= 0 || p.CodeBytes > (maxILine+1)*CacheLine {
+		return fmt.Errorf("trace: %s: code footprint %d outside (0,%d]", p.Name, p.CodeBytes, (maxILine+1)*CacheLine)
 	}
 	return nil
 }
@@ -332,6 +399,12 @@ func Generate(p Params, n int) (*Trace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: %s: non-positive trace length %d", p.Name, n)
 	}
+	// Pattern i's addresses lie below (i+2)·regionGap, except a Stream's,
+	// which advance one line per access: bound both below maxAddr.
+	if reach := uint64(len(p.Patterns)+1) * regionGap; reach > maxAddr || uint64(n) > (maxAddr-reach)/CacheLine {
+		return nil, fmt.Errorf("trace: %s: %d patterns and %d µops overflow the 48-bit address space",
+			p.Name, len(p.Patterns), n)
+	}
 	rng := rand.New(rand.NewSource(p.Seed))
 
 	// Pattern states, each in its own region with its own synthetic PC.
@@ -434,7 +507,7 @@ func Generate(p Params, n int) (*Trace, error) {
 		// The code walk packs four µops per instruction line and cycles
 		// through the footprint (16 bytes of x86 per µop after cracking).
 		iline := (codePos / 4) % codeLines
-		op.ILine = uint32(iline)
+		op.SetILine(uint32(iline))
 		op.PC = 0x10000000 + iline*CacheLine + (codePos%4)*16
 		codePos++
 
@@ -462,7 +535,7 @@ func Generate(p Params, n int) (*Trace, error) {
 		switch op.Kind {
 		case Load, Store:
 			st := states[pick(cum, total, rng)]
-			op.Addr = st.next(rng)
+			op.SetAddr(st.next(rng))
 			op.PC = st.pc // stable PC enables IP-stride prefetching
 		case Branch:
 			plainBranch := func() {
@@ -502,11 +575,12 @@ func Generate(p Params, n int) (*Trace, error) {
 		case Call:
 			cs := &callsTbl[rng.Intn(len(callsTbl))]
 			op.PC = cs.pc
-			op.Indirect = cs.indirect
-			op.Addr = cs.targets[0]
+			op.SetIndirect(cs.indirect)
+			target := cs.targets[0]
 			if cs.indirect {
-				op.Addr = cs.targets[rng.Intn(len(cs.targets))]
+				target = cs.targets[rng.Intn(len(cs.targets))]
 			}
+			op.SetAddr(target)
 			callDepth++
 		case Ret:
 			op.PC = retPC
@@ -516,15 +590,17 @@ func Generate(p Params, n int) (*Trace, error) {
 		// Register dependencies: geometric-ish distances around DepMean.
 		// Dependencies landing on loads are kept only with probability
 		// LoadDepFrac (see the Params field).
-		op.Dep1 = depDistance(rng, p.DepMean, i)
-		if op.Dep1 > 0 && ops[i-int(op.Dep1)].Kind == Load && rng.Float64() >= p.LoadDepFrac {
-			op.Dep1 = 0
+		dep1 := depDistance(rng, p.DepMean, i)
+		if dep1 > 0 && ops[i-int(dep1)].Kind == Load && rng.Float64() >= p.LoadDepFrac {
+			dep1 = 0
 		}
+		op.SetDep1(dep1)
 		if rng.Float64() < 0.5 {
-			op.Dep2 = depDistance(rng, p.DepMean, i)
-			if op.Dep2 > 0 && ops[i-int(op.Dep2)].Kind == Load && rng.Float64() >= p.LoadDepFrac {
-				op.Dep2 = 0
+			dep2 := depDistance(rng, p.DepMean, i)
+			if dep2 > 0 && ops[i-int(dep2)].Kind == Load && rng.Float64() >= p.LoadDepFrac {
+				dep2 = 0
 			}
+			op.SetDep2(dep2)
 		}
 	}
 	return &Trace{Name: p.Name, Ops: ops}, nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,12 +93,12 @@ func TestMemoryOpsHaveAddresses(t *testing.T) {
 		for i, op := range tr.Ops {
 			switch op.Kind {
 			case Load, Store:
-				if op.Addr == 0 {
+				if op.Addr() == 0 {
 					t.Fatalf("%s: op %d is %v with zero address", name, i, op.Kind)
 				}
 			default:
-				if op.Addr != 0 {
-					t.Fatalf("%s: op %d is %v with address %#x", name, i, op.Kind, op.Addr)
+				if op.Addr() != 0 {
+					t.Fatalf("%s: op %d is %v with address %#x", name, i, op.Kind, op.Addr())
 				}
 			}
 		}
@@ -108,8 +109,8 @@ func TestDependencyDistancesInRange(t *testing.T) {
 	p, _ := ByName("hmmer")
 	tr := MustGenerate(p, 10000)
 	for i, op := range tr.Ops {
-		if int(op.Dep1) > i || int(op.Dep2) > i {
-			t.Fatalf("op %d has dependency beyond trace start (%d,%d)", i, op.Dep1, op.Dep2)
+		if int(op.Dep1()) > i || int(op.Dep2()) > i {
+			t.Fatalf("op %d has dependency beyond trace start (%d,%d)", i, op.Dep1(), op.Dep2())
 		}
 	}
 }
@@ -185,11 +186,11 @@ func TestPatternFootprints(t *testing.T) {
 		if op.Kind != Load {
 			continue
 		}
-		if op.Addr < min {
-			min = op.Addr
+		if op.Addr() < min {
+			min = op.Addr()
 		}
-		if op.Addr > max {
-			max = op.Addr
+		if op.Addr() > max {
+			max = op.Addr()
 		}
 	}
 	if span := max - min; span >= 64*KB {
@@ -209,7 +210,7 @@ func TestStreamNeverRepeatsLines(t *testing.T) {
 		if op.Kind != Load {
 			continue
 		}
-		line := op.Addr / CacheLine
+		line := op.Addr() / CacheLine
 		if seen[line] {
 			t.Fatalf("stream revisited line %#x", line)
 		}
@@ -234,6 +235,11 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{func(p *Params) { p.Patterns = nil }, "no patterns"},
 		{func(p *Params) { p.Patterns[0].Weight = 0 }, "zero weights"},
 		{func(p *Params) { p.CodeBytes = 0 }, "no code"},
+		{func(p *Params) { p.CodeBytes = (maxILine+1)*CacheLine + 1 }, "code past 2^24 lines"},
+		{func(p *Params) { p.Patterns[0].Bytes = regionGap + 1 }, "region wider than the gap"},
+		{func(p *Params) { p.Patterns[0].Bytes = -KB }, "negative region"},
+		{func(p *Params) { p.Patterns[0].Stride = regionGap + 1 }, "stride wider than the gap"},
+		{func(p *Params) { p.Patterns[0].Stride = -CacheLine }, "negative stride"},
 	}
 	for _, c := range cases {
 		p := good
@@ -246,12 +252,24 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate rejected good params: %v", err)
 	}
+	limits := good
+	limits.CodeBytes = (maxILine + 1) * CacheLine
+	limits.Patterns = []PatternSpec{{Kind: Scan, Bytes: regionGap, Stride: regionGap, Weight: 1}}
+	if err := limits.Validate(); err != nil {
+		t.Errorf("Validate rejected params at the width limits: %v", err)
+	}
 }
 
 func TestGenerateErrors(t *testing.T) {
 	p, _ := ByName("mcf")
 	if _, err := Generate(p, 0); err == nil {
 		t.Error("Generate accepted n=0")
+	}
+	// Rejected before the op slice is allocated: the last Stream address
+	// would pass maxAddr.
+	tooLong := int((maxAddr-uint64(len(p.Patterns)+1)*regionGap)/CacheLine) + 1
+	if _, err := Generate(p, tooLong); err == nil || !strings.Contains(err.Error(), "48-bit address space") {
+		t.Errorf("Generate(%d µops) error %v, want an address-space overflow", tooLong, err)
 	}
 	p.Name = ""
 	if _, err := Generate(p, 100); err == nil {
@@ -271,7 +289,7 @@ func TestGenerateProperty(t *testing.T) {
 			return false
 		}
 		for i, op := range tr.Ops {
-			if int(op.Dep1) > i || int(op.Dep2) > i {
+			if int(op.Dep1()) > i || int(op.Dep2()) > i {
 				return false
 			}
 		}

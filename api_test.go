@@ -221,6 +221,28 @@ func TestLabRunRegistryExperiment(t *testing.T) {
 	}
 }
 
+// TestLabBoundsCores pins the cores bound of Run, Chart and Warm: the
+// experiments size their machines and populations by it, so a count
+// beyond the largest machine (64 cores) is refused before any work.
+func TestLabBoundsCores(t *testing.T) {
+	l := mcbench.NewLab(tinyConfig())
+	for _, cores := range []int{-1, 65, 100000} {
+		if _, err := l.Run(apiCtx, "fig4", cores); err == nil {
+			t.Errorf("Run accepted %d cores", cores)
+		}
+		if _, _, err := l.Chart(apiCtx, "fig1", cores); err == nil {
+			t.Errorf("Chart accepted %d cores", cores)
+		}
+		if _, err := l.Warm(apiCtx, []string{"fig4"}, cores); err == nil {
+			t.Errorf("Warm accepted %d cores", cores)
+		}
+	}
+	// The bound is inclusive; fig1 is simulation-free.
+	if _, err := l.Run(apiCtx, "fig1", 64); err != nil {
+		t.Errorf("Run rejected 64 cores: %v", err)
+	}
+}
+
 func TestLabSimulateSharesState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")

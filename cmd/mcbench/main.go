@@ -78,6 +78,10 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "mcbench: -cores must be >= 1 (got %d)\n", *cores)
 		return 2
 	}
+	if err := experiments.CheckCores(*cores); err != nil {
+		fmt.Fprintln(os.Stderr, "mcbench: -cores:", err)
+		return 2
+	}
 
 	args := flag.Args()
 	if len(args) == 0 {

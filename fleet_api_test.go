@@ -102,7 +102,8 @@ func TestFleetPublicAPI(t *testing.T) {
 	}
 
 	// A mixed-version join is rejected with 409 over the public client.
-	bad := mcbench.FleetJoinRequest{Addr: "127.0.0.1:1", Source: "suite", TraceLen: 2000}
+	bad := mcbench.FleetJoinRequest{Addr: "127.0.0.1:1"}
+	bad.Source, bad.TraceLen = "suite", 2000
 	bad.Build.Module, bad.Build.Version = "mcbench", "v9.9.9-mixed"
 	if _, err := coord.FleetJoin(ctx, bad); err == nil {
 		t.Error("mixed-version FleetJoin succeeded, want 409")

@@ -23,8 +23,6 @@ type Machine struct {
 	compT   []uint64 // per-node completion times, current iteration
 	prevEnd uint64   // end time of the previous iteration
 	clock   uint64   // monotonic local clock
-
-	reqCount uint64 // total demand requests replayed
 }
 
 // NewMachine binds a model to a core id and memory hierarchy. The
@@ -57,15 +55,6 @@ func MustNewMachine(id int, m *Model, mem uncore.Memory) *Machine {
 	}
 	return ma
 }
-
-// ID returns the machine's core id.
-func (ma *Machine) ID() int { return ma.id }
-
-// Model returns the machine's model.
-func (ma *Machine) Model() *Model { return ma.model }
-
-// Requests returns the number of demand requests replayed.
-func (ma *Machine) Requests() uint64 { return ma.reqCount }
 
 // Now returns the machine's monotonic local clock. The multicore driver
 // steps the machine with the smallest Now.
@@ -125,7 +114,6 @@ func (ma *Machine) Step() uint64 {
 		}
 	}
 	done := ma.mem.Access(ma.id, n.PC, n.VAddr, n.Write, false, issue)
-	ma.reqCount++
 	for i := range n.Satellites {
 		s := &n.Satellites[i]
 		ma.mem.Access(ma.id, s.PC, s.VAddr, s.Write, s.Prefetch, issue+s.Offset)
@@ -175,7 +163,6 @@ func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 	unc, mem, id := ma.unc, ma.mem, ma.id
 	next, iter := ma.next, ma.iter
 	prevEnd, clock := ma.prevEnd, ma.clock
-	reqs := ma.reqCount
 	iterBase := iter * uint64(m.TraceLen)
 	committed := iterBase
 	if next > 0 {
@@ -207,7 +194,6 @@ func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 		} else {
 			done = mem.Access(id, n.PC, n.VAddr, n.Write, false, issue)
 		}
-		reqs++
 		for i := range n.Satellites {
 			s := &n.Satellites[i]
 			if unc != nil {
@@ -238,7 +224,6 @@ func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 	}
 	ma.next, ma.iter = next, iter
 	ma.prevEnd, ma.clock = prevEnd, clock
-	ma.reqCount = reqs
 	return steps
 }
 

@@ -38,7 +38,6 @@ const (
 func (l line) tag() uint64 { return uint64(l) >> lineTagShift }
 func (l line) valid() bool { return l&lineValid != 0 }
 func (l line) dirty() bool { return l&lineDirty != 0 }
-func (l line) pref() bool  { return l&linePref != 0 }
 
 // lineKey builds the packed compare key of a valid line with the given
 // tag; masking a line's dirty/pref bits off makes it directly comparable.
@@ -291,33 +290,6 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
 // lineAddr reconstructs the line-aligned address of a (set, tag) pair.
 func (c *Cache) lineAddr(set int, tag uint64) uint64 {
 	return (tag<<c.tagShift | uint64(set)) << c.setShift
-}
-
-// Invalidate drops addr if present, returning whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	want := lineKey(tag)
-	for w := range ways {
-		if ways[w]&^(lineDirty|linePref) == want {
-			dirty = ways[w].dirty()
-			ways[w] &^= lineValid
-			return true, dirty
-		}
-	}
-	return false, false
-}
-
-// Flush invalidates every line, returning the number of dirty lines
-// dropped. Statistics are preserved.
-func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].valid() && c.lines[i].dirty() {
-			dirty++
-		}
-		c.lines[i] = 0
-	}
-	return dirty
 }
 
 // AlignLine returns addr rounded down to its cache line.

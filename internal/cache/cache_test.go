@@ -171,27 +171,6 @@ func TestFillExistingLineIsNoEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidateAndFlush(t *testing.T) {
-	c := tiny(t, NewLRUPolicy())
-	a, b := addrFor(0, 1), addrFor(1, 1)
-	c.Fill(a, true, false)
-	c.Fill(b, false, false)
-	present, dirty := c.Invalidate(a)
-	if !present || !dirty {
-		t.Fatalf("invalidate = (%v,%v)", present, dirty)
-	}
-	if c.Probe(a) {
-		t.Fatal("line survives invalidate")
-	}
-	c.Fill(a, true, false)
-	if got := c.Flush(); got != 1 {
-		t.Fatalf("flush dropped %d dirty lines, want 1", got)
-	}
-	if c.Probe(a) || c.Probe(b) {
-		t.Fatal("lines survive flush")
-	}
-}
-
 func TestPrefetchStats(t *testing.T) {
 	c := tiny(t, NewLRUPolicy())
 	a := addrFor(0, 1)

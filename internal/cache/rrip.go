@@ -132,6 +132,3 @@ func (p *drripPolicy) OnFill(set, way int) {
 	}
 	p.rrpv[idx] = rripMaxRRPV - 1
 }
-
-// PSEL exposes the selector for tests and ablation studies.
-func (p *drripPolicy) PSEL() int { return p.psel }

@@ -4,10 +4,9 @@
 // and Van Biesbrouck, Eeckhout & Calder cluster workloads directly and
 // simulate one representative per cluster ([7]).
 //
-// The package implements k-means with k-means++ seeding, agglomerative
-// hierarchical clustering (average linkage), z-score normalisation,
-// silhouette scoring for choosing k, principal component projection, and
-// medoid extraction. Everything is deterministic given the caller's
+// The package implements k-means with k-means++ seeding, z-score
+// normalisation, silhouette scoring for choosing k, and medoid
+// extraction. Everything is deterministic given the caller's
 // *rand.Rand.
 package cluster
 
@@ -215,70 +214,6 @@ func recompute(centroids [][]float64, points [][]float64, assign []int, rng *ran
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical agglomerative clustering
-
-// Hierarchical clusters points into k clusters by average-linkage
-// agglomeration: start with singletons, repeatedly merge the pair of
-// clusters with the smallest mean inter-point distance.
-func Hierarchical(points [][]float64, k int) (*Result, error) {
-	if err := validate(points, k); err != nil {
-		return nil, err
-	}
-	n := len(points)
-	// Pairwise distances once.
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dist[i][j] = math.Sqrt(sqDist(points[i], points[j]))
-		}
-	}
-	clusters := make([][]int, n)
-	for i := range clusters {
-		clusters[i] = []int{i}
-	}
-	for len(clusters) > k {
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < len(clusters); i++ {
-			for j := i + 1; j < len(clusters); j++ {
-				d := avgLink(dist, clusters[i], clusters[j])
-				if d < bd {
-					bi, bj, bd = i, j, d
-				}
-			}
-		}
-		clusters[bi] = append(clusters[bi], clusters[bj]...)
-		clusters = append(clusters[:bj], clusters[bj+1:]...)
-	}
-	res := &Result{Assign: make([]int, n), K: k}
-	dim := len(points[0])
-	for c, members := range clusters {
-		cent := make([]float64, dim)
-		for _, i := range members {
-			res.Assign[i] = c
-			for j, v := range points[i] {
-				cent[j] += v
-			}
-		}
-		for j := range cent {
-			cent[j] /= float64(len(members))
-		}
-		res.Centroids = append(res.Centroids, cent)
-	}
-	return res, nil
-}
-
-func avgLink(dist [][]float64, a, b []int) float64 {
-	sum := 0.0
-	for _, i := range a {
-		for _, j := range b {
-			sum += dist[i][j]
-		}
-	}
-	return sum / float64(len(a)*len(b))
-}
-
-// ---------------------------------------------------------------------------
 // Normalisation, silhouette, model selection
 
 // Normalize z-scores each feature dimension in place-free fashion: the
@@ -387,108 +322,6 @@ func BestK(rng *rand.Rand, points [][]float64, kMin, kMax int) (*Result, error) 
 		}
 	}
 	return best, nil
-}
-
-// ---------------------------------------------------------------------------
-// Principal components
-
-// PCA projects points onto their top-ncomp principal components using
-// power iteration with deflation on the covariance matrix. The input
-// should be normalised. Returned rows align with points.
-func PCA(points [][]float64, ncomp int) ([][]float64, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	dim := len(points[0])
-	if ncomp < 1 || ncomp > dim {
-		return nil, fmt.Errorf("cluster: %d components of %d dims", ncomp, dim)
-	}
-	// Covariance matrix (points assumed centred by Normalize).
-	cov := make([][]float64, dim)
-	for i := range cov {
-		cov[i] = make([]float64, dim)
-	}
-	for _, p := range points {
-		for i := 0; i < dim; i++ {
-			for j := 0; j < dim; j++ {
-				cov[i][j] += p[i] * p[j]
-			}
-		}
-	}
-	for i := range cov {
-		for j := range cov[i] {
-			cov[i][j] /= float64(len(points))
-		}
-	}
-	comps := make([][]float64, 0, ncomp)
-	for c := 0; c < ncomp; c++ {
-		v := powerIterate(cov, 200)
-		comps = append(comps, v)
-		// Deflate: cov -= lambda v v^T.
-		lambda := rayleigh(cov, v)
-		for i := 0; i < dim; i++ {
-			for j := 0; j < dim; j++ {
-				cov[i][j] -= lambda * v[i] * v[j]
-			}
-		}
-	}
-	out := make([][]float64, len(points))
-	for i, p := range points {
-		out[i] = make([]float64, ncomp)
-		for c, v := range comps {
-			s := 0.0
-			for j := range p {
-				s += p[j] * v[j]
-			}
-			out[i][c] = s
-		}
-	}
-	return out, nil
-}
-
-// powerIterate returns the dominant eigenvector of m.
-func powerIterate(m [][]float64, iters int) []float64 {
-	dim := len(m)
-	v := make([]float64, dim)
-	// Deterministic start: spread over all dimensions.
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(dim))
-	}
-	tmp := make([]float64, dim)
-	for it := 0; it < iters; it++ {
-		for i := 0; i < dim; i++ {
-			s := 0.0
-			for j := 0; j < dim; j++ {
-				s += m[i][j] * v[j]
-			}
-			tmp[i] = s
-		}
-		norm := 0.0
-		for _, x := range tmp {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return v // zero matrix: any vector is fine
-		}
-		for i := range v {
-			v[i] = tmp[i] / norm
-		}
-	}
-	return v
-}
-
-func rayleigh(m [][]float64, v []float64) float64 {
-	dim := len(m)
-	num := 0.0
-	for i := 0; i < dim; i++ {
-		s := 0.0
-		for j := 0; j < dim; j++ {
-			s += m[i][j] * v[j]
-		}
-		num += v[i] * s
-	}
-	return num
 }
 
 // ---------------------------------------------------------------------------

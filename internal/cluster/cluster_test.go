@@ -60,26 +60,6 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	}
 }
 
-func TestHierarchicalRecoversBlobs(t *testing.T) {
-	pts, truth := wellSeparated()
-	r, err := Hierarchical(pts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agrees(r.Assign, truth) {
-		t.Fatalf("hierarchical clustering failed on well-separated blobs")
-	}
-}
-
-func TestKMeansAndHierarchicalAgree(t *testing.T) {
-	pts, _ := wellSeparated()
-	km, _ := KMeans(rand.New(rand.NewSource(2)), pts, 3, 100)
-	hc, _ := Hierarchical(pts, 3)
-	if !agrees(km.Assign, hc.Assign) {
-		t.Error("k-means and hierarchical disagree on trivially separable data")
-	}
-}
-
 func TestMedoidsAreMembers(t *testing.T) {
 	pts, _ := wellSeparated()
 	r, _ := KMeans(rand.New(rand.NewSource(3)), pts, 3, 100)
@@ -157,30 +137,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestPCAOnAnisotropicData(t *testing.T) {
-	// Points spread along the (1,1) diagonal with small noise: the first
-	// principal component must capture the diagonal.
-	rng := rand.New(rand.NewSource(5))
-	var pts [][]float64
-	for i := 0; i < 200; i++ {
-		tval := rng.NormFloat64() * 5
-		pts = append(pts, []float64{tval + rng.NormFloat64()*0.1, tval + rng.NormFloat64()*0.1})
-	}
-	proj, err := PCA(Normalize(pts), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Variance along component 1 must dominate component 2.
-	var v1, v2 float64
-	for _, p := range proj {
-		v1 += p[0] * p[0]
-		v2 += p[1] * p[1]
-	}
-	if v1 < 10*v2 {
-		t.Errorf("PCA variance ratio %.2f; first component should dominate", v1/v2)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if _, err := KMeans(rng, nil, 2, 10); err == nil {
@@ -195,14 +151,8 @@ func TestValidation(t *testing.T) {
 	if _, err := KMeans(rng, [][]float64{{math.NaN()}}, 1, 10); err == nil {
 		t.Error("NaN accepted")
 	}
-	if _, err := Hierarchical([][]float64{{1}, {2}}, 0); err == nil {
+	if _, err := KMeans(rng, [][]float64{{1}, {2}}, 0, 10); err == nil {
 		t.Error("k=0 accepted")
-	}
-	if _, err := PCA(nil, 1); err == nil {
-		t.Error("PCA on empty input accepted")
-	}
-	if _, err := PCA([][]float64{{1, 2}}, 3); err == nil {
-		t.Error("PCA with ncomp > dim accepted")
 	}
 }
 

@@ -46,12 +46,6 @@ type Config struct {
 	Core *cpu.Config
 }
 
-// DefaultConfig returns a setup that works well for the 100 k-µop traces
-// of this repository: 10 phases, 2 k-µop samples.
-func DefaultConfig(policy cache.PolicyName) Config {
-	return Config{Phases: 10, SampleOps: 2000, Policy: policy}
-}
-
 // Result is the outcome of one co-phase-predicted execution.
 type Result struct {
 	// IPC per core over the first quota instructions of each thread.
@@ -316,9 +310,6 @@ func (s *Simulator) Run(quota uint64) (Result, error) {
 	}
 	return res, nil
 }
-
-// MatrixSize returns the number of co-phase entries measured so far.
-func (s *Simulator) MatrixSize() int { return len(s.matrix) }
 
 // SimulatedOps returns the detailed-simulation cost so far, in µops.
 func (s *Simulator) SimulatedOps() uint64 { return s.simOps }

@@ -39,18 +39,19 @@ func tinySuite(n int) map[string]*trace.Trace {
 
 func TestNewValidation(t *testing.T) {
 	traces := tinySuite(4000)
-	if _, err := New(nil, traces, DefaultConfig(cache.LRU)); err == nil {
+	valid := Config{Phases: 10, SampleOps: 2000, Policy: cache.LRU}
+	if _, err := New(nil, traces, valid); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, err := New([]string{"missing"}, traces, DefaultConfig(cache.LRU)); err == nil {
+	if _, err := New([]string{"missing"}, traces, valid); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	cfg := DefaultConfig(cache.LRU)
+	cfg := valid
 	cfg.Phases = 0
 	if _, err := New([]string{"cachey"}, traces, cfg); err == nil {
 		t.Error("zero phases accepted")
 	}
-	cfg = DefaultConfig(cache.LRU)
+	cfg = valid
 	cfg.SampleOps = 0
 	if _, err := New([]string{"cachey"}, traces, cfg); err == nil {
 		t.Error("zero sample budget accepted")

@@ -242,9 +242,6 @@ func MustNew(id int, cfg Config, tr *trace.Trace, mem uncore.Memory) *Core {
 // to dst. Pass nil to stop recording.
 func (c *Core) SetRecorder(dst *[]UncoreRequest) { c.recorder = dst }
 
-// ID returns the core's identifier (its uncore port).
-func (c *Core) ID() int { return c.id }
-
 // Committed returns the number of µops committed so far.
 func (c *Core) Committed() uint64 { return c.seq }
 

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"mcbench/internal/multicore"
 )
 
 // Group classifies an experiment for usage listings.
@@ -58,6 +60,19 @@ func ParamsFor(cores int) Params {
 		p.CoreCounts = []int{cores}
 	}
 	return p
+}
+
+// CheckCores bounds the cores argument of an experiment run: 0 (each
+// experiment's paper default) up to multicore.MaxCores. Experiments size
+// their machines and populations by it, so an unbounded count could
+// exhaust the host's memory before the first table lands; the CLI, the
+// public Lab and the server all check through it. Like multicore.Check's,
+// its error carries no package prefix.
+func CheckCores(cores int) error {
+	if cores < 0 || cores > multicore.MaxCores {
+		return fmt.Errorf("cores %d outside [0, %d]", cores, multicore.MaxCores)
+	}
+	return nil
 }
 
 // Experiment is one reproducible unit of the evaluation: a named
@@ -173,12 +188,6 @@ func ByGroup(g Group) []Experiment {
 		}
 	}
 	return out
-}
-
-// HasChart reports whether the experiment declares a text-chart form.
-func HasChart(e Experiment) bool {
-	sp, isSpec := e.(spec)
-	return isSpec && sp.s.Chart != nil
 }
 
 // Chart renders the experiment's text chart if it declares one; ok

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"mcbench/internal/multicore"
 )
 
 // TestRegistryCatalogueComplete pins the registry against the curated
@@ -98,6 +100,17 @@ func TestByGroupOrder(t *testing.T) {
 	}
 }
 
+func TestCheckCores(t *testing.T) {
+	for _, c := range []struct {
+		cores int
+		ok    bool
+	}{{0, true}, {1, true}, {multicore.MaxCores, true}, {-1, false}, {multicore.MaxCores + 1, false}, {100000, false}} {
+		if err := CheckCores(c.cores); (err == nil) != c.ok {
+			t.Errorf("CheckCores(%d) = %v, want ok=%v", c.cores, err, c.ok)
+		}
+	}
+}
+
 // TestChartsDeclared pins which experiments expose the -plot view.
 func TestChartsDeclared(t *testing.T) {
 	want := map[string]bool{
@@ -105,7 +118,8 @@ func TestChartsDeclared(t *testing.T) {
 	}
 	for _, n := range Names() {
 		e, _ := Lookup(n)
-		if got := HasChart(e); got != want[n] {
+		sp, isSpec := e.(spec)
+		if got := isSpec && sp.s.Chart != nil; got != want[n] {
 			t.Errorf("%s: chart declared = %v, want %v", n, got, want[n])
 		}
 	}

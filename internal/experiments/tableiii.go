@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mcbench/internal/badco"
 	"mcbench/internal/cache"
 	"mcbench/internal/multicore"
 )
@@ -130,25 +129,6 @@ func (l *Lab) tableIIITable(ctx context.Context, workloadsPerPoint int) (*Table,
 		t.AddRow(fmt.Sprint(r.Cores), f3(r.DetMIPS), f3(r.BadcoMIPS), f2(r.Speedup))
 	}
 	return t, nil
-}
-
-// ModelBuildCost measures the one-off cost of building a BADCO model for
-// one benchmark (two detailed calibration runs), used by the Section
-// VII-A overhead example.
-func (l *Lab) ModelBuildCost(ctx context.Context, name string) (time.Duration, error) {
-	// Resolve the trace before starting the clock: the measured cost is
-	// the two calibration runs, not lazy trace generation.
-	prov := l.Provider()
-	tr, err := prov.Trace(ctx, name)
-	if err != nil {
-		return 0, err
-	}
-	defer prov.Release(name)
-	start := time.Now()
-	if _, err := badco.Build(tr, badco.DefaultBuildConfig()); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
 }
 
 // spreadNames picks up to k benchmarks spread evenly across the source

@@ -160,10 +160,10 @@ func TestProductKeyMatchesStoredKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := must(store.Keys())
+			entries := must(store.List())
 			key, ok := l.ProductKey(r)
-			if !ok || len(keys) != 1 || keys[0] != key {
-				t.Errorf("%s %s: ProductKey %q (ok=%v), stored keys %v", c.name, sim, key, ok, keys)
+			if !ok || len(entries) != 1 || entries[0].Key != key {
+				t.Errorf("%s %s: ProductKey %q (ok=%v), stored entries %+v", c.name, sim, key, ok, entries)
 			}
 		}
 	}

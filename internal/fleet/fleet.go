@@ -26,15 +26,8 @@ type Config struct {
 	// Build is the coordinator's own build identity; joins must match it
 	// exactly.
 	Build buildinfo.Info
-	// Source, TraceLen, Seed, Warmup and Sampling pin the lab identity
-	// joins must match (nodes with different lab configs compute
-	// different bytes for the same key). Sampling is the canonical
-	// string of the lab's sampling spec ("exact" when disabled).
-	Source   string
-	TraceLen int
-	Seed     int64
-	Warmup   int
-	Sampling string
+	// Lab pins the lab identity joins must match.
+	Lab
 	// Heartbeat is the interval granted to joining workers (0 →
 	// DefaultHeartbeat). A member missing missedBeats consecutive
 	// intervals is reaped.
@@ -72,14 +65,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	if cfg.Sampling == "" {
-		cfg.Sampling = "exact"
-	}
 	return &Coordinator{cfg: cfg, members: make(map[string]*member)}
 }
-
-// Heartbeat returns the interval the coordinator grants to workers.
-func (c *Coordinator) Heartbeat() time.Duration { return c.cfg.Heartbeat }
 
 // Join registers a worker. A mismatched build or lab identity fails with
 // ErrIncompatible. Re-joining with an address already registered
@@ -91,15 +78,8 @@ func (c *Coordinator) Join(req JoinRequest) (*JoinResponse, error) {
 		return nil, fmt.Errorf("%w: worker build %s, coordinator build %s",
 			ErrIncompatible, req.Build, c.cfg.Build)
 	}
-	if req.Sampling == "" {
-		req.Sampling = "exact"
-	}
-	if req.Source != c.cfg.Source || req.TraceLen != c.cfg.TraceLen ||
-		req.Seed != c.cfg.Seed || req.Warmup != c.cfg.Warmup ||
-		req.Sampling != c.cfg.Sampling {
-		return nil, fmt.Errorf("%w: worker lab (source=%q trace=%d seed=%d warmup=%d sampling=%s), coordinator lab (source=%q trace=%d seed=%d warmup=%d sampling=%s)",
-			ErrIncompatible, req.Source, req.TraceLen, req.Seed, req.Warmup, req.Sampling,
-			c.cfg.Source, c.cfg.TraceLen, c.cfg.Seed, c.cfg.Warmup, c.cfg.Sampling)
+	if req.Lab != c.cfg.Lab {
+		return nil, fmt.Errorf("%w: worker lab %+v, coordinator lab %+v", ErrIncompatible, req.Lab, c.cfg.Lab)
 	}
 	if req.Addr == "" {
 		return nil, fmt.Errorf("fleet: join without an advertised address")

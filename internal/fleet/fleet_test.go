@@ -111,7 +111,7 @@ func fleetHarness(t *testing.T, hb time.Duration, workers ...*fakeWorker) (*Coor
 		byAddr[w.addr] = w
 	}
 	c := NewCoordinator(Config{
-		Build: testBuild, Source: "suite", TraceLen: 1000, Seed: 42, Warmup: 0,
+		Build: testBuild, Lab: testLab,
 		Heartbeat: hb,
 		Dial: func(addr string) (Peer, error) {
 			w, ok := byAddr[addr]
@@ -124,9 +124,12 @@ func fleetHarness(t *testing.T, hb time.Duration, workers ...*fakeWorker) (*Coor
 	return c, byAddr
 }
 
+// testLab is the lab identity of fleetHarness coordinators.
+var testLab = Lab{Source: "suite", TraceLen: 1000, Seed: 42}
+
 // joinReq is the compatible handshake for fleetHarness coordinators.
 func joinReq(addr string) JoinRequest {
-	return JoinRequest{Addr: addr, Build: testBuild, Source: "suite", TraceLen: 1000, Seed: 42}
+	return JoinRequest{Addr: addr, Build: testBuild, Lab: testLab}
 }
 
 // keyed builds a keyed plan of n distinct products (distinct policies,
@@ -223,17 +226,15 @@ func TestJoinCompatibility(t *testing.T) {
 	}
 
 	bad = joinReq("w1:1")
-	bad.Sampling = "u10000d2000w2000"
+	bad.Protocol = "smpu10000d2000w2000"
 	if _, err := c.Join(bad); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("sampling mismatch: got %v, want ErrIncompatible", err)
 	}
 
-	// An explicit "exact" and the legacy empty field are the same
-	// identity: both mean an unsampled lab.
-	ok := joinReq("w1:1")
-	ok.Sampling = "exact"
-	if _, err := c.Join(ok); err != nil {
-		t.Errorf("explicit exact sampling rejected: %v", err)
+	bad = joinReq("w1:1")
+	bad.Protocol = "w1500"
+	if _, err := c.Join(bad); !errors.Is(err, ErrIncompatible) {
+		t.Errorf("warmup mismatch: got %v, want ErrIncompatible", err)
 	}
 
 	bad = joinReq("")
@@ -378,7 +379,7 @@ func TestWarmFleetStealsFromStraggler(t *testing.T) {
 	fast := &fakeWorker{addr: "w2:2"}
 	byAddr := map[string]*fakeWorker{slow.addr: slow, fast.addr: fast}
 	c := NewCoordinator(Config{
-		Build: testBuild, Source: "suite", TraceLen: 1000, Seed: 42,
+		Build: testBuild, Lab: testLab,
 		Heartbeat:  time.Second, // nobody dies
 		StealAfter: 30 * time.Millisecond,
 		Dial: func(addr string) (Peer, error) {
@@ -622,7 +623,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 		byAddr[w.addr] = w
 	}
 	c := NewCoordinator(Config{
-		Build: testBuild, Source: "suite", TraceLen: 1000, Seed: 42,
+		Build: testBuild, Lab: testLab,
 		Heartbeat: time.Hour, // no reaping mid-benchmark
 		Dial: func(addr string) (Peer, error) {
 			w, ok := byAddr[addr]

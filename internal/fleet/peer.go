@@ -70,14 +70,20 @@ type JoinRequest struct {
 	// coordinator.
 	Addr  string         `json:"addr"`
 	Build buildinfo.Info `json:"build"`
-	// Lab identity: the benchmark source name, trace length, seed,
-	// warmup and sampling spec (canonical string, "exact" when disabled)
-	// the worker's lab is configured with.
-	Source   string `json:"source"`
-	TraceLen int    `json:"trace_len"`
+	// Lab is the identity of the worker's lab.
+	Lab
+}
+
+// Lab is the lab configuration every node of a fleet must share: nodes
+// whose labs differ compute different bytes for the same content key. It
+// is comparable, and a join is compatible only with an equal Lab.
+type Lab struct {
+	Source   string `json:"source"`    // benchmark source name
+	TraceLen int    `json:"trace_len"` // per-benchmark trace length
 	Seed     int64  `json:"seed"`
-	Warmup   int    `json:"warmup"`
-	Sampling string `json:"sampling,omitempty"`
+	// Protocol is the lab's run protocol token, multicore.Spec.Protocol
+	// of its warmup and sampling spec with no separator ("" when exact).
+	Protocol string `json:"protocol,omitempty"`
 }
 
 // JoinResponse grants fleet membership.

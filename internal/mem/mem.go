@@ -92,9 +92,6 @@ func (b *Bus) TransferCommand(now uint64) (start, done uint64) {
 	return b.reserve(&b.cmdFreeAt, now, b.commandCycles)
 }
 
-// FreeAt reports when the data path next becomes idle.
-func (b *Bus) FreeAt() uint64 { return b.dataFreeAt }
-
 // BusyCycles reports cumulative busy time, for utilisation statistics.
 func (b *Bus) BusyCycles() uint64 { return b.busy }
 

@@ -16,6 +16,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 
 	"mcbench/internal/badco"
@@ -121,6 +122,22 @@ type Spec struct {
 	Quota    uint64
 	Warmup   uint64
 	Sampling SamplingSpec
+}
+
+// Protocol renders the spec's measurement protocol, the part of a
+// result's identity that decides whether it can be reused: sep+"w<N>"
+// for a warmup of N µops and sep+"smp"+Sampling.String() for a sampled
+// run, in that order; an exact run renders as "". Cache keys, dedup keys
+// and the fleet handshake all derive their protocol token from it.
+func (s Spec) Protocol(sep string) string {
+	var p string
+	if s.Warmup > 0 {
+		p = sep + "w" + strconv.FormatUint(s.Warmup, 10)
+	}
+	if s.Sampling.Enabled() {
+		p += sep + "smp" + s.Sampling.String()
+	}
+	return p
 }
 
 // Validate checks the spec's rules, resolving a zero Quota to traceLen.

@@ -74,7 +74,9 @@ func (s SamplingSpec) Validate() error {
 	if s.Window == 0 {
 		return fmt.Errorf("sampling window must be positive")
 	}
-	if s.Warmup+s.Window > s.Unit {
+	// Compared so that no sum can wrap around: the spec comes from
+	// outside input, and Warmup+Window overflows for huge fields.
+	if s.Window > s.Unit || s.Warmup > s.Unit-s.Window {
 		return fmt.Errorf("sampling warmup %d + window %d exceed unit %d", s.Warmup, s.Window, s.Unit)
 	}
 	if s.Warm > s.Unit-s.Warmup-s.Window {

@@ -31,6 +31,12 @@ func TestSamplingSpecValidate(t *testing.T) {
 		{SamplingSpec{Unit: 1000, Window: 100, Warmup: 100, Warm: 800}, true},
 		{SamplingSpec{Unit: 1000, Window: 100, Warmup: 100, Warm: 801}, false},
 		{SamplingSpec{Warm: 100}, false},
+		// Fields whose sums wrap around in uint64 must not pass.
+		{SamplingSpec{Unit: 10000, Window: 2000, Warmup: math.MaxUint64}, false},
+		{SamplingSpec{Unit: 10000, Window: math.MaxUint64, Warmup: 2000}, false},
+		{SamplingSpec{Unit: 10000, Window: math.MaxUint64 - 999, Warmup: 2000}, false},
+		{SamplingSpec{Unit: 10000, Window: 2000, Warmup: 1000, Warm: math.MaxUint64}, false},
+		{SamplingSpec{Unit: math.MaxUint64, Window: 1, Warmup: math.MaxUint64 - 1}, true},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {

@@ -1,5 +1,5 @@
-// Package plot renders the paper's figures as monospace text charts and
-// CSV files. The experiments (package experiments) compute the data; this
+// Package plot renders the paper's figures as monospace text charts.
+// The experiments (package experiments) compute the data; this
 // package makes `mcbench figN` output directly comparable to the figures
 // in the PDF: line charts for the confidence curves (Figures 1, 3, 6, 7),
 // a scatter for the CPI correlation (Figure 2) and grouped bars for the
@@ -8,7 +8,6 @@ package plot
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -197,23 +196,6 @@ func Bars(cfg Config, seriesNames []string, groups []BarGroup) string {
 	fmt.Fprintf(&b, "%-*s %s\n", labelW, "", axisLine(lo, hi, cfg.Width))
 	fmt.Fprintf(&b, "scale: %.3g .. %.3g (span %.3g)\n", lo, hi, span)
 	return b.String()
-}
-
-// WriteCSV emits a header row and data rows.
-func WriteCSV(w io.Writer, header []string, rows [][]float64) error {
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = fmt.Sprintf("%g", v)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(parts, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -100,18 +100,6 @@ func TestBarsNegativeAndPositive(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var b strings.Builder
-	err := WriteCSV(&b, []string{"w", "conf"}, [][]float64{{10, 0.75}, {20, 0.9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "w,conf\n10,0.75\n20,0.9\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
 func TestSortSeriesByX(t *testing.T) {
 	s := Series{Name: "s", X: []float64{3, 1, 2}, Y: []float64{30, 10, 20}}
 	got := SortSeriesByX(s)

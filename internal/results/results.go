@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mcbench/internal/faultinject"
+	"mcbench/internal/multicore"
 	"mcbench/internal/telemetry"
 )
 
@@ -90,21 +91,22 @@ func (t Identity) Key() string {
 	if t.Universe > 0 {
 		key += fmt.Sprintf("-u%d", t.Universe)
 	}
-	if t.Warmup > 0 {
-		key += fmt.Sprintf("-w%d", t.Warmup)
-	}
-	if t.SampleUnit > 0 {
-		key += fmt.Sprintf("-smpu%dd%dw%d", t.SampleUnit, t.SampleWindow, t.SampleWarmup)
-		if t.SampleWarm > 0 {
-			key += fmt.Sprintf("f%d", t.SampleWarm)
-		}
-	}
+	key += multicore.Spec{Warmup: uint64(max(t.Warmup, 0)), Sampling: t.sampling()}.Protocol("-")
 	if t.Source != "" {
 		h := fnv.New32a()
 		h.Write([]byte(t.Source))
 		key += fmt.Sprintf("-%s-%08x", sanitize(t.Source), h.Sum32())
 	}
 	return key
+}
+
+// sampling is the sampling spec the identity records. A negative field,
+// which Validate rejects, converts to a huge one.
+func (t Identity) sampling() multicore.SamplingSpec {
+	return multicore.SamplingSpec{
+		Unit: uint64(t.SampleUnit), Window: uint64(t.SampleWindow),
+		Warmup: uint64(t.SampleWarmup), Warm: uint64(t.SampleWarm),
+	}
 }
 
 // sanitize maps a source name onto the filename-safe alphabet (source
@@ -149,20 +151,8 @@ func (t *IPCTable) Validate() error {
 	if t.SampleUnit < 0 || t.SampleWindow < 0 || t.SampleWarmup < 0 || t.SampleWarm < 0 {
 		return fmt.Errorf("results: negative sampling field")
 	}
-	if t.SampleUnit > 0 {
-		if t.SampleWindow == 0 {
-			return fmt.Errorf("results: sampled table without a window")
-		}
-		if t.SampleWindow+t.SampleWarmup > t.SampleUnit {
-			return fmt.Errorf("results: sampling window %d + warmup %d exceed unit %d",
-				t.SampleWindow, t.SampleWarmup, t.SampleUnit)
-		}
-		if t.SampleWarm > t.SampleUnit-t.SampleWindow-t.SampleWarmup {
-			return fmt.Errorf("results: sampling warm %d exceeds gap %d",
-				t.SampleWarm, t.SampleUnit-t.SampleWindow-t.SampleWarmup)
-		}
-	} else if t.SampleWindow != 0 || t.SampleWarmup != 0 || t.SampleWarm != 0 {
-		return fmt.Errorf("results: sampling window/warmup set without a unit")
+	if err := t.sampling().Validate(); err != nil {
+		return fmt.Errorf("results: %w", err)
 	}
 	for name, col := range map[string][][]float64{"ci": t.CI, "cv": t.CV} {
 		if len(col) == 0 {
@@ -631,9 +621,9 @@ type Entry struct {
 }
 
 // List returns one identity-preserving entry per stored table, sorted by
-// key. Unlike Keys, it reports the raw identity fields (spec, cores,
-// policy, source, ...), which is what the serve /cache endpoint and
-// list-style tooling show. Only the identity fields are decoded — the
+// key. It reports the raw identity fields (spec, cores, policy,
+// source, ...), which is what the serve /cache endpoint and list-style
+// tooling show. Only the identity fields are decoded — the
 // IPC rows are skipped — an entry whose content does not match its
 // filename identity is marked Corrupt rather than served as something
 // it is not, and unchanged files (same size and mtime) are served from
@@ -722,30 +712,4 @@ func (e *Entry) decodeIdentity(path string) {
 		return
 	}
 	e.Table = IPCTable{Identity: id}
-}
-
-// Keys lists the stored table keys, sorted.
-func (s *Store) Keys() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) == ".json" {
-			keys = append(keys, name[:len(name)-len(".json")])
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Delete removes a stored table (no error if absent).
-func (s *Store) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
 }

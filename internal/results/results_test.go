@@ -133,34 +133,6 @@ func TestCorruptFile(t *testing.T) {
 	}
 }
 
-func TestKeysAndDelete(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	a := table()
-	b := table()
-	b.Policy = "DIP"
-	if err := s.Save(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(b); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := s.Keys()
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("keys %v err %v", keys, err)
-	}
-	if err := s.Delete(a.Key()); err != nil {
-		t.Fatal(err)
-	}
-	keys, _ = s.Keys()
-	if len(keys) != 1 || keys[0] != b.Key() {
-		t.Fatalf("keys after delete %v", keys)
-	}
-	// Deleting again is a no-op.
-	if err := s.Delete(a.Key()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenErrors(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("Open accepted empty dir")
@@ -210,9 +182,9 @@ func TestConcurrentSaveLoadSameKey(t *testing.T) {
 	wg.Wait()
 	// The store directory must hold exactly the one key — no stranded
 	// staging files counted as tables.
-	keys, err := s.Keys()
-	if err != nil || len(keys) != 1 || keys[0] != want.Key() {
-		t.Fatalf("keys after concurrent saves: %v (err %v)", keys, err)
+	entries, err := s.List()
+	if err != nil || len(entries) != 1 || entries[0].Key != want.Key() {
+		t.Fatalf("entries after concurrent saves: %+v (err %v)", entries, err)
 	}
 }
 
@@ -502,5 +474,45 @@ func TestWarmupKeyedSeparately(t *testing.T) {
 	}
 	if _, ok, err := s.Load(*b); err != nil || ok {
 		t.Fatalf("warmed proto loaded the unwarmed table (ok=%v, err=%v)", ok, err)
+	}
+}
+
+// TestIdentityKeysPinned pins Identity.Key to literal strings for every
+// run protocol: the keys name files persisted across versions and the
+// fleet fetches tables by them, so a refactor of how the key is built
+// must reproduce these bytes exactly.
+func TestIdentityKeysPinned(t *testing.T) {
+	base := Identity{Simulator: "badco", Cores: 4, Policy: "DRRIP", TraceLen: 20000, Population: 330, Seed: 1}
+	with := func(f func(*Identity)) Identity {
+		id := base
+		f(&id)
+		return id
+	}
+	for _, c := range []struct {
+		id   Identity
+		want string
+	}{
+		{base, "badco-c4-DRRIP-l20000-p330-s1"},
+		{with(func(id *Identity) {
+			id.Simulator, id.Population, id.Universe = "detailed", 40, 330
+		}), "detailed-c4-DRRIP-l20000-p40-s1-u330"},
+		{with(func(id *Identity) { id.Warmup = 1500 }), "badco-c4-DRRIP-l20000-p330-s1-w1500"},
+		{with(func(id *Identity) {
+			id.Simulator, id.SampleUnit, id.SampleWindow, id.SampleWarmup = "detailed", 10000, 1000, 500
+		}), "detailed-c4-DRRIP-l20000-p330-s1-smpu10000d1000w500"},
+		{with(func(id *Identity) {
+			id.Simulator, id.SampleUnit, id.SampleWindow, id.SampleWarmup, id.SampleWarm = "detailed", 10000, 1000, 500, 4000
+		}), "detailed-c4-DRRIP-l20000-p330-s1-smpu10000d1000w500f4000"},
+		{with(func(id *Identity) {
+			id.Warmup, id.SampleUnit, id.SampleWindow, id.SampleWarmup = 1500, 10000, 1000, 500
+		}), "badco-c4-DRRIP-l20000-p330-s1-w1500-smpu10000d1000w500"},
+		{with(func(id *Identity) { id.Source = "scaled:64:7" }), "badco-c4-DRRIP-l20000-p330-s1-scaled_64_7-7b934576"},
+		{with(func(id *Identity) {
+			id.Simulator, id.Population, id.Universe, id.Warmup, id.Source = "detailed", 40, 2016, 1500, "dir:traces/spec"
+		}), "detailed-c4-DRRIP-l20000-p40-s1-u2016-w1500-dir_traces_spec-5a9c5cba"},
+	} {
+		if got := c.id.Key(); got != c.want {
+			t.Errorf("%+v: Key() = %q, want %q", c.id, got, c.want)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"mcbench/internal/experiments"
 	"mcbench/internal/faultinject"
 	"mcbench/internal/fleet"
+	"mcbench/internal/multicore"
 )
 
 // httpPeer implements fleet.Peer over raw HTTP against one serve node.
@@ -266,7 +267,10 @@ func compatJoin(addr string) fleet.JoinRequest {
 	labCfg := experiments.QuickConfig()
 	return fleet.JoinRequest{
 		Addr: addr, Build: buildinfo.Read(),
-		Source: "suite", TraceLen: 2000, Seed: labCfg.Seed, Warmup: labCfg.Warmup,
+		Lab: fleet.Lab{
+			Source: "suite", TraceLen: 2000, Seed: labCfg.Seed,
+			Protocol: multicore.Spec{Warmup: uint64(labCfg.Warmup), Sampling: labCfg.Sampling}.Protocol(""),
+		},
 	}
 }
 

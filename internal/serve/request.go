@@ -174,10 +174,8 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			return req, "", badRequest("serve: experiment submission without payload")
 		}
 		e := *req.Experiment
-		// The job sizes its populations by cores: bound it like an ad-hoc
-		// machine (0 is the lab's default).
-		if e.Cores < 0 || e.Cores > multicore.MaxCores {
-			return req, "", badRequest("serve: cores %d outside [0, %d]", e.Cores, multicore.MaxCores)
+		if err := experiments.CheckCores(e.Cores); err != nil {
+			return req, "", badRequest("serve: %v", err)
 		}
 		if _, ok := experiments.Lookup(e.Name); !ok {
 			msg := fmt.Sprintf("serve: unknown experiment %q", e.Name)
@@ -315,17 +313,12 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 }
 
 // checkProtocol rejects a present-but-empty sampling field and returns
-// the protocol's dedup-key suffix: none for an exact run, "|w<warmup>"
-// for a warmed one and "|smp<spec>" for a sampled one, so the three
-// never coalesce onto each other.
+// the protocol's dedup-key suffix (multicore.Spec.Protocol): none for an
+// exact run, "|w<warmup>" for a warmed one and "|smp<spec>" for a
+// sampled one, so the three never coalesce onto each other.
 func checkProtocol(spec multicore.Spec, sampling *multicore.SamplingSpec) (string, error) {
-	switch {
-	case sampling != nil && !spec.Sampling.Enabled():
+	if sampling != nil && !spec.Sampling.Enabled() {
 		return "", badRequest("serve: empty sampling spec (omit the field for an exact run)")
-	case sampling != nil:
-		return "|smp" + spec.Sampling.String(), nil
-	case spec.Warmup > 0:
-		return fmt.Sprintf("|w%d", spec.Warmup), nil
 	}
-	return "", nil
+	return spec.Protocol("|"), nil
 }

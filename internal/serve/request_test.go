@@ -7,6 +7,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -260,6 +262,8 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 		{"empty spec", SimulateRequest{Workload: []string{"mcf"}, Sampling: &multicore.SamplingSpec{}}},
 		{"warm beyond gap", SimulateRequest{Workload: []string{"mcf"},
 			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2501}}},
+		{"warmup wraps the unit", SimulateRequest{Workload: []string{"mcf"},
+			Sampling: &multicore.SamplingSpec{Unit: 10000, Window: 2000, Warmup: math.MaxUint64}}},
 	}
 	for _, c := range cases {
 		req := c.req
@@ -357,6 +361,24 @@ func FuzzCanonicalize(f *testing.F) {
 				t.Fatalf("rejection %v is not a submitError", err)
 			}
 			return
+		}
+		// An accepted sampled request fits its unit in exact arithmetic:
+		// no field sum may have wrapped around on the way to acceptance.
+		var sampling *multicore.SamplingSpec
+		switch {
+		case canon.Simulate != nil:
+			sampling = canon.Simulate.Sampling
+		case canon.Sweep != nil:
+			sampling = canon.Sweep.Sampling
+		}
+		if s := sampling; s != nil {
+			used, carry := bits.Add64(s.Window, s.Warmup, 0)
+			if carry != 0 || used > s.Unit {
+				t.Fatalf("accepted %s: window %d + warmup %d exceed unit %d", data, s.Window, s.Warmup, s.Unit)
+			}
+			if s.Warm > s.Unit-used {
+				t.Fatalf("accepted %s: warm %d exceeds gap %d", data, s.Warm, s.Unit-used)
+			}
 		}
 		again, key2, err := canonicalize(canon, src, testTraceLen)
 		if err != nil {

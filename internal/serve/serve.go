@@ -24,6 +24,7 @@ import (
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/experiments"
 	"mcbench/internal/fleet"
+	"mcbench/internal/multicore"
 	"mcbench/internal/results"
 	"mcbench/internal/telemetry"
 )
@@ -89,8 +90,10 @@ type Server struct {
 
 	// Fleet state (see fleet.go). coord is non-nil on coordinators,
 	// coordPeer on workers; the agent is created once the listener is
-	// bound (its advertised address defaults to the bound one).
+	// bound (its advertised address defaults to the bound one). fleetLab
+	// is the lab identity a coordinator admits and a worker joins with.
 	fleet     FleetConfig
+	fleetLab  fleet.Lab
 	coord     *fleet.Coordinator
 	coordPeer fleet.Peer
 	agentMu   sync.Mutex
@@ -145,14 +148,15 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Fleet != nil && cfg.Fleet.Dial != nil {
 		s.fleet = *cfg.Fleet
+		s.fleetLab = fleet.Lab{
+			Source: labCfg.Source.Name(), TraceLen: labCfg.TraceLen, Seed: labCfg.Seed,
+			Protocol: multicore.Spec{Warmup: uint64(labCfg.Warmup), Sampling: labCfg.Sampling}.Protocol(""),
+		}
 		if s.fleet.Join == "" {
 			// Coordinator: accept joins, and read through to the workers'
 			// caches (rendezvous-ranked) on local misses.
 			s.coord = fleet.NewCoordinator(fleet.Config{
-				Build:  s.build,
-				Source: labCfg.Source.Name(), TraceLen: labCfg.TraceLen,
-				Seed: labCfg.Seed, Warmup: labCfg.Warmup,
-				Sampling:  labCfg.Sampling.String(),
+				Build: s.build, Lab: s.fleetLab,
 				Heartbeat: s.fleet.Heartbeat, StealAfter: s.fleet.StealAfter,
 				Dial: s.fleet.Dial,
 			})
@@ -189,12 +193,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics returns a point-in-time snapshot of the server's registry (the
-// same data GET /metrics?format=json serves).
-func (s *Server) Metrics() telemetry.Snapshot { return s.metrics.Snapshot() }
-
 // Lab returns the server's shared lab (tests assert on its sweep
-// counters; the CLI reports its configuration).
+// counters).
 func (s *Server) Lab() *experiments.Lab { return s.lab }
 
 // jobTimeoutString renders the per-job bound for /healthz ("" when
@@ -260,14 +260,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, onReady func(a
 		}
 		a := fleet.NewAgent(fleet.AgentConfig{
 			Coordinator: s.coordPeer,
-			Join: fleet.JoinRequest{
-				Addr: adv, Build: s.build,
-				Source:   s.lab.Source().Name(),
-				TraceLen: s.lab.Config().TraceLen,
-				Seed:     s.lab.Config().Seed,
-				Warmup:   s.lab.Config().Warmup,
-				Sampling: s.lab.Config().Sampling.String(),
-			},
+			Join:        fleet.JoinRequest{Addr: adv, Build: s.build, Lab: s.fleetLab},
 		})
 		s.agentMu.Lock()
 		s.agent = a

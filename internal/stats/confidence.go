@@ -26,12 +26,6 @@ func Confidence(cv float64, w int) float64 {
 	return 0.5 * (1 + math.Erf((1/cv)*math.Sqrt(float64(w)/2)))
 }
 
-// ConfidenceFromSamples estimates cv from per-workload differences ds and
-// applies Confidence for a sample of size w.
-func ConfidenceFromSamples(ds []float64, w int) float64 {
-	return Confidence(CoefVar(ds), w)
-}
-
 // RequiredSampleSize implements equation (8): W = 8*cv^2, the random-sample
 // size at which |(1/cv)*sqrt(W/2)| = 2, i.e. the confidence is within
 // erf(2) ≈ 0.9953 of certain. The result is rounded up and is at least 1.

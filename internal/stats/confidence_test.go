@@ -130,11 +130,3 @@ func TestConfidenceMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 }
-
-func TestConfidenceFromSamples(t *testing.T) {
-	ds := []float64{1, 1.5, 0.5, 1.2, 0.8}
-	cv := CoefVar(ds)
-	if got, want := ConfidenceFromSamples(ds, 10), Confidence(cv, 10); got != want {
-		t.Errorf("ConfidenceFromSamples = %g, want %g", got, want)
-	}
-}

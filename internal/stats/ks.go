@@ -37,26 +37,3 @@ func KSNormal(xs []float64) float64 {
 	}
 	return maxD
 }
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// mean of xs at the given level (e.g. 0.95), using b resamples drawn with
-// the provided next function (an injected uniform source in [0, n) keeps
-// the package free of math/rand while staying deterministic for callers).
-func BootstrapCI(xs []float64, b int, level float64, next func(n int) int) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	if b < 1 || level <= 0 || level >= 1 {
-		panic("stats: bad bootstrap parameters")
-	}
-	means := make([]float64, b)
-	for i := range means {
-		sum := 0.0
-		for range xs {
-			sum += xs[next(len(xs))]
-		}
-		means[i] = sum / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}

@@ -63,40 +63,3 @@ func TestKSNormalDegenerate(t *testing.T) {
 	}()
 	KSNormal(nil)
 }
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapCI(xs, 500, 0.95, rng.Intn)
-	if lo >= hi {
-		t.Fatalf("degenerate interval [%g, %g]", lo, hi)
-	}
-	m := Mean(xs)
-	if m < lo || m > hi {
-		t.Errorf("sample mean %g outside its own bootstrap interval [%g, %g]", m, lo, hi)
-	}
-	// The interval must be roughly ±2·sigma/sqrt(n) wide.
-	if width := hi - lo; width > 0.5 || width < 0.05 {
-		t.Errorf("interval width %g implausible for n=400, sigma=1", width)
-	}
-}
-
-func TestBootstrapCIBadParams(t *testing.T) {
-	for _, f := range []func(){
-		func() { BootstrapCI(nil, 10, 0.9, func(int) int { return 0 }) },
-		func() { BootstrapCI([]float64{1}, 0, 0.9, func(int) int { return 0 }) },
-		func() { BootstrapCI([]float64{1}, 10, 1.5, func(int) int { return 0 }) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad parameters did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

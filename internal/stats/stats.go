@@ -179,23 +179,6 @@ func InvCoefVar(xs []float64) float64 {
 	return m / s
 }
 
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between closest ranks. xs need not be sorted.
 func Quantile(xs []float64, q float64) float64 {
@@ -216,9 +199,6 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // NormalCDF returns the cumulative distribution function of the standard
 // normal distribution at x.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -135,13 +136,6 @@ func TestInvCoefVarDegenerate(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%g,%g), want (-1,7)", min, max)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Quantile(xs, 0); got != 1 {
@@ -150,16 +144,16 @@ func TestQuantile(t *testing.T) {
 	if got := Quantile(xs, 1); got != 5 {
 		t.Errorf("Quantile 1 = %g", got)
 	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("Median = %g", got)
+	if got := Quantile(xs, 0.5); got != 3 {
+		t.Errorf("Quantile 0.5 = %g", got)
 	}
 	if got := Quantile(xs, 0.25); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("Quantile 0.25 = %g, want 2", got)
 	}
 	// Unsorted input must give the same answer.
 	shuffled := []float64{4, 1, 5, 3, 2}
-	if got := Median(shuffled); got != 3 {
-		t.Errorf("Median(shuffled) = %g", got)
+	if got := Quantile(shuffled, 0.5); got != 3 {
+		t.Errorf("Quantile(shuffled, 0.5) = %g", got)
 	}
 }
 
@@ -205,7 +199,7 @@ func TestMeanInequalitiesProperty(t *testing.T) {
 		h := HarmonicMean(xs)
 		g := GeometricMean(xs)
 		a := Mean(xs)
-		min, max := MinMax(xs)
+		min, max := slices.Min(xs), slices.Max(xs)
 		const tol = 1e-9
 		return h <= g+tol && g <= a+tol && a >= min-tol && a <= max+tol
 	}

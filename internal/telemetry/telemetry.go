@@ -1,22 +1,22 @@
 // Package telemetry is a dependency-free metrics layer: atomic
-// counters, gauges and bounded-bucket histograms collected in a
-// registry that renders Prometheus text exposition or a JSON-friendly
-// Snapshot, plus lightweight timing spans (span.go) for phase
-// breakdowns of long computations.
+// counters, scrape-time gauges and bounded-bucket histograms collected
+// in a registry that renders Prometheus text exposition or a
+// JSON-friendly Snapshot, plus lightweight timing spans (span.go) for
+// phase breakdowns of long computations.
 //
 // Design constraints, in order:
 //
 //   - Zero allocations and no locks on the hot recording path
-//     (Counter.Inc, Gauge.Set, Histogram.Observe are single atomic
-//     ops; pinned by AllocsPerRun in the tests). Registration is the
+//     (Counter.Inc and Histogram.Observe are single atomic ops;
+//     pinned by AllocsPerRun in the tests). Registration is the
 //     slow path and may allocate.
 //   - Standard library only, so the simulation kernel can be
 //     instrumented without pulling a dependency into every import.
-//   - Recording can be disabled process-wide (SetEnabled / Disabled)
-//     to measure the instrumentation's own overhead A/B, through the
+//   - Recording can be disabled process-wide to measure the
+//     instrumentation's own overhead A/B, through the
 //     MCBENCH_TELEMETRY=off environment variable, honoured at init:
 //     MCBENCH_TELEMETRY=off bash benchmark/run.sh passes it on to every
-//     workload process.
+//     workload process. Tests bracket a region with Disabled.
 //
 // Histograms record int64 values into power-of-two buckets. By
 // convention a histogram whose name ends in "_seconds" is fed
@@ -53,10 +53,6 @@ func init() {
 // Enabled reports whether recording is currently on.
 func Enabled() bool { return enabled.Load() }
 
-// SetEnabled turns recording on or off process-wide. Existing values
-// are retained; only new observations are dropped while off.
-func SetEnabled(on bool) { enabled.Store(on) }
-
 // Disabled turns recording off and returns a func restoring the
 // previous state — `defer telemetry.Disabled()()` brackets a region.
 func Disabled() (restore func()) {
@@ -80,27 +76,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an integer value that can go up and down. The zero value
-// is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if enabled.Load() {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the value by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if enabled.Load() {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // numBuckets covers the full positive int64 range in powers of two:
 // bucket 0 holds zero, bucket i holds values in [2^(i-1), 2^i).
@@ -192,7 +167,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -219,7 +193,6 @@ type series struct {
 	scale  float64 // export multiplier (1e-9 for *_seconds histograms)
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
 }
@@ -295,8 +268,6 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 	switch kind {
 	case kindCounter:
 		s.counter = new(Counter)
-	case kindGauge:
-		s.gauge = new(Gauge)
 	case kindHistogram:
 		s.hist = new(Histogram)
 	}
@@ -307,11 +278,6 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 // Counter registers (or finds) a counter series and returns its handle.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.register(name, help, kindCounter, labels).counter
-}
-
-// Gauge registers (or finds) a gauge series and returns its handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.register(name, help, kindGauge, labels).gauge
 }
 
 // Histogram registers (or finds) a histogram series. Names ending in
@@ -362,8 +328,6 @@ func (s *series) sampleValue() float64 {
 	switch s.kind {
 	case kindCounter:
 		return float64(s.counter.Value())
-	case kindGauge:
-		return float64(s.gauge.Value())
 	default:
 		return s.fn()
 	}
@@ -445,7 +409,7 @@ func (r *Registry) Snapshot() Snapshot {
 		switch s.kind {
 		case kindCounter, kindCounterFunc:
 			snap.Counters[s.key()] = s.sampleValue()
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			snap.Gauges[s.key()] = s.sampleValue()
 		case kindHistogram:
 			h := s.hist

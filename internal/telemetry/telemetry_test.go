@@ -18,11 +18,12 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	r := NewRegistry()
+	depth := int64(7)
+	r.GaugeFunc("g", "g", func() float64 { return float64(depth) })
+	depth -= 3
+	if got := r.Snapshot().Gauge("g"); got != 4 {
+		t.Fatalf("gauge = %g, want 4 (sampled at snapshot time)", got)
 	}
 }
 
@@ -69,16 +70,12 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestZeroAllocHotPath(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("t_total", "test counter")
-	g := r.Gauge("t_gauge", "test gauge")
 	h := r.Histogram("t_seconds", "test histogram")
 	sp := StartSpan()
 	sp.Add("warm", time.Millisecond) // pre-create the phase entry
 
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(3) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op", n)
@@ -137,14 +134,14 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on kind mismatch")
 		}
 	}()
-	r.Gauge("x_total", "x")
+	r.Histogram("x_total", "x")
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_requests_total", "requests", L("endpoint", "/jobs")).Add(3)
 	r.Counter("app_requests_total", "requests", L("endpoint", "/healthz")).Add(1)
-	r.Gauge("app_queue", "queue depth").Set(5)
+	r.GaugeFunc("app_queue", "queue depth", func() float64 { return 5 })
 	r.GaugeFunc("app_uptime_seconds", "uptime", func() float64 { return 1.5 })
 	r.CounterFunc("app_done_total", "done", func() float64 { return 9 })
 	h := r.Histogram("app_latency_seconds", "latency", L("endpoint", "/jobs"))
@@ -230,7 +227,7 @@ func TestSnapshotJSONAndFamilies(t *testing.T) {
 	r.Counter("sweeps_total", "sweeps", L("sim", "badco")).Add(5)
 	r.Counter("sweeps_total", "sweeps", L("sim", "detailed")).Add(2)
 	r.Counter("sweeps_total_other", "unrelated").Add(100)
-	r.Gauge("depth", "d").Set(3)
+	r.GaugeFunc("depth", "d", func() float64 { return 3 })
 	snap := r.Snapshot()
 	if got := snap.Counter("sweeps_total"); got != 7 {
 		t.Fatalf("family sum = %g, want 7 (must not include sweeps_total_other)", got)

@@ -50,10 +50,15 @@ type Lab struct {
 func NewLab(cfg Config) *Lab { return &Lab{lab: experiments.NewLab(cfg)} }
 
 // runParams maps a public cores argument onto experiment parameters:
-// 0 means every experiment's paper default; a positive count pins both
-// the single-count experiments and the core-count sweeps of fig2, fig3
-// and fig7.
-func runParams(cores int) experiments.Params { return experiments.ParamsFor(cores) }
+// 0 means every experiment's paper default; a positive count, at most
+// 64, pins both the single-count experiments and the core-count sweeps
+// of fig2, fig3 and fig7.
+func runParams(cores int) (experiments.Params, error) {
+	if err := experiments.CheckCores(cores); err != nil {
+		return experiments.Params{}, fmt.Errorf("mcbench: %v", err)
+	}
+	return experiments.ParamsFor(cores), nil
+}
 
 // lookup resolves an experiment name with a did-you-mean error.
 func lookup(name string) (experiments.Experiment, error) {
@@ -77,7 +82,10 @@ func (l *Lab) Run(ctx context.Context, name string, cores int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := runParams(cores)
+	p, err := runParams(cores)
+	if err != nil {
+		return nil, err
+	}
 	if reqs := e.Requests(l.lab, p); len(reqs) > 0 {
 		if _, err := l.lab.Warm(ctx, reqs, 0); err != nil {
 			return nil, err
@@ -93,7 +101,11 @@ func (l *Lab) Chart(ctx context.Context, name string, cores int) (chart string, 
 	if err != nil {
 		return "", false, err
 	}
-	return experiments.Chart(ctx, e, l.lab, runParams(cores))
+	p, err := runParams(cores)
+	if err != nil {
+		return "", false, err
+	}
+	return experiments.Chart(ctx, e, l.lab, p)
 }
 
 // Warm precomputes the expensive products (population sweeps, reference
@@ -111,7 +123,11 @@ func (l *Lab) Warm(ctx context.Context, names []string, cores int) (int, error) 
 			return 0, err
 		}
 	}
-	return l.lab.Warm(ctx, l.lab.CampaignPlan(names, runParams(cores)), 0)
+	p, err := runParams(cores)
+	if err != nil {
+		return 0, err
+	}
+	return l.lab.Warm(ctx, l.lab.CampaignPlan(names, p), 0)
 }
 
 // Simulate runs one workload on the lab's shared traces and models — the

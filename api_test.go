@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -258,6 +259,51 @@ func TestLabSimulateSharesState(t *testing.T) {
 	// WithTraceLen conflicts with the lab's configured length.
 	if _, err := l.Simulate(apiCtx, []string{"mcf"}, mcbench.WithTraceLen(100)); err == nil {
 		t.Error("Lab.Simulate accepted WithTraceLen")
+	}
+}
+
+// TestLabSimulateBuildsEveryModelOnce pins the contract in Lab.Simulate's
+// doc: the first BADCO call builds the model of every benchmark of the
+// lab, reported as one "models" product event with a row per benchmark,
+// and a later call builds nothing and emits no models event.
+func TestLabSimulateBuildsEveryModelOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	var mu sync.Mutex
+	var models []mcbench.ProductEvent
+	cfg := tinyConfig()
+	cfg.Observer = func(ev mcbench.ProductEvent) {
+		if ev.Sim == "models" {
+			mu.Lock()
+			models = append(models, ev)
+			mu.Unlock()
+		}
+	}
+	l := mcbench.NewLab(cfg)
+	simulate := func(workload ...string) []mcbench.ProductEvent {
+		t.Helper()
+		mu.Lock()
+		models = nil
+		mu.Unlock()
+		if _, err := l.Simulate(apiCtx, workload, mcbench.WithSimulator(mcbench.BADCO)); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return models
+	}
+	var done []mcbench.ProductEvent
+	for _, ev := range simulate("mcf", "povray") {
+		if ev.Phase == "done" {
+			done = append(done, ev)
+		}
+	}
+	if len(done) != 1 || done[0].Rows != len(l.Benchmarks()) {
+		t.Errorf("first BADCO Lab.Simulate: models done events %+v, want one with %d rows", done, len(l.Benchmarks()))
+	}
+	if again := simulate("gcc", "soplex"); len(again) != 0 {
+		t.Errorf("second BADCO Lab.Simulate emitted models events %+v, want none", again)
 	}
 }
 

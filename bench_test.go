@@ -132,13 +132,13 @@ func BenchmarkGuideline(b *testing.B)              { benchExperiment(b, "guideli
 func benchTracesAndModels(b *testing.B) (multicore.TraceMap, map[string]*badco.Model) {
 	b.Helper()
 	traces := multicore.TraceMap(trace.GenerateSuite(20000))
-	names := make([]string, 0, len(traces))
-	for n := range traces {
-		names = append(names, n)
-	}
-	models, err := multicore.BuildModels(bctx, traces, names, badco.DefaultBuildConfig())
-	if err != nil {
-		b.Fatal(err)
+	models := make(map[string]*badco.Model, len(traces))
+	for name := range traces {
+		m, err := multicore.BuildModel(bctx, traces, name, badco.DefaultBuildConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[name] = m
 	}
 	return traces, models
 }

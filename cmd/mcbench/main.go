@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"mcbench"
-	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/cache"
@@ -132,7 +131,7 @@ func realMain() int {
 	case "top":
 		return topCmd(ctx, args[1:])
 	case "sim":
-		if err := simulate(ctx, cfg, args[1:]); err != nil {
+		if err := simulate(ctx, lab, args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "mcbench:", err)
 			return sigctx.ExitCode(err)
 		}
@@ -147,7 +146,7 @@ func realMain() int {
 		}
 		if _, ok := experiments.Lookup(name); !ok {
 			msg := fmt.Sprintf("mcbench: unknown experiment %q", name)
-			if s := experiments.Suggest(name, "all", "list", "sim", "benches"); s != "" {
+			if s := suggest(name); s != "" {
 				msg += fmt.Sprintf(" (did you mean %q?)", s)
 			}
 			fmt.Fprintln(os.Stderr, msg)
@@ -322,8 +321,10 @@ func parseSampleSpec(s string) (multicore.SamplingSpec, error) {
 // Benchmark names resolve through the -suite source. With -warmup each
 // thread commits N µops before the measurement window opens. With
 // -sample the detailed simulator runs under systematic sampling and the
-// IPCs become estimates with a 95% confidence column.
-func simulate(ctx context.Context, cfg experiments.Config, args []string) error {
+// IPCs become estimates with a 95% confidence column. Both passes run
+// through the lab's ad-hoc executor rather than mcbench.Simulate, whose
+// errors carry a package prefix the CLI would print twice.
+func simulate(ctx context.Context, lab *experiments.Lab, args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	warmup := fs.Uint64("warmup", 0, "µops committed per thread before measurement (warms caches and predictors)")
 	quota := fs.Uint64("quota", 0, "µops measured per thread (default: one trace length)")
@@ -348,8 +349,8 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 		}
 		spec.Sampling = smp
 	}
-	prov := bench.At(cfg.Source, cfg.TraceLen)
-	ws, distinct, err := multicore.Check(prov, spec, [][]string{strings.Split(args[1], ",")}, 0)
+	workload := [][]string{strings.Split(args[1], ",")}
+	res, _, _, err := lab.Simulate(ctx, spec, workload, 0)
 	switch {
 	case errors.Is(err, multicore.ErrUnknownBenchmark):
 		return fmt.Errorf("%w (run `mcbench benches`)", err)
@@ -358,35 +359,24 @@ func simulate(ctx context.Context, cfg experiments.Config, args []string) error 
 	case err != nil:
 		return err
 	}
-	w := ws[0]
+	det := res[0]
+	w := det.Workload
 
 	if spec.Sampling.Enabled() {
-		r, err := multicore.Run(ctx, w, spec, prov, nil)
-		if err != nil {
-			return err
-		}
 		fmt.Printf("workload %s under %s (sampled %s, %d windows of %d µops)\n",
-			w, policy, spec.Sampling, r.Windows, spec.Sampling.Window)
+			w, policy, spec.Sampling, det.Windows, spec.Sampling.Window)
 		fmt.Printf("%-12s  %10s  %10s  %8s\n", "thread", "IPC(est)", "±95% CI", "cv")
 		for i, n := range w {
-			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, r.IPC[i], r.CIHalf[i], r.CV[i])
+			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, det.IPC[i], det.CIHalf[i], det.CV[i])
 		}
 		return nil
 	}
 
-	det, err := multicore.Run(ctx, w, spec, prov, nil)
-	if err != nil {
-		return err
-	}
-	models, err := multicore.BuildModels(ctx, prov, distinct, badco.DefaultBuildConfig())
-	if err != nil {
-		return err
-	}
 	spec.Engine = multicore.BADCO
-	app, err := multicore.Run(ctx, w, spec, nil, models)
-	if err != nil {
+	if res, _, _, err = lab.Simulate(ctx, spec, workload, 0); err != nil {
 		return err
 	}
+	app := res[0]
 	window := fmt.Sprintf("%d µops/thread", det.Instructions)
 	if *warmup > 0 {
 		window += fmt.Sprintf(" after %d warmup", *warmup)
@@ -426,6 +416,28 @@ func listBenches(w io.Writer, src bench.Source) {
 	}
 }
 
+// commands are the CLI's commands beside the experiments, in catalogue
+// order. `mcbench list` and the usage text print them, and a mistyped
+// name is matched against them.
+var commands = []struct{ name, synopsis string }{
+	{"sim", "simulate one workload: mcbench sim [-warmup N] [-sample U:D:W] <policy> <bench,bench,...>"},
+	{"benches", "list the active -suite source's benchmarks"},
+	{"serve", "run the experiment service: mcbench serve [-addr HOST:PORT]"},
+	{"top", "live telemetry view of a server: mcbench top [-addr URL] [-interval D]"},
+	{"version", "print the build identity"},
+	{"list", "this catalogue"},
+}
+
+// suggest returns the experiment or command name closest to a mistyped
+// one, or "" when none is close.
+func suggest(name string) string {
+	extra := []string{"all"}
+	for _, c := range commands {
+		extra = append(extra, c.name)
+	}
+	return experiments.Suggest(name, extra...)
+}
+
 // listExperiments prints the registry catalogue, grouped.
 func listExperiments(w io.Writer) {
 	fmt.Fprintln(w, "experiments (paper):")
@@ -434,17 +446,18 @@ func listExperiments(w io.Writer) {
 	printGroup(w, experiments.GroupExtension)
 	fmt.Fprintln(w, "\ncommands:")
 	printEntry(w, "all", "every paper experiment above, in order")
-	printEntry(w, "sim", "simulate one workload: mcbench sim [-warmup N] [-sample U:D:W] <policy> <bench,bench,...>")
-	printEntry(w, "benches", "list the active -suite source's benchmarks")
-	printEntry(w, "serve", "run the experiment service: mcbench serve [-addr HOST:PORT]")
-	printEntry(w, "top", "live telemetry view of a server: mcbench top [-addr URL] [-interval D]")
-	printEntry(w, "version", "print the build identity")
-	printEntry(w, "list", "this catalogue")
+	printCommands(w)
 }
 
 func printGroup(w io.Writer, g experiments.Group) {
 	for _, e := range experiments.ByGroup(g) {
 		printEntry(w, e.Name(), e.Synopsis())
+	}
+}
+
+func printCommands(w io.Writer) {
+	for _, c := range commands {
+		printEntry(w, c.name, c.synopsis)
 	}
 }
 
@@ -455,8 +468,8 @@ func printEntry(w io.Writer, name, synopsis string) {
 	fmt.Fprintf(w, "  %-18s %s\n", name, synopsis)
 }
 
-// usage is generated from the registry, so a newly registered experiment
-// shows up without touching the CLI.
+// usage is generated from the registry and the command table, so a
+// newly registered experiment shows up without touching the CLI.
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: mcbench [-quick] [-cores N] [-suite SPEC] <experiment>...
 
@@ -466,13 +479,9 @@ experiments:
 	printEntry(os.Stderr, "all", "everything above")
 	fmt.Fprint(os.Stderr, "\nextensions (beyond the paper):\n")
 	printGroup(os.Stderr, experiments.GroupExtension)
-	printEntry(os.Stderr, "sim", "simulate one workload: mcbench sim [-warmup N] [-sample U:D:W] <policy> <bench,bench,...>")
-	printEntry(os.Stderr, "benches", "list the active -suite source's benchmarks")
-	printEntry(os.Stderr, "serve", "run the experiment service: mcbench serve [-addr HOST:PORT]")
-	printEntry(os.Stderr, "top", "live telemetry view of a server: mcbench top [-addr URL] [-interval D]")
-	printEntry(os.Stderr, "version", "print the build identity")
+	fmt.Fprint(os.Stderr, "\ncommands:\n")
+	printCommands(os.Stderr)
 	fmt.Fprint(os.Stderr, `
-commands: list enumerates the catalogue with one line per experiment
 flags: -suite selects the benchmark source (suite | scaled:B[:seed] | dir:PATH)
        -plot renders figures as text charts in addition to tables
        -timing prints the per-phase simulation timing breakdown after the run

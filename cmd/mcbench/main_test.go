@@ -4,23 +4,42 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // runMain runs the CLI in-process with the given arguments on a fresh
-// flag set, its standard output discarded, and returns its exit code.
-func runMain(t *testing.T, args ...string) int {
-	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+// flag set and returns its exit code and what it wrote to standard
+// output and standard error.
+func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	var files [2]*os.File
+	for i := range files {
+		f, err := os.Create(filepath.Join(dir, strconv.Itoa(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
 	}
-	defer devNull.Close()
-	savedFlags, savedArgs, savedOut := flag.CommandLine, os.Args, os.Stdout
-	defer func() { flag.CommandLine, os.Args, os.Stdout = savedFlags, savedArgs, savedOut }()
+	savedFlags, savedArgs, savedOut, savedErr := flag.CommandLine, os.Args, os.Stdout, os.Stderr
+	defer func() { flag.CommandLine, os.Args, os.Stdout, os.Stderr = savedFlags, savedArgs, savedOut, savedErr }()
 	flag.CommandLine = flag.NewFlagSet("mcbench", flag.ContinueOnError)
 	os.Args = append([]string{"mcbench"}, args...)
-	os.Stdout = devNull
-	return realMain()
+	os.Stdout, os.Stderr = files[0], files[1]
+	code = realMain()
+	var out [2]string
+	for i, f := range files {
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	return code, out[0], out[1]
 }
 
 // TestCoresFlagBounded pins the -cores bound: the experiments size their
@@ -28,11 +47,11 @@ func runMain(t *testing.T, args ...string) int {
 // exits with a usage error before any simulation starts.
 func TestCoresFlagBounded(t *testing.T) {
 	for _, cores := range []string{"0", "-3", "65", "100000"} {
-		if code := runMain(t, "-quick", "-cores", cores, "fig4"); code != 2 {
+		if code, _, _ := runMain(t, "-quick", "-cores", cores, "fig4"); code != 2 {
 			t.Errorf("-cores %s: exit %d, want 2", cores, code)
 		}
 	}
-	if code := runMain(t, "-quick", "-cores", "64", "fig1"); code != 0 {
+	if code, _, _ := runMain(t, "-quick", "-cores", "64", "fig1"); code != 0 {
 		t.Errorf("-cores 64 fig1: exit %d, want 0", code)
 	}
 }
@@ -64,4 +83,15 @@ func FuzzParseSampleSpec(f *testing.F) {
 			t.Fatalf("parseSampleSpec(%q) = %+v, want %+v (from %q)", text, again, spec, s)
 		}
 	})
+}
+
+// TestCommandSuggestions checks that a mistyped command gets the command
+// as its did-you-mean hint, not an experiment or another command.
+func TestCommandSuggestions(t *testing.T) {
+	for typo, want := range map[string]string{"serv": "serve", "vesion": "version", "tp": "top", "benchs": "benches", "lst": "list"} {
+		code, _, stderr := runMain(t, typo)
+		if hint := fmt.Sprintf("(did you mean %q?)", want); code != 2 || !strings.Contains(stderr, hint) {
+			t.Errorf("mcbench %s: exit %d, stderr %q; want exit 2 and %s", typo, code, stderr, hint)
+		}
+	}
 }

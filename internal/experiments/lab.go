@@ -518,6 +518,34 @@ func (l *Lab) ModelsFor(ctx context.Context, names []string) (models map[string]
 	return models, int(builds.Load()), nil
 }
 
+// Simulate is the one ad-hoc run path: the library's Simulate and Sweep,
+// the public Lab.Simulate, the server's simulate and sweep jobs and the
+// CLI's sim all run through it. It checks the run with multicore.Check
+// at the lab's trace length, takes the BADCO models of the distinct
+// benchmarks from the lab's model memo (ModelsFor) when the engine
+// needs them, and sweeps the workloads on the simulation budget. It
+// returns the results, indexed like workloads, the distinct benchmark
+// names and the number of models this call built. A failed call returns
+// nil names exactly when Check rejected the run; err is then Check's
+// error, unwrapped, for each front end to report under its own prefix
+// and hints. Traces the sweep resolved stay in the lab's source for the
+// caller to release.
+func (l *Lab) Simulate(ctx context.Context, spec multicore.Spec, workloads [][]string, cores int) (results []multicore.Result, names []string, built int, err error) {
+	prov := l.Provider()
+	ws, names, err := multicore.Check(prov, spec, workloads, cores)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var models map[string]*badco.Model
+	if spec.Engine == multicore.BADCO {
+		if models, built, err = l.ModelsFor(ctx, names); err != nil {
+			return nil, names, 0, err
+		}
+	}
+	results, err = multicore.Sweep(ctx, ws, spec, prov, models)
+	return results, names, built, err
+}
+
 // resultStore returns the persistent store, opened once, or nil when
 // CacheDir is unset (or unusable — persistence is best-effort).
 func (l *Lab) resultStore() *results.Store {

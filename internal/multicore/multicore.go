@@ -178,16 +178,17 @@ var (
 // bound one request could replicate a benchmark past the host's memory.
 const MaxCores = 64
 
-// Check holds the rules of one ad-hoc run, shared by the library's
-// Simulate and Sweep, Lab.Simulate, the server's simulate and sweep jobs
-// and the CLI's sim. The provider's trace length must be positive and
-// the spec must pass Validate at it. Each workload is resolved against
-// cores: zero, or the workload's own width, keeps it as given, and a
-// single benchmark is replicated onto all cores; any other width, an
-// empty workload and a machine beyond MaxCores are errors. Every name
-// must be in the provider's source. Check returns the resolved workloads
-// and the distinct names in first-use order, the model-build list of a
-// BADCO run. Like Validate's, its errors carry no package prefix.
+// Check holds the rules of one ad-hoc run. The one ad-hoc run path,
+// experiments.Lab.Simulate, applies them, and so does the server's
+// validation before it enqueues a job. The provider's trace length must
+// be positive and the spec must pass Validate at it. Each workload is
+// resolved against cores: zero, or the workload's own width, keeps it
+// as given, and a single benchmark is replicated onto all cores; any
+// other width, an empty workload and a machine beyond MaxCores are
+// errors. Every name must be in the provider's source. Check returns
+// the resolved workloads and the distinct names in first-use order, the
+// model-build list of a BADCO run. Like Validate's, its errors carry no
+// package prefix.
 func Check(prov bench.Provider, spec Spec, workloads [][]string, cores int) ([]Workload, []string, error) {
 	if prov.Len() <= 0 {
 		return nil, nil, fmt.Errorf("non-positive trace length %d", prov.Len())
@@ -693,30 +694,6 @@ func RunBounded(ctx context.Context, n int, fn func(int)) error {
 	// fully computed sweep here would force an interrupted-then-resumed
 	// campaign to redo work it already finished.
 	return err
-}
-
-// BuildModels constructs BADCO models for the named benchmarks, in
-// parallel. It is the "one person-month of model building" step of the
-// paper, automated. Each model is built by BuildModel, so peak trace
-// memory tracks the in-flight build parallelism — O(GOMAXPROCS) traces —
-// instead of the whole benchmark population (the models themselves are
-// orders of magnitude smaller than the traces they summarise).
-func BuildModels(ctx context.Context, traces TraceSource, names []string, cfg badco.BuildConfig) (map[string]*badco.Model, error) {
-	built := make([]*badco.Model, len(names))
-	errs := make([]error, len(names))
-	if err := RunBounded(ctx, len(names), func(i int) {
-		built[i], errs[i] = BuildModel(ctx, traces, names[i], cfg)
-	}); err != nil {
-		return nil, err
-	}
-	models := make(map[string]*badco.Model, len(names))
-	for i, name := range names {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		models[name] = built[i]
-	}
-	return models, nil
 }
 
 // BuildModel constructs one benchmark's BADCO model. The trace is

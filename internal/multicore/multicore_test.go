@@ -32,13 +32,31 @@ func models(t *testing.T) map[string]*badco.Model {
 	if testModels == nil {
 		trs := traces(t)
 		names := []string{"mcf", "povray", "gcc", "libquantum", "hmmer", "soplex", "astar", "bzip2"}
-		m, err := BuildModels(context.Background(), trs, names, badco.DefaultBuildConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		testModels = m
+		testModels = buildModels(t, trs, names)
 	}
 	return testModels
+}
+
+// buildModels builds the named benchmarks' BADCO models in parallel on
+// the simulation budget, one BuildModel per name, as the lab's model
+// memo does.
+func buildModels(t testing.TB, traces TraceSource, names []string) map[string]*badco.Model {
+	t.Helper()
+	got := make([]*badco.Model, len(names))
+	errs := make([]error, len(names))
+	if err := RunBounded(context.Background(), len(names), func(i int) {
+		got[i], errs[i] = BuildModel(context.Background(), traces, names[i], badco.DefaultBuildConfig())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	models := make(map[string]*badco.Model, len(names))
+	for i, name := range names {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		models[name] = got[i]
+	}
+	return models
 }
 
 func TestDetailedSingleVsPair(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/cache"
 	"mcbench/internal/trace"
@@ -60,14 +59,8 @@ func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 	}
 
 	names := []string{"mcf", "povray", "gcc", "libquantum", "soplex"}
-	wantModels, err := BuildModels(ctx, legacySrc, names, badco.DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotModels, err := BuildModels(ctx, prov, names, badco.DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantModels := buildModels(t, legacySrc, names)
+	gotModels := buildModels(t, prov, names)
 	if !reflect.DeepEqual(gotModels, wantModels) {
 		t.Fatal("BADCO models diverge between SuiteSource and trace.NewSuite")
 	}
@@ -168,8 +161,9 @@ func (c *countingSource) Release(name string) {
 }
 
 // TestBuildModelsWorkingSet pins the memory contract of the lazy source
-// layer: building BADCO models for a large scaled population keeps no
-// more traces resident than the in-flight working set (the bounded build
+// layer: building BADCO models for a large scaled population, one
+// BuildModel per benchmark on the simulation budget, keeps no more
+// traces resident than the in-flight working set (the bounded build
 // parallelism), never the whole population.
 func TestBuildModelsWorkingSet(t *testing.T) {
 	if testing.Short() {
@@ -180,10 +174,7 @@ func TestBuildModelsWorkingSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := newCountingSource(bench.At(src, 2000))
-	models, err := BuildModels(context.Background(), cs, src.Names(), badco.DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := buildModels(t, cs, src.Names())
 	if len(models) != 16 {
 		t.Fatalf("%d models, want 16", len(models))
 	}
@@ -195,7 +186,7 @@ func TestBuildModelsWorkingSet(t *testing.T) {
 		t.Errorf("source residency peaked at %d, above the parallelism bound %d", cs.maxResid, bound)
 	}
 	if got := bench.Resident(src); got != 0 {
-		t.Errorf("%d traces still resident after BuildModels", got)
+		t.Errorf("%d traces still resident after the model builds", got)
 	}
 }
 

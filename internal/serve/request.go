@@ -124,11 +124,8 @@ func (s *SimulateRequest) sweep() *SweepRequest {
 	}
 }
 
-// check fills the policy and engine defaults into the request's run spec
-// and checks the run with multicore.Check at the provider's trace
-// length. It returns the spec, the resolved workloads and the distinct
-// benchmark names; a rejection is a submitError.
-func (s *SweepRequest) check(prov bench.Provider) (multicore.Spec, []multicore.Workload, []string, error) {
+// spec fills the policy and engine defaults into the request's run spec.
+func (s *SweepRequest) spec() (multicore.Spec, error) {
 	spec := multicore.Spec{Policy: cache.PolicyName(s.Policy), Quota: s.Quota, Warmup: s.Warmup}
 	if spec.Policy == "" {
 		spec.Policy = cache.LRU
@@ -138,19 +135,33 @@ func (s *SweepRequest) check(prov bench.Provider) (multicore.Spec, []multicore.W
 	case EngineBadco:
 		spec.Engine = multicore.BADCO
 	default:
-		return spec, nil, nil, badRequest("serve: unknown engine %q (want %q or %q)", s.Engine, EngineDetailed, EngineBadco)
+		return spec, badRequest("serve: unknown engine %q (want %q or %q)", s.Engine, EngineDetailed, EngineBadco)
 	}
 	if s.Sampling != nil {
 		spec.Sampling = *s.Sampling
 	}
-	ws, names, err := multicore.Check(prov, spec, s.Workloads, s.Cores)
+	return spec, nil
+}
+
+// check is the pre-enqueue validation of an ad-hoc run: it checks the
+// request's spec and workloads with multicore.Check at the provider's
+// trace length, rejects a present-but-empty sampling field, and returns
+// the spec and the resolved workloads; a rejection is a submitError.
+func (s *SweepRequest) check(prov bench.Provider) (multicore.Spec, []multicore.Workload, error) {
+	spec, err := s.spec()
+	if err != nil {
+		return spec, nil, err
+	}
+	ws, _, err := multicore.Check(prov, spec, s.Workloads, s.Cores)
 	switch {
 	case errors.Is(err, multicore.ErrUnknownBenchmark):
-		return spec, nil, nil, badRequest("serve: %v (see /benches)", err)
+		return spec, nil, badRequest("serve: %v (see /benches)", err)
 	case err != nil:
-		return spec, nil, nil, badRequest("serve: %v", err)
+		return spec, nil, badRequest("serve: %v", err)
+	case s.Sampling != nil && !spec.Sampling.Enabled():
+		return spec, nil, badRequest("serve: empty sampling spec (omit the field for an exact run)")
 	}
-	return spec, ws, names, nil
+	return spec, ws, nil
 }
 
 // submitError is a validation failure; the handler maps it to 400.
@@ -164,8 +175,11 @@ func badRequest(format string, args ...any) error {
 
 // canonicalize validates the submission against the source and registry,
 // fills in defaults, resolves workloads, and returns the canonical
-// request plus its dedup key. traceLen is the lab's per-benchmark trace
-// length; it resolves a zero quota when validating the warmup window.
+// request plus its dedup key. An ad-hoc run's key ends in its protocol
+// suffix (multicore.Spec.Protocol), so exact, warmed and sampled runs
+// never coalesce onto each other. traceLen is the lab's per-benchmark
+// trace length; it resolves a zero quota when validating the warmup
+// window.
 func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequest, string, error) {
 	prov := bench.At(src, traceLen)
 	switch req.Kind {
@@ -192,17 +206,13 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			return req, "", badRequest("serve: simulate submission without payload")
 		}
 		s := *req.Simulate
-		spec, ws, _, err := s.sweep().check(prov)
-		if err != nil {
-			return req, "", err
-		}
-		protocol, err := checkProtocol(spec, s.Sampling)
+		spec, ws, err := s.sweep().check(prov)
 		if err != nil {
 			return req, "", err
 		}
 		s.Workload, s.Policy, s.Engine = ws[0], string(spec.Policy), spec.Engine.String()
 		canon := SubmitRequest{Kind: KindSimulate, Simulate: &s}
-		key := fmt.Sprintf("sim|%s|%s|q%d|%s", s.Engine, s.Policy, s.Quota, strings.Join(s.Workload, ",")) + protocol
+		key := fmt.Sprintf("sim|%s|%s|q%d|%s", s.Engine, s.Policy, s.Quota, strings.Join(s.Workload, ",")) + spec.Protocol("|")
 		return canon, key, nil
 
 	case KindSweep:
@@ -213,11 +223,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if len(s.Workloads) == 0 {
 			return req, "", badRequest("serve: empty sweep")
 		}
-		spec, ws, _, err := s.check(prov)
-		if err != nil {
-			return req, "", err
-		}
-		protocol, err := checkProtocol(spec, s.Sampling)
+		spec, ws, err := s.check(prov)
 		if err != nil {
 			return req, "", err
 		}
@@ -233,7 +239,7 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 			h.Write([]byte(strings.Join(wl, ",")))
 			h.Write([]byte{'\n'})
 		}
-		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", s.Engine, s.Policy, s.Quota, len(s.Workloads), h.Sum64()) + protocol
+		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", s.Engine, s.Policy, s.Quota, len(s.Workloads), h.Sum64()) + spec.Protocol("|")
 		return canon, key, nil
 
 	case KindWarm:
@@ -310,15 +316,4 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	}
 	r := experiments.Request{Sim: sim, Cores: p.Cores, Policy: cache.PolicyName(p.Policy)}
 	return r.Normalized(), nil
-}
-
-// checkProtocol rejects a present-but-empty sampling field and returns
-// the protocol's dedup-key suffix (multicore.Spec.Protocol): none for an
-// exact run, "|w<warmup>" for a warmed one and "|smp<spec>" for a
-// sampled one, so the three never coalesce onto each other.
-func checkProtocol(spec multicore.Spec, sampling *multicore.SamplingSpec) (string, error) {
-	if sampling != nil && !spec.Sampling.Enabled() {
-		return "", badRequest("serve: empty sampling spec (omit the field for an exact run)")
-	}
-	return spec.Protocol("|"), nil
 }

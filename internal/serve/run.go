@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"mcbench/internal/badco"
 	"mcbench/internal/cache"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
@@ -223,41 +222,36 @@ func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
 	return &JobResult{ID: j.id, Kind: KindSweep, Results: results}, nil
 }
 
-// adhocSweep is the shared simulate/sweep executor: traces resolve
-// through the lab's memoized source, the BADCO models of the distinct
-// benchmarks the request touches come from the lab's model memo (built
-// on first use, shared by every later job), and the multicore sweep
-// parallelises across the process-wide simulation budget. The request's
-// sampling spec is echoed into sampled results.
+// adhocSweep runs a simulate or sweep job through the lab's ad-hoc
+// executor (experiments.Lab.Simulate): traces resolve through the lab's
+// memoized source, the BADCO models of the distinct benchmarks the
+// request touches come from the lab's model memo (built on first use,
+// shared by every later job), and the sweep parallelises across the
+// process-wide simulation budget. The request's sampling spec is echoed
+// into sampled results.
 func (s *Server) adhocSweep(ctx context.Context, j *job, req *SweepRequest) ([]SimResult, error) {
-	prov := s.lab.Provider()
-	spec, ws, distinct, err := req.check(prov)
+	spec, err := req.spec()
 	if err != nil {
 		return nil, err
 	}
-	var models map[string]*badco.Model
-	if spec.Engine == multicore.BADCO {
-		var built int
-		models, built, err = s.lab.ModelsFor(ctx, distinct)
-		if err != nil {
-			return nil, err
-		}
-		j.emit("models", fmt.Sprintf("%d BADCO models ready (%d built, %d reused)", len(models), built, len(models)-built),
-			map[string]any{"models": len(models), "built": built})
-	}
-	results, err := multicore.Sweep(ctx, ws, spec, prov, models)
+	results, distinct, built, err := s.lab.Simulate(ctx, spec, req.Workloads, req.Cores)
 	// Ad-hoc jobs are one-shot: release every trace the sweep built
 	// (model builds already released the ones they resolved) so a
 	// long-running server's resident memory tracks in-flight work, not
 	// the history of benchmarks clients ever touched. The traces rebuild
 	// deterministically if asked again.
 	if spec.Engine == multicore.Detailed {
+		prov := s.lab.Provider()
 		for _, n := range distinct {
 			prov.Release(n)
 		}
 	}
 	if err != nil {
 		return nil, err
+	}
+	if spec.Engine == multicore.BADCO {
+		j.emit("models", fmt.Sprintf("%d BADCO models ready (%d built, %d reused)", len(distinct), built, len(distinct)-built),
+			map[string]any{"models": len(distinct), "built": built})
 	}
 	out := make([]SimResult, len(results))
 	for i, r := range results {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"mcbench/internal/badco"
 	"mcbench/internal/experiments"
-	"mcbench/internal/multicore"
 )
 
 // Config scales an experiment campaign; it is the experiments package
@@ -133,7 +131,10 @@ func (l *Lab) Warm(ctx context.Context, names []string, cores int) (int, error) 
 // Simulate runs one workload on the lab's shared traces and models — the
 // memoized equivalents of the package-level Simulate — so repeated calls
 // and experiment runs share the expensive state. The trace length is the
-// lab's Config.TraceLen; WithTraceLen is rejected here.
+// lab's Config.TraceLen; WithTraceLen is rejected here. The first BADCO
+// call builds the models of every benchmark in Lab.Benchmarks(), emitting
+// one "models" ProductEvent through Config.Observer; later calls reuse
+// them and emit none.
 func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, error) {
 	o := buildOptions(opts)
 	if o.fixedLen {
@@ -142,22 +143,16 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 	if o.suite != nil {
 		return nil, fmt.Errorf("mcbench: WithSuite applies to the package-level Simulate; a Lab's source is Config.Source")
 	}
-	prov := l.lab.Provider()
-	ws, _, err := multicore.Check(prov, o.spec(), [][]string{workload}, o.cores)
-	if err != nil {
-		return nil, fmt.Errorf("mcbench: %w", err)
-	}
-	var models map[string]*badco.Model
 	if o.engine == BADCO {
-		if models, err = l.lab.Models(ctx); err != nil {
+		if _, err := l.lab.Models(ctx); err != nil {
 			return nil, err
 		}
 	}
-	r, err := multicore.Run(ctx, ws[0], o.spec(), prov, models)
+	out, err := o.run(ctx, l.lab, [][]string{workload})
 	if err != nil {
 		return nil, err
 	}
-	return convert(r, o.engine), nil
+	return out[0], nil
 }
 
 // Diffs returns the per-workload throughput differences d(w) between

@@ -104,7 +104,7 @@ func ModelConfidence(values []float64, w int) float64 {
 // ---------------------------------------------------------------------------
 // Cluster-based selection (the Section II-B survey methods).
 
-// Clusters is a k-means / hierarchical clustering result.
+// Clusters is a k-means clustering result.
 type Clusters = cluster.Result
 
 // NormalizeFeatures z-scores a feature matrix column-wise.

@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"mcbench/internal/badco"
-	"mcbench/internal/bench"
 	"mcbench/internal/cache"
+	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
 	"mcbench/internal/trace"
 )
@@ -160,21 +159,6 @@ func (o options) spec() multicore.Spec {
 	}
 }
 
-// convert maps a multicore result into the public Result.
-func convert(r multicore.Result, engine Engine) *Result {
-	return &Result{
-		Workload:     append([]string(nil), r.Workload...),
-		Policy:       r.Policy,
-		Engine:       engine,
-		IPC:          r.IPC,
-		Cycles:       r.Cycles,
-		Instructions: r.Instructions,
-		CIHalf:       r.CIHalf,
-		CV:           r.CV,
-		Windows:      r.Windows,
-	}
-}
-
 // Simulate runs one multiprogrammed workload — one benchmark name per
 // core — under the configured policy and engine, and returns the
 // per-thread IPCs. The context cancels the simulation promptly:
@@ -184,10 +168,7 @@ func convert(r multicore.Result, engine Engine) *Result {
 //	    mcbench.WithSimulator(mcbench.BADCO),
 //	    mcbench.WithTraceLen(20000))
 func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, error) {
-	out, err := simulate(ctx, [][]string{workload}, opts, func(ctx context.Context, ws []multicore.Workload, spec multicore.Spec, traces multicore.TraceSource, models map[string]*badco.Model) ([]multicore.Result, error) {
-		r, err := multicore.Run(ctx, ws[0], spec, traces, models)
-		return []multicore.Result{r}, err
-	})
+	out, err := Sweep(ctx, [][]string{workload}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -199,38 +180,38 @@ func Simulate(ctx context.Context, workload []string, opts ...Option) (*Result, 
 // through the (shared) source and BADCO models are built once per
 // distinct benchmark. The returned slice is indexed like workloads.
 func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result, error) {
-	return simulate(ctx, workloads, opts, multicore.Sweep)
-}
-
-// simulate checks the workloads against the options with
-// multicore.Check, builds the BADCO models of their distinct benchmarks
-// when the engine needs them, and runs them through run: multicore.Run
-// for Simulate, multicore.Sweep for Sweep.
-func simulate(ctx context.Context, workloads [][]string, opts []Option,
-	run func(context.Context, []multicore.Workload, multicore.Spec, multicore.TraceSource, map[string]*badco.Model) ([]multicore.Result, error)) ([]*Result, error) {
 	o := buildOptions(opts)
 	src := o.suite
 	if src == nil {
 		src = defaultSource()
 	}
-	prov := bench.At(src, o.traceLen)
-	ws, names, err := multicore.Check(prov, o.spec(), workloads, o.cores)
+	return o.run(ctx, experiments.NewLab(experiments.Config{Source: src, TraceLen: o.traceLen}), workloads)
+}
+
+// run runs the workloads through the lab's ad-hoc executor
+// (experiments.Lab.Simulate) and maps its results onto the public
+// Result. A run the checks reject is reported under the package prefix.
+func (o options) run(ctx context.Context, lab *experiments.Lab, workloads [][]string) ([]*Result, error) {
+	results, names, _, err := lab.Simulate(ctx, o.spec(), workloads, o.cores)
 	if err != nil {
-		return nil, fmt.Errorf("mcbench: %w", err)
-	}
-	var models map[string]*badco.Model
-	if o.engine == BADCO {
-		if models, err = multicore.BuildModels(ctx, prov, names, badco.DefaultBuildConfig()); err != nil {
-			return nil, err
+		if names == nil {
+			return nil, fmt.Errorf("mcbench: %w", err)
 		}
-	}
-	results, err := run(ctx, ws, o.spec(), prov, models)
-	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(results))
 	for i, r := range results {
-		out[i] = convert(r, o.engine)
+		out[i] = &Result{
+			Workload:     append([]string(nil), r.Workload...),
+			Policy:       r.Policy,
+			Engine:       o.engine,
+			IPC:          r.IPC,
+			Cycles:       r.Cycles,
+			Instructions: r.Instructions,
+			CIHalf:       r.CIHalf,
+			CV:           r.CV,
+			Windows:      r.Windows,
+		}
 	}
 	return out, nil
 }

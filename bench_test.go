@@ -184,9 +184,10 @@ func BenchmarkBadcoSimulator8Core(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Shared-warmup policy sweeps: k policies over one workload, the warmup
-// prefix paid once through snapshot/restore versus once per policy. The
-// window shape follows sample-simulation methodology (a long warming
-// prefix, a short measured sample), where the prefix dominates. Both
+// prefix paid once through a checkpoint and its clones versus once per
+// policy. The window shape follows sample-simulation methodology (a
+// long warming prefix, a short measured sample), where the prefix
+// dominates. Both
 // variants run the policies sequentially, so the ratio isolates the
 // shared warmup itself (no parallelism on either side) and mirrors the
 // per-workload task of the lab's grouped detailed sweep.
@@ -226,7 +227,7 @@ func BenchmarkPolicySweepSharedWarmup(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, p := range pols {
-			if _, err := multicore.DetailedFrom(bctx, cp, traces, p, sweepQuotaOps); err != nil {
+			if _, err := multicore.DetailedFrom(bctx, cp, p, sweepQuotaOps); err != nil {
 				b.Fatal(err)
 			}
 		}

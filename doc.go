@@ -27,11 +27,11 @@
 //	    mcbench.WithQuota(10000),
 //	    mcbench.WithWarmup(90000))
 //
-// Under a Lab, the warmed machine state is snapshotted through the
-// kernel's checkpoint layer and every case-study policy measures from
-// the same restored prefix, so a k-policy sweep pays the (dominant)
-// warmup once instead of k times — see the README's "Checkpointed
-// sweeps" section for the equivalence argument and measured speedups.
+// Under a Lab, each workload's machine is warmed once and every
+// case-study policy measures on a clone of it, so a k-policy sweep pays
+// the (dominant) warmup once instead of k times — see the README's
+// "Checkpointed sweeps" section for the equivalence argument and
+// measured speedups.
 //
 // WithSampling trades exactness for time on long traces: the detailed
 // engine measures one window per sampling unit (SMARTS-style systematic
@@ -225,11 +225,11 @@
 // batches (StepUntil) instead of per µop — provably the same schedule,
 // enforced bit-for-bit by golden tests against a retained per-step
 // reference driver — and the cpu/cache/uncore hot paths run free of map
-// traffic and steady-state allocations. The detailed machine's
-// components also snapshot into and restore from reusable state buffers
-// (Snapshot/Restore on cpu.Core, uncore and below), the checkpoint layer
-// behind WithWarmup's shared-warmup sweeps; golden tests pin
-// snapshot→restore→run bit-identical to the uninterrupted run. See
+// traffic and steady-state allocations. Every component of the detailed
+// machine also deep-copies itself (Clone on cpu.Core, uncore and
+// below): a warmup checkpoint is the warmed machine, and WithWarmup's
+// shared-warmup sweeps measure clones of it; golden tests pin
+// warmup→clone→run bit-identical to the uninterrupted run. See
 // README.md's Performance, "Checkpointed sweeps" and "Sampled
 // simulation" sections, with measured speedups in BENCH_2.json,
 // BENCH_6.json and BENCH_9.json (bash benchmark/run.sh is the benchmark).

@@ -22,6 +22,8 @@ type Predictor interface {
 	Predict(pc uint64, taken bool) bool
 	// Stats returns lookup/miss counts accumulated so far.
 	Stats() Stats
+	// Clone returns an independent deep copy of the predictor.
+	Clone() Predictor
 }
 
 // Stats counts predictor activity.

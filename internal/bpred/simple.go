@@ -6,6 +6,8 @@ package bpred
 // cheap predictor options for the core model and as baselines that the
 // TAGE tests compare against.
 
+import "slices"
+
 // ---------------------------------------------------------------------------
 // Bimodal
 
@@ -30,6 +32,12 @@ func NewBimodal(indexBits int) Predictor {
 func (b *bimodal) Name() string { return string(Bimodal) }
 
 func (b *bimodal) Stats() Stats { return b.stats }
+
+func (b *bimodal) Clone() Predictor {
+	n := *b
+	n.table = slices.Clone(b.table)
+	return &n
+}
 
 func (b *bimodal) Predict(pc uint64, taken bool) bool {
 	ctr := &b.table[(pc>>2)&b.mask]
@@ -83,6 +91,12 @@ func NewGShare(indexBits, historyBits int) Predictor {
 func (g *gshare) Name() string { return string(GShare) }
 
 func (g *gshare) Stats() Stats { return g.stats }
+
+func (g *gshare) Clone() Predictor {
+	n := *g
+	n.table = slices.Clone(g.table)
+	return &n
+}
 
 func (g *gshare) Predict(pc uint64, taken bool) bool {
 	idx := ((pc >> 2) ^ g.history) & g.mask
@@ -138,6 +152,14 @@ func NewTournament(indexBits, historyBits int) Predictor {
 func (t *tournament) Name() string { return string(Tournament) }
 
 func (t *tournament) Stats() Stats { return t.stats }
+
+func (t *tournament) Clone() Predictor {
+	n := *t
+	n.local = t.local.Clone().(*bimodal)
+	n.global = t.global.Clone().(*gshare)
+	n.chooser = slices.Clone(t.chooser)
+	return &n
+}
 
 func (t *tournament) Predict(pc uint64, taken bool) bool {
 	// Peek both components without their bookkeeping, then train them.

@@ -7,6 +7,8 @@ package bpred
 // structures say where it goes, and a wrong target costs the same redirect
 // penalty as a wrong direction.
 
+import "slices"
+
 // BTAC is a set-associative branch target address cache mapping branch PCs
 // to their most recent target.
 type BTAC struct {
@@ -37,6 +39,15 @@ func NewBTAC(entries, ways int) *BTAC {
 		targets: make([]uint64, n),
 		lru:     make([]uint64, n),
 	}
+}
+
+// Clone returns an independent deep copy of the BTAC.
+func (b *BTAC) Clone() *BTAC {
+	n := *b
+	n.tags = slices.Clone(b.tags)
+	n.targets = slices.Clone(b.targets)
+	n.lru = slices.Clone(b.lru)
+	return &n
 }
 
 // DefaultBTAC approximates the paper's 7.5 kB BTAC: 512 entries, 4-way
@@ -119,6 +130,14 @@ func NewIndirect(indexBits int) *Indirect {
 	}
 }
 
+// Clone returns an independent deep copy of the predictor.
+func (i *Indirect) Clone() *Indirect {
+	n := *i
+	n.tags = slices.Clone(i.tags)
+	n.targets = slices.Clone(i.targets)
+	return &n
+}
+
 // DefaultIndirect approximates the paper's 2 kB budget: 256 entries of
 // tag+target.
 func DefaultIndirect() *Indirect { return NewIndirect(8) }
@@ -175,6 +194,13 @@ func NewRAS(entries int) *RAS {
 		entries = 1
 	}
 	return &RAS{stack: make([]uint64, entries)}
+}
+
+// Clone returns an independent deep copy of the stack.
+func (r *RAS) Clone() *RAS {
+	n := *r
+	n.stack = slices.Clone(r.stack)
+	return &n
 }
 
 // DefaultRAS returns the Table I 16-entry stack.

@@ -6,8 +6,8 @@ import (
 )
 
 // allPolicies lists every shipped replacement policy, including the ones
-// the paper sweep does not touch (SRRIP, PLRU, SHiP), so the checkpoint
-// layer is pinned for all of them.
+// the paper sweep does not touch (SRRIP, PLRU, SHiP), so every clone is
+// pinned.
 var allPolicies = []PolicyName{LRU, Random, FIFO, DIP, DRRIP, SRRIP, PLRU, SHIP}
 
 // drive performs n deterministic mixed accesses against c, returning a
@@ -39,10 +39,9 @@ func drive(c *Cache, rng *rand.Rand, n int) uint64 {
 }
 
 // TestPolicyCheckpointRoundTrip drives a cache under every policy,
-// snapshots mid-stream, restores into a fresh cache and replays the
-// remainder on both: outcomes and statistics must match exactly. The
-// restore target is then dirtied and restored again to check snapshots
-// overwrite rather than merge.
+// clones it mid-stream and replays the same tail on the original and
+// then on the clone: outcomes and statistics must match exactly, which
+// they cannot if the two share any metadata.
 func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	for _, name := range allPolicies {
 		c, err := New("LLC", 64<<10, 16, MustNewPolicy(name, 42))
@@ -52,49 +51,14 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		drive(c, rng, 20000)
 
-		var st State
-		c.Snapshot(&st)
+		clone := c.Clone()
 		tailSeed := rng.Int63()
 		want := drive(c, rand.New(rand.NewSource(tailSeed)), 20000)
-
-		fresh, err := New("LLC", 64<<10, 16, MustNewPolicy(name, 42))
-		if err != nil {
-			t.Fatal(err)
+		if got := drive(clone, rand.New(rand.NewSource(tailSeed)), 20000); got != want {
+			t.Errorf("%s: clone diverges: signature %x, want %x", name, got, want)
 		}
-		fresh.Restore(&st)
-		if got := drive(fresh, rand.New(rand.NewSource(tailSeed)), 20000); got != want {
-			t.Errorf("%s: fresh restore diverges: signature %x, want %x", name, got, want)
-		}
-		if fresh.Stats() != c.Stats() {
-			t.Errorf("%s: stats diverge: %+v vs %+v", name, fresh.Stats(), c.Stats())
-		}
-
-		// Dirty restore: run the restored cache further, restore again,
-		// and replay the same tail.
-		drive(fresh, rand.New(rand.NewSource(5)), 5000)
-		fresh.Restore(&st)
-		if got := drive(fresh, rand.New(rand.NewSource(tailSeed)), 20000); got != want {
-			t.Errorf("%s: dirty restore diverges", name)
-		}
-	}
-}
-
-// TestSnapshotAllocationFree pins Snapshot into a warmed buffer and
-// Restore at zero allocations for every policy.
-func TestSnapshotAllocationFree(t *testing.T) {
-	for _, name := range allPolicies {
-		c, err := New("LLC", 64<<10, 16, MustNewPolicy(name, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(c, rand.New(rand.NewSource(1)), 20000)
-		var st State
-		c.Snapshot(&st)
-		if avg := testing.AllocsPerRun(10, func() { c.Snapshot(&st) }); avg != 0 {
-			t.Errorf("%s: steady-state Snapshot allocates %.2f times, want 0", name, avg)
-		}
-		if avg := testing.AllocsPerRun(10, func() { c.Restore(&st) }); avg != 0 {
-			t.Errorf("%s: steady-state Restore allocates %.2f times, want 0", name, avg)
+		if clone.Stats() != c.Stats() {
+			t.Errorf("%s: stats diverge: %+v vs %+v", name, clone.Stats(), c.Stats())
 		}
 	}
 }
@@ -119,11 +83,13 @@ func TestSetPolicyKeepsContents(t *testing.T) {
 	if len(resident) == 0 {
 		t.Fatal("no resident lines after warmup")
 	}
-	if err := c.SetPolicy(MustNewPolicy(DRRIP, 7)); err != nil {
+	drrip := MustNewPolicy(DRRIP, 7)
+	if err := c.SetPolicy(drrip); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Policy().Name(); got != string(DRRIP) {
-		t.Fatalf("policy after swap: %s", got)
+	// The LRU fast path must not outlive the swap.
+	if c.policy != drrip || c.lru != nil {
+		t.Fatalf("SetPolicy left policy %s (LRU alias %v)", c.policy.Name(), c.lru != nil)
 	}
 	for _, addr := range resident {
 		if !c.Probe(addr) {
@@ -137,28 +103,22 @@ func TestSetPolicyKeepsContents(t *testing.T) {
 	drive(c, rand.New(rand.NewSource(3)), 20000)
 }
 
-// TestSeededRandStateRoundTrip pins the RNG position checkpointing that
-// DIP/DRRIP/Random replacement depend on: a restored generator continues
-// the exact draw sequence, even restored into a generator at a different
-// position.
+// TestSeededRandStateRoundTrip pins the replayed RNG position that
+// DIP/DRRIP/Random replacement clone through: a clone continues the
+// exact draw sequence of its source, independently of it.
 func TestSeededRandStateRoundTrip(t *testing.T) {
 	r := newSeededRand(12345)
 	for i := 0; i < 1000; i++ {
 		r.Intn(32)
 	}
-	st := r.state()
+	clone := r.clone()
 	want := make([]int, 100)
 	for i := range want {
 		want[i] = r.Intn(32)
 	}
-	other := newSeededRand(12345)
-	for i := 0; i < 123; i++ {
-		other.Intn(16)
-	}
-	other.setState(st)
 	for i := range want {
-		if got := other.Intn(32); got != want[i] {
-			t.Fatalf("draw %d after restore: %d, want %d", i, got, want[i])
+		if got := clone.Intn(32); got != want[i] {
+			t.Fatalf("draw %d after clone: %d, want %d", i, got, want[i])
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DIP implements Dynamic Insertion Policy (Qureshi et al., ISCA 2007):
 // set-dueling between traditional LRU insertion (at MRU) and Bimodal
@@ -42,6 +45,13 @@ func (p *dipPolicy) Attach(sets, ways int) error {
 	p.stamps = make([]int64, sets*ways)
 	p.floor = -1
 	return nil
+}
+
+func (p *dipPolicy) Clone() Policy {
+	n := *p
+	n.stamps = slices.Clone(p.stamps)
+	n.rng = p.rng.clone()
+	return &n
 }
 
 // leaderKind classifies a set: 0 = follower, 1 = LRU leader, 2 = BIP leader.

@@ -45,13 +45,12 @@ func (p *nextLinePrefetcher) Observe(_, addr uint64, miss bool) []uint64 {
 // IP-based stride
 
 // ipStrideEntry tracks the last address and stride observed for one
-// instruction address. Fields are exported so prefetcher snapshots
-// survive encoding/gob persistence (see checkpoint.go).
+// instruction address.
 type ipStrideEntry struct {
-	Tag      uint64
-	LastAddr uint64
-	Stride   int64
-	Conf     uint8 // 2-bit saturating confidence
+	tag      uint64
+	lastAddr uint64
+	stride   int64
+	conf     uint8 // 2-bit saturating confidence
 }
 
 const (
@@ -77,28 +76,35 @@ func NewIPStride(degree int) Prefetcher {
 
 func (p *ipStridePrefetcher) Name() string { return "ip-stride" }
 
+// clone copies the training table; the proposal buffer is per copy.
+func (p *ipStridePrefetcher) clone() *ipStridePrefetcher {
+	n := *p
+	n.buf = make([]uint64, 0, p.degree)
+	return &n
+}
+
 func (p *ipStridePrefetcher) Observe(pc, addr uint64, _ bool) []uint64 {
 	idx := (pc ^ pc>>8) % ipStrideTableSize
 	e := &p.table[idx]
 	p.buf = p.buf[:0]
-	if e.Tag != pc {
-		*e = ipStrideEntry{Tag: pc, LastAddr: addr}
+	if e.tag != pc {
+		*e = ipStrideEntry{tag: pc, lastAddr: addr}
 		return nil
 	}
-	stride := int64(addr) - int64(e.LastAddr)
-	if stride == e.Stride && stride != 0 {
-		if e.Conf < ipStrideConfMax {
-			e.Conf++
+	stride := int64(addr) - int64(e.lastAddr)
+	if stride == e.stride && stride != 0 {
+		if e.conf < ipStrideConfMax {
+			e.conf++
 		}
 	} else {
-		e.Stride = stride
-		e.Conf = 0
+		e.stride = stride
+		e.conf = 0
 	}
-	e.LastAddr = addr
-	if e.Conf >= ipStrideThreshold && e.Stride != 0 {
+	e.lastAddr = addr
+	if e.conf >= ipStrideThreshold && e.stride != 0 {
 		next := int64(addr)
 		for d := 0; d < p.degree; d++ {
-			next += e.Stride
+			next += e.stride
 			if next <= 0 {
 				break
 			}
@@ -167,6 +173,14 @@ func NewStream(degree int) Prefetcher {
 }
 
 func (p *streamPrefetcher) Name() string { return "stream" }
+
+// clone copies the table with its filter and LRU list; the proposal
+// buffer is per copy.
+func (p *streamPrefetcher) clone() *streamPrefetcher {
+	n := *p
+	n.buf = make([]uint64, 0, p.degree)
+	return &n
+}
 
 func (p *streamPrefetcher) Observe(_, addr uint64, _ bool) []uint64 {
 	line := addr / LineSize
@@ -242,30 +256,6 @@ func (p *streamPrefetcher) promote(i uint8) {
 	}
 	p.older[n] = o
 	p.push(i)
-}
-
-// reindex rebuilds the filter, the used count and the list from keys and
-// clocks, allocation-free.
-func (p *streamPrefetcher) reindex() {
-	p.filter = [streamFilterSize]uint8{}
-	p.used = 0
-	for p.used < streamTableSize && p.clocks[p.used] != 0 {
-		p.filter[p.keys[p.used]%streamFilterSize]++
-		p.used++
-	}
-	// Insertion-sort the live slots by clock, least recent first.
-	var order [streamTableSize]uint8
-	for i := 0; i < p.used; i++ {
-		j := i
-		for ; j > 0 && p.clocks[order[j-1]] > p.clocks[i]; j-- {
-			order[j] = order[j-1]
-		}
-		order[j] = uint8(i)
-	}
-	p.mru, p.lru = order[0], order[0]
-	for k := 1; k < p.used; k++ {
-		p.push(order[k])
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -344,6 +334,11 @@ type StrideStreamPrefetcher struct {
 
 func (p *StrideStreamPrefetcher) Name() string { return "combined" }
 
+// Clone returns an independent copy of the pairing's training state.
+func (p *StrideStreamPrefetcher) Clone() *StrideStreamPrefetcher {
+	return &StrideStreamPrefetcher{stride: p.stride.clone(), stream: p.stream.clone()}
+}
+
 func (p *StrideStreamPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	p.buf = appendDedup(p.buf[:0], p.stride.Observe(pc, addr, miss))
 	p.buf = appendDedup(p.buf, p.stream.Observe(pc, addr, miss))
@@ -358,6 +353,12 @@ type StrideNextPrefetcher struct {
 }
 
 func (p *StrideNextPrefetcher) Name() string { return "combined" }
+
+// Clone returns an independent copy of the pairing's training state.
+func (p *StrideNextPrefetcher) Clone() *StrideNextPrefetcher {
+	next := *p.next
+	return &StrideNextPrefetcher{stride: p.stride.clone(), next: &next}
+}
 
 func (p *StrideNextPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	p.buf = appendDedup(p.buf[:0], p.stride.Observe(pc, addr, miss))

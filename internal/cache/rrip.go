@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RRIP policies (Jaleel et al., ISCA 2010) predict re-reference intervals
 // with a 2-bit RRPV per line. SRRIP inserts at "long" (RRPV = max-1) and
@@ -31,6 +34,12 @@ func (c *rripCore) attach(sets, ways int) error {
 	c.sets, c.ways = sets, ways
 	c.rrpv = make([]uint8, sets*ways)
 	return nil
+}
+
+// clone returns c with its own RRPV array.
+func (c rripCore) clone() rripCore {
+	c.rrpv = slices.Clone(c.rrpv)
+	return c
 }
 
 func (c *rripCore) hit(set, way int) { c.rrpv[set*c.ways+way] = 0 }
@@ -67,6 +76,8 @@ func (p *srripPolicy) OnHit(set, way int)          { p.hit(set, way) }
 func (p *srripPolicy) OnMiss(int)                  {}
 func (p *srripPolicy) Victim(set int) int          { return p.victim(set) }
 
+func (p *srripPolicy) Clone() Policy { return &srripPolicy{p.rripCore.clone()} }
+
 func (p *srripPolicy) OnFill(set, way int) {
 	p.rrpv[set*p.ways+way] = rripMaxRRPV - 1
 }
@@ -89,6 +100,10 @@ func (p *drripPolicy) Name() string                { return string(DRRIP) }
 func (p *drripPolicy) Attach(sets, ways int) error { return p.attach(sets, ways) }
 func (p *drripPolicy) OnHit(set, way int)          { p.hit(set, way) }
 func (p *drripPolicy) Victim(set int) int          { return p.victim(set) }
+
+func (p *drripPolicy) Clone() Policy {
+	return &drripPolicy{rripCore: p.rripCore.clone(), psel: p.psel, rng: p.rng.clone()}
+}
 
 // leaderKind: 0 = follower, 1 = SRRIP leader, 2 = BRRIP leader.
 func (p *drripPolicy) leaderKind(set int) int {

@@ -63,18 +63,15 @@ func (p *refStream) Observe(addr uint64) []uint64 {
 
 // streamDiff replays addrs through the indexed prefetcher and the
 // reference scan, comparing tables and proposals after every call. At
-// call restoreAt (if in range) it snapshots the pairing and restores it
-// into a fresh one, which must carry on identically.
-func streamDiff(t *testing.T, degree int, addrs []uint64, restoreAt int) {
+// call cloneAt (if in range) it carries on with a clone of the pairing,
+// which must carry on identically.
+func streamDiff(t *testing.T, degree int, addrs []uint64, cloneAt int) {
 	t.Helper()
 	got := NewStrideStream(degree)
 	ref := &refStream{degree: max(degree, 1)}
 	for n, a := range addrs {
-		if n == restoreAt {
-			var st StrideStreamState
-			got.Snapshot(&st)
-			got = NewStrideStream(degree)
-			got.Restore(&st)
+		if n == cloneAt {
+			got = got.Clone()
 		}
 		props := got.stream.Observe(0, a, true)
 		want := ref.Observe(a)
@@ -131,20 +128,8 @@ func TestStreamMatchesReferenceScan(t *testing.T) {
 	}
 }
 
-func TestStreamRestoreAllocationFree(t *testing.T) {
-	p := NewStrideStream(2)
-	for _, a := range localStream(rand.New(rand.NewSource(2)), 500) {
-		p.Observe(0, a, true)
-	}
-	var st StrideStreamState
-	p.Snapshot(&st)
-	if avg := testing.AllocsPerRun(10, func() { p.Restore(&st) }); avg != 0 {
-		t.Errorf("Restore allocates %.2f times, want 0", avg)
-	}
-}
-
 // FuzzStreamPrefetcher checks the indexed stream prefetcher against the
-// reference scan. The input is a degree byte, a restore-point byte and
+// reference scan. The input is a degree byte, a clone-point byte and
 // a sequence of little-endian 16-bit line numbers.
 func FuzzStreamPrefetcher(f *testing.F) {
 	f.Add([]byte{2, 3, 8, 0, 10, 0, 9, 0, 10, 0, 11, 0})
@@ -158,11 +143,11 @@ func FuzzStreamPrefetcher(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		degree, restoreAt := int(data[0]%5), int(data[1])
+		degree, cloneAt := int(data[0]%5), int(data[1])
 		addrs := make([]uint64, 0, len(data)/2)
 		for b := data[2:]; len(b) >= 2; b = b[2:] {
 			addrs = append(addrs, uint64(binary.LittleEndian.Uint16(b))*LineSize)
 		}
-		streamDiff(t, degree, addrs, restoreAt)
+		streamDiff(t, degree, addrs, cloneAt)
 	})
 }

@@ -10,6 +10,8 @@ package cpu
 //
 // This file keeps the core-private TLB model.
 
+import "slices"
+
 // tlb is a direct-mapped translation cache of virtual page numbers.
 type tlb struct {
 	tags   []uint64 // vpage+1 so zero means empty
@@ -28,6 +30,12 @@ func newTLB(entries int) *tlb {
 		n <<= 1
 	}
 	return &tlb{tags: make([]uint64, n), mask: uint64(n - 1)}
+}
+
+func (t *tlb) clone() *tlb {
+	n := *t
+	n.tags = slices.Clone(t.tags)
+	return &n
 }
 
 // lookup returns true on a TLB hit and installs the page on a miss.

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"mcbench/internal/bpred"
 	"mcbench/internal/cache"
@@ -224,9 +225,34 @@ func New(id int, cfg Config, tr *trace.Trace, mem uncore.Memory) (*Core, error) 
 		dpf:  cache.NewStrideNext(cfg.PrefetchDegree, true),
 		// The IL1 next-line prefetcher fires on every access so that
 		// sequential code fetch stays ahead of demand.
-		ipf:   cache.NewNextLine(false),
+		ipf:   newIL1Prefetcher(),
 		pfBuf: make([]uint64, 0, 8),
 	}, nil
+}
+
+// newIL1Prefetcher builds the IL1 next-line prefetcher, which keeps no
+// training state.
+func newIL1Prefetcher() cache.Prefetcher { return cache.NewNextLine(false) }
+
+// Clone returns an independent deep copy of the core bound to mem, which
+// should be a clone of the core's own memory: the trace position, time
+// rings, bookings, MSHRs, caches, TLBs, predictors and prefetchers all
+// carry over. The trace is shared read-only; the scratch buffers are
+// fresh and the recorder is dropped.
+func (c *Core) Clone(mem uncore.Memory) *Core {
+	n := new(Core)
+	*n = *c
+	n.mem = mem
+	n.il1, n.dl1 = c.il1.Clone(), c.dl1.Clone()
+	n.itlb, n.dtlb = c.itlb.clone(), c.dtlb.clone()
+	n.bp = c.bp.Clone()
+	n.btac, n.ind, n.ras = c.btac.Clone(), c.ind.Clone(), c.ras.Clone()
+	n.dpf = c.dpf.Clone()
+	n.ipf = newIL1Prefetcher()
+	n.shadowRAS = slices.Clone(c.shadowRAS)
+	n.pfBuf = make([]uint64, 0, cap(c.pfBuf))
+	n.recorder = nil
+	return n
 }
 
 // MustNew is New for known-good arguments.

@@ -91,9 +91,9 @@ type Config struct {
 	// that many committed µops per core before its measurement window
 	// begins. The detailed population sweeps then share the warmed
 	// prefix across the case-study policies: each workload is warmed
-	// once, snapshotted, and every policy's measurement fans out from
-	// the restored state (multicore.DetailedWarmup / DetailedFrom), so
-	// a k-policy sweep pays the warmup once instead of k times; BADCO
+	// once, and every policy's measurement runs on a clone of the warmed
+	// machine (multicore.DetailedWarmup / DetailedFrom), so a k-policy
+	// sweep pays the warmup once instead of k times; BADCO
 	// sweeps run each workload's warmup per policy. Warmed tables
 	// persist under distinct cache keys. The default 0 measures
 	// from reset and keeps every result — and every persisted cache
@@ -814,7 +814,7 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 			return
 		}
 		for _, p := range pols {
-			r, err := multicore.DetailedFrom(ctx, cp, prov, p, 0)
+			r, err := multicore.DetailedFrom(ctx, cp, p, 0)
 			if err != nil {
 				errs[i] = err
 				return

@@ -23,8 +23,8 @@ func warmupConfig() Config {
 
 // TestDetailedIPCSharedWarmup pins the lab's grouped shared-warmup sweep
 // to the per-workload checkpoint protocol it rides on: warm once under
-// the first case-study policy, fan every policy out from the restored
-// state. Row order must follow the detailed sample.
+// the first case-study policy, fan every policy out from clones of the
+// warmed machine. Row order must follow the detailed sample.
 func TestDetailedIPCSharedWarmup(t *testing.T) {
 	l := NewLab(warmupConfig())
 	pols := Policies()
@@ -41,7 +41,7 @@ func TestDetailedIPCSharedWarmup(t *testing.T) {
 		w := l.toMulticore(pop.Workloads[wi])
 		cp := must(multicore.DetailedWarmup(tctx, w, prov, pols[0], warm))
 		for _, p := range pols {
-			want[p][i] = must(multicore.DetailedFrom(tctx, cp, prov, p, 0)).IPC
+			want[p][i] = must(multicore.DetailedFrom(tctx, cp, p, 0)).IPC
 		}
 	}
 
@@ -64,7 +64,7 @@ func TestDetailedIPCSharedWarmup(t *testing.T) {
 	}
 
 	// The base policy's warmed table must also match the uninterrupted
-	// two-stage run — no snapshot, no restore — closing the loop between
+	// two-stage run — no checkpoint, no clone — closing the loop between
 	// the lab protocol and live machines.
 	for i, wi := range sample {
 		w := l.toMulticore(pop.Workloads[wi])

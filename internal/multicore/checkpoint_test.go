@@ -3,16 +3,17 @@ package multicore
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mcbench/internal/cache"
 )
 
-// The checkpoint golden tests prove the snapshot layer's central claim:
-// a warmup checkpoint restored — into fresh machines or over dirty ones —
-// measures bit-identically to the live two-stage run, and a
-// shared-warmup policy fan-out reproduces exactly the sequential
-// warm-then-swap reference.
+// The checkpoint golden tests prove the clone protocol's central claim:
+// a clone of a warmup checkpoint measures bit-identically to the live
+// two-stage run, however the checkpoint's other clones are used, and a
+// shared-warmup policy fan-out — sequential or concurrent — reproduces
+// exactly the sequential warm-then-swap reference.
 
 // warmed is the live two-stage detailed run the checkpoints must match.
 func warmed(t *testing.T, w Workload, pol cache.PolicyName, warmup, quota uint64) Result {
@@ -32,7 +33,7 @@ func resume(t *testing.T, w Workload, warmPol, pol cache.PolicyName, warmup, quo
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := DetailedFrom(ctx, cp, traces(t), pol, quota)
+	r, err := DetailedFrom(ctx, cp, pol, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func resume(t *testing.T, w Workload, warmPol, pol cache.PolicyName, warmup, quo
 }
 
 // TestGoldenCheckpointResumeDetailed takes warmup checkpoints at
-// randomized boundaries and resumes each into fresh machines.
+// randomized boundaries and measures a clone of each.
 func TestGoldenCheckpointResumeDetailed(t *testing.T) {
 	w := Workload{"mcf", "soplex"}
 	const quota = 6000
@@ -52,7 +53,7 @@ func TestGoldenCheckpointResumeDetailed(t *testing.T) {
 }
 
 // TestGoldenCheckpointResumeSingleCore pins the solo path of the
-// measurement driver behind a restore.
+// measurement driver behind a clone.
 func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
 	w := Workload{"hmmer"}
 	for _, warmup := range []uint64{700, 5500} {
@@ -60,11 +61,11 @@ func TestGoldenCheckpointResumeSingleCore(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpointRestoreModes restores warmup checkpoints three
-// ways — into fresh machines measured by the batched driver, through a
-// checkpoint taken and measured by the per-step reference driver, and
-// over machines dirtied by unrelated progress — and demands the same bits
-// from all of them.
+// TestGoldenCheckpointRestoreModes measures clones of a warmup
+// checkpoint two ways — by the batched driver, after another clone of
+// the same checkpoint has been advanced to an unrelated point, and
+// through a checkpoint taken and measured by the per-step reference
+// driver — and demands the same bits from all of them.
 func TestGoldenCheckpointRestoreModes(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
@@ -76,45 +77,71 @@ func TestGoldenCheckpointRestoreModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh machines, batched continuation (the DetailedFrom path).
-	fresh, err := DetailedFrom(ctx, cp, trs, cache.LRU, quota)
+	// A second clone advanced by unrelated progress leaves the
+	// checkpoint, and so the measured clone, untouched.
+	_, cores := cp.clone()
+	if err := warm(ctx, drive, asSteppers(cores), warmup+1234); err != nil {
+		t.Fatal(err)
+	}
+	batched, err := DetailedFrom(ctx, cp, cache.LRU, quota)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "fresh restore", fresh, want)
+	assertBitIdentical(t, "clone", batched, want)
 
-	// The whole restored protocol under the per-step reference.
+	// The whole cloned protocol under the per-step reference.
 	refCP, err := detailedWarmup(ctx, w, trs, cache.LRU, warmup, driveReference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := detailedFrom(ctx, refCP, trs, cache.LRU, quota, driveReference)
+	ref, err := detailedFrom(ctx, refCP, cache.LRU, quota, driveReference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "reference restore", ref, want)
-
-	// Restore over machines advanced to an unrelated point first.
-	unc, cores, _, err := buildDetailed(ctx, w, trs, cache.LRU, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warm(ctx, drive, asSteppers(cores), 1234); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.restore(unc, cores, cache.LRU); err != nil {
-		t.Fatal(err)
-	}
-	dirty, err := measure(ctx, w, cache.LRU, asSteppers(cores), quota, drive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "dirty restore", dirty, want)
+	assertBitIdentical(t, "reference clone", ref, want)
 }
 
-// TestGoldenWarmupSnapshotRestore pins warmup + restore + measure to the
-// live two-stage run across policies with RNG-bearing replacement state.
-func TestGoldenWarmupSnapshotRestore(t *testing.T) {
+// TestGoldenCheckpointConcurrentFanOut has several goroutines measure
+// every case-study policy from one checkpoint at once; each result must
+// match the sequential fan-out bit for bit. Under the race detector it
+// also proves that cloning only reads the checkpoint.
+func TestGoldenCheckpointConcurrentFanOut(t *testing.T) {
+	ctx := context.Background()
+	w := Workload{"soplex", "povray"}
+	const warmup, quota, rounds = 2000, 3000, 2
+	cp, err := DetailedWarmup(ctx, w, traces(t), cache.LRU, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pols := cache.PaperPolicies()
+	want := make([]Result, len(pols))
+	for i, pol := range pols {
+		if want[i], err = DetailedFrom(ctx, cp, pol, quota); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]Result, rounds*len(pols))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = DetailedFrom(ctx, cp, pols[i%len(pols)], quota)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		assertBitIdentical(t, "concurrent "+string(pols[i%len(pols)]), got[i], want[i%len(pols)])
+	}
+}
+
+// TestGoldenWarmupClone pins warmup + clone + measure to the live
+// two-stage run across policies with RNG-bearing replacement state.
+func TestGoldenWarmupClone(t *testing.T) {
 	w := Workload{"soplex", "hmmer"}
 	const warmup, quota = 3000, 5000
 	for _, pol := range []cache.PolicyName{cache.LRU, cache.DRRIP, cache.Random, cache.DIP} {
@@ -132,8 +159,7 @@ func TestGoldenWarmupMatchesReferenceSchedule(t *testing.T) {
 // TestGoldenSharedWarmupPolicySweep pins the lab's shared-warmup fan-out
 // — one DetailedWarmup under the base policy, then DetailedFrom per
 // policy — to a sequential reference that warms live machines under the
-// base policy and swaps the LLC policy in place, with no snapshot and no
-// restore.
+// base policy and swaps the LLC policy in place, with no clone.
 func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 	trs := traces(t)
 	ctx := context.Background()
@@ -146,7 +172,7 @@ func TestGoldenSharedWarmupPolicySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range policies {
-		swept, err := DetailedFrom(ctx, cp, trs, pol, quota)
+		swept, err := DetailedFrom(ctx, cp, pol, quota)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -487,7 +487,8 @@ func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models 
 
 // measure drives the cores quota µops beyond their current commit counts
 // and reports each core's cycles from its current clock: from reset for
-// an exact run, from the warmup boundary for a warmed or restored one.
+// an exact run, from the warmup boundary for a warmed run or a
+// checkpoint clone.
 func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []stepper, quota uint64, drv driver) (Result, error) {
 	if quota == 0 {
 		return Result{}, fmt.Errorf("multicore: zero quota")
@@ -513,8 +514,8 @@ func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []s
 
 // buildDetailed constructs the shared uncore and one detailed core per
 // workload slot. A zero quota defaults to the first trace's length. It is
-// the single construction path for plain, warmup and restored detailed
-// simulations, so they cannot drift apart.
+// the single construction path for plain, warmed and sampled detailed
+// simulations and for warmup checkpoints, so they cannot drift apart.
 func buildDetailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) (*uncore.Uncore, []*cpu.Core, uint64, error) {
 	if len(w) == 0 {
 		return nil, nil, 0, fmt.Errorf("multicore: empty workload")

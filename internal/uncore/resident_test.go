@@ -24,7 +24,7 @@ func scanMSHR(u *Uncore, line, now uint64) (uint64, bool) {
 // agrees with llc.Probe, and mshrLookup with scanMSHR, on every line
 // touched or proposed so far. The mixes carry trained streams and
 // strides whose proposals run past the last allocated page, a
-// Snapshot/Restore into a fresh uncore and a SetPolicy.
+// switch to a clone and a SetPolicy.
 func TestResidencyBitmapMatchesProbe(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := ConfigFor(4, cache.LRU)
@@ -53,10 +53,7 @@ func TestResidencyBitmapMatchesProbe(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			switch i {
 			case calls / 3:
-				var st State
-				u.Snapshot(&st)
-				u = MustNew(cfg)
-				u.Restore(&st)
+				u = u.Clone()
 			case 2 * calls / 3:
 				if err := u.SetPolicy(cache.DRRIP, seed); err != nil {
 					t.Fatal(err)

@@ -8,6 +8,8 @@ package uncore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mcbench/internal/cache"
 	"mcbench/internal/mem"
@@ -214,7 +216,7 @@ func New(cfg Config) (*Uncore, error) {
 		nextPage:   1, // keep physical page 0 unused
 		xlat:       make([]xlatEntry, cfg.Cores*xlatEntries),
 	}
-	u.countMSHRTags()
+	u.mshrTags[mshrBucket(0)] = cfg.MSHRs // every slot starts empty, at line 0
 	return u, nil
 }
 
@@ -225,6 +227,51 @@ func MustNew(cfg Config) *Uncore {
 		panic(err)
 	}
 	return u
+}
+
+// Clone returns an independent deep copy of the uncore: the LLC with
+// its policy metadata, the bus and DRAM, the LLC prefetchers, the MSHR
+// file, the write buffer, the page tables, the translation caches and
+// the residency bitmap. A prefetcher swapped in by a test (with prefSS
+// cleared) is shared, so it must be stateless.
+func (u *Uncore) Clone() *Uncore {
+	n := *u
+	n.llc = u.llc.Clone()
+	bus, dram := *u.bus, *u.dram
+	n.bus, n.dram = &bus, &dram
+	if u.prefSS != nil {
+		n.prefSS = u.prefSS.Clone()
+		n.pref = n.prefSS
+	}
+	n.mshrLine = slices.Clone(u.mshrLine)
+	n.mshrDone = slices.Clone(u.mshrDone)
+	n.writeBuf = append(make([]uint64, 0, cap(u.writeBuf)), u.writeBuf...)
+	n.pageTables = make([]map[uint64]uint64, len(u.pageTables))
+	for i, pt := range u.pageTables {
+		n.pageTables[i] = maps.Clone(pt)
+	}
+	n.xlat = slices.Clone(u.xlat)
+	n.pfScratch = nil
+	n.resident = slices.Clone(u.resident)
+	return &n
+}
+
+// SetPolicy swaps the LLC's replacement policy for a fresh instance of
+// the named policy seeded with seed, keeping the cache contents (lines,
+// dirtiness, statistics). It is the shared-warmup sweep's fan-out hook:
+// warm once under a base policy, then clone and SetPolicy for each
+// variant.
+func (u *Uncore) SetPolicy(name cache.PolicyName, seed int64) error {
+	pol, err := cache.NewPolicy(name, seed)
+	if err != nil {
+		return err
+	}
+	if err := u.llc.SetPolicy(pol); err != nil {
+		return err
+	}
+	u.cfg.Policy = name
+	u.cfg.PolicySeed = seed
+	return nil
 }
 
 // Config returns the configuration the uncore was built with.
@@ -355,14 +402,6 @@ func (u *Uncore) setMSHR(i int, line, done uint64) {
 	u.mshrTags[mshrBucket(u.mshrLine[i])]--
 	u.mshrTags[mshrBucket(line)]++
 	u.mshrLine[i], u.mshrDone[i] = line, done
-}
-
-// countMSHRTags rebuilds mshrTags from the slots' lines.
-func (u *Uncore) countMSHRTags() {
-	u.mshrTags = [mshrBuckets]int{}
-	for _, l := range u.mshrLine {
-		u.mshrTags[mshrBucket(l)]++
-	}
 }
 
 // isResident reports whether line is in the LLC, as llc.Probe would,

@@ -51,7 +51,6 @@ bench.DirSource.Dir               tests observe live state
 bench.ScaledSource.Seed           tests observe live state
 bpred.RAS.Depth                   tests observe live state
 bpred.Stats.MissRate              tests observe live state
-cache.Cache.Policy                tests observe live state
 cache.Cache.Sets                  tests observe live state
 cache.Cache.SizeBytes             tests observe live state
 cache.Cache.Ways                  tests observe live state

@@ -108,8 +108,8 @@ func WithQuota(q uint64) Option { return func(o *options) { o.quota = q } }
 // predictors and prefetchers warm during the prefix; IPC and cycles
 // cover only the quota µops beyond it. Simulate and Sweep run the
 // warmup and the measurement back to back, once per workload; a Lab
-// with experiments.Config.Warmup set shares one warmed snapshot across
-// the policies of its detailed sweeps instead.
+// with experiments.Config.Warmup set warms each workload once and
+// measures every policy of its detailed sweeps on a clone instead.
 func WithWarmup(n uint64) Option { return func(o *options) { o.warmup = n } }
 
 // WithTraceLen sets the per-benchmark trace length in µops (default

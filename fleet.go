@@ -94,11 +94,7 @@ func (p clientPeer) Leave(ctx context.Context, id string) error {
 }
 
 func (p clientPeer) SubmitWarm(ctx context.Context, products []experiments.Request) (string, error) {
-	refs := make([]ProductRef, len(products))
-	for i, r := range products {
-		refs[i] = ProductRef{Sim: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy)}
-	}
-	st, err := p.c.SubmitWarm(ctx, refs)
+	st, err := p.c.SubmitWarm(ctx, serve.Refs(products))
 	if err != nil {
 		return "", err
 	}

@@ -10,10 +10,11 @@ import (
 	"mcbench/internal/sampling"
 )
 
-// Ablations for the design choices DESIGN.md calls out: the workload-
-// stratification parameters (WT, TSD) and the choice of classification
-// for benchmark stratification. These go beyond the paper's figures but
-// use the same machinery.
+// Ablations of three design choices the selection methods rest on: the
+// workload-stratification parameters (WT, TSD), the choice of
+// classification for benchmark stratification, and the throughput
+// metric. These go beyond the paper's figures but use the same
+// machinery.
 
 // ablationSampleSize is the fixed sample size of the two sampling
 // ablations (the regime where detailed-simulation budgets live).

@@ -37,9 +37,12 @@ const (
 	SimModels Simulator = "models"
 )
 
-// Request names one memoized Lab product a campaign needs. Policy is
-// meaningful only for SimBadco and SimDetailed; Cores only for those and
-// SimRef.
+// Request names one memoized Lab product. Policy is meaningful only for
+// SimBadco and SimDetailed; Cores only for those and SimRef. Normalized,
+// it is the product's one identity everywhere: the key the Lab memoizes
+// the product under and derives its persisted identity from, the
+// identity its ProductEvents carry, the unit a campaign plan dedups by
+// and the fleet shards, and (as serve.ProductRef) its wire form.
 type Request struct {
 	Sim    Simulator
 	Cores  int
@@ -47,13 +50,8 @@ type Request struct {
 }
 
 // Normalized returns the request with the fields its simulator ignores
-// zeroed — the identity Warm dedups by and ProductEvents report. The
-// serve subsystem keys its event routing by it.
-func (r Request) Normalized() Request { return r.normalize() }
-
-// normalize zeroes the fields a request's simulator ignores, so that
-// equivalent requests deduplicate.
-func (r Request) normalize() Request {
+// zeroed, so that equivalent requests are equal.
+func (r Request) Normalized() Request {
 	switch r.Sim {
 	case SimMPKI, SimModels:
 		r.Cores, r.Policy = 0, ""
@@ -61,6 +59,21 @@ func (r Request) normalize() Request {
 		r.Policy = ""
 	}
 	return r
+}
+
+// Distinct returns the plan's normalized requests, each once, in order
+// of first appearance.
+func Distinct(plan []Request) []Request {
+	seen := make(map[Request]bool, len(plan))
+	var out []Request
+	for _, r := range plan {
+		r = r.Normalized()
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // fulfill computes the requested product (blocking until it is memoized).
@@ -103,16 +116,7 @@ func (l *Lab) fulfill(ctx context.Context, r Request) error {
 // (see multicore.RunBounded), so campaign-level and per-sweep
 // parallelism compose without multiplying.
 func (l *Lab) Warm(ctx context.Context, plan []Request, workers int) (int, error) {
-	seen := make(map[Request]bool, len(plan))
-	var uniq []Request
-	for _, r := range plan {
-		r = r.normalize()
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		uniq = append(uniq, r)
-	}
+	uniq := Distinct(plan)
 	if len(uniq) == 0 {
 		return 0, ctx.Err()
 	}
@@ -167,16 +171,10 @@ type KeyedRequest struct {
 // function of the lab config, so every fleet node computes identical
 // keys without coordination.
 func (l *Lab) ProductKey(r Request) (string, bool) {
-	r = r.normalize()
-	if r.Cores <= 0 {
+	if r.Cores <= 0 || (r.Sim != SimBadco && r.Sim != SimDetailed) {
 		return "", false
 	}
-	switch r.Sim {
-	case SimBadco, SimDetailed:
-		id := l.tableIdentity(r.Sim, r.Cores, r.Policy)
-		return id.Key(), true
-	}
-	return "", false
+	return l.tableIdentity(r).Key(), true
 }
 
 // PartitionPlan reduces a campaign plan to its shardable products:
@@ -184,14 +182,8 @@ func (l *Lab) ProductKey(r Request) (string, bool) {
 // coordinator partitions the result across workers by rendezvous-hashing
 // each Key; requests without a content key stay local.
 func (l *Lab) PartitionPlan(plan []Request) []KeyedRequest {
-	seen := make(map[Request]bool, len(plan))
 	var out []KeyedRequest
-	for _, r := range plan {
-		r = r.normalize()
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
+	for _, r := range Distinct(plan) {
 		if key, ok := l.ProductKey(r); ok {
 			out = append(out, KeyedRequest{Req: r, Key: key})
 		}

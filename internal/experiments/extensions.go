@@ -125,8 +125,7 @@ type ExtMethodsPoint struct {
 
 // ExtMethods compares six selection methods on this reproduction's
 // near-tie pair, DRRIP vs DIP (the analogue of the paper's hardest
-// Figure 6 case; see EXPERIMENTS.md for why the near-tie pair shifts),
-// with the IPCT metric: the paper's four, benchmark stratification with
+// Figure 6 case), with the IPCT metric: the paper's four, benchmark stratification with
 // cluster-derived classes, and representative workload clustering. The
 // representative method re-clusters per draw, so its Monte-Carlo trial
 // count is reduced.

@@ -1,9 +1,12 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation, plus the extension experiments beyond it. A Lab owns the
 // experimental state — benchmark traces, BADCO models, workload
-// populations and memoized IPC tables per (core count, policy,
-// simulator) — and each experiment reads from it and emits a printable
-// Table.
+// populations and memoized IPC tables — and each experiment reads from
+// it and emits a printable Table. One value names each expensive Lab
+// product: the normalized Request (simulator, core count, policy). It is
+// the product's memo key, the source of its persisted identity and
+// telemetry labels, the identity its ProductEvents carry, and the unit
+// campaign plans dedup and the fleet shards by.
 //
 // Experiments are registered implementations of the Experiment interface
 // (see registry.go): each declares its name, the expensive Lab products
@@ -132,16 +135,14 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// ProductEvent reports the lifecycle of one expensive Lab product. Sim
-// matches the campaign Simulator names ("badco", "detailed", "ref",
-// "mpki", "models"); Cores and Policy are set where the product is keyed
-// by them. Phase is "start" when a computation begins and "done" when it
-// finishes (Err non-nil on failure); a product served from the
-// persistent cache emits a single "done" with Cached set.
+// ProductEvent reports the lifecycle of one expensive Lab product. The
+// embedded Request is the product's normalized identity, the same value
+// a campaign plan names it by. Phase is "start" when a computation
+// begins and "done" when it finishes (Err non-nil on failure); a product
+// served from the persistent cache emits a single "done" with Cached
+// set.
 type ProductEvent struct {
-	Sim     string
-	Cores   int
-	Policy  string
+	Request
 	Phase   string // "start" | "done"
 	Cached  bool
 	Rows    int // result rows (table rows, model count, vector length)
@@ -196,12 +197,6 @@ func PolicyPairs() [][2]cache.PolicyName {
 		}
 	}
 	return pairs
-}
-
-// ipcKey indexes memoized IPC tables.
-type ipcKey struct {
-	cores  int
-	policy cache.PolicyName
 }
 
 // flight is one in-flight (or completed) computation of a value.
@@ -322,10 +317,9 @@ type Lab struct {
 	store     *results.Store // nil: no CacheDir, or the directory is unusable
 
 	pops      flightGroup[int, *workload.Population]
-	detSample flightGroup[int, []int]          // population indices simulated in detail
-	refIPC    flightGroup[int, []float64]      // per core count: per-benchmark alone IPC
-	badcoIPC  flightGroup[ipcKey, [][]float64] // population IPC tables (BADCO)
-	detIPC    flightGroup[ipcKey, [][]float64] // detailed IPC tables over DetSample
+	detSample flightGroup[int, []int]           // population indices simulated in detail
+	refIPC    flightGroup[int, []float64]       // per core count: per-benchmark alone IPC
+	ipc       flightGroup[Request, [][]float64] // population IPC tables: BADCO, and detailed over DetSample
 
 	// detShared memoizes the shared-warmup grouped sweep per core count:
 	// one warmed prefix per workload, every case-study policy measured
@@ -383,8 +377,8 @@ func (l *Lab) cacheMiss(sim string) {
 // fast-forward, measured window, store save) as it crosses the boundary;
 // on success the breakdown and the end-to-end latency are recorded into
 // the lab's registry.
-func observeRun[V any](l *Lab, ctx context.Context, ev ProductEvent, rows func(V) int, compute func(context.Context) (V, error)) (V, error) {
-	ev.Phase = "start"
+func observeRun[V any](l *Lab, ctx context.Context, r Request, rows func(V) int, compute func(context.Context) (V, error)) (V, error) {
+	ev := ProductEvent{Request: r, Phase: "start"}
 	l.observe(ev)
 	sp := telemetry.StartSpan()
 	start := time.Now()
@@ -404,19 +398,19 @@ func observeRun[V any](l *Lab, ctx context.Context, ev ProductEvent, rows func(V
 func (l *Lab) recordProduct(ev ProductEvent, sp *telemetry.Span) {
 	r := l.metrics()
 	sampling := "exact"
-	if ev.Sim == "detailed" && l.cfg.Sampling.Enabled() {
+	if l.runSpec(ev.Request).Sampling.Enabled() {
 		sampling = "sampled"
 	}
 	r.Histogram("mcbench_lab_product_seconds",
 		"end-to-end latency of expensive lab products",
-		telemetry.L("sim", ev.Sim),
+		telemetry.L("sim", string(ev.Sim)),
 		telemetry.L("cores", strconv.Itoa(ev.Cores)),
-		telemetry.L("policy", ev.Policy),
+		telemetry.L("policy", string(ev.Policy)),
 		telemetry.L("sampling", sampling)).ObserveDuration(ev.Elapsed)
 	for _, ph := range sp.Breakdown() {
 		r.Histogram("mcbench_lab_phase_seconds",
 			"time spent per simulation phase within a product computation",
-			telemetry.L("sim", ev.Sim),
+			telemetry.L("sim", string(ev.Sim)),
 			telemetry.L("phase", ph.Name)).Observe(int64(ph.Total))
 	}
 }
@@ -467,7 +461,7 @@ func (l *Lab) Names() []string {
 // through ModelsFor, so they are the very models ad-hoc jobs get.
 func (l *Lab) Models(ctx context.Context) (map[string]*badco.Model, error) {
 	return l.models.get(ctx, func() (map[string]*badco.Model, error) {
-		return observeRun(l, ctx, ProductEvent{Sim: "models"},
+		return observeRun(l, ctx, Request{Sim: SimModels},
 			func(m map[string]*badco.Model) int { return len(m) },
 			func(ctx context.Context) (map[string]*badco.Model, error) {
 				models, _, err := l.ModelsFor(ctx, l.Names())
@@ -633,60 +627,60 @@ func (l *Lab) toMulticore(w workload.Workload) multicore.Workload {
 // runs the full population sweep while concurrent callers for the same
 // key block on it, and different keys sweep in parallel.
 func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
-	return l.badcoIPC.do(ctx, ipcKey{cores, policy}, func() ([][]float64, error) {
-		return l.ipcTable(ctx, SimBadco, cores, policy, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
-			models, err := l.Models(ctx)
+	r := Request{Sim: SimBadco, Cores: cores, Policy: policy}
+	return l.ipcTable(ctx, r, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
+		models, err := l.Models(ctx)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		l.badcoSweeps.Add(1)
+		pop := l.Population(cores)
+		ws := make([]multicore.Workload, pop.Size())
+		for i, w := range pop.Workloads {
+			ws[i] = l.toMulticore(w)
+		}
+		// A warmed protocol (Config.Warmup) runs each workload's prefix
+		// once per policy: BADCO is cheap enough that sharing it across
+		// policies buys nothing.
+		table, ci, cv, err = l.sweep(ctx, ws, l.runSpec(r), nil, models)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
+		}
+		return table, ci, cv, nil
+	})
+}
+
+// ipcTable memoizes one population IPC table under its request: it serves
+// the table from the persistent cache, or computes it under the
+// product's observer span and persists it.
+func (l *Lab) ipcTable(ctx context.Context, r Request, compute func(context.Context) (table, ci, cv [][]float64, err error)) ([][]float64, error) {
+	return l.ipc.do(ctx, r, func() ([][]float64, error) {
+		id := l.tableIdentity(r)
+		if table, ok := l.loadCached(id); ok {
+			l.cacheHit(string(r.Sim))
+			l.observe(ProductEvent{Request: r, Phase: "done", Cached: true, Rows: len(table)})
+			return table, nil
+		}
+		l.cacheMiss(string(r.Sim))
+		return observeRun(l, ctx, r, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
+			table, ci, cv, err := compute(ctx)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
-			l.badcoSweeps.Add(1)
-			pop := l.Population(cores)
-			ws := make([]multicore.Workload, pop.Size())
-			for i, w := range pop.Workloads {
-				ws[i] = l.toMulticore(w)
-			}
-			// A warmed protocol (Config.Warmup) runs each workload's prefix
-			// once per policy: BADCO is cheap enough that sharing it across
-			// policies buys nothing.
-			table, ci, cv, err = l.sweep(ctx, ws, l.runSpec(SimBadco, policy), nil, models)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
-			}
-			return table, ci, cv, nil
+			stop := telemetry.FromContext(ctx).Time("store_save")
+			l.saveCached(id, table, ci, cv)
+			stop()
+			return table, nil
 		})
 	})
 }
 
-// ipcTable serves one population IPC table from the persistent cache, or
-// computes it under the product's observer span and persists it.
-func (l *Lab) ipcTable(ctx context.Context, sim Simulator, cores int, policy cache.PolicyName, compute func(context.Context) (table, ci, cv [][]float64, err error)) ([][]float64, error) {
-	id := l.tableIdentity(sim, cores, policy)
-	if table, ok := l.loadCached(id); ok {
-		l.cacheHit(string(sim))
-		l.observe(ProductEvent{Sim: string(sim), Cores: cores, Policy: string(policy),
-			Phase: "done", Cached: true, Rows: len(table)})
-		return table, nil
-	}
-	l.cacheMiss(string(sim))
-	ev := ProductEvent{Sim: string(sim), Cores: cores, Policy: string(policy)}
-	return observeRun(l, ctx, ev, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
-		table, ci, cv, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		stop := telemetry.FromContext(ctx).Time("store_save")
-		l.saveCached(id, table, ci, cv)
-		stop()
-		return table, nil
-	})
-}
-
-// runSpec is the lab's run protocol for one simulator and policy: the
-// Config.Warmup prefix for both engines, and Config.Sampling for the
-// detailed one only (BADCO is already fast).
-func (l *Lab) runSpec(sim Simulator, policy cache.PolicyName) multicore.Spec {
-	spec := multicore.Spec{Engine: multicore.BADCO, Policy: policy, Warmup: uint64(l.cfg.Warmup)}
-	if sim == SimDetailed {
+// runSpec is the lab's run protocol for one product: the Config.Warmup
+// prefix for both engines, and Config.Sampling for the detailed one only
+// (BADCO is already fast).
+func (l *Lab) runSpec(r Request) multicore.Spec {
+	spec := multicore.Spec{Engine: multicore.BADCO, Policy: r.Policy, Warmup: uint64(l.cfg.Warmup)}
+	if r.Sim == SimDetailed {
 		spec.Engine, spec.Sampling = multicore.Detailed, l.cfg.Sampling
 	}
 	return spec
@@ -738,10 +732,9 @@ func (l *Lab) DetSample(cores int) []int {
 // DetSample workloads for (cores, policy), simulated with the detailed
 // model. Row i corresponds to DetSample(cores)[i].
 func (l *Lab) DetailedIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
-	return l.detIPC.do(ctx, ipcKey{cores, policy}, func() ([][]float64, error) {
-		return l.ipcTable(ctx, SimDetailed, cores, policy, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
-			return l.detailedSweep(ctx, cores, policy)
-		})
+	r := Request{Sim: SimDetailed, Cores: cores, Policy: policy}
+	return l.ipcTable(ctx, r, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
+		return l.detailedSweep(ctx, r)
 	})
 }
 
@@ -753,8 +746,9 @@ func (l *Lab) DetailedIPC(ctx context.Context, cores int, policy cache.PolicyNam
 // sweep, whose Run refuses the combination before simulating anything.
 // The warmup may exceed the trace length (a long warming prefix before a
 // short measured sample).
-func (l *Lab) detailedSweep(ctx context.Context, cores int, policy cache.PolicyName) (table, ci, cv [][]float64, err error) {
-	spec := l.runSpec(SimDetailed, policy)
+func (l *Lab) detailedSweep(ctx context.Context, r Request) (table, ci, cv [][]float64, err error) {
+	cores, policy := r.Cores, r.Policy
+	spec := l.runSpec(r)
 	if spec.Warmup > 0 && spec.Sampling == (multicore.SamplingSpec{}) {
 		if slices.Contains(Policies(), policy) {
 			group, err := l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
@@ -830,8 +824,8 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 	return tables, nil
 }
 
-// tableIdentity builds the persisted identity of the (sim, cores,
-// policy) population IPC table — the one key it is loaded, saved and
+// tableIdentity builds the persisted identity of the request's
+// population IPC table — the one key it is loaded, saved and
 // fleet-sharded under. Detailed tables cover the DetSample of the
 // population and always name the population it was drawn from
 // (DetSample is deterministic given the seed and population): two
@@ -841,14 +835,14 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 // back — permanently unloadable. The sampling spec is folded in only for
 // the detailed simulator: BADCO tables never run sampled, and stamping
 // them would fragment their caches for no reason.
-func (l *Lab) tableIdentity(sim Simulator, cores int, policy cache.PolicyName) results.IPCTable {
+func (l *Lab) tableIdentity(r Request) results.IPCTable {
 	t := results.IPCTable{Identity: results.Identity{
-		Simulator: string(sim), Cores: cores, Policy: string(policy),
-		TraceLen: l.cfg.TraceLen, Population: l.Population(cores).Size(), Seed: l.cfg.Seed,
+		Simulator: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy),
+		TraceLen: l.cfg.TraceLen, Population: l.Population(r.Cores).Size(), Seed: l.cfg.Seed,
 		Source: l.sourceKey(), Warmup: l.cfg.Warmup,
 	}}
-	if sim == SimDetailed {
-		t.Population, t.Universe = len(l.DetSample(cores)), t.Population
+	if r.Sim == SimDetailed {
+		t.Population, t.Universe = len(l.DetSample(r.Cores)), t.Population
 		if s := l.cfg.Sampling; s.Enabled() {
 			t.SampleUnit, t.SampleWindow = int(s.Unit), int(s.Window)
 			t.SampleWarmup, t.SampleWarm = int(s.Warmup), int(s.Warm)
@@ -887,7 +881,7 @@ func (l *Lab) saveCached(id results.IPCTable, table, ci, cv [][]float64) {
 // speedup metrics WSU and HSU.
 func (l *Lab) RefIPC(ctx context.Context, cores int) ([]float64, error) {
 	return l.refIPC.do(ctx, cores, func() ([]float64, error) {
-		return observeRun(l, ctx, ProductEvent{Sim: "ref", Cores: cores},
+		return observeRun(l, ctx, Request{Sim: SimRef, Cores: cores},
 			func(v []float64) int { return len(v) },
 			func(ctx context.Context) ([]float64, error) { return l.refIPCCompute(ctx, cores) })
 	})
@@ -1023,7 +1017,7 @@ func (l *Lab) BadcoDiffsAt(ctx context.Context, cores int, m metrics.Metric, x, 
 // LRU configuration (the Table IV measurement).
 func (l *Lab) MPKI(ctx context.Context) ([]float64, error) {
 	return l.mpki.get(ctx, func() ([]float64, error) {
-		return observeRun(l, ctx, ProductEvent{Sim: "mpki"},
+		return observeRun(l, ctx, Request{Sim: SimMPKI},
 			func(v []float64) int { return len(v) },
 			func(ctx context.Context) ([]float64, error) { return l.mpkiCompute(ctx) })
 	})

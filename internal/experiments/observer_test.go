@@ -19,7 +19,7 @@ func (e *eventLog) add(ev ProductEvent) {
 	e.mu.Unlock()
 }
 
-func (e *eventLog) filter(sim, phase string) []ProductEvent {
+func (e *eventLog) filter(sim Simulator, phase string) []ProductEvent {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []ProductEvent
@@ -54,7 +54,7 @@ func TestObserverSeesSweepLifecycle(t *testing.T) {
 		t.Fatalf("badco events: %d starts, %d dones, want 1/1", len(starts), len(dones))
 	}
 	d := dones[0]
-	if d.Cached || d.Err != nil || d.Rows != len(tab) || d.Cores != 2 || d.Policy != string(cache.LRU) {
+	if d.Cached || d.Err != nil || d.Rows != len(tab) || d.Cores != 2 || d.Policy != cache.LRU {
 		t.Errorf("done event %+v does not describe the sweep (rows %d)", d, len(tab))
 	}
 	if len(log.filter("models", "done")) != 1 {

@@ -111,15 +111,15 @@ func TestWarmDeduplicatesPlan(t *testing.T) {
 // TestRequestNormalize pins the deduplication identity of requests whose
 // simulator ignores some fields.
 func TestRequestNormalize(t *testing.T) {
-	a := Request{Sim: SimMPKI, Cores: 4, Policy: cache.DIP}.normalize()
+	a := Request{Sim: SimMPKI, Cores: 4, Policy: cache.DIP}.Normalized()
 	if a != (Request{Sim: SimMPKI}) {
 		t.Errorf("MPKI request kept irrelevant fields: %+v", a)
 	}
-	r := Request{Sim: SimRef, Cores: 4, Policy: cache.DIP}.normalize()
+	r := Request{Sim: SimRef, Cores: 4, Policy: cache.DIP}.Normalized()
 	if r != (Request{Sim: SimRef, Cores: 4}) {
 		t.Errorf("ref request normalized wrong: %+v", r)
 	}
-	b := Request{Sim: SimBadco, Cores: 4, Policy: cache.DIP}.normalize()
+	b := Request{Sim: SimBadco, Cores: 4, Policy: cache.DIP}.Normalized()
 	if b != (Request{Sim: SimBadco, Cores: 4, Policy: cache.DIP}) {
 		t.Errorf("badco request must keep all fields: %+v", b)
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -116,12 +117,8 @@ func (p *httpPeer) Leave(ctx context.Context, id string) error {
 }
 
 func (p *httpPeer) SubmitWarm(ctx context.Context, products []experiments.Request) (string, error) {
-	refs := make([]ProductRef, len(products))
-	for i, r := range products {
-		refs[i] = ProductRef{Sim: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy)}
-	}
 	var st JobStatus
-	code, body, err := p.post(ctx, "/jobs", SubmitRequest{Kind: KindWarm, Warm: &WarmRequest{Products: refs}}, &st)
+	code, body, err := p.post(ctx, "/jobs", SubmitRequest{Kind: KindWarm, Warm: &WarmRequest{Products: Refs(products)}}, &st)
 	if err != nil {
 		return "", err
 	}
@@ -649,4 +646,43 @@ func TestFleetChaosWorkerKill(t *testing.T) {
 			t.Errorf("cache entry %q corrupt after chaos: %+v", e.Key, e.Table)
 		}
 	}
+}
+
+// fuzzBuild is the build identity FuzzFleetJoin's coordinator demands. It
+// is fixed, not read from the test binary, so the checked-in corpus's
+// valid join is granted on any toolchain.
+var fuzzBuild = buildinfo.Info{Module: "mcbench", Version: "v0.0.0-fuzz", GoVersion: "go1.24.0", Platform: "linux/amd64"}
+
+// FuzzFleetJoin posts arbitrary bytes to /fleet/join on a coordinator
+// whose Dial is a fake. The handler must never panic and must answer 200,
+// 400 or 409, and a 200 must mean the body decoded to the coordinator's
+// build and lab with a non-empty address.
+func FuzzFleetJoin(f *testing.F) {
+	labCfg := experiments.QuickConfig()
+	labCfg.TraceLen = 2000
+	dial := func(addr string) (fleet.Peer, error) { return &httpPeer{base: "http://" + addr}, nil }
+	s := New(Config{Lab: labCfg, Workers: 1, QueueDepth: 1, Fleet: &FleetConfig{Dial: dial}})
+	f.Cleanup(s.Drain)
+	s.coord = fleet.NewCoordinator(fleet.Config{Build: fuzzBuild, Lab: s.fleetLab, Dial: dial})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/join", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var req fleet.JoinRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("granted %q, which does not decode: %v", body, err)
+			}
+			if req.Build != fuzzBuild || req.Lab != s.fleetLab || req.Addr == "" {
+				t.Fatalf("granted join %+v; coordinator build %+v, lab %+v", req, fuzzBuild, s.fleetLab)
+			}
+			var grant fleet.JoinResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil || grant.ID == "" {
+				t.Fatalf("grant %s (err %v)", rec.Body.Bytes(), err)
+			}
+		case http.StatusBadRequest, http.StatusConflict:
+		default:
+			t.Fatalf("join %q: status %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+	})
 }

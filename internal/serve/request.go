@@ -10,10 +10,11 @@ package serve
 // persistent table cache.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 
 	"mcbench/internal/bench"
@@ -55,13 +56,29 @@ type SubmitRequest struct {
 	Warm       *WarmRequest       `json:"warm,omitempty"`
 }
 
-// ProductRef names one campaign product on the wire (the serve form of
-// experiments.Request). Cores and Policy are meaningful per the
-// simulator, exactly as in the campaign planner.
+// ProductRef names one campaign product on the wire: the serve form of
+// experiments.Request, the product's one identity. Cores and Policy are
+// meaningful per the simulator, exactly as in the campaign planner.
+// Refs and ProductRef.request are the two conversions between the forms.
 type ProductRef struct {
 	Sim    string `json:"sim"`
 	Cores  int    `json:"cores,omitempty"`
 	Policy string `json:"policy,omitempty"`
+}
+
+// Refs renders campaign requests in their wire form.
+func Refs(reqs []experiments.Request) []ProductRef {
+	refs := make([]ProductRef, len(reqs))
+	for i, r := range reqs {
+		refs[i] = ProductRef{Sim: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy)}
+	}
+	return refs
+}
+
+// request returns the normalized campaign request p names. canonProduct
+// validates the result; every later caller holds canonical refs.
+func (p ProductRef) request() experiments.Request {
+	return experiments.Request{Sim: experiments.Simulator(p.Sim), Cores: p.Cores, Policy: cache.PolicyName(p.Policy)}.Normalized()
 }
 
 // WarmRequest asks a node to warm the named products into its lab (and
@@ -250,39 +267,27 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		if len(wr.Products) == 0 {
 			return req, "", badRequest("serve: empty warm plan")
 		}
-		seen := make(map[experiments.Request]bool, len(wr.Products))
-		var norm []experiments.Request
-		for _, p := range wr.Products {
+		plan := make([]experiments.Request, len(wr.Products))
+		for i, p := range wr.Products {
 			r, err := canonProduct(p)
 			if err != nil {
 				return req, "", err
 			}
-			if !seen[r] {
-				seen[r] = true
-				norm = append(norm, r)
-			}
+			plan[i] = r
 		}
+		plan = experiments.Distinct(plan)
 		// Sorted products make the dedup key order-insensitive: two
 		// shards naming the same set coalesce regardless of plan order.
-		sort.Slice(norm, func(i, j int) bool {
-			a, b := norm[i], norm[j]
-			if a.Sim != b.Sim {
-				return a.Sim < b.Sim
-			}
-			if a.Cores != b.Cores {
-				return a.Cores < b.Cores
-			}
-			return a.Policy < b.Policy
+		slices.SortFunc(plan, func(a, b experiments.Request) int {
+			return cmp.Or(cmp.Compare(a.Sim, b.Sim), cmp.Compare(a.Cores, b.Cores), cmp.Compare(a.Policy, b.Policy))
 		})
-		products := make([]ProductRef, len(norm))
 		h := fnv.New64a()
-		for i, r := range norm {
-			products[i] = ProductRef{Sim: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy)}
+		for _, r := range plan {
 			fmt.Fprintf(h, "%s|%d|%s\n", r.Sim, r.Cores, r.Policy)
 		}
-		wr.Products = products
+		wr.Products = Refs(plan)
 		canon := SubmitRequest{Kind: KindWarm, Warm: &wr}
-		return canon, fmt.Sprintf("warm|n%d|%016x", len(products), h.Sum64()), nil
+		return canon, fmt.Sprintf("warm|n%d|%016x", len(plan), h.Sum64()), nil
 
 	default:
 		return req, "", badRequest("serve: unknown job kind %q", req.Kind)
@@ -292,8 +297,8 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 // canonProduct validates one wire product and returns its normalized
 // campaign request.
 func canonProduct(p ProductRef) (experiments.Request, error) {
-	sim := experiments.Simulator(p.Sim)
-	switch sim {
+	r := p.request()
+	switch r.Sim {
 	case experiments.SimBadco, experiments.SimDetailed:
 		if p.Cores <= 0 || p.Cores > multicore.MaxCores {
 			return experiments.Request{}, badRequest("serve: product %q needs cores in [1, %d]", p.Sim, multicore.MaxCores)
@@ -303,7 +308,7 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 		}
 		// The product's run spec must validate; its policy is the only
 		// field a warm request sets.
-		if err := (multicore.Spec{Policy: cache.PolicyName(p.Policy)}).Validate(0); err != nil {
+		if err := (multicore.Spec{Policy: r.Policy}).Validate(0); err != nil {
 			return experiments.Request{}, badRequest("serve: %v", err)
 		}
 	case experiments.SimRef:
@@ -314,6 +319,5 @@ func canonProduct(p ProductRef) (experiments.Request, error) {
 	default:
 		return experiments.Request{}, badRequest("serve: unknown product simulator %q", p.Sim)
 	}
-	r := experiments.Request{Sim: sim, Cores: p.Cores, Policy: cache.PolicyName(p.Policy)}
-	return r.Normalized(), nil
+	return r, nil
 }

@@ -425,3 +425,37 @@ func TestSamplingWireBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalizeWarmPinned pins a warm submission's canonical form and
+// dedup key byte for byte: products normalized (ignored fields zeroed),
+// deduplicated and sorted by simulator, cores and policy, and the key
+// digesting that list.
+func TestCanonicalizeWarmPinned(t *testing.T) {
+	canon, key, err := canonicalize(SubmitRequest{Kind: KindWarm, Warm: &WarmRequest{Products: []ProductRef{
+		{Sim: "detailed", Cores: 4, Policy: "DIP"},
+		{Sim: "mpki", Cores: 4, Policy: "LRU"},
+		{Sim: "badco", Cores: 2, Policy: "LRU"},
+		{Sim: "ref", Cores: 2, Policy: "DIP"},
+		{Sim: "badco", Cores: 2, Policy: "LRU"},
+		{Sim: "models"},
+		{Sim: "badco", Cores: 2, Policy: "DIP"},
+		{Sim: "ref", Cores: 2},
+	}}}, suiteSrc(), testTraceLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ProductRef{
+		{Sim: "badco", Cores: 2, Policy: "DIP"},
+		{Sim: "badco", Cores: 2, Policy: "LRU"},
+		{Sim: "detailed", Cores: 4, Policy: "DIP"},
+		{Sim: "models"},
+		{Sim: "mpki"},
+		{Sim: "ref", Cores: 2},
+	}
+	if !reflect.DeepEqual(canon.Warm.Products, want) {
+		t.Errorf("canonical products %+v, want %+v", canon.Warm.Products, want)
+	}
+	if want := "warm|n6|6220570dd36762ca"; key != want {
+		t.Errorf("key %q, want %q", key, want)
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"mcbench/internal/cache"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
 )
@@ -62,18 +61,12 @@ func (r *router) unregister(j *job, plan []experiments.Request) {
 	}
 }
 
-// dispatch is installed as the lab's Observer. Product events carry
-// normalized identity fields by construction, so the lookup key is
-// direct.
+// dispatch is installed as the lab's Observer. A product event carries
+// its normalized request, the very key jobs register under.
 func (r *router) dispatch(ev experiments.ProductEvent) {
-	req := experiments.Request{
-		Sim:    experiments.Simulator(ev.Sim),
-		Cores:  ev.Cores,
-		Policy: cache.PolicyName(ev.Policy),
-	}
 	r.mu.Lock()
-	jobs := make([]*job, 0, len(r.m[req]))
-	for j := range r.m[req] {
+	jobs := make([]*job, 0, len(r.m[ev.Request]))
+	for j := range r.m[ev.Request] {
 		jobs = append(jobs, j)
 	}
 	r.mu.Unlock()
@@ -81,14 +74,14 @@ func (r *router) dispatch(ev experiments.ProductEvent) {
 		return
 	}
 	data := map[string]any{
-		"sim":   ev.Sim,
+		"sim":   string(ev.Sim),
 		"phase": ev.Phase,
 	}
 	if ev.Cores > 0 {
 		data["cores"] = ev.Cores
 	}
 	if ev.Policy != "" {
-		data["policy"] = ev.Policy
+		data["policy"] = string(ev.Policy)
 	}
 	if ev.Cached {
 		data["cached"] = true
@@ -109,7 +102,7 @@ func (r *router) dispatch(ev experiments.ProductEvent) {
 // productMsg renders one product event for human consumers of the
 // stream.
 func productMsg(ev experiments.ProductEvent) string {
-	id := ev.Sim
+	id := string(ev.Sim)
 	if ev.Cores > 0 {
 		id = fmt.Sprintf("%s c%d", id, ev.Cores)
 	}
@@ -152,9 +145,7 @@ func (s *Server) runWarm(ctx context.Context, j *job) (*JobResult, error) {
 	refs := j.req.Warm.Products
 	plan := make([]experiments.Request, len(refs))
 	for i, p := range refs {
-		plan[i] = experiments.Request{
-			Sim: experiments.Simulator(p.Sim), Cores: p.Cores, Policy: cache.PolicyName(p.Policy),
-		}
+		plan[i] = p.request()
 	}
 	j.emit("plan", fmt.Sprintf("%d products to warm", len(plan)), map[string]any{"products": len(plan)})
 	s.router.register(j, plan)

@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	_ = classes
-	idx, weights := strata.Draw(rng, 20)
+	idx, weights := strata.Draw(rng, 20, nil, nil)
 	fmt.Printf("\ncluster-stratified sample of 20 workloads (of %d):\n", pop.Size())
 	for i, w := range idx[:5] {
 		fmt.Printf("  %-24v weight %.4f\n", pop.Workloads[w].Names(names), weights[i])
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rep := mcbench.NewRepresentative(wf, 30)
-	medoids, wts := rep.Draw(rng, 6)
+	medoids, wts := rep.Draw(rng, 6, nil, nil)
 	fmt.Printf("\n6 representative workloads stand in for all %d:\n", pop.Size())
 	for i, m := range medoids {
 		fmt.Printf("  %-24v covers %4.1f%% of the population\n",

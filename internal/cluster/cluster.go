@@ -104,25 +104,56 @@ func KMeans(rng *rand.Rand, points [][]float64, k, maxIter int) (*Result, error)
 	centroids := seedPlusPlus(rng, points, k)
 	assign := make([]int, len(points))
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i, p := range points {
-			best, bd := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := sqDist(p, cent); d < bd {
-					best, bd = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		if !changed && iter > 0 {
+		if !reassign(points, centroids, assign) && iter > 0 {
 			break
 		}
 		recompute(centroids, points, assign, rng)
 	}
 	return &Result{Assign: assign, Centroids: centroids, K: k}, nil
+}
+
+// reassign moves every point to its nearest centroid, starting the
+// search from the point's current one, and reports whether any moved.
+func reassign(points, centroids [][]float64, assign []int) bool {
+	changed := false
+	for i, p := range points {
+		if best := nearest(p, centroids, assign[i]); best != assign[i] {
+			assign[i] = best
+			changed = true
+		}
+	}
+	return changed
+}
+
+// nearest returns the centroid that a plain scan keeping the first
+// strict minimum of sqDist picks: the least (distance, index) pair among
+// the centroids at a finite distance, or 0 if there are none. It takes
+// the guess first, usually the point's previous centroid, and abandons a
+// candidate as soon as its running sum cannot win any more: a sum of
+// squares never decreases term by term, so a partial sum past the best
+// distance, or equal to it at a higher index, stays a loss. A candidate
+// that finishes has summed the same terms in the same order as sqDist.
+func nearest(p []float64, centroids [][]float64, guess int) int {
+	best, bd := 0, math.Inf(1)
+	if d := sqDist(p, centroids[guess]); d < bd {
+		best, bd = guess, d
+	}
+candidates:
+	for c, cent := range centroids {
+		if c == guess {
+			continue
+		}
+		s := 0.0
+		for j, x := range p {
+			d := x - cent[j]
+			s += d * d
+			if !(s < bd || s == bd && c < best) {
+				continue candidates
+			}
+		}
+		best, bd = c, s
+	}
+	return best
 }
 
 // seedPlusPlus picks k initial centroids: the first uniformly, each next

@@ -27,7 +27,7 @@ func ConfigTable() *Table {
 		Title:   "Tables I & II: simulated configurations",
 		Columns: []string{"parameter", "value"},
 		Notes: []string{
-			"LLC capacities are the paper's scaled by 1/4, matching the 10^-3 trace-length scale (see DESIGN.md)",
+			"LLC capacities are the paper's scaled by 1/4, matching the 10^-3 trace-length scale (see uncore.ConfigFor)",
 		},
 	}
 	t.AddRow("decode/issue/commit", fmt.Sprintf("%d/%d/%d", core.DecodeWidth, core.IssueWidth, core.CommitWidth))

@@ -89,6 +89,8 @@ func (l *Lab) SpeedupAccuracy(ctx context.Context, cores int, m metrics.Metric, 
 	)
 
 	var out []SpeedupAccuracyPoint
+	var idx []int
+	var weights, sx, sy []float64
 	for si, s := range samplers {
 		rng := rand.New(rand.NewSource(l.cfg.Seed + 1000 + int64(si)))
 		for _, w := range sizes {
@@ -97,12 +99,11 @@ func (l *Lab) SpeedupAccuracy(ctx context.Context, cores int, m metrics.Metric, 
 			}
 			errs := make([]float64, trials)
 			for tr := 0; tr < trials; tr++ {
-				idx, weights := s.Draw(rng, w)
-				sx := make([]float64, len(idx))
-				sy := make([]float64, len(idx))
-				for i, j := range idx {
-					sx[i] = tX[j]
-					sy[i] = tY[j]
+				idx, weights = s.Draw(rng, w, idx[:0], weights[:0])
+				sx, sy = sx[:0], sy[:0]
+				for _, j := range idx {
+					sx = append(sx, tX[j])
+					sy = append(sy, tY[j])
 				}
 				est := m.WeightedSample(sy, weights) / m.WeightedSample(sx, weights)
 				errs[tr] = math.Abs(est-popSpeedup) / popSpeedup

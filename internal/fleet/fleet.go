@@ -19,6 +19,11 @@ const (
 	// missedBeats is how many consecutive heartbeat intervals a member
 	// may miss before it is reaped as dead.
 	missedBeats = 3
+	// MaxAddrLen bounds a joining worker's advertised address. A join
+	// is unauthenticated and its member is kept until the lease lapses,
+	// so the address must not let one request pin arbitrary memory; a
+	// host name (at most 253 bytes) and a port fit well inside.
+	MaxAddrLen = 512
 )
 
 // Config parameterises a Coordinator.
@@ -83,6 +88,9 @@ func (c *Coordinator) Join(req JoinRequest) (*JoinResponse, error) {
 	}
 	if req.Addr == "" {
 		return nil, fmt.Errorf("fleet: join without an advertised address")
+	}
+	if len(req.Addr) > MaxAddrLen {
+		return nil, fmt.Errorf("fleet: advertised address of %d bytes exceeds %d", len(req.Addr), MaxAddrLen)
 	}
 	peer, err := c.cfg.Dial(req.Addr)
 	if err != nil {

@@ -110,7 +110,7 @@ func NewRepresentative(features [][]float64, maxIter int) Sampler {
 
 func (r *representative) Name() string { return "workload-cluster" }
 
-func (r *representative) Draw(rng *rand.Rand, w int) ([]int, []float64) {
+func (r *representative) Draw(rng *rand.Rand, w int, idx []int, weights []float64) ([]int, []float64) {
 	if w > len(r.features) {
 		w = len(r.features)
 	}
@@ -121,12 +121,9 @@ func (r *representative) Draw(rng *rand.Rand, w int) ([]int, []float64) {
 	if err != nil {
 		panic(fmt.Sprintf("sampling: representative draw: %v", err))
 	}
-	idx := res.Medoids(r.features)
-	sizes := res.Sizes()
-	weights := make([]float64, len(idx))
 	n := float64(len(r.features))
-	for c := range idx {
-		weights[c] = float64(sizes[c]) / n
+	for _, size := range res.Sizes() {
+		weights = append(weights, float64(size)/n)
 	}
-	return idx, weights
+	return append(idx, res.Medoids(r.features)...), weights
 }

@@ -66,7 +66,7 @@ func TestClusterBenchStrataSamplerValid(t *testing.T) {
 		t.Errorf("strata = %d, want 3", n)
 	}
 	rng := rand.New(rand.NewSource(3))
-	idx, weights := s.Draw(rng, 30)
+	idx, weights := s.Draw(rng, 30, nil, nil)
 	if len(idx) != len(weights) {
 		t.Fatal("length mismatch")
 	}
@@ -143,7 +143,7 @@ func TestRepresentativeDraw(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	for _, w := range []int{1, 3, 5, 10} {
-		idx, weights := s.Draw(rng, w)
+		idx, weights := s.Draw(rng, w, nil, nil)
 		if len(idx) != w || len(weights) != w {
 			t.Fatalf("Draw(%d) returned %d/%d", w, len(idx), len(weights))
 		}
@@ -168,7 +168,7 @@ func TestRepresentativeDraw(t *testing.T) {
 	}
 	// Requesting more representatives than workloads clips to the
 	// population size.
-	idx, _ := s.Draw(rng, pop.Size()+5)
+	idx, _ := s.Draw(rng, pop.Size()+5, nil, nil)
 	if len(idx) != pop.Size() {
 		t.Errorf("oversized draw returned %d medoids", len(idx))
 	}
@@ -201,7 +201,7 @@ func TestRepresentativeEstimatesStructuredMean(t *testing.T) {
 
 	s := NewRepresentative(wf, 30)
 	rng := rand.New(rand.NewSource(5))
-	idx, weights := s.Draw(rng, 3)
+	idx, weights := s.Draw(rng, 3, nil, nil)
 	est := 0.0
 	for i, ix := range idx {
 		est += weights[i] * values[ix]

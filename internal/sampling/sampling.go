@@ -22,13 +22,17 @@ import (
 	"mcbench/internal/workload"
 )
 
-// Sampler draws weighted workload samples from a population.
+// Sampler draws weighted workload samples from a population. A sampler
+// keeps scratch state between draws, so, like the *rand.Rand it draws
+// from, it is not safe for concurrent use.
 type Sampler interface {
 	// Name identifies the method.
 	Name() string
-	// Draw returns w workload indices (repeats allowed) and their
-	// estimator weights, which sum to 1.
-	Draw(rng *rand.Rand, w int) (idx []int, weights []float64)
+	// Draw appends a sample of w workload indices (repeats allowed) to
+	// idx and their estimator weights, which sum to 1, to weights, and
+	// returns both. Passing the previous draw's slices cut to length 0
+	// reuses their storage.
+	Draw(rng *rand.Rand, w int, idx []int, weights []float64) ([]int, []float64)
 }
 
 // ---------------------------------------------------------------------------
@@ -49,27 +53,26 @@ func NewSimpleRandom(n int) Sampler {
 
 func (s *simpleRandom) Name() string { return "random" }
 
-func (s *simpleRandom) Draw(rng *rand.Rand, w int) ([]int, []float64) {
-	idx := make([]int, w)
-	for i := range idx {
-		idx[i] = rng.Intn(s.n)
+func (s *simpleRandom) Draw(rng *rand.Rand, w int, idx []int, weights []float64) ([]int, []float64) {
+	for i := 0; i < w; i++ {
+		idx = append(idx, rng.Intn(s.n))
 	}
-	return idx, equalWeights(w)
+	return idx, appendEqualWeights(weights, w)
 }
 
-func equalWeights(w int) []float64 {
-	ws := make([]float64, w)
-	for i := range ws {
-		ws[i] = 1 / float64(w)
+func appendEqualWeights(weights []float64, w int) []float64 {
+	for i := 0; i < w; i++ {
+		weights = append(weights, 1/float64(w))
 	}
-	return ws
+	return weights
 }
 
 // ---------------------------------------------------------------------------
 // Balanced random sampling
 
 type balancedRandom struct {
-	pop *workload.Population
+	pop  *workload.Population
+	fill []int // the last draw's benchmark slots, kept for their storage
 }
 
 // NewBalancedRandom samples workloads such that every benchmark occurs
@@ -85,12 +88,12 @@ func NewBalancedRandom(pop *workload.Population) Sampler {
 
 func (s *balancedRandom) Name() string { return "bal-random" }
 
-func (s *balancedRandom) Draw(rng *rand.Rand, w int) ([]int, []float64) {
+func (s *balancedRandom) Draw(rng *rand.Rand, w int, idx []int, weights []float64) ([]int, []float64) {
 	b, k := s.pop.B, s.pop.K
 	slots := w * k
 	// Fill slots with each benchmark repeated slots/b times; the
 	// remainder goes to a random subset of benchmarks.
-	fill := make([]int, 0, slots)
+	fill := s.fill[:0]
 	base := slots / b
 	for bench := 0; bench < b; bench++ {
 		for c := 0; c < base; c++ {
@@ -101,17 +104,17 @@ func (s *balancedRandom) Draw(rng *rand.Rand, w int) ([]int, []float64) {
 		fill = append(fill, bench)
 	}
 	rng.Shuffle(len(fill), func(i, j int) { fill[i], fill[j] = fill[j], fill[i] })
+	s.fill = fill
 
-	idx := make([]int, w)
 	for i := 0; i < w; i++ {
 		wl := workload.Workload(fill[i*k : (i+1)*k])
 		pos := s.pop.IndexOf(wl)
 		if pos < 0 {
 			panic(fmt.Sprintf("sampling: balanced workload %v not in population", wl))
 		}
-		idx[i] = pos
+		idx = append(idx, pos)
 	}
-	return idx, equalWeights(w)
+	return idx, appendEqualWeights(weights, w)
 }
 
 // ---------------------------------------------------------------------------
@@ -123,6 +126,10 @@ type stratified struct {
 	name   string
 	strata [][]int // population indices per stratum
 	total  int
+	// alloc is allocate(allocW), kept because a Monte-Carlo run draws
+	// many samples of one size in a row.
+	allocW int
+	alloc  []int
 }
 
 func newStratified(name string, strata [][]int) *stratified {
@@ -189,16 +196,12 @@ func (s *stratified) allocate(w int) []int {
 	return alloc
 }
 
-func (s *stratified) Draw(rng *rand.Rand, w int) ([]int, []float64) {
-	alloc := s.allocate(w)
-	n := 0
-	for _, wh := range alloc {
-		n += wh
+func (s *stratified) Draw(rng *rand.Rand, w int, idx []int, weights []float64) ([]int, []float64) {
+	if s.alloc == nil || s.allocW != w {
+		s.alloc, s.allocW = s.allocate(w), w
 	}
-	idx := make([]int, 0, n)
-	weights := make([]float64, 0, n)
 	for h, st := range s.strata {
-		wh := alloc[h]
+		wh := s.alloc[h]
 		weight := float64(len(st)) / float64(s.total) / float64(wh)
 		for c := 0; c < wh; c++ {
 			idx = append(idx, st[rng.Intn(len(st))])
@@ -321,8 +324,9 @@ func EmpiricalConfidence(rng *rand.Rand, values []float64, s Sampler, w, trials 
 		panic("sampling: non-positive trial count")
 	}
 	hits := 0
+	idx, weights := make([]int, 0, w), make([]float64, 0, w)
 	for t := 0; t < trials; t++ {
-		idx, weights := s.Draw(rng, w)
+		idx, weights = s.Draw(rng, w, idx[:0], weights[:0])
 		est := 0.0
 		for i, j := range idx {
 			est += weights[i] * values[j]

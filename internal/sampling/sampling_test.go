@@ -46,7 +46,7 @@ func weightsSumToOne(t *testing.T, weights []float64) {
 func TestSimpleRandomDraw(t *testing.T) {
 	s := NewSimpleRandom(100)
 	rng := rand.New(rand.NewSource(1))
-	idx, w := s.Draw(rng, 30)
+	idx, w := s.Draw(rng, 30, nil, nil)
 	if len(idx) != 30 || len(w) != 30 {
 		t.Fatalf("draw sizes %d/%d", len(idx), len(w))
 	}
@@ -67,7 +67,7 @@ func TestBalancedRandomEqualOccurrences(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// 8 benchmarks, K=2: a sample of 12 workloads has 24 slots -> every
 	// benchmark must occur exactly 3 times.
-	idx, w := s.Draw(rng, 12)
+	idx, w := s.Draw(rng, 12, nil, nil)
 	weightsSumToOne(t, w)
 	var ws []workload.Workload
 	for _, i := range idx {
@@ -87,7 +87,7 @@ func TestBalancedRandomUnevenSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// 7 workloads x 2 slots = 14 slots over 5 benchmarks: occurrences
 	// must be 2 or 3 (as equal as possible).
-	idx, _ := s.Draw(rng, 7)
+	idx, _ := s.Draw(rng, 7, nil, nil)
 	var ws []workload.Workload
 	for _, i := range idx {
 		ws = append(ws, pop.Workloads[i])
@@ -110,7 +110,7 @@ func TestBenchmarkStrataGrouping(t *testing.T) {
 		t.Errorf("strata %d, want 3", got)
 	}
 	rng := rand.New(rand.NewSource(4))
-	idx, w := s.Draw(rng, 9)
+	idx, w := s.Draw(rng, 9, nil, nil)
 	if len(idx) != 9 {
 		t.Fatalf("drew %d", len(idx))
 	}
@@ -173,7 +173,7 @@ func TestStratifiedEstimatorUnbiased(t *testing.T) {
 	const trials = 4000
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		idx, w := s.Draw(rng, 12)
+		idx, w := s.Draw(rng, 12, nil, nil)
 		weightsSumToOne(t, w)
 		for j, k := range idx {
 			sum += w[j] * d[k]
@@ -299,7 +299,7 @@ func TestSamplerContractsProperty(t *testing.T) {
 		w := int(rawW)%40 + 1
 		rng := rand.New(rand.NewSource(seed))
 		for _, s := range samplers {
-			idx, weights := s.Draw(rng, w)
+			idx, weights := s.Draw(rng, w, nil, nil)
 			if len(idx) != len(weights) || len(idx) == 0 {
 				return false
 			}

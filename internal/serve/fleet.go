@@ -223,7 +223,7 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.JoinRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJoinBytes))
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "serve: bad join request: %v", err)
 		return

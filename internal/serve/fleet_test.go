@@ -653,27 +653,75 @@ func TestFleetChaosWorkerKill(t *testing.T) {
 // valid join is granted on any toolchain.
 var fuzzBuild = buildinfo.Info{Module: "mcbench", Version: "v0.0.0-fuzz", GoVersion: "go1.24.0", Platform: "linux/amd64"}
 
-// FuzzFleetJoin posts arbitrary bytes to /fleet/join on a coordinator
-// whose Dial is a fake. The handler must never panic and must answer 200,
-// 400 or 409, and a 200 must mean the body decoded to the coordinator's
-// build and lab with a non-empty address.
-func FuzzFleetJoin(f *testing.F) {
+// joinCoordinator is a coordinator demanding fuzzBuild whose Dial is a
+// fake that never connects.
+func joinCoordinator(tb testing.TB) *Server {
 	labCfg := experiments.QuickConfig()
 	labCfg.TraceLen = 2000
 	dial := func(addr string) (fleet.Peer, error) { return &httpPeer{base: "http://" + addr}, nil }
 	s := New(Config{Lab: labCfg, Workers: 1, QueueDepth: 1, Fleet: &FleetConfig{Dial: dial}})
-	f.Cleanup(s.Drain)
+	tb.Cleanup(s.Drain)
 	s.coord = fleet.NewCoordinator(fleet.Config{Build: fuzzBuild, Lab: s.fleetLab, Dial: dial})
+	return s
+}
+
+// postJoin posts body to /fleet/join and returns the status.
+func postJoin(s *Server, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/join", bytes.NewReader(body)))
+	return rec
+}
+
+// TestFleetJoinBoundsMemory checks what one unauthenticated join can make
+// the coordinator hold: 64 compatible joins with distinct 1 MiB
+// addresses are all refused with 400 and register no member, an address
+// one byte past fleet.MaxAddrLen is refused inside the body cap, and one
+// of exactly MaxAddrLen bytes is granted.
+func TestFleetJoinBoundsMemory(t *testing.T) {
+	s := joinCoordinator(t)
+	join := func(addr string) int {
+		body, err := json.Marshal(fleet.JoinRequest{Addr: addr, Build: fuzzBuild, Lab: s.fleetLab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postJoin(s, body).Code
+	}
+	for i := 0; i < 64; i++ {
+		addr := fmt.Sprintf("%03d", i) + strings.Repeat("a", 1<<20)
+		if code := join(addr); code != http.StatusBadRequest {
+			t.Fatalf("join %d with a 1 MiB address: status %d, want 400", i, code)
+		}
+	}
+	if n := s.coord.Peers(); n != 0 {
+		t.Fatalf("%d members registered after refused joins", n)
+	}
+	if code := join(strings.Repeat("b", fleet.MaxAddrLen+1)); code != http.StatusBadRequest {
+		t.Errorf("address of MaxAddrLen+1 bytes: status %d, want 400", code)
+	}
+	if code := join(strings.Repeat("c", fleet.MaxAddrLen)); code != http.StatusOK {
+		t.Errorf("address of MaxAddrLen bytes: status %d, want 200", code)
+	}
+	if n := s.coord.Peers(); n != 1 {
+		t.Errorf("%d members registered, want 1", n)
+	}
+}
+
+// FuzzFleetJoin posts arbitrary bytes to /fleet/join on a coordinator
+// whose Dial is a fake. The handler must never panic and must answer 200,
+// 400 or 409, and a 200 must mean the body decoded to the coordinator's
+// build and lab with a non-empty address of at most fleet.MaxAddrLen
+// bytes.
+func FuzzFleetJoin(f *testing.F) {
+	s := joinCoordinator(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/join", bytes.NewReader(body)))
+		rec := postJoin(s, body)
 		switch rec.Code {
 		case http.StatusOK:
 			var req fleet.JoinRequest
 			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 				t.Fatalf("granted %q, which does not decode: %v", body, err)
 			}
-			if req.Build != fuzzBuild || req.Lab != s.fleetLab || req.Addr == "" {
+			if req.Build != fuzzBuild || req.Lab != s.fleetLab || req.Addr == "" || len(req.Addr) > fleet.MaxAddrLen {
 				t.Fatalf("granted join %+v; coordinator build %+v, lab %+v", req, fuzzBuild, s.fleetLab)
 			}
 			var grant fleet.JoinResponse

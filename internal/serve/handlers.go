@@ -35,6 +35,10 @@ import (
 // maxBodyBytes bounds submission bodies (sweep workload lists included).
 const maxBodyBytes = 8 << 20
 
+// maxJoinBytes bounds a fleet join: an address, a build identity and a
+// lab identity take well under a kilobyte.
+const maxJoinBytes = 64 << 10
+
 // maxLongPollWait caps the ?wait parameter of the long-poll endpoint.
 const maxLongPollWait = 60 * time.Second
 

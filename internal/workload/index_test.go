@@ -71,10 +71,14 @@ func TestIndexOfSampledPopulation(t *testing.T) {
 }
 
 // TestIndexOfDoesNotAllocate pins the lookup the Monte-Carlo samplers
-// make per drawn workload to zero allocations at K <= 16.
+// make per drawn workload to zero allocations at K <= 16. An enumerated
+// population resolves by rank and builds no key map at all.
 func TestIndexOfDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct{ b, k int }{{22, 4}, {300, 2}, {4, 16}} {
 		p := Enumerate(c.b, c.k)
+		if p.index != nil {
+			t.Errorf("B=%d K=%d: Enumerate built a key map of %d entries", c.b, c.k, len(p.index))
+		}
 		q := shuffled(rand.New(rand.NewSource(1)), p.Workloads[p.Size()/2])
 		if a := testing.AllocsPerRun(100, func() { p.IndexOf(q) }); a != 0 {
 			t.Errorf("B=%d K=%d: IndexOf allocates %v times per call", c.b, c.k, a)

@@ -84,7 +84,10 @@ func (w Workload) Names(names []string) []string {
 type Population struct {
 	B, K      int
 	Workloads []Workload
-	index     map[string]int
+	// An enumerated population resolves a workload by its rank; any
+	// other population keys its members in index.
+	rank  *ranker
+	index map[string]int
 }
 
 // Enumerate builds the full population of multisets of K out of B in
@@ -107,7 +110,7 @@ func Enumerate(b, k int) *Population {
 		}
 	}
 	rec(0, 0)
-	return newPopulation(b, k, all)
+	return &Population{B: b, K: k, Workloads: all, rank: newRanker(b, k)}
 }
 
 // SampleUniform builds a population of n workloads drawn uniformly at
@@ -181,13 +184,60 @@ func (p *Population) Size() int { return len(p.Workloads) }
 // samplers call it for every drawn workload.
 func (p *Population) IndexOf(w Workload) int {
 	var sorted [stackK]int
-	var key [stackK * binary.MaxVarintLen64]byte
 	s := append(sorted[:0], w...)
 	sort.Ints(s)
+	if p.rank != nil {
+		return p.rank.index(s)
+	}
+	var key [stackK * binary.MaxVarintLen64]byte
 	if i, ok := p.index[string(appendIndexKey(key[:0], s))]; ok {
 		return i
 	}
 	return -1
+}
+
+// ranker ranks sorted workloads in Enumerate's lexicographic order, which
+// is also Unrank's. Row pos of prefix, column v, sums over u < v the
+// number of multisets of size K-pos-1 over [u, B): the workloads that
+// continue a given first pos members with u at position pos. Past a
+// member min, a workload with v at position pos therefore follows
+// row[v] - row[min] others, and its rank is one such difference per
+// position.
+type ranker struct {
+	b, k   int
+	prefix []int // K rows of B+1 columns
+}
+
+// newRanker builds the K×(B+1) prefix table of a population small enough
+// to enumerate, so every entry fits an int.
+func newRanker(b, k int) *ranker {
+	r := &ranker{b: b, k: k, prefix: make([]int, k*(b+1))}
+	for pos := 0; pos < k; pos++ {
+		row := r.prefix[pos*(b+1) : (pos+1)*(b+1)]
+		for u := 0; u < b; u++ {
+			cnt := uint64(1)
+			if k-pos-1 > 0 {
+				cnt, _ = PopulationSize(b-u, k-pos-1)
+			}
+			row[u+1] = row[u] + int(cnt)
+		}
+	}
+	return r
+}
+
+// index returns the rank of a sorted workload, or -1 when it has the
+// wrong width or a member outside [0, B).
+func (r *ranker) index(w []int) int {
+	if len(w) != r.k || w[0] < 0 || w[len(w)-1] >= r.b {
+		return -1
+	}
+	rank, min := 0, 0
+	for pos, v := range w {
+		row := r.prefix[pos*(r.b+1):]
+		rank += row[v] - row[min]
+		min = v
+	}
+	return rank
 }
 
 // Random draws one workload uniformly from the full multiset population
@@ -257,24 +307,6 @@ func Unrank(rank uint64, b, k int) Workload {
 		panic("workload: Unrank rank out of range")
 	}
 	return w
-}
-
-// Rank is the inverse of Unrank.
-func Rank(w Workload, b int) uint64 {
-	var rank uint64
-	min := 0
-	k := len(w)
-	for pos, val := range w {
-		for v := min; v < val; v++ {
-			cnt, _ := PopulationSize(b-v, k-pos-1)
-			if k-pos-1 == 0 {
-				cnt = 1
-			}
-			rank += cnt
-		}
-		min = val
-	}
-	return rank
 }
 
 // Occurrences counts how many times each benchmark appears across the

@@ -84,9 +84,10 @@ func TestIndexOf(t *testing.T) {
 func TestRankUnrankRoundTrip(t *testing.T) {
 	const b, k = 22, 4
 	p := Enumerate(b, k)
+	r := newRanker(b, k)
 	for i, w := range p.Workloads {
-		if got := Rank(w, b); got != uint64(i) {
-			t.Fatalf("Rank(%v) = %d, want %d", w, got, i)
+		if got := r.index(w); got != i {
+			t.Fatalf("rank of %v = %d, want %d", w, got, i)
 		}
 	}
 	for _, rank := range []uint64{0, 1, 100, 12649} {
@@ -177,7 +178,7 @@ func TestRankUnrankProperty(t *testing.T) {
 		total, _ := PopulationSize(b, k)
 		rank := uint64(rng.Int63n(int64(total)))
 		w := Unrank(rank, b, k)
-		return Rank(w, b) == rank && len(w) == k
+		return newRanker(b, k).index(w) == int(rank) && len(w) == k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -69,7 +69,6 @@ experiments.PaperClass            tests read the paper table through it
 sampling.PaperThresholds          tests read the paper table through it
 profile.FeatureNames              tests read the feature table through it
 trace.SortedNames                 tests read the suite table through it
-workload.Rank                     inverse of Unrank, for ranking enumerated populations
 trace.NewSuite                    reachable only through the public mcbench.GenerateSuite
 cophase.Simulator.SimulatedOps    reachable only through the public mcbench.Cophase
 '

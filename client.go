@@ -35,7 +35,7 @@ type Client struct {
 	hc         *http.Client
 	maxRetries int
 	baseDelay  time.Duration
-	maxBody    int64 // response-body cap, maxResponseBytes outside tests
+	maxBody    int64 // response-body cap (see bodyCap), maxResponseBytes outside tests
 
 	// Transport telemetry, snapshotted by Stats. Standalone instruments
 	// (registered in no registry — a client is not a scrape target):
@@ -123,8 +123,42 @@ const (
 // 17 times its bytes in the submission. A sampled sweep of the whole
 // four-core population (12,650 workloads) is then ~10 MB, and 256 MiB
 // holds the result of the largest submission a server accepts (8 MiB)
-// with room to spare. Stored tables and fleet scrapes are smaller.
+// with room to spare.
 const maxResponseBytes = 256 << 20
+
+// maxCacheBytes caps GET /cache/{key}, one stored table that a fleet
+// peer may answer. A value takes at most 25 bytes of JSON: a comma and
+// up to 17 significant digits behind "0.00000" (encoding/json switches
+// to an exponent below 1e-6). The largest table the paper's
+// 22-benchmark suite has under the CLI's configurations, at any core
+// count up to 64, is a BADCO table of 10,000 sampled workloads at 64
+// cores: 640,000 values, at most 16.1 MB (15.3 MiB) with the row
+// brackets. The reference IPC and MPKI tables hold 22 values. A larger
+// table (a bigger population configured through the library, or a big
+// scaled source) fails the fetch, which the store treats as a miss and
+// recomputes locally.
+const maxCacheBytes = 16 << 20
+
+// maxMetricsBytes caps GET /metrics, which the fleet coordinator scrapes
+// from every worker. A series takes ~120 bytes of snapshot JSON, and at
+// most 250 with the longest labels. A server registers fewer than 2,300
+// series: two per endpoint, about 2,100 lab product histograms (each
+// simulator × core count up to 64 × policy × exact or sampled), and
+// fewer than 100 others. That is under 600 KB; 4 MiB leaves room for
+// growth.
+const maxMetricsBytes = 4 << 20
+
+// bodyCap returns the response-body cap of one request path: the
+// endpoint's own cap where it has one, never above the client's.
+func (c *Client) bodyCap(path string) int64 {
+	switch {
+	case strings.HasPrefix(path, "/cache/"):
+		return min(c.maxBody, maxCacheBytes)
+	case strings.HasPrefix(path, "/metrics"):
+		return min(c.maxBody, maxMetricsBytes)
+	}
+	return c.maxBody
+}
 
 // NewClient validates the base URL ("http://host:port") and returns a
 // client. With no options the client retries transient failures
@@ -344,13 +378,14 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte) 
 		return 0, nil, &connError{err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody+1))
+	limit := c.bodyCap(path)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return 0, nil, &connError{err}
 	}
-	if int64(len(data)) > c.maxBody {
+	if int64(len(data)) > limit {
 		// Not a connError: a retry would read the same oversized body.
-		return 0, nil, fmt.Errorf("mcbench: %s %s: response body exceeds the %d-byte cap", method, path, c.maxBody)
+		return 0, nil, fmt.Errorf("mcbench: %s %s: response body exceeds the %d-byte cap", method, path, limit)
 	}
 	if resp.StatusCode >= 300 {
 		return 0, nil, newAPIError(resp, data)

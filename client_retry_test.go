@@ -343,3 +343,60 @@ func TestClientCapsResponseBodies(t *testing.T) {
 		t.Errorf("endless body: %d requests, stats %+v; want 1 request, 0 retries, 1 failure", n, st)
 	}
 }
+
+// TestClientCapsPeerReads pins the per-endpoint caps on what a fleet
+// peer can make the client buffer: an oversized GET /cache/{key} body
+// fails CacheGet at 16 MiB and an oversized /metrics scrape fails
+// Metrics at 4 MiB, each with one request and an error naming its cap,
+// while the client's general cap stays 256 MiB. A table of normal size
+// still comes back whole.
+func TestClientCapsPeerReads(t *testing.T) {
+	const cacheCap, metricsCap = 16 << 20, 4 << 20
+	var requests atomic.Int64
+	table := `{"simulator":"ref"}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if r.URL.Path == "/cache/small" {
+			fmt.Fprint(w, table)
+			return
+		}
+		// Twice the largest cap: enough to trip it, and a ceiling on what
+		// a client that lost its cap would buffer.
+		chunk := []byte(strings.Repeat(" ", 32<<10))
+		for sent := 0; sent < 2*cacheCap; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	c := fastClient(t, ts.URL)
+
+	data, ok, err := c.CacheGet(t.Context(), "small")
+	if err != nil || !ok || string(data) != table {
+		t.Fatalf("CacheGet of a small table = %q, %v, %v", data, ok, err)
+	}
+	for _, call := range []struct {
+		name string
+		cap  int
+		run  func() error
+	}{
+		{"CacheGet", cacheCap, func() error {
+			_, _, err := c.CacheGet(t.Context(), "ref-c2-LRU-l20000-p22-s1")
+			return err
+		}},
+		{"Metrics", metricsCap, func() error {
+			_, err := c.Metrics(t.Context())
+			return err
+		}},
+	} {
+		before := requests.Load()
+		err := call.run()
+		if want := fmt.Sprintf("%d-byte cap", call.cap); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s over an oversized body = %v, want an error naming the %s", call.name, err, want)
+		}
+		if n := requests.Load() - before; n != 1 {
+			t.Errorf("%s: %d requests, want 1 (a cap error is not retried)", call.name, n)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"mcbench/internal/cache"
+	"mcbench/internal/results"
 )
 
 // Simulator names the engine (or measurement) behind a warmed product.
@@ -27,10 +28,10 @@ const (
 	// sample (DetailedIPC).
 	SimDetailed Simulator = "detailed"
 	// SimRef is the per-benchmark alone reference IPC vector (RefIPC).
-	SimRef Simulator = "ref"
+	SimRef Simulator = results.SimRef
 	// SimMPKI is the per-benchmark alone MPKI measurement (MPKI);
 	// Cores and Policy are ignored.
-	SimMPKI Simulator = "mpki"
+	SimMPKI Simulator = results.SimMPKI
 	// SimModels is the BADCO model set (Models); Cores and Policy are
 	// ignored. Table III and the sim subcommand need the models without
 	// any population table.
@@ -108,8 +109,9 @@ func (l *Lab) fulfill(ctx context.Context, r Request) error {
 //
 // Shared prerequisites (traces, BADCO models) are not built eagerly:
 // the first worker to need them builds them behind their single-flight
-// guard — internally parallel — while the rest block, and a plan fully
-// served by the persistent cache never builds them at all.
+// guard — internally parallel — while the rest block. Every product but
+// SimModels persists (see ProductKey), so a plan fully served by the
+// persistent cache never builds a trace or a model at all.
 //
 // The workers are coordinators, not the CPU bound: every sweep they
 // trigger draws simulation slots from multicore's process-wide budget
@@ -164,14 +166,22 @@ type KeyedRequest struct {
 }
 
 // ProductKey returns the persistent-store content key the request's
-// product is saved under, given this lab's configuration. Only the
-// population IPC tables — SimBadco and SimDetailed with a positive core
-// count — have one: the reference/MPKI/model products are in-memory
-// memos every node rebuilds cheaply on its own. The key is a pure
-// function of the lab config, so every fleet node computes identical
-// keys without coordination.
+// product is saved under, given this lab's configuration. Every product
+// but the BADCO model set has one: the population IPC tables (SimBadco
+// and SimDetailed with a positive core count), the reference IPC vector
+// per core count (SimRef) and the MPKI vector (SimMPKI). The models stay
+// in memory; after a restart the first product or ad-hoc BADCO job that
+// needs a model builds it. The key is a pure function of the lab config,
+// so every fleet node computes identical keys without coordination.
 func (l *Lab) ProductKey(r Request) (string, bool) {
-	if r.Cores <= 0 || (r.Sim != SimBadco && r.Sim != SimDetailed) {
+	r = r.Normalized()
+	switch r.Sim {
+	case SimMPKI:
+	case SimBadco, SimDetailed, SimRef:
+		if r.Cores <= 0 {
+			return "", false
+		}
+	default:
 		return "", false
 	}
 	return l.tableIdentity(r).Key(), true

@@ -442,6 +442,54 @@ func TestLabCachePersistsSweeps(t *testing.T) {
 	}
 }
 
+// TestLabCachePersistsVectors: a fresh lab over the same cache directory
+// serves the reference IPCs and the MPKI bit for bit from the store,
+// with one cached "done" event each, and never builds a BADCO model.
+func TestLabCachePersistsVectors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alone runs")
+	}
+	cfg := QuickConfig()
+	cfg.TraceLen = 4000 // tiny: this test runs its own lab
+	cfg.CacheDir = t.TempDir()
+	vectors := func(l *Lab) map[Request][]float64 {
+		return map[Request][]float64{
+			{Sim: SimRef, Cores: 2}: must(l.RefIPC(tctx, 2)),
+			{Sim: SimRef, Cores: 4}: must(l.RefIPC(tctx, 4)),
+			{Sim: SimMPKI}:          must(l.MPKI(tctx)),
+		}
+	}
+	cold := vectors(NewLab(cfg))
+
+	var mu sync.Mutex
+	var events []ProductEvent
+	cfg.Observer = func(ev ProductEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}
+	warm := vectors(NewLab(cfg))
+	for r, want := range cold {
+		got := warm[r]
+		if len(got) != len(want) || len(want) != 22 {
+			t.Fatalf("%+v: %d values warm, %d cold", r, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%+v: benchmark %d reads %v warm, %v cold", r, i, got[i], want[i])
+			}
+		}
+	}
+	if len(events) != len(cold) {
+		t.Errorf("warm lab emitted %d events, want %d: %+v", len(events), len(cold), events)
+	}
+	for _, ev := range events {
+		if _, ok := cold[ev.Request]; !ok || ev.Phase != "done" || !ev.Cached || ev.Rows != 22 {
+			t.Errorf("warm lab event %+v, want one cached done per vector", ev)
+		}
+	}
+}
+
 func TestGuidelineRecommendations(t *testing.T) {
 	l := quickLab(t)
 	// The decisive pair must be "random" with a small W.

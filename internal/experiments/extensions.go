@@ -72,27 +72,10 @@ func init() {
 }
 
 // Profiles returns the microarchitecture-independent profile of every
-// benchmark, indexed like Names().
+// benchmark, indexed like Names(), profiled in parallel (perTrace).
 func (l *Lab) Profiles(ctx context.Context) ([]*profile.Profile, error) {
 	return l.profiles.get(ctx, func() ([]*profile.Profile, error) {
-		names := l.Names()
-		prov := l.Provider()
-		out := make([]*profile.Profile, len(names))
-		for i, n := range names {
-			// One benchmark at a time: resolve, profile, release. The
-			// profiles are tiny; the traces need not stay resident.
-			tr, err := prov.Trace(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			p, err := profile.Compute(tr)
-			prov.Release(n)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-		}
-		return out, nil
+		return perTrace(ctx, l, profile.Compute)
 	})
 }
 

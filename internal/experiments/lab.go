@@ -79,8 +79,9 @@ type Config struct {
 	PopScaleBs     []int
 	PopScaleSample int
 
-	// CacheDir, when non-empty, persists IPC tables (the expensive
-	// population sweeps) across runs via the results package.
+	// CacheDir, when non-empty, persists every product but the BADCO
+	// models across runs via the results package: the IPC tables (the
+	// expensive population sweeps), the reference IPCs and the MPKI.
 	CacheDir string
 
 	// RemoteFetch, when non-nil (and CacheDir is set), is installed as the
@@ -310,16 +311,17 @@ type Lab struct {
 
 	models   lazy[map[string]*badco.Model]     // every benchmark's model, drawn from model
 	model    flightGroup[string, *badco.Model] // per benchmark, shared with ad-hoc jobs
-	mpki     lazy[[]float64]                   // per benchmark: alone LLC misses per kilo-op
 	profiles lazy[[]*profile.Profile]          // per benchmark: microarch-independent profile
 
 	storeOnce sync.Once
 	store     *results.Store // nil: no CacheDir, or the directory is unusable
 
 	pops      flightGroup[int, *workload.Population]
-	detSample flightGroup[int, []int]           // population indices simulated in detail
-	refIPC    flightGroup[int, []float64]       // per core count: per-benchmark alone IPC
-	ipc       flightGroup[Request, [][]float64] // population IPC tables: BADCO, and detailed over DetSample
+	detSample flightGroup[int, []int] // population indices simulated in detail
+	// ipc holds every persisted product: the BADCO and detailed
+	// population tables, and the reference IPC and MPKI vectors as
+	// one-column tables.
+	ipc flightGroup[Request, [][]float64]
 
 	// detShared memoizes the shared-warmup grouped sweep per core count:
 	// one warmed prefix per workload, every case-study policy measured
@@ -357,8 +359,8 @@ func (l *Lab) metrics() *telemetry.Registry {
 }
 
 // cacheHit and cacheMiss count persistent-cache outcomes per simulator —
-// the lab-level view of whether an IPC table request fell through to a
-// full population sweep.
+// the lab-level view of whether a persisted product's request fell
+// through to a computation (a full population sweep, for the tables).
 func (l *Lab) cacheHit(sim string) {
 	l.metrics().Counter("mcbench_lab_cache_hits_total",
 		"IPC tables served from the persistent results cache",
@@ -650,7 +652,7 @@ func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) 
 	})
 }
 
-// ipcTable memoizes one population IPC table under its request: it serves
+// ipcTable memoizes one persisted product under its request: it serves
 // the table from the persistent cache, or computes it under the
 // product's observer span and persists it.
 func (l *Lab) ipcTable(ctx context.Context, r Request, compute func(context.Context) (table, ci, cv [][]float64, err error)) ([][]float64, error) {
@@ -824,23 +826,34 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 	return tables, nil
 }
 
-// tableIdentity builds the persisted identity of the request's
-// population IPC table — the one key it is loaded, saved and
-// fleet-sharded under. Detailed tables cover the DetSample of the
-// population and always name the population it was drawn from
-// (DetSample is deterministic given the seed and population): two
-// configs with equal sample sizes but different Pop4Limit/Pop8Size must
-// not share a table, and stamping even full-population tables keeps
-// legacy un-stamped files — written by versions that never read them
-// back — permanently unloadable. The sampling spec is folded in only for
-// the detailed simulator: BADCO tables never run sampled, and stamping
-// them would fragment their caches for no reason.
+// tableIdentity builds the persisted identity of the request's product —
+// the one key it is loaded, saved and fleet-sharded under. Detailed
+// tables cover the DetSample of the population and always name the
+// population it was drawn from (DetSample is deterministic given the
+// seed and population): two configs with equal sample sizes but
+// different Pop4Limit/Pop8Size must not share a table, and stamping even
+// full-population tables keeps legacy un-stamped files — written by
+// versions that never read them back — permanently unloadable. The
+// sampling spec is folded in only for the detailed simulator: BADCO
+// tables never run sampled, and stamping them would fragment their
+// caches for no reason. The reference IPC and MPKI vectors are measured
+// alone on an LRU uncore from reset, so their identity names one row
+// per benchmark, policy LRU, and no warmup or sampling; MPKI runs on
+// the one-core machine.
 func (l *Lab) tableIdentity(r Request) results.IPCTable {
 	t := results.IPCTable{Identity: results.Identity{
 		Simulator: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy),
-		TraceLen: l.cfg.TraceLen, Population: l.Population(r.Cores).Size(), Seed: l.cfg.Seed,
-		Source: l.sourceKey(), Warmup: l.cfg.Warmup,
+		TraceLen: l.cfg.TraceLen, Seed: l.cfg.Seed, Source: l.sourceKey(),
 	}}
+	switch r.Sim {
+	case SimRef, SimMPKI:
+		t.Policy, t.Population = string(cache.LRU), len(l.Names())
+		if r.Sim == SimMPKI {
+			t.Cores = 1
+		}
+		return t
+	}
+	t.Population, t.Warmup = l.Population(r.Cores).Size(), l.cfg.Warmup
 	if r.Sim == SimDetailed {
 		t.Population, t.Universe = len(l.DetSample(r.Cores)), t.Population
 		if s := l.cfg.Sampling; s.Enabled() {
@@ -878,30 +891,63 @@ func (l *Lab) saveCached(id results.IPCTable, table, ci, cv [][]float64) {
 
 // RefIPC returns the per-benchmark single-thread reference IPC on the
 // cores-sized machine (benchmark alone, LRU uncore, BADCO), used by the
-// speedup metrics WSU and HSU.
+// speedup metrics WSU and HSU. The vector is memoized and persisted like
+// a population table.
 func (l *Lab) RefIPC(ctx context.Context, cores int) ([]float64, error) {
-	return l.refIPC.do(ctx, cores, func() ([]float64, error) {
-		return observeRun(l, ctx, Request{Sim: SimRef, Cores: cores},
-			func(v []float64) int { return len(v) },
-			func(ctx context.Context) ([]float64, error) { return l.refIPCCompute(ctx, cores) })
+	return l.vector(ctx, Request{Sim: SimRef, Cores: cores}, func(ctx context.Context) ([]float64, error) {
+		return l.refIPCCompute(ctx, cores)
 	})
 }
 
-// refIPCCompute is the RefIPC computation behind its memo and observer.
+// vector serves a per-benchmark product through ipcTable, as a
+// one-column table with one row per benchmark, and returns a copy of
+// the column.
+func (l *Lab) vector(ctx context.Context, r Request, compute func(context.Context) ([]float64, error)) ([]float64, error) {
+	table, err := l.ipcTable(ctx, r, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
+		v, err := compute(ctx)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		table = make([][]float64, len(v))
+		for i := range v {
+			table[i] = v[i : i+1 : i+1]
+		}
+		return table, nil, nil, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	v := make([]float64, len(table))
+	for i, row := range table {
+		v[i] = row[0]
+	}
+	return v, nil
+}
+
+// refIPCCompute is the RefIPC measurement behind its memo and observer:
+// each benchmark alone on the same uncore configuration as the K-core
+// machine (the uncore is built for `cores` but only core 0 is
+// populated).
 func (l *Lab) refIPCCompute(ctx context.Context, cores int) ([]float64, error) {
 	models, err := l.Models(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return perBenchmark(ctx, l, func(name string) (float64, error) {
+		return aloneOn(cores, multicore.Workload{name}, models)
+	})
+}
+
+// perBenchmark computes one value per benchmark, indexed like Names().
+// The computations are independent, so they run in parallel on the
+// simulation budget like the sweeps do; the first failure by index
+// fails the whole.
+func perBenchmark[V any](ctx context.Context, l *Lab, f func(name string) (V, error)) ([]V, error) {
 	names := l.Names()
-	// Alone on the same uncore configuration as the K-core machine:
-	// the uncore is built for `cores` but only core 0 is populated.
-	// The runs are independent, so they draw on the shared
-	// simulation budget like the sweeps do.
-	out := make([]float64, len(names))
+	out := make([]V, len(names))
 	errs := make([]error, len(names))
 	if err := multicore.RunBounded(ctx, len(names), func(i int) {
-		out[i], errs[i] = aloneOn(cores, multicore.Workload{names[i]}, models)
+		out[i], errs[i] = f(names[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -911,6 +957,22 @@ func (l *Lab) refIPCCompute(ctx context.Context, cores int) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// perTrace is perBenchmark over the benchmarks' traces: each trace is
+// resolved just before f runs on it and released right after, so the
+// traces need not stay resident.
+func perTrace[V any](ctx context.Context, l *Lab, f func(*trace.Trace) (V, error)) ([]V, error) {
+	prov := l.Provider()
+	return perBenchmark(ctx, l, func(name string) (V, error) {
+		tr, err := prov.Trace(ctx, name)
+		if err != nil {
+			var zero V
+			return zero, err
+		}
+		defer prov.Release(name)
+		return f(tr)
+	})
 }
 
 // aloneOn runs one benchmark alone against a cores-sized LRU uncore with
@@ -1014,36 +1076,10 @@ func (l *Lab) BadcoDiffsAt(ctx context.Context, cores int, m metrics.Metric, x, 
 
 // MPKI returns per-benchmark LLC misses per kilo-instruction, measured
 // with the detailed simulator running each benchmark alone on the 1-core
-// LRU configuration (the Table IV measurement).
+// LRU configuration (the Table IV measurement). The vector is memoized
+// and persisted like a population table.
 func (l *Lab) MPKI(ctx context.Context) ([]float64, error) {
-	return l.mpki.get(ctx, func() ([]float64, error) {
-		return observeRun(l, ctx, Request{Sim: SimMPKI},
-			func(v []float64) int { return len(v) },
-			func(ctx context.Context) ([]float64, error) { return l.mpkiCompute(ctx) })
+	return l.vector(ctx, Request{Sim: SimMPKI}, func(ctx context.Context) ([]float64, error) {
+		return perTrace(ctx, l, measureMPKI)
 	})
-}
-
-// mpkiCompute is the MPKI measurement behind its memo and observer.
-func (l *Lab) mpkiCompute(ctx context.Context) ([]float64, error) {
-	names := l.Names()
-	prov := l.Provider()
-	out := make([]float64, len(names))
-	errs := make([]error, len(names))
-	if err := multicore.RunBounded(ctx, len(names), func(i int) {
-		tr, err := prov.Trace(ctx, names[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer prov.Release(names[i])
-		out[i], errs[i] = measureMPKI(tr)
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

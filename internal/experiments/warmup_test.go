@@ -127,12 +127,18 @@ func TestWarmupBeyondTraceLen(t *testing.T) {
 }
 
 // TestProductKeyMatchesStoredKey pins ProductKey to the key the lab
-// actually persists a table under, for every run protocol (exact,
-// warmed, sampled) and both population tables: the fleet shards by
+// actually persists a product under, for every run protocol (exact,
+// warmed, sampled) and every persisted product: the fleet shards by
 // ProductKey and fetches by the stored key, so the two must never drift.
+// The reference IPC and MPKI vectors run alone from reset under every
+// protocol, so their keys are pinned literally and never carry one.
 func TestProductKeyMatchesStoredKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps")
+	}
+	vectorKeys := map[Simulator]string{
+		SimRef:  "ref-c2-LRU-l2000-p22-s20130421",
+		SimMPKI: "mpki-c1-LRU-l2000-p22-s20130421",
 	}
 	for _, c := range []struct {
 		name     string
@@ -149,7 +155,7 @@ func TestProductKeyMatchesStoredKey(t *testing.T) {
 		cfg.DetailedCount = 3
 		cfg.Warmup = c.warmup
 		cfg.Sampling = c.sampling
-		for _, sim := range []Simulator{SimBadco, SimDetailed} {
+		for _, sim := range []Simulator{SimBadco, SimDetailed, SimRef, SimMPKI} {
 			cfg.CacheDir = t.TempDir()
 			l := NewLab(cfg)
 			r := Request{Sim: sim, Cores: 2, Policy: cache.LRU}
@@ -165,6 +171,12 @@ func TestProductKeyMatchesStoredKey(t *testing.T) {
 			if !ok || len(entries) != 1 || entries[0].Key != key {
 				t.Errorf("%s %s: ProductKey %q (ok=%v), stored entries %+v", c.name, sim, key, ok, entries)
 			}
+			if want, vector := vectorKeys[sim]; vector && key != want {
+				t.Errorf("%s %s: ProductKey %q, want %q", c.name, sim, key, want)
+			}
 		}
+	}
+	if key, ok := NewLab(QuickConfig()).ProductKey(Request{Sim: SimModels}); ok {
+		t.Errorf("the BADCO models have a product key %q; they are not persisted", key)
 	}
 }

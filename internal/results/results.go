@@ -1,8 +1,9 @@
 // Package results persists the expensive intermediate products of the
-// experimental campaign — per-workload per-core IPC tables — as JSON, so
-// population sweeps survive across process runs. A Store is keyed by
-// (simulator, core count, policy, trace length, population size); any
-// parameter change invalidates the entry by construction of the key.
+// experimental campaign — per-workload per-core IPC tables, and the
+// per-benchmark reference IPC and MPKI vectors — as JSON, so they
+// survive across process runs. A Store is keyed by (simulator, core
+// count, policy, trace length, population size); any parameter change
+// invalidates the entry by construction of the key.
 package results
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,7 +35,11 @@ import (
 // "dir:a_b") onto one file name, and the raw comparison keeps such a
 // collision from serving the other source's table.
 type Identity struct {
-	Simulator  string `json:"simulator"` // "detailed" or "badco"
+	// Simulator names the product: "badco" or "detailed" for a
+	// population IPC table, SimRef or SimMPKI for a per-benchmark vector.
+	// BADCO models are not persisted; after a restart the first product
+	// or ad-hoc BADCO job that needs one rebuilds it.
+	Simulator  string `json:"simulator"`
 	Cores      int    `json:"cores"`
 	Policy     string `json:"policy"`
 	TraceLen   int    `json:"trace_len"`
@@ -67,9 +73,19 @@ type Identity struct {
 	SampleWarm   int `json:"sample_warm,omitempty"`
 }
 
-// IPCTable is one sweep result: row per workload, column per core. The
-// embedded Identity names the sweep; its fields encode first, so the
-// JSON form is flat.
+// Simulators whose tables hold one value per benchmark, as a one-row-
+// per-benchmark column measured alone on an LRU uncore: the reference
+// IPC behind the speedup metrics, and the LLC misses per kilo-op that
+// stratify benchmarks (0 for a benchmark that never misses).
+const (
+	SimRef  = "ref"
+	SimMPKI = "mpki"
+)
+
+// IPCTable is one sweep result: row per workload, column per core (for
+// SimRef and SimMPKI, row per benchmark and one column). The embedded
+// Identity names the sweep; its fields encode first, so the JSON form is
+// flat.
 type IPCTable struct {
 	Identity
 	IPC [][]float64 `json:"ipc"`
@@ -138,12 +154,20 @@ func (t *IPCTable) Validate() error {
 	if t.Universe > 0 && t.Population > t.Universe {
 		return fmt.Errorf("results: population %d above universe %d", t.Population, t.Universe)
 	}
+	width := t.Cores
+	if t.Simulator == SimRef || t.Simulator == SimMPKI {
+		width = 1
+	}
 	for i, row := range t.IPC {
-		if len(row) != t.Cores {
-			return fmt.Errorf("results: row %d has %d cores, want %d", i, len(row), t.Cores)
+		if len(row) != width {
+			return fmt.Errorf("results: row %d has %d values, want %d", i, len(row), width)
 		}
 		for k, v := range row {
-			if v <= 0 {
+			if t.Simulator == SimMPKI {
+				if !(v >= 0) || math.IsInf(v, 1) {
+					return fmt.Errorf("results: negative or non-finite MPKI at [%d][%d]", i, k)
+				}
+			} else if !(v > 0) {
 				return fmt.Errorf("results: non-positive IPC at [%d][%d]", i, k)
 			}
 		}

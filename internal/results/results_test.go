@@ -2,8 +2,10 @@ package results
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +89,60 @@ func TestValidateRejectsBadTables(t *testing.T) {
 	}
 	if err := table().Validate(); err != nil {
 		t.Errorf("Validate rejected good table: %v", err)
+	}
+}
+
+// vectorTable returns a valid per-benchmark table of the given simulator
+// (SimRef or SimMPKI): three benchmarks, one value each. The MPKI table
+// holds a 0, a benchmark that never misses the LLC.
+func vectorTable(sim string) *IPCTable {
+	t := &IPCTable{
+		Identity: Identity{Simulator: sim, Cores: 2, Policy: "LRU", TraceLen: 1000, Population: 3, Seed: 7},
+		IPC:      [][]float64{{0.5}, {1.25}, {2}},
+	}
+	if sim == SimMPKI {
+		t.Cores, t.IPC[0][0] = 1, 0
+	}
+	return t
+}
+
+// TestVectorTables checks the shape of the reference IPC and MPKI
+// tables: one value per row, reference IPCs positive, MPKIs finite and
+// non-negative. Both round-trip through the store bit for bit.
+func TestVectorTables(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sim := range []string{SimRef, SimMPKI} {
+		want := vectorTable(sim)
+		if err := s.Save(want); err != nil {
+			t.Fatalf("%s: Save: %v", sim, err)
+		}
+		got, ok, err := s.Load(IPCTable{Identity: want.Identity})
+		if err != nil || !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Load = %+v, %v, %v; want %+v", sim, got, ok, err, want)
+		}
+	}
+	for name, c := range map[string]struct {
+		sim    string
+		mutate func(*IPCTable)
+	}{
+		"ref zero":          {SimRef, func(t *IPCTable) { t.IPC[1][0] = 0 }},
+		"ref NaN":           {SimRef, func(t *IPCTable) { t.IPC[1][0] = math.NaN() }},
+		"ref row too wide":  {SimRef, func(t *IPCTable) { t.IPC[1] = []float64{1, 1} }},
+		"ref row empty":     {SimRef, func(t *IPCTable) { t.IPC[1] = nil }},
+		"ref rows missing":  {SimRef, func(t *IPCTable) { t.Population = 4 }},
+		"mpki negative":     {SimMPKI, func(t *IPCTable) { t.IPC[1][0] = -0.5 }},
+		"mpki NaN":          {SimMPKI, func(t *IPCTable) { t.IPC[1][0] = math.NaN() }},
+		"mpki +Inf":         {SimMPKI, func(t *IPCTable) { t.IPC[1][0] = math.Inf(1) }},
+		"mpki row too wide": {SimMPKI, func(t *IPCTable) { t.IPC[1] = []float64{1, 1} }},
+	} {
+		tab := vectorTable(c.sim)
+		c.mutate(tab)
+		if err := tab.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a bad table", name)
+		}
 	}
 }
 
@@ -510,6 +566,15 @@ func TestIdentityKeysPinned(t *testing.T) {
 		{with(func(id *Identity) {
 			id.Simulator, id.Population, id.Universe, id.Warmup, id.Source = "detailed", 40, 2016, 1500, "dir:traces/spec"
 		}), "detailed-c4-DRRIP-l20000-p40-s1-u2016-w1500-dir_traces_spec-5a9c5cba"},
+		{with(func(id *Identity) {
+			id.Simulator, id.Cores, id.Policy, id.Population = SimRef, 2, "LRU", 22
+		}), "ref-c2-LRU-l20000-p22-s1"},
+		{with(func(id *Identity) {
+			id.Simulator, id.Cores, id.Policy, id.Population = SimMPKI, 1, "LRU", 22
+		}), "mpki-c1-LRU-l20000-p22-s1"},
+		{with(func(id *Identity) {
+			id.Simulator, id.Cores, id.Policy, id.Population, id.Source = SimRef, 4, "LRU", 64, "scaled:64:7"
+		}), "ref-c4-LRU-l20000-p64-s1-scaled_64_7-7b934576"},
 	} {
 		if got := c.id.Key(); got != c.want {
 			t.Errorf("%+v: Key() = %q, want %q", c.id, got, c.want)

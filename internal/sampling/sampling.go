@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mcbench/internal/stats"
@@ -73,6 +74,7 @@ func appendEqualWeights(weights []float64, w int) []float64 {
 type balancedRandom struct {
 	pop  *workload.Population
 	fill []int // the last draw's benchmark slots, kept for their storage
+	perm []int // the last draw's benchmark permutation, likewise
 }
 
 // NewBalancedRandom samples workloads such that every benchmark occurs
@@ -100,7 +102,7 @@ func (s *balancedRandom) Draw(rng *rand.Rand, w int, idx []int, weights []float6
 			fill = append(fill, bench)
 		}
 	}
-	for _, bench := range rng.Perm(b)[:slots-base*b] {
+	for _, bench := range s.permute(rng, b)[:slots-base*b] {
 		fill = append(fill, bench)
 	}
 	rng.Shuffle(len(fill), func(i, j int) { fill[i], fill[j] = fill[j], fill[i] })
@@ -115,6 +117,20 @@ func (s *balancedRandom) Draw(rng *rand.Rand, w int, idx []int, weights []float6
 		idx = append(idx, pos)
 	}
 	return idx, appendEqualWeights(weights, w)
+}
+
+// permute returns rng.Perm(n) built in the sampler's reused buffer: the
+// same Intn(i+1) calls, in the same order, so the random stream and the
+// permutation are exactly math/rand's.
+func (s *balancedRandom) permute(rng *rand.Rand, n int) []int {
+	m := slices.Grow(s.perm[:0], n)[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	s.perm = m
+	return m
 }
 
 // ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ type Table = experiments.Table
 // working set rather than the source size. A Lab is safe for concurrent
 // use; every expensive product is built once behind a single-flight
 // guard, and all methods honour context cancellation. With
-// Config.CacheDir set, the expensive sweeps persist across processes,
-// keyed by source identity among the other campaign parameters.
+// Config.CacheDir set, the population sweeps, reference IPCs and MPKI
+// persist across processes, keyed by source identity among the other
+// campaign parameters; the BADCO models are rebuilt by each process
+// that needs them.
 type Lab struct {
 	lab *experiments.Lab
 }

@@ -85,7 +85,7 @@ func benchExperiment(b *testing.B, name string, p experiments.Params) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", name)
 	}
-	l := warmedLab(b, func(l *experiments.Lab) []experiments.Request { return e.Requests(l, p) })
+	l := warmedLab(b, func(l *experiments.Lab) []experiments.Request { return l.CampaignPlan([]string{name}, p) })
 	for i := 0; i < b.N; i++ {
 		t, err := e.Run(bctx, l, p)
 		if err != nil {

@@ -483,12 +483,8 @@ func (c *Client) SubmitSimulate(ctx context.Context, workload []string, opts ...
 		return nil, err
 	}
 	return c.submit(ctx, serve.SubmitRequest{
-		Kind: serve.KindSimulate,
-		Simulate: &serve.SimulateRequest{
-			Workload: workload, Policy: string(o.policy), Engine: o.engine.String(),
-			Quota: o.quota, Warmup: o.warmup, Cores: o.cores,
-			Sampling: o.wireSampling(),
-		},
+		Kind:     serve.KindSimulate,
+		Simulate: &serve.SimulateRequest{Workload: workload, RunSpec: serve.NewRunSpec(o.spec, o.cores)},
 	})
 }
 
@@ -499,12 +495,8 @@ func (c *Client) SubmitSweep(ctx context.Context, workloads [][]string, opts ...
 		return nil, err
 	}
 	return c.submit(ctx, serve.SubmitRequest{
-		Kind: serve.KindSweep,
-		Sweep: &serve.SweepRequest{
-			Workloads: workloads, Policy: string(o.policy), Engine: o.engine.String(),
-			Quota: o.quota, Warmup: o.warmup, Cores: o.cores,
-			Sampling: o.wireSampling(),
-		},
+		Kind:  serve.KindSweep,
+		Sweep: &serve.SweepRequest{Workloads: workloads, RunSpec: serve.NewRunSpec(o.spec, o.cores)},
 	})
 }
 

@@ -451,7 +451,7 @@ func listExperiments(w io.Writer) {
 
 func printGroup(w io.Writer, g experiments.Group) {
 	for _, e := range experiments.ByGroup(g) {
-		printEntry(w, e.Name(), e.Synopsis())
+		printEntry(w, e.Name, e.Synopsis)
 	}
 }
 
@@ -503,10 +503,12 @@ func run(ctx context.Context, lab *experiments.Lab, name string, p experiments.P
 		return err
 	}
 	t.Fprint(os.Stdout)
-	if plotFlag {
-		if chart, ok, err := experiments.Chart(ctx, e, lab, p); err != nil {
+	if plotFlag && e.Chart != nil {
+		chart, err := e.Chart(ctx, lab, p)
+		if err != nil {
 			return err
-		} else if ok && chart != "" {
+		}
+		if chart != "" {
 			fmt.Println(chart)
 		}
 	}

@@ -91,8 +91,15 @@ func TestFleetPublicAPI(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// The coordinator counts a member when it grants the join; the
+	// worker records its member ID only once it reads the grant, so each
+	// worker is polled until the ID lands.
 	for _, w := range workers {
 		h, err := w.Health(ctx)
+		for err == nil && (h.Fleet == nil || h.Fleet.MemberID == "") && time.Now().Before(deadline) {
+			time.Sleep(20 * time.Millisecond)
+			h, err = w.Health(ctx)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 const ablationSampleSize = 20
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "ablation-strata",
 		Synopsis: "WT/TSD sensitivity of workload stratification",
 		Group:    GroupExtension,
@@ -30,7 +30,7 @@ func init() {
 			return l.AblationStrataParams(ctx, p.cores(), ablationSampleSize)
 		},
 	})
-	Register(Spec{
+	Register(Experiment{
 		Name:     "ablation-classes",
 		Synopsis: "value of the MPKI classes for benchmark stratification",
 		Group:    GroupExtension,
@@ -39,7 +39,7 @@ func init() {
 			return l.AblationClassification(ctx, p.cores(), ablationSampleSize)
 		},
 	})
-	Register(Spec{
+	Register(Experiment{
 		Name:     "ablation-metrics",
 		Synopsis: "required sample size per throughput metric (incl. GMSU)",
 		Group:    GroupExtension,

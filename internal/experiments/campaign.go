@@ -248,7 +248,7 @@ func (l *Lab) CampaignPlan(names []string, p Params) []Request {
 			plan = append(plan, l.CampaignPlan(AllExperiments(), p)...)
 			continue
 		}
-		if e, ok := Lookup(name); ok {
+		if e, ok := Lookup(name); ok && e.Requests != nil {
 			plan = append(plan, e.Requests(l, p)...)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "profiles",
 		Synopsis: "microarchitecture-independent benchmark profiles",
 		Group:    GroupExtension,

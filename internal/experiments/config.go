@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "config",
 		Synopsis: "print the simulated core/uncore configurations",
 		Group:    GroupPaper,

@@ -35,7 +35,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "methods",
 		Synopsis: "six selection methods incl. cluster-based (Sec. II-B refs [6,7])",
 		Group:    GroupExtension,
@@ -44,7 +44,7 @@ func init() {
 			return l.extMethodsTable(ctx, p.cores())
 		},
 	})
-	Register(Spec{
+	Register(Experiment{
 		Name:     "cophase",
 		Synopsis: "co-phase matrix method vs detailed simulation (footnote 4)",
 		Group:    GroupExtension,
@@ -52,7 +52,7 @@ func init() {
 			return l.cophaseTable(ctx)
 		},
 	})
-	Register(Spec{
+	Register(Experiment{
 		Name:     "predictors",
 		Synopsis: "branch predictor ablation (bimodal/gshare/tournament/TAGE)",
 		Group:    GroupExtension,
@@ -60,7 +60,7 @@ func init() {
 			return l.predictorTable()
 		},
 	})
-	Register(Spec{
+	Register(Experiment{
 		Name:     "normality",
 		Synopsis: "CLT premise: KS distance of mean(d) from normal vs W",
 		Group:    GroupExtension,

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "policies",
 		Synopsis: "SRRIP/PLRU/SHiP placed in the paper's 1/cv framework",
 		Group:    GroupExtension,

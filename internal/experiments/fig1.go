@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig1",
 		Synopsis: "confidence vs (1/cv)sqrt(W/2), the analytic model curve",
 		Group:    GroupPaper,

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig2",
 		Synopsis: "detailed vs BADCO CPI/speedup accuracy",
 		Group:    GroupPaper,

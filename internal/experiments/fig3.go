@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig3",
 		Synopsis: "confidence vs sample size: experiment vs model (DRRIP>DIP, WSU)",
 		Group:    GroupPaper,

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig4",
 		Synopsis: "1/cv per policy pair x metric: samples vs population (4 cores)",
 		Group:    GroupPaper,
@@ -19,7 +19,7 @@ func init() {
 			return l.fig4Table(ctx, p.cores())
 		},
 	})
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig5",
 		Synopsis: "1/cv on the full population per metric",
 		Group:    GroupPaper,

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig6",
 		Synopsis: "confidence for 4 sampling methods (IPCT)",
 		Group:    GroupPaper,

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "fig7",
 		Synopsis: "actual (detailed-simulator) confidence for DIP>LRU",
 		Group:    GroupPaper,

@@ -127,4 +127,4 @@ func TestTimingExperimentsStructure(t *testing.T) {
 }
 
 // must2 adapts Lookup's (Experiment, bool) to a bare value for chaining.
-func must2(e Experiment, ok bool) Experiment { return e }
+func must2(e *Experiment, ok bool) *Experiment { return e }

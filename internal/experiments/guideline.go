@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "guideline",
 		Synopsis: "Sec. VII decision procedure applied to every pair",
 		Group:    GroupExtension,

@@ -43,6 +43,7 @@ import (
 	"mcbench/internal/results"
 	"mcbench/internal/telemetry"
 	"mcbench/internal/trace"
+	"mcbench/internal/uncore"
 	"mcbench/internal/workload"
 )
 
@@ -838,8 +839,9 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 // tables never run sampled, and stamping them would fragment their
 // caches for no reason. The reference IPC and MPKI vectors are measured
 // alone on an LRU uncore from reset, so their identity names one row
-// per benchmark, policy LRU, and no warmup or sampling; MPKI runs on
-// the one-core machine.
+// per benchmark, policy LRU, and no warmup, sampling or seed (the seed
+// draws populations, samples and trials, none of which enters them);
+// MPKI runs on the one-core machine.
 func (l *Lab) tableIdentity(r Request) results.IPCTable {
 	t := results.IPCTable{Identity: results.Identity{
 		Simulator: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy),
@@ -847,7 +849,7 @@ func (l *Lab) tableIdentity(r Request) results.IPCTable {
 	}}
 	switch r.Sim {
 	case SimRef, SimMPKI:
-		t.Policy, t.Population = string(cache.LRU), len(l.Names())
+		t.Policy, t.Population, t.Seed = string(cache.LRU), len(l.Names()), 0
 		if r.Sim == SimMPKI {
 			t.Cores = 1
 		}
@@ -978,8 +980,7 @@ func perTrace[V any](ctx context.Context, l *Lab, f func(*trace.Trace) (V, error
 // aloneOn runs one benchmark alone against a cores-sized LRU uncore with
 // BADCO and returns its IPC.
 func aloneOn(cores int, w multicore.Workload, models map[string]*badco.Model) (float64, error) {
-	cfg := uncoreConfigFor(cores)
-	unc, err := newUncore(cfg)
+	unc, err := uncore.New(uncore.ConfigFor(cores, cache.LRU))
 	if err != nil {
 		return 0, err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "overhead",
 		Synopsis: "Section VII-A simulation-overhead example",
 		Group:    GroupPaper,

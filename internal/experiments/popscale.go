@@ -28,7 +28,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "population-scaling",
 		Synopsis: "estimator error vs benchmark-population size B (scaled sources)",
 		Group:    GroupExtension,

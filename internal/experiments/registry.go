@@ -76,61 +76,34 @@ func CheckCores(cores int) error {
 }
 
 // Experiment is one reproducible unit of the evaluation: a named
-// computation over a Lab that yields a printable Table. Requests
-// declares the expensive memoized Lab products the run will read, so a
-// campaign can precompute many experiments' products concurrently
-// (Lab.Warm) before running them.
-type Experiment interface {
-	Name() string
+// computation over a Lab that yields a printable Table, defined as data
+// next to its computation and registered with Register. Run is
+// required; Requests and Chart may be nil.
+type Experiment struct {
+	Name string
 	// Synopsis is the one-line description shown by usage listings and
 	// `mcbench list`.
-	Synopsis() string
-	Group() Group
-	Requests(l *Lab, p Params) []Request
-	Run(ctx context.Context, l *Lab, p Params) (*Table, error)
-}
-
-// Spec is a declarative Experiment implementation: Register wraps it so
-// experiments are defined as data next to their computation. Run is
-// required; Requests and Chart may be nil.
-type Spec struct {
-	Name     string
 	Synopsis string
 	Group    Group
+	// Requests declares the expensive memoized Lab products the run will
+	// read, so a campaign can precompute many experiments' products
+	// concurrently (Lab.Warm) before running them. Nil means none.
 	Requests func(l *Lab, p Params) []Request
 	Run      func(ctx context.Context, l *Lab, p Params) (*Table, error)
 	// Chart, when non-nil, renders the experiment's text chart (the
-	// -plot view). Retrieved via the package-level Chart function.
+	// -plot view).
 	Chart func(ctx context.Context, l *Lab, p Params) (string, error)
-}
-
-// spec adapts a Spec to the Experiment interface.
-type spec struct{ s Spec }
-
-func (e spec) Name() string     { return e.s.Name }
-func (e spec) Synopsis() string { return e.s.Synopsis }
-func (e spec) Group() Group     { return e.s.Group }
-
-func (e spec) Requests(l *Lab, p Params) []Request {
-	if e.s.Requests == nil {
-		return nil
-	}
-	return e.s.Requests(l, p)
-}
-
-func (e spec) Run(ctx context.Context, l *Lab, p Params) (*Table, error) {
-	return e.s.Run(ctx, l, p)
 }
 
 var registry = struct {
 	mu sync.RWMutex
-	m  map[string]Experiment
-}{m: map[string]Experiment{}}
+	m  map[string]*Experiment
+}{m: map[string]*Experiment{}}
 
 // Register adds an experiment to the registry. It panics on a duplicate
 // or invalid registration (registration happens at init time; a broken
 // registry is a programming error, not a runtime condition).
-func Register(s Spec) {
+func Register(s Experiment) {
 	if s.Name == "" || s.Run == nil {
 		panic("experiments: Register needs a name and a Run function")
 	}
@@ -139,11 +112,11 @@ func Register(s Spec) {
 	if _, dup := registry.m[s.Name]; dup {
 		panic(fmt.Sprintf("experiments: duplicate experiment %q", s.Name))
 	}
-	registry.m[s.Name] = spec{s}
+	registry.m[s.Name] = &s
 }
 
 // Lookup returns the named experiment.
-func Lookup(name string) (Experiment, bool) {
+func Lookup(name string) (*Experiment, bool) {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	e, ok := registry.m[name]
@@ -166,7 +139,7 @@ func Names() []string {
 // canonical run order (AllExperiments / ExtensionExperiments), appending
 // any stragglers not in the curated lists in sorted order so nothing is
 // ever hidden.
-func ByGroup(g Group) []Experiment {
+func ByGroup(g Group) []*Experiment {
 	var order []string
 	switch g {
 	case GroupPaper:
@@ -175,30 +148,19 @@ func ByGroup(g Group) []Experiment {
 		order = ExtensionExperiments()
 	}
 	seen := map[string]bool{}
-	var out []Experiment
+	var out []*Experiment
 	for _, n := range order {
-		if e, ok := Lookup(n); ok && e.Group() == g {
+		if e, ok := Lookup(n); ok && e.Group == g {
 			out = append(out, e)
 			seen[n] = true
 		}
 	}
 	for _, n := range Names() {
-		if e, ok := Lookup(n); ok && e.Group() == g && !seen[n] {
+		if e, ok := Lookup(n); ok && e.Group == g && !seen[n] {
 			out = append(out, e)
 		}
 	}
 	return out
-}
-
-// Chart renders the experiment's text chart if it declares one; ok
-// reports whether it does.
-func Chart(ctx context.Context, e Experiment, l *Lab, p Params) (chart string, ok bool, err error) {
-	sp, isSpec := e.(spec)
-	if !isSpec || sp.s.Chart == nil {
-		return "", false, nil
-	}
-	chart, err = sp.s.Chart(ctx, l, p)
-	return chart, true, err
 }
 
 // Suggest returns the candidate closest to the (unknown) input under

@@ -24,13 +24,13 @@ func TestRegistryCatalogueComplete(t *testing.T) {
 			t.Errorf("curated experiment %q not registered", n)
 			continue
 		}
-		if e.Group() != g {
-			t.Errorf("%s: group %q, want %q", n, e.Group(), g)
+		if e.Group != g {
+			t.Errorf("%s: group %q, want %q", n, e.Group, g)
 		}
-		if e.Name() != n {
-			t.Errorf("%s: Name() = %q", n, e.Name())
+		if e.Name != n {
+			t.Errorf("%s: Name = %q", n, e.Name)
 		}
-		if e.Synopsis() == "" {
+		if e.Synopsis == "" {
 			t.Errorf("%s: empty synopsis", n)
 		}
 	}
@@ -49,10 +49,11 @@ func TestRegistryCatalogueComplete(t *testing.T) {
 }
 
 func TestRegistryRejectsBadSpecs(t *testing.T) {
-	for _, s := range []Spec{
-		{},                              // no name, no run
-		{Name: "x"},                     // no run
-		{Name: "fig1", Run: spec{}.Run}, // duplicate
+	fig1, _ := Lookup("fig1")
+	for _, s := range []Experiment{
+		{},                            // no name, no run
+		{Name: "x"},                   // no run
+		{Name: "fig1", Run: fig1.Run}, // duplicate
 	} {
 		func() {
 			defer func() {
@@ -90,8 +91,8 @@ func TestByGroupOrder(t *testing.T) {
 		t.Fatalf("%d paper experiments, want %d", len(paper), len(AllExperiments()))
 	}
 	for i, n := range AllExperiments() {
-		if paper[i].Name() != n {
-			t.Errorf("paper[%d] = %s, want %s", i, paper[i].Name(), n)
+		if paper[i].Name != n {
+			t.Errorf("paper[%d] = %s, want %s", i, paper[i].Name, n)
 		}
 	}
 	ext := ByGroup(GroupExtension)
@@ -118,8 +119,7 @@ func TestChartsDeclared(t *testing.T) {
 	}
 	for _, n := range Names() {
 		e, _ := Lookup(n)
-		sp, isSpec := e.(spec)
-		if got := isSpec && sp.s.Chart != nil; got != want[n] {
+		if got := e.Chart != nil; got != want[n] {
 			t.Errorf("%s: chart declared = %v, want %v", n, got, want[n])
 		}
 	}

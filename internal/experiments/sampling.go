@@ -31,7 +31,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "sampling-accuracy",
 		Synopsis: "sampled-simulation IPC error and speedup vs sampling rate (long traces)",
 		Group:    GroupExtension,

@@ -13,10 +13,10 @@ func TestSamplingExperimentRegistered(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling-accuracy not registered")
 	}
-	if e.Group() != GroupExtension {
-		t.Errorf("group = %q, want extension", e.Group())
+	if e.Group != GroupExtension {
+		t.Errorf("group = %q, want extension", e.Group)
 	}
-	if e.Synopsis() == "" {
+	if e.Synopsis == "" {
 		t.Error("empty synopsis")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // each sampling method.
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "speedup",
 		Synopsis: "accuracy of sample speedup estimates (paper's open problem)",
 		Group:    GroupExtension,

@@ -81,15 +81,6 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
-// uncoreConfigFor builds the scaled Table II uncore configuration with
-// the LRU baseline policy.
-func uncoreConfigFor(cores int) uncore.Config {
-	return uncore.ConfigFor(cores, cache.LRU)
-}
-
-// newUncore wraps uncore.New.
-func newUncore(cfg uncore.Config) (*uncore.Uncore, error) { return uncore.New(cfg) }
-
 // measureMPKI runs one benchmark alone on the 1-core LRU uncore with the
 // detailed core and returns its steady-state memory intensity: LLC demand
 // misses plus prefetch fills (i.e. off-chip line fetches) per

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "table3",
 		Synopsis: "simulation speed (MIPS) and BADCO speedup",
 		Group:    GroupPaper,

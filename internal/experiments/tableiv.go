@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	Register(Spec{
+	Register(Experiment{
 		Name:     "table4",
 		Synopsis: "benchmark MPKI classification",
 		Group:    GroupPaper,

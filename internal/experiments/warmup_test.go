@@ -131,14 +131,15 @@ func TestWarmupBeyondTraceLen(t *testing.T) {
 // warmed, sampled) and every persisted product: the fleet shards by
 // ProductKey and fetches by the stored key, so the two must never drift.
 // The reference IPC and MPKI vectors run alone from reset under every
-// protocol, so their keys are pinned literally and never carry one.
+// protocol and seed, so their keys are pinned literally and carry
+// neither.
 func TestProductKeyMatchesStoredKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps")
 	}
 	vectorKeys := map[Simulator]string{
-		SimRef:  "ref-c2-LRU-l2000-p22-s20130421",
-		SimMPKI: "mpki-c1-LRU-l2000-p22-s20130421",
+		SimRef:  "ref-c2-LRU-l2000-p22-s0",
+		SimMPKI: "mpki-c1-LRU-l2000-p22-s0",
 	}
 	for _, c := range []struct {
 		name     string
@@ -173,6 +174,13 @@ func TestProductKeyMatchesStoredKey(t *testing.T) {
 			}
 			if want, vector := vectorKeys[sim]; vector && key != want {
 				t.Errorf("%s %s: ProductKey %q, want %q", c.name, sim, key, want)
+			}
+			// No seed-drawn population, sample or trial enters the
+			// vectors, so a lab on another seed shares their keys.
+			other := cfg
+			other.Seed++
+			if k, _ := NewLab(other).ProductKey(r); vectorKeys[sim] != "" && k != key {
+				t.Errorf("%s %s: seed %d keys %q, seed %d keys %q", c.name, sim, cfg.Seed, key, other.Seed, k)
 			}
 		}
 	}

@@ -42,7 +42,7 @@ var chaosRegisterOnce sync.Once
 // sweeps rendered into one deterministic table.
 func registerChaosExperiment() {
 	chaosRegisterOnce.Do(func() {
-		experiments.Register(experiments.Spec{
+		experiments.Register(experiments.Experiment{
 			Name: "chaostest", Synopsis: "five 2-core policy sweeps (chaos harness)", Group: experiments.GroupExtension,
 			Requests: func(l *experiments.Lab, p experiments.Params) []experiments.Request {
 				var reqs []experiments.Request

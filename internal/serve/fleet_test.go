@@ -287,9 +287,18 @@ func TestFleetJoinHandshake(t *testing.T) {
 	if ch.Fleet == nil || ch.Fleet.Role != "coordinator" || ch.Fleet.Peers != 1 {
 		t.Errorf("coordinator fleet health %+v", ch.Fleet)
 	}
-	// Worker health: role, coordinator address, granted membership.
+	// Worker health: role, coordinator address, granted membership. The
+	// coordinator counts a member when it grants the join; the worker
+	// records its member ID only once it reads the grant, so it is
+	// polled until the ID lands.
 	var wh Health
-	getJSON(t, worker.base+"/healthz", &wh)
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		wh = Health{}
+		getJSON(t, worker.base+"/healthz", &wh)
+		if wh.Fleet != nil && wh.Fleet.MemberID != "" || time.Now().After(deadline) {
+			break
+		}
+	}
 	if wh.Fleet == nil || wh.Fleet.Role != "worker" || wh.Fleet.Coordinator != coord.addr {
 		t.Fatalf("worker fleet health %+v", wh.Fleet)
 	}

@@ -104,7 +104,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	var out []ExperimentInfo
 	for _, g := range []experiments.Group{experiments.GroupPaper, experiments.GroupExtension} {
 		for _, e := range experiments.ByGroup(g) {
-			out = append(out, ExperimentInfo{Name: e.Name(), Synopsis: e.Synopsis(), Group: string(e.Group())})
+			out = append(out, ExperimentInfo{Name: e.Name, Synopsis: e.Synopsis, Group: string(e.Group)})
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})

@@ -40,12 +40,6 @@ const (
 	KindWarm Kind = "warm"
 )
 
-// Engine names on the wire.
-const (
-	EngineDetailed = "detailed"
-	EngineBadco    = "badco"
-)
-
 // SubmitRequest is the wire form of a job submission: a kind plus the
 // matching payload. Exactly one payload must be set.
 type SubmitRequest struct {
@@ -95,15 +89,14 @@ type ExperimentRequest struct {
 	Cores int `json:"cores,omitempty"`
 }
 
-// SimulateRequest asks for one ad-hoc workload simulation. The trace
-// length is the server lab's Config.TraceLen.
-type SimulateRequest struct {
-	// Workload is one benchmark name per core. A single name with
-	// Cores > 1 is replicated onto all cores.
-	Workload []string `json:"workload"`
+// RunSpec is the wire form of an ad-hoc run spec (multicore.Spec plus
+// the core count), shared by simulate and sweep submissions. NewRunSpec
+// and RunSpec.spec are the two conversions between the forms.
+type RunSpec struct {
 	// Policy is the LLC replacement policy (default "LRU").
 	Policy string `json:"policy,omitempty"`
-	// Engine is "detailed" (default) or "badco".
+	// Engine names the simulator, as multicore.Engine.String does
+	// ("detailed", the default, or "badco").
 	Engine string `json:"engine,omitempty"`
 	// Quota is the per-thread instruction quota (0: one trace length).
 	Quota uint64 `json:"quota,omitempty"`
@@ -122,62 +115,90 @@ type SimulateRequest struct {
 	Sampling *multicore.SamplingSpec `json:"sampling,omitempty"`
 }
 
-// SweepRequest is SimulateRequest over many workloads at once.
-type SweepRequest struct {
-	Workloads [][]string              `json:"workloads"`
-	Policy    string                  `json:"policy,omitempty"`
-	Engine    string                  `json:"engine,omitempty"`
-	Quota     uint64                  `json:"quota,omitempty"`
-	Warmup    uint64                  `json:"warmup,omitempty"`
-	Cores     int                     `json:"cores,omitempty"`
-	Sampling  *multicore.SamplingSpec `json:"sampling,omitempty"`
-}
-
-// sweep views a simulate request as a sweep of its one workload.
-func (s *SimulateRequest) sweep() *SweepRequest {
-	return &SweepRequest{
-		Workloads: [][]string{s.Workload}, Policy: s.Policy, Engine: s.Engine,
-		Quota: s.Quota, Warmup: s.Warmup, Cores: s.Cores, Sampling: s.Sampling,
+// NewRunSpec renders a run spec and core count in their wire form; an
+// exact run has no sampling field.
+func NewRunSpec(spec multicore.Spec, cores int) RunSpec {
+	r := RunSpec{
+		Policy: string(spec.Policy), Engine: spec.Engine.String(),
+		Quota: spec.Quota, Warmup: spec.Warmup, Cores: cores,
 	}
+	if spec.Sampling != (multicore.SamplingSpec{}) {
+		r.Sampling = &spec.Sampling
+	}
+	return r
 }
 
-// spec fills the policy and engine defaults into the request's run spec.
-func (s *SweepRequest) spec() (multicore.Spec, error) {
-	spec := multicore.Spec{Policy: cache.PolicyName(s.Policy), Quota: s.Quota, Warmup: s.Warmup}
+// spec returns the run spec r names, with the policy and engine
+// defaults filled in. An unknown engine and a present-but-empty
+// sampling field are submitErrors.
+func (r RunSpec) spec() (multicore.Spec, error) {
+	spec := multicore.Spec{Policy: cache.PolicyName(r.Policy), Quota: r.Quota, Warmup: r.Warmup}
 	if spec.Policy == "" {
 		spec.Policy = cache.LRU
 	}
-	switch s.Engine {
-	case "", EngineDetailed:
-	case EngineBadco:
+	switch r.Engine {
+	case "", multicore.Detailed.String():
+	case multicore.BADCO.String():
 		spec.Engine = multicore.BADCO
 	default:
-		return spec, badRequest("serve: unknown engine %q (want %q or %q)", s.Engine, EngineDetailed, EngineBadco)
+		return spec, badRequest("serve: unknown engine %q (want %q or %q)", r.Engine, multicore.Detailed, multicore.BADCO)
 	}
-	if s.Sampling != nil {
-		spec.Sampling = *s.Sampling
+	if r.Sampling != nil {
+		if !r.Sampling.Enabled() {
+			return spec, badRequest("serve: empty sampling spec (omit the field for an exact run)")
+		}
+		spec.Sampling = *r.Sampling
 	}
 	return spec, nil
 }
 
+// SimulateRequest asks for one ad-hoc workload simulation. The trace
+// length is the server lab's Config.TraceLen.
+type SimulateRequest struct {
+	// Workload is one benchmark name per core. A single name with
+	// Cores > 1 is replicated onto all cores.
+	Workload []string `json:"workload"`
+	RunSpec
+}
+
+// SweepRequest is SimulateRequest over many workloads at once.
+type SweepRequest struct {
+	Workloads [][]string `json:"workloads"`
+	RunSpec
+}
+
+// adhoc returns the run spec and workloads of a simulate or sweep
+// submission; a missing payload and an empty sweep are submitErrors.
+func (r SubmitRequest) adhoc() (RunSpec, [][]string, error) {
+	switch {
+	case r.Kind == KindSimulate && r.Simulate != nil:
+		return r.Simulate.RunSpec, [][]string{r.Simulate.Workload}, nil
+	case r.Kind == KindSweep && r.Sweep != nil:
+		if len(r.Sweep.Workloads) == 0 {
+			return RunSpec{}, nil, badRequest("serve: empty sweep")
+		}
+		return r.Sweep.RunSpec, r.Sweep.Workloads, nil
+	}
+	return RunSpec{}, nil, badRequest("serve: %s submission without payload", r.Kind)
+}
+
 // check is the pre-enqueue validation of an ad-hoc run: it checks the
-// request's spec and workloads with multicore.Check at the provider's
-// trace length, rejects a present-but-empty sampling field, and returns
+// spec and workloads with multicore.Check at the provider's trace
+// length, normalizes the policy and engine names in place, and returns
 // the spec and the resolved workloads; a rejection is a submitError.
-func (s *SweepRequest) check(prov bench.Provider) (multicore.Spec, []multicore.Workload, error) {
-	spec, err := s.spec()
+func (r *RunSpec) check(prov bench.Provider, workloads [][]string) (multicore.Spec, []multicore.Workload, error) {
+	spec, err := r.spec()
 	if err != nil {
 		return spec, nil, err
 	}
-	ws, _, err := multicore.Check(prov, spec, s.Workloads, s.Cores)
+	ws, _, err := multicore.Check(prov, spec, workloads, r.Cores)
 	switch {
 	case errors.Is(err, multicore.ErrUnknownBenchmark):
 		return spec, nil, badRequest("serve: %v (see /benches)", err)
 	case err != nil:
 		return spec, nil, badRequest("serve: %v", err)
-	case s.Sampling != nil && !spec.Sampling.Enabled():
-		return spec, nil, badRequest("serve: empty sampling spec (omit the field for an exact run)")
 	}
+	r.Policy, r.Engine = string(spec.Policy), spec.Engine.String()
 	return spec, ws, nil
 }
 
@@ -218,46 +239,31 @@ func canonicalize(req SubmitRequest, src bench.Source, traceLen int) (SubmitRequ
 		canon := SubmitRequest{Kind: KindExperiment, Experiment: &e}
 		return canon, fmt.Sprintf("exp|%s|c%d", e.Name, e.Cores), nil
 
-	case KindSimulate:
-		if req.Simulate == nil {
-			return req, "", badRequest("serve: simulate submission without payload")
-		}
-		s := *req.Simulate
-		spec, ws, err := s.sweep().check(prov)
+	case KindSimulate, KindSweep:
+		rs, workloads, err := req.adhoc()
 		if err != nil {
 			return req, "", err
 		}
-		s.Workload, s.Policy, s.Engine = ws[0], string(spec.Policy), spec.Engine.String()
-		canon := SubmitRequest{Kind: KindSimulate, Simulate: &s}
-		key := fmt.Sprintf("sim|%s|%s|q%d|%s", s.Engine, s.Policy, s.Quota, strings.Join(s.Workload, ",")) + spec.Protocol("|")
-		return canon, key, nil
-
-	case KindSweep:
-		if req.Sweep == nil {
-			return req, "", badRequest("serve: sweep submission without payload")
-		}
-		s := *req.Sweep
-		if len(s.Workloads) == 0 {
-			return req, "", badRequest("serve: empty sweep")
-		}
-		spec, ws, err := s.check(prov)
+		spec, ws, err := rs.check(prov, workloads)
 		if err != nil {
 			return req, "", err
 		}
-		s.Workloads, s.Policy, s.Engine = make([][]string, len(ws)), string(spec.Policy), spec.Engine.String()
-		for i, w := range ws {
-			s.Workloads[i] = w
+		if req.Kind == KindSimulate {
+			s := SimulateRequest{Workload: ws[0], RunSpec: rs}
+			key := fmt.Sprintf("sim|%s|%s|q%d|%s", rs.Engine, rs.Policy, rs.Quota, strings.Join(s.Workload, ",")) + spec.Protocol("|")
+			return SubmitRequest{Kind: KindSimulate, Simulate: &s}, key, nil
 		}
-		canon := SubmitRequest{Kind: KindSweep, Sweep: &s}
+		s := SweepRequest{Workloads: make([][]string, len(ws)), RunSpec: rs}
 		// Workload lists can be large; the key carries a digest plus the
 		// shape so distinct sweeps cannot collide in practice.
 		h := fnv.New64a()
-		for _, wl := range s.Workloads {
-			h.Write([]byte(strings.Join(wl, ",")))
+		for i, w := range ws {
+			s.Workloads[i] = w
+			h.Write([]byte(strings.Join(w, ",")))
 			h.Write([]byte{'\n'})
 		}
-		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", s.Engine, s.Policy, s.Quota, len(s.Workloads), h.Sum64()) + spec.Protocol("|")
-		return canon, key, nil
+		key := fmt.Sprintf("sweep|%s|%s|q%d|n%d|%016x", rs.Engine, rs.Policy, rs.Quota, len(ws), h.Sum64()) + spec.Protocol("|")
+		return SubmitRequest{Kind: KindSweep, Sweep: &s}, key, nil
 
 	case KindWarm:
 		if req.Warm == nil {

@@ -51,13 +51,13 @@ func TestCanonicalizeSimulateDefaultsAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Simulate.Policy != "LRU" || a.Simulate.Engine != EngineDetailed {
+	if a.Simulate.Policy != "LRU" || a.Simulate.Engine != multicore.Detailed.String() {
 		t.Fatalf("defaults not filled: %+v", a.Simulate)
 	}
 	// Explicit defaults canonicalize to the same key: they dedup.
 	_, keyB, err := canonicalize(SubmitRequest{
 		Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"}, Policy: "LRU", Engine: EngineDetailed,
+			Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Policy: "LRU", Engine: multicore.Detailed.String()},
 		},
 	}, src, testTraceLen)
 	if err != nil || keyA != keyB {
@@ -65,14 +65,14 @@ func TestCanonicalizeSimulateDefaultsAndKey(t *testing.T) {
 	}
 	// Different policy, different key.
 	_, keyC, _ := canonicalize(SubmitRequest{
-		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf", "povray"}, Policy: "DIP"},
+		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Policy: "DIP"}},
 	}, src, testTraceLen)
 	if keyC == keyA {
 		t.Error("different policies share a key")
 	}
 	// Cores replication canonicalizes into the workload itself.
 	d, keyD, err := canonicalize(SubmitRequest{
-		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Cores: 2},
+		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Cores: 2}},
 	}, src, testTraceLen)
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +99,14 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{Kind: KindSweep, Sweep: &SweepRequest{}},          // empty sweep
 		{Kind: KindExperiment, Experiment: &ExperimentRequest{Name: "fig1", Cores: -1}},
 		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"nosuch"}}},
-		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Policy: "NOPE"}},
-		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Engine: "zesto"}},
-		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf", "gcc"}, Cores: 4}},
+		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Policy: "NOPE"}}},
+		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Engine: "zesto"}}},
+		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf", "gcc"}, RunSpec: RunSpec{Cores: 4}}},
 		// Warmup beyond the explicit quota.
-		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Quota: 2000, Warmup: 3000}},
+		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Quota: 2000, Warmup: 3000}}},
 		// Warmup beyond the default quota (one trace length).
-		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Warmup: testTraceLen + 1}},
-		{Kind: KindSweep, Sweep: &SweepRequest{Workloads: [][]string{{"mcf"}}, Quota: 500, Warmup: 600}},
+		{Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Warmup: testTraceLen + 1}}},
+		{Kind: KindSweep, Sweep: &SweepRequest{Workloads: [][]string{{"mcf"}}, RunSpec: RunSpec{Quota: 500, Warmup: 600}}},
 		// Cores beyond the largest machine: the job would size its
 		// populations and BADCO tables by them.
 		{Kind: KindExperiment, Experiment: &ExperimentRequest{Name: "fig1", Cores: multicore.MaxCores + 1}},
@@ -166,7 +166,7 @@ func TestCanonicalizeWarmupKeys(t *testing.T) {
 		t.Fatalf("cold key %q, want %q", keyCold, want)
 	}
 	_, keyWarm, err := canonicalize(SubmitRequest{
-		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf", "povray"}, Warmup: 2500},
+		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Warmup: 2500}},
 	}, src, testTraceLen)
 	if err != nil {
 		t.Fatal(err)
@@ -182,13 +182,13 @@ func TestCanonicalizeWarmupKeys(t *testing.T) {
 	}
 	// A warmup that fits exactly inside the default quota is accepted.
 	if _, _, err := canonicalize(SubmitRequest{
-		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, Warmup: testTraceLen},
+		Kind: KindSimulate, Simulate: &SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Warmup: testTraceLen}},
 	}, src, testTraceLen); err != nil {
 		t.Errorf("warmup == trace length rejected: %v", err)
 	}
 	// Sweeps carry the same suffix.
 	_, keySweep, err := canonicalize(SubmitRequest{
-		Kind: KindSweep, Sweep: &SweepRequest{Workloads: [][]string{{"mcf", "gcc"}}, Warmup: 100},
+		Kind: KindSweep, Sweep: &SweepRequest{Workloads: [][]string{{"mcf", "gcc"}}, RunSpec: RunSpec{Warmup: 100}},
 	}, src, testTraceLen)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestCanonicalizeSamplingKeys(t *testing.T) {
 	// must never dedup onto an exact job.
 	_, keySmp, err := canonicalize(SubmitRequest{
 		Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"}, Sampling: smp,
+			Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Sampling: smp},
 		},
 	}, src, testTraceLen)
 	if err != nil {
@@ -223,8 +223,7 @@ func TestCanonicalizeSamplingKeys(t *testing.T) {
 	// The bounded-warming dial is part of the identity too.
 	_, keyWarm, err := canonicalize(SubmitRequest{
 		Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"},
-			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000},
+			Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000}},
 		},
 	}, src, testTraceLen)
 	if err != nil {
@@ -236,7 +235,7 @@ func TestCanonicalizeSamplingKeys(t *testing.T) {
 	// Sweeps carry the same suffix.
 	_, keySweep, err := canonicalize(SubmitRequest{
 		Kind: KindSweep, Sweep: &SweepRequest{
-			Workloads: [][]string{{"mcf", "gcc"}}, Sampling: smp,
+			Workloads: [][]string{{"mcf", "gcc"}}, RunSpec: RunSpec{Sampling: smp},
 		},
 	}, src, testTraceLen)
 	if err != nil {
@@ -253,17 +252,17 @@ func TestCanonicalizeSamplingRejections(t *testing.T) {
 		name string
 		req  SimulateRequest
 	}{
-		{"badco engine", SimulateRequest{Workload: []string{"mcf"}, Engine: EngineBadco,
-			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000}}},
-		{"with warmup", SimulateRequest{Workload: []string{"mcf"}, Warmup: 100,
-			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000}}},
-		{"overfull unit", SimulateRequest{Workload: []string{"mcf"},
-			Sampling: &multicore.SamplingSpec{Unit: 1000, Window: 800, Warmup: 300}}},
-		{"empty spec", SimulateRequest{Workload: []string{"mcf"}, Sampling: &multicore.SamplingSpec{}}},
-		{"warm beyond gap", SimulateRequest{Workload: []string{"mcf"},
-			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2501}}},
-		{"warmup wraps the unit", SimulateRequest{Workload: []string{"mcf"},
-			Sampling: &multicore.SamplingSpec{Unit: 10000, Window: 2000, Warmup: math.MaxUint64}}},
+		{"badco engine", SimulateRequest{
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Engine: multicore.BADCO.String(), Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000}}}},
+		{"with warmup", SimulateRequest{
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Warmup: 100, Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000}}}},
+		{"overfull unit", SimulateRequest{
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Sampling: &multicore.SamplingSpec{Unit: 1000, Window: 800, Warmup: 300}}}},
+		{"empty spec", SimulateRequest{Workload: []string{"mcf"}, RunSpec: RunSpec{Sampling: &multicore.SamplingSpec{}}}},
+		{"warm beyond gap", SimulateRequest{
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2501}}}},
+		{"warmup wraps the unit", SimulateRequest{
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Sampling: &multicore.SamplingSpec{Unit: 10000, Window: 2000, Warmup: math.MaxUint64}}}},
 	}
 	for _, c := range cases {
 		req := c.req
@@ -293,28 +292,28 @@ func pinnedKeyCases() []struct {
 		want string
 	}{
 		{"simulate exact", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"}, Policy: "DRRIP", Quota: 5000}},
+			Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Policy: "DRRIP", Quota: 5000}}},
 			"sim|detailed|DRRIP|q5000|mcf,povray"},
 		{"simulate warmed", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"}, Engine: EngineBadco, Warmup: 2500}},
+			Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Engine: multicore.BADCO.String(), Warmup: 2500}}},
 			"sim|badco|LRU|q0|mcf,povray|w2500"},
 		{"simulate sampled", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf"}, Cores: 2, Sampling: smp}},
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Cores: 2, Sampling: smp}}},
 			"sim|detailed|LRU|q0|mcf,mcf|smpu4000d1000w500"},
 		{"simulate sampled warm", SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf", "povray"}, Quota: 8000, Sampling: smpWarm}},
+			Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Quota: 8000, Sampling: smpWarm}}},
 			"sim|detailed|LRU|q8000|mcf,povray|smpu4000d1000w500f2000"},
 		{"sweep exact", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
-			Workloads: ws, Engine: EngineBadco}},
+			Workloads: ws, RunSpec: RunSpec{Engine: multicore.BADCO.String()}}},
 			"sweep|badco|LRU|q0|n2|399d4bcff7655460"},
 		{"sweep warmed", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
-			Workloads: ws, Policy: "DIP", Quota: 6000, Warmup: 100}},
+			Workloads: ws, RunSpec: RunSpec{Policy: "DIP", Quota: 6000, Warmup: 100}}},
 			"sweep|detailed|DIP|q6000|n2|399d4bcff7655460|w100"},
 		{"sweep sampled", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
-			Workloads: ws, Sampling: smp}},
+			Workloads: ws, RunSpec: RunSpec{Sampling: smp}}},
 			"sweep|detailed|LRU|q0|n2|399d4bcff7655460|smpu4000d1000w500"},
 		{"sweep sampled warm", SubmitRequest{Kind: KindSweep, Sweep: &SweepRequest{
-			Workloads: [][]string{{"mcf"}}, Cores: 2, Sampling: smpWarm}},
+			Workloads: [][]string{{"mcf"}}, RunSpec: RunSpec{Cores: 2, Sampling: smpWarm}}},
 			"sweep|detailed|LRU|q0|n1|db1e7c476bb5d98f|smpu4000d1000w500f2000"},
 	}
 }
@@ -399,18 +398,18 @@ func TestSamplingWireBytesPinned(t *testing.T) {
 		v    any
 		want string
 	}{
-		{"request", SimulateRequest{Workload: []string{"mcf"},
-			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}},
+		{"request", SimulateRequest{
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500}}},
 			`{"workload":["mcf"],"sampling":{"unit":4000,"window":1000,"warmup":500}}`},
-		{"request warm", SimulateRequest{Workload: []string{"mcf", "gcc"}, Policy: "DRRIP",
-			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warm: 2000}},
+		{"request warm", SimulateRequest{
+			Workload: []string{"mcf", "gcc"}, RunSpec: RunSpec{Policy: "DRRIP", Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warm: 2000}}},
 			`{"workload":["mcf","gcc"],"policy":"DRRIP","sampling":{"unit":4000,"window":1000,"warm":2000}}`},
-		{"result", SimResult{Workload: []string{"mcf"}, Policy: "LRU", Engine: EngineDetailed,
+		{"result", SimResult{Workload: []string{"mcf"}, Policy: "LRU", Engine: multicore.Detailed.String(),
 			IPC: []float64{0.5}, Cycles: []uint64{8000}, Instructions: 4000,
 			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500},
 			CIHalf:   []float64{0.01}, CV: []float64{0.25}, Windows: 4},
 			`{"workload":["mcf"],"policy":"LRU","engine":"detailed","ipc":[0.5],"cycles":[8000],"instructions":4000,"sampling":{"unit":4000,"window":1000,"warmup":500},"ci_half":[0.01],"cv":[0.25],"windows":4}`},
-		{"result warm", SimResult{Workload: []string{"mcf"}, Policy: "LRU", Engine: EngineDetailed,
+		{"result warm", SimResult{Workload: []string{"mcf"}, Policy: "LRU", Engine: multicore.Detailed.String(),
 			IPC: []float64{0.5}, Cycles: []uint64{8000}, Instructions: 4000,
 			Sampling: &multicore.SamplingSpec{Unit: 4000, Window: 1000, Warmup: 500, Warm: 2000},
 			CIHalf:   []float64{0.01}, CV: []float64{0.25}, Windows: 4},

@@ -23,7 +23,7 @@ var registerPanicOnce sync.Once
 // path.
 func registerPanicExperiment() {
 	registerPanicOnce.Do(func() {
-		experiments.Register(experiments.Spec{
+		experiments.Register(experiments.Experiment{
 			Name: "srvtest-panic", Synopsis: "panics on run", Group: experiments.GroupExtension,
 			Run: func(ctx context.Context, l *experiments.Lab, p experiments.Params) (*experiments.Table, error) {
 				panic("deliberate test panic")

@@ -126,10 +126,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (*JobResult, error) {
 	switch j.req.Kind {
 	case KindExperiment:
 		return s.runExperiment(ctx, j)
-	case KindSimulate:
-		return s.runSimulate(ctx, j)
-	case KindSweep:
-		return s.runSweep(ctx, j)
+	case KindSimulate, KindSweep:
+		return s.runAdhoc(ctx, j)
 	case KindWarm:
 		return s.runWarm(ctx, j)
 	}
@@ -169,7 +167,7 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (*JobResult, error) 
 	// The same cores-to-Params mapping as the public Lab.Run, so both
 	// entry points key the shared memo and cache identically.
 	p := experiments.ParamsFor(j.req.Experiment.Cores)
-	plan := e.Requests(s.lab, p)
+	plan := s.lab.CampaignPlan([]string{e.Name}, p)
 	if len(plan) > 0 {
 		j.emit("plan", fmt.Sprintf("%d products to warm", len(plan)), map[string]any{"products": len(plan)})
 		s.router.register(j, plan)
@@ -193,39 +191,23 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (*JobResult, error) 
 	}, nil
 }
 
-// runSimulate executes one ad-hoc workload at the lab's trace length.
-func (s *Server) runSimulate(ctx context.Context, j *job) (*JobResult, error) {
-	req := j.req.Simulate
-	results, err := s.adhocSweep(ctx, j, req.sweep())
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{ID: j.id, Kind: KindSimulate, Results: results}, nil
-}
-
-// runSweep executes many ad-hoc workloads under one configuration.
-func (s *Server) runSweep(ctx context.Context, j *job) (*JobResult, error) {
-	req := j.req.Sweep
-	results, err := s.adhocSweep(ctx, j, req)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{ID: j.id, Kind: KindSweep, Results: results}, nil
-}
-
-// adhocSweep runs a simulate or sweep job through the lab's ad-hoc
+// runAdhoc runs a simulate or sweep job through the lab's ad-hoc
 // executor (experiments.Lab.Simulate): traces resolve through the lab's
 // memoized source, the BADCO models of the distinct benchmarks the
 // request touches come from the lab's model memo (built on first use,
 // shared by every later job), and the sweep parallelises across the
 // process-wide simulation budget. The request's sampling spec is echoed
 // into sampled results.
-func (s *Server) adhocSweep(ctx context.Context, j *job, req *SweepRequest) ([]SimResult, error) {
-	spec, err := req.spec()
+func (s *Server) runAdhoc(ctx context.Context, j *job) (*JobResult, error) {
+	rs, workloads, err := j.req.adhoc()
 	if err != nil {
 		return nil, err
 	}
-	results, distinct, built, err := s.lab.Simulate(ctx, spec, req.Workloads, req.Cores)
+	spec, err := rs.spec()
+	if err != nil {
+		return nil, err
+	}
+	results, distinct, built, err := s.lab.Simulate(ctx, spec, workloads, rs.Cores)
 	// Ad-hoc jobs are one-shot: release every trace the sweep built
 	// (model builds already released the ones they resolved) so a
 	// long-running server's resident memory tracks in-flight work, not
@@ -254,11 +236,11 @@ func (s *Server) adhocSweep(ctx context.Context, j *job, req *SweepRequest) ([]S
 			Cycles:       r.Cycles,
 			Instructions: r.Instructions,
 			Warmup:       spec.Warmup,
-			Sampling:     req.Sampling,
+			Sampling:     rs.Sampling,
 			CIHalf:       r.CIHalf,
 			CV:           r.CV,
 			Windows:      r.Windows,
 		}
 	}
-	return out, nil
+	return &JobResult{ID: j.id, Kind: j.req.Kind, Results: out}, nil
 }

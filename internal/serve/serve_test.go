@@ -40,7 +40,7 @@ var registerOnce sync.Once
 // that blocks until cancelled.
 func registerTestExperiments() {
 	registerOnce.Do(func() {
-		experiments.Register(experiments.Spec{
+		experiments.Register(experiments.Experiment{
 			Name: "srvtest-gate", Synopsis: "one 2-core LRU sweep, gated finish", Group: experiments.GroupExtension,
 			Requests: func(l *experiments.Lab, p experiments.Params) []experiments.Request {
 				return []experiments.Request{{Sim: experiments.SimBadco, Cores: 2, Policy: cache.LRU}}
@@ -60,7 +60,7 @@ func registerTestExperiments() {
 				return t, nil
 			},
 		})
-		experiments.Register(experiments.Spec{
+		experiments.Register(experiments.Experiment{
 			Name: "srvtest-many", Synopsis: "five 2-core sweep products", Group: experiments.GroupExtension,
 			Requests: func(l *experiments.Lab, p experiments.Params) []experiments.Request {
 				var reqs []experiments.Request
@@ -81,7 +81,7 @@ func registerTestExperiments() {
 				return t, nil
 			},
 		})
-		experiments.Register(experiments.Spec{
+		experiments.Register(experiments.Experiment{
 			Name: "srvtest-slow", Synopsis: "blocks until cancelled", Group: experiments.GroupExtension,
 			Run: func(ctx context.Context, l *experiments.Lab, p experiments.Params) (*experiments.Table, error) {
 				<-ctx.Done()
@@ -253,7 +253,7 @@ func TestAdhocSimulateJob(t *testing.T) {
 	defer ts.Close()
 
 	st := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-		Workload: []string{"mcf"}, Cores: 2, Engine: EngineBadco,
+		Workload: []string{"mcf"}, RunSpec: RunSpec{Cores: 2, Engine: multicore.BADCO.String()},
 	}})
 	_, final := waitTerminal(t, ts.URL, st.ID, 60*time.Second)
 	if final != StateDone {
@@ -277,7 +277,7 @@ func TestAdhocSimulateJob(t *testing.T) {
 	// server's resident trace memory tracks in-flight work, not the
 	// history of benchmarks clients ever touched.
 	st2 := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-		Workload: []string{"gcc", "milc"}, Engine: EngineDetailed,
+		Workload: []string{"gcc", "milc"}, RunSpec: RunSpec{Engine: multicore.Detailed.String()},
 	}})
 	if _, final := waitTerminal(t, ts.URL, st2.ID, 60*time.Second); final != StateDone {
 		t.Fatalf("detailed sim state %q", final)
@@ -300,7 +300,7 @@ func TestAdhocBadcoReusesModels(t *testing.T) {
 		built  float64
 	}{{"LRU", 1}, {"DRRIP", 0}} {
 		st := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-			Workload: []string{"mcf"}, Cores: 2, Engine: EngineBadco, Policy: c.policy,
+			Workload: []string{"mcf"}, RunSpec: RunSpec{Cores: 2, Engine: multicore.BADCO.String(), Policy: c.policy},
 		}})
 		events, final := waitTerminal(t, ts.URL, st.ID, 60*time.Second)
 		if final != StateDone {
@@ -625,7 +625,7 @@ func TestAdhocSampledJob(t *testing.T) {
 
 	smp := &multicore.SamplingSpec{Unit: 500, Window: 100, Warmup: 100}
 	st := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
-		Workload: []string{"mcf", "povray"}, Sampling: smp,
+		Workload: []string{"mcf", "povray"}, RunSpec: RunSpec{Sampling: smp},
 	}})
 	exact := submit(t, ts.URL, SubmitRequest{Kind: KindSimulate, Simulate: &SimulateRequest{
 		Workload: []string{"mcf", "povray"},

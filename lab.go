@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mcbench/internal/experiments"
+	"mcbench/internal/multicore"
 )
 
 // Config scales an experiment campaign; it is the experiments package
@@ -61,7 +62,7 @@ func runParams(cores int) (experiments.Params, error) {
 }
 
 // lookup resolves an experiment name with a did-you-mean error.
-func lookup(name string) (experiments.Experiment, error) {
+func lookup(name string) (*experiments.Experiment, error) {
 	e, ok := experiments.Lookup(name)
 	if !ok {
 		if s := experiments.Suggest(name); s != "" {
@@ -86,7 +87,7 @@ func (l *Lab) Run(ctx context.Context, name string, cores int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if reqs := e.Requests(l.lab, p); len(reqs) > 0 {
+	if reqs := l.lab.CampaignPlan([]string{name}, p); len(reqs) > 0 {
 		if _, err := l.lab.Warm(ctx, reqs, 0); err != nil {
 			return nil, err
 		}
@@ -105,7 +106,11 @@ func (l *Lab) Chart(ctx context.Context, name string, cores int) (chart string, 
 	if err != nil {
 		return "", false, err
 	}
-	return experiments.Chart(ctx, e, l.lab, p)
+	if e.Chart == nil {
+		return "", false, nil
+	}
+	chart, err = e.Chart(ctx, l.lab, p)
+	return chart, true, err
 }
 
 // Warm precomputes the expensive products (population sweeps, reference
@@ -145,7 +150,7 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 	if o.suite != nil {
 		return nil, fmt.Errorf("mcbench: WithSuite applies to the package-level Simulate; a Lab's source is Config.Source")
 	}
-	if o.engine == BADCO {
+	if o.spec.Engine == multicore.BADCO {
 		if _, err := l.lab.Models(ctx); err != nil {
 			return nil, err
 		}
@@ -206,7 +211,7 @@ func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
 	for _, g := range []experiments.Group{experiments.GroupPaper, experiments.GroupExtension} {
 		for _, e := range experiments.ByGroup(g) {
-			out = append(out, ExperimentInfo{Name: e.Name(), Synopsis: e.Synopsis(), Group: string(e.Group())})
+			out = append(out, ExperimentInfo{Name: e.Name, Synopsis: e.Synopsis, Group: string(e.Group)})
 		}
 	}
 	return out

@@ -1,7 +1,5 @@
 package mcbench
 
-import "mcbench/internal/multicore"
-
 // WithSampling runs the detailed simulation under SMARTS-style
 // systematic sampling instead of exactly: per unit µops committed by
 // each core, one window of window µops is measured by the cycle-level
@@ -26,9 +24,9 @@ import "mcbench/internal/multicore"
 // lockstep during fast-forward; see internal/multicore's package notes.
 func WithSampling(unit, window, warmup uint64) Option {
 	return func(o *options) {
-		o.sampling.Unit = unit
-		o.sampling.Window = window
-		o.sampling.Warmup = warmup
+		o.spec.Sampling.Unit = unit
+		o.spec.Sampling.Window = window
+		o.spec.Sampling.Warmup = warmup
 	}
 }
 
@@ -42,15 +40,5 @@ func WithSampling(unit, window, warmup uint64) Option {
 // other way. Zero (the default) warms the whole gap. Only meaningful
 // together with WithSampling.
 func WithSamplingWarm(n uint64) Option {
-	return func(o *options) { o.sampling.Warm = n }
-}
-
-// wireSampling renders the sampling options for a server submission
-// (nil when no sampling option was given, keeping exact submissions
-// byte-identical to previous versions).
-func (o options) wireSampling() *multicore.SamplingSpec {
-	if o.sampling == (multicore.SamplingSpec{}) {
-		return nil
-	}
-	return &o.sampling
+	return func(o *options) { o.spec.Sampling.Warm = n }
 }

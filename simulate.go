@@ -24,15 +24,7 @@ const (
 )
 
 // String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case Detailed:
-		return "detailed"
-	case BADCO:
-		return "badco"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
+func (e Engine) String() string { return multicore.Engine(e).String() }
 
 // Policy names an LLC replacement policy. The constants below cover the
 // paper's case study (LRU, RND, FIFO, DIP, DRRIP) and the extension
@@ -77,31 +69,30 @@ type Result struct {
 	Windows int
 }
 
-// options collects the functional options of Simulate and Sweep.
+// options collects the functional options of Simulate and Sweep: the
+// run spec and core count every ad-hoc front end shares, plus the local
+// trace length and source. The public Engine values mirror
+// multicore.Engine's.
 type options struct {
-	policy   Policy
-	engine   Engine
-	quota    uint64
-	warmup   uint64
-	traceLen int
+	spec     multicore.Spec
 	cores    int
+	traceLen int
 	suite    Source
 	fixedLen bool // WithTraceLen given (Lab.Simulate rejects it)
-	sampling multicore.SamplingSpec
 }
 
 // Option configures Simulate and Sweep.
 type Option func(*options)
 
 // WithPolicy selects the LLC replacement policy (default LRU).
-func WithPolicy(p Policy) Option { return func(o *options) { o.policy = p } }
+func WithPolicy(p Policy) Option { return func(o *options) { o.spec.Policy = p } }
 
 // WithSimulator selects the simulation engine (default Detailed).
-func WithSimulator(e Engine) Option { return func(o *options) { o.engine = e } }
+func WithSimulator(e Engine) Option { return func(o *options) { o.spec.Engine = multicore.Engine(e) } }
 
 // WithQuota sets the per-thread instruction quota (default: one trace
 // length per thread).
-func WithQuota(q uint64) Option { return func(o *options) { o.quota = q } }
+func WithQuota(q uint64) Option { return func(o *options) { o.spec.Quota = q } }
 
 // WithWarmup runs each thread for n committed µops before the
 // measurement window opens (default 0: measure from reset). Caches,
@@ -110,7 +101,7 @@ func WithQuota(q uint64) Option { return func(o *options) { o.quota = q } }
 // warmup and the measurement back to back, once per workload; a Lab
 // with experiments.Config.Warmup set warms each workload once and
 // measures every policy of its detailed sweeps on a clone instead.
-func WithWarmup(n uint64) Option { return func(o *options) { o.warmup = n } }
+func WithWarmup(n uint64) Option { return func(o *options) { o.spec.Warmup = n } }
 
 // WithTraceLen sets the per-benchmark trace length in µops (default
 // mcbench.DefaultTraceLen). Shorter traces simulate faster at lower
@@ -143,20 +134,11 @@ func WithSuite(src Source) Option { return func(o *options) { o.suite = src } }
 const DefaultTraceLen = trace.DefaultTraceLen
 
 func buildOptions(opts []Option) options {
-	o := options{policy: LRU, engine: Detailed, traceLen: DefaultTraceLen}
+	o := options{spec: multicore.Spec{Policy: LRU}, traceLen: DefaultTraceLen}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
-}
-
-// spec maps the options onto the kernel's run spec. The public Engine
-// values mirror multicore.Engine's.
-func (o options) spec() multicore.Spec {
-	return multicore.Spec{
-		Engine: multicore.Engine(o.engine), Policy: o.policy,
-		Quota: o.quota, Warmup: o.warmup, Sampling: o.sampling,
-	}
 }
 
 // Simulate runs one multiprogrammed workload — one benchmark name per
@@ -192,7 +174,7 @@ func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result
 // (experiments.Lab.Simulate) and maps its results onto the public
 // Result. A run the checks reject is reported under the package prefix.
 func (o options) run(ctx context.Context, lab *experiments.Lab, workloads [][]string) ([]*Result, error) {
-	results, names, _, err := lab.Simulate(ctx, o.spec(), workloads, o.cores)
+	results, names, _, err := lab.Simulate(ctx, o.spec, workloads, o.cores)
 	if err != nil {
 		if names == nil {
 			return nil, fmt.Errorf("mcbench: %w", err)
@@ -204,7 +186,7 @@ func (o options) run(ctx context.Context, lab *experiments.Lab, workloads [][]st
 		out[i] = &Result{
 			Workload:     append([]string(nil), r.Workload...),
 			Policy:       r.Policy,
-			Engine:       o.engine,
+			Engine:       Engine(o.spec.Engine),
 			IPC:          r.IPC,
 			Cycles:       r.Cycles,
 			Instructions: r.Instructions,

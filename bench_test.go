@@ -183,14 +183,10 @@ func BenchmarkBadcoSimulator8Core(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-warmup policy sweeps: k policies over one workload, the warmup
-// prefix paid once through a checkpoint and its clones versus once per
-// policy. The window shape follows sample-simulation methodology (a
-// long warming prefix, a short measured sample), where the prefix
-// dominates. Both
-// variants run the policies sequentially, so the ratio isolates the
-// shared warmup itself (no parallelism on either side) and mirrors the
-// per-workload task of the lab's grouped detailed sweep.
+// Warmed policy sweeps: k policies over one workload, each a warmed
+// detailed Run that pays its own warmup prefix. The window shape follows
+// sample-simulation methodology (a long warming prefix, a short measured
+// sample), where the prefix dominates. The policies run sequentially.
 
 const (
 	sweepTraceOps  = 100000
@@ -214,24 +210,6 @@ func benchSweepTraces(b *testing.B) (multicore.TraceMap, multicore.Workload) {
 		traces[name] = tr
 	}
 	return traces, w
-}
-
-func BenchmarkPolicySweepSharedWarmup(b *testing.B) {
-	traces, w := benchSweepTraces(b)
-	pols := cache.PaperPolicies()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp, err := multicore.DetailedWarmup(bctx, w, traces, pols[0], sweepWarmupOps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pols {
-			if _, err := multicore.DetailedFrom(bctx, cp, p, sweepQuotaOps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 func BenchmarkPolicySweepColdWarmup(b *testing.B) {

@@ -27,11 +27,8 @@
 //	    mcbench.WithQuota(10000),
 //	    mcbench.WithWarmup(90000))
 //
-// Under a Lab, each workload's machine is warmed once and every
-// case-study policy measures on a clone of it, so a k-policy sweep pays
-// the (dominant) warmup once instead of k times — see the README's
-// "Checkpointed sweeps" section for the equivalence argument and
-// measured speedups.
+// Each run pays its own warmup; golden tests pin the warmed run to a
+// per-step reference schedule (see the README's "Warmed runs").
 //
 // WithSampling trades exactness for time on long traces: the detailed
 // engine measures one window per sampling unit (SMARTS-style systematic
@@ -225,14 +222,10 @@
 // batches (StepUntil) instead of per µop — provably the same schedule,
 // enforced bit-for-bit by golden tests against a retained per-step
 // reference driver — and the cpu/cache/uncore hot paths run free of map
-// traffic and steady-state allocations. Every component of the detailed
-// machine also deep-copies itself (Clone on cpu.Core, uncore and
-// below): a warmup checkpoint is the warmed machine, and WithWarmup's
-// shared-warmup sweeps measure clones of it; golden tests pin
-// warmup→clone→run bit-identical to the uninterrupted run. See
-// README.md's Performance, "Checkpointed sweeps" and "Sampled
-// simulation" sections, with measured speedups in BENCH_2.json,
-// BENCH_6.json and BENCH_9.json (bash benchmark/run.sh is the benchmark).
+// traffic and steady-state allocations. See README.md's Performance,
+// "Warmed runs" and "Sampled simulation" sections, with measured
+// speedups in BENCH_2.json and BENCH_9.json (bash benchmark/run.sh is
+// the benchmark).
 //
 // The benchmarks in bench_test.go regenerate each table and figure.
 package mcbench

@@ -14,8 +14,6 @@ package bpred
 // alternate. On a misprediction, a new entry is allocated in a randomly
 // chosen longer-history component whose victim entry is not useful.
 
-import "slices"
-
 // TAGEConfig sizes a TAGE predictor.
 type TAGEConfig struct {
 	BaseBits   int    // log2 of bimodal base entries
@@ -139,20 +137,6 @@ func NewDefaultTAGE() *Tage { return NewTAGE(DefaultTAGEConfig()) }
 
 // Name identifies the predictor.
 func (t *Tage) Name() string { return string(TAGE) }
-
-// Clone returns an independent deep copy of the predictor.
-func (t *Tage) Clone() Predictor {
-	n := *t
-	n.base = slices.Clone(t.base)
-	n.ghist = slices.Clone(t.ghist)
-	n.tables = make([]*tageTable, len(t.tables))
-	for i, tab := range t.tables {
-		c := *tab
-		c.entries = slices.Clone(tab.entries)
-		n.tables[i] = &c
-	}
-	return &n
-}
 
 // Stats returns lookup/miss counters.
 func (t *Tage) Stats() Stats { return t.stats }

@@ -11,7 +11,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // LineSize is the cache line size in bytes for every cache in the system.
@@ -116,40 +115,12 @@ func New(name string, sizeBytes, ways int, policy Policy) (*Cache, error) {
 		setMask:  uint64(sets - 1),
 		lines:    make([]line, sets*ways),
 	}
-	c.bind(policy)
-	return c, nil
-}
-
-// bind makes p the attached policy and re-points its devirtualized
-// aliases.
-func (c *Cache) bind(p Policy) {
-	c.policy = p
-	c.addrObs, _ = p.(AddressAware)
+	c.policy = policy
+	c.addrObs, _ = policy.(AddressAware)
 	// Plain LRU (every L1, and the LLC in much of the campaign) gets its
 	// hooks called directly: touch on hits and fills, nothing on misses.
-	c.lru, _ = p.(*lruPolicy)
-}
-
-// Clone returns an independent deep copy of the cache: lines,
-// statistics and the policy's metadata.
-func (c *Cache) Clone() *Cache {
-	n := *c
-	n.lines = slices.Clone(c.lines)
-	n.bind(c.policy.Clone())
-	return &n
-}
-
-// SetPolicy replaces the replacement policy with a freshly attached one,
-// leaving cache contents (lines, dirtiness, statistics) untouched. This
-// is the policy-variant fan-out primitive: a sweep clones a warmed cache
-// and swaps in each candidate policy's virgin metadata, keeping the
-// warmed working set.
-func (c *Cache) SetPolicy(p Policy) error {
-	if err := p.Attach(c.sets, c.ways); err != nil {
-		return err
-	}
-	c.bind(p)
-	return nil
+	c.lru, _ = policy.(*lruPolicy)
+	return c, nil
 }
 
 // MustNew is New for static configurations.

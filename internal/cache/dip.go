@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"slices"
+	"math/rand"
 )
 
 // DIP implements Dynamic Insertion Policy (Qureshi et al., ISCA 2007):
@@ -27,12 +27,12 @@ type dipPolicy struct {
 	floor      int64   // decrements for LRU-position stamps
 	stamps     []int64 // recency stamps; larger = more recent
 	psel       int     // >= (max+1)/2 selects BIP in follower sets
-	rng        *seededRand
+	rng        *rand.Rand
 }
 
 // NewDIPPolicy returns a DIP replacement policy.
 func NewDIPPolicy(seed int64) Policy {
-	return &dipPolicy{rng: newSeededRand(seed), psel: (dipPSELMax + 1) / 2}
+	return &dipPolicy{rng: rand.New(rand.NewSource(seed)), psel: (dipPSELMax + 1) / 2}
 }
 
 func (p *dipPolicy) Name() string { return string(DIP) }
@@ -45,13 +45,6 @@ func (p *dipPolicy) Attach(sets, ways int) error {
 	p.stamps = make([]int64, sets*ways)
 	p.floor = -1
 	return nil
-}
-
-func (p *dipPolicy) Clone() Policy {
-	n := *p
-	n.stamps = slices.Clone(p.stamps)
-	n.rng = p.rng.clone()
-	return &n
 }
 
 // leaderKind classifies a set: 0 = follower, 1 = LRU leader, 2 = BIP leader.

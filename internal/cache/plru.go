@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // PLRU implements tree-based pseudo-LRU, the cheap LRU approximation used
 // by many real LLCs. It is not part of the paper's case study; it ships
@@ -38,14 +35,6 @@ func (p *plruPolicy) Attach(sets, ways int) error {
 		p.bits[i] = make([]bool, ways-1)
 	}
 	return nil
-}
-
-func (p *plruPolicy) Clone() Policy {
-	n := &plruPolicy{ways: p.ways, bits: make([][]bool, len(p.bits))}
-	for i, set := range p.bits {
-		n.bits[i] = slices.Clone(set)
-	}
-	return n
 }
 
 // touch flips the tree bits on the path to way so they point away from

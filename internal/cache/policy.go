@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 )
 
 // Policy is a replacement policy attached to one cache. Implementations
@@ -23,9 +22,6 @@ type Policy interface {
 	Victim(set int) int
 	// OnFill records that a new line was installed at (set, way).
 	OnFill(set, way int)
-	// Clone returns an independent deep copy of the attached policy,
-	// metadata included.
-	Clone() Policy
 }
 
 // PolicyName enumerates the shipped policies.
@@ -108,12 +104,6 @@ func (p *lruPolicy) Attach(sets, ways int) error {
 	return nil
 }
 
-func (p *lruPolicy) Clone() Policy {
-	n := *p
-	n.stamps = slices.Clone(p.stamps)
-	return &n
-}
-
 func (p *lruPolicy) touch(set, way int) {
 	p.clock++
 	p.stamps[set*p.ways+way] = p.clock
@@ -137,56 +127,14 @@ func (p *lruPolicy) Victim(set int) int {
 // ---------------------------------------------------------------------------
 // Random
 
-// countingSource wraps a rand source and counts the values drawn from
-// it. Counting at the source level (rather than per Intn call) makes
-// the count exact regardless of how many source draws a derived method
-// consumes, so replaying that many source steps always lands on the same
-// position.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (s *countingSource) Int63() int64    { s.draws++; return s.src.Int63() }
-func (s *countingSource) Uint64() uint64  { s.draws++; return s.src.Uint64() }
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }
-
-// seededRand is the rand.Rand the randomized policies draw from. It
-// remembers its seed and position so it can be cloned: math/rand state
-// cannot be copied, but it can be replayed.
-type seededRand struct {
-	*rand.Rand
-	seed int64
-	cs   countingSource
-}
-
-func newSeededRand(seed int64) *seededRand {
-	r := &seededRand{seed: seed}
-	r.cs.src = rand.NewSource(seed).(rand.Source64)
-	r.Rand = rand.New(&r.cs)
-	return r
-}
-
-// clone re-seeds a fresh source and burns the draws r has consumed.
-// Policy RNG consumption is a small fraction of fills, so the replay is
-// far cheaper than the simulation that produced it.
-func (r *seededRand) clone() *seededRand {
-	n := newSeededRand(r.seed)
-	for i := uint64(0); i < r.cs.draws; i++ {
-		n.cs.src.Int63()
-	}
-	n.cs.draws = r.cs.draws
-	return n
-}
-
 type randomPolicy struct {
 	ways int
-	rng  *seededRand
+	rng  *rand.Rand
 }
 
 // NewRandomPolicy returns a policy that evicts a uniformly random way.
 func NewRandomPolicy(seed int64) Policy {
-	return &randomPolicy{rng: newSeededRand(seed)}
+	return &randomPolicy{rng: rand.New(rand.NewSource(seed))}
 }
 
 func (p *randomPolicy) Name() string { return string(Random) }
@@ -197,12 +145,6 @@ func (p *randomPolicy) Attach(sets, ways int) error {
 	}
 	p.ways = ways
 	return nil
-}
-
-func (p *randomPolicy) Clone() Policy {
-	n := *p
-	n.rng = p.rng.clone()
-	return &n
 }
 
 func (p *randomPolicy) OnHit(int, int)  {}
@@ -231,12 +173,6 @@ func (p *fifoPolicy) Attach(sets, ways int) error {
 	p.ways = ways
 	p.stamps = make([]uint64, sets*ways)
 	return nil
-}
-
-func (p *fifoPolicy) Clone() Policy {
-	n := *p
-	n.stamps = slices.Clone(p.stamps)
-	return &n
 }
 
 func (p *fifoPolicy) OnHit(int, int) {}

@@ -76,13 +76,6 @@ func NewIPStride(degree int) Prefetcher {
 
 func (p *ipStridePrefetcher) Name() string { return "ip-stride" }
 
-// clone copies the training table; the proposal buffer is per copy.
-func (p *ipStridePrefetcher) clone() *ipStridePrefetcher {
-	n := *p
-	n.buf = make([]uint64, 0, p.degree)
-	return &n
-}
-
 func (p *ipStridePrefetcher) Observe(pc, addr uint64, _ bool) []uint64 {
 	idx := (pc ^ pc>>8) % ipStrideTableSize
 	e := &p.table[idx]
@@ -173,14 +166,6 @@ func NewStream(degree int) Prefetcher {
 }
 
 func (p *streamPrefetcher) Name() string { return "stream" }
-
-// clone copies the table with its filter and LRU list; the proposal
-// buffer is per copy.
-func (p *streamPrefetcher) clone() *streamPrefetcher {
-	n := *p
-	n.buf = make([]uint64, 0, p.degree)
-	return &n
-}
 
 func (p *streamPrefetcher) Observe(_, addr uint64, _ bool) []uint64 {
 	line := addr / LineSize
@@ -334,11 +319,6 @@ type StrideStreamPrefetcher struct {
 
 func (p *StrideStreamPrefetcher) Name() string { return "combined" }
 
-// Clone returns an independent copy of the pairing's training state.
-func (p *StrideStreamPrefetcher) Clone() *StrideStreamPrefetcher {
-	return &StrideStreamPrefetcher{stride: p.stride.clone(), stream: p.stream.clone()}
-}
-
 func (p *StrideStreamPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	p.buf = appendDedup(p.buf[:0], p.stride.Observe(pc, addr, miss))
 	p.buf = appendDedup(p.buf, p.stream.Observe(pc, addr, miss))
@@ -353,12 +333,6 @@ type StrideNextPrefetcher struct {
 }
 
 func (p *StrideNextPrefetcher) Name() string { return "combined" }
-
-// Clone returns an independent copy of the pairing's training state.
-func (p *StrideNextPrefetcher) Clone() *StrideNextPrefetcher {
-	next := *p.next
-	return &StrideNextPrefetcher{stride: p.stride.clone(), next: &next}
-}
 
 func (p *StrideNextPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	p.buf = appendDedup(p.buf[:0], p.stride.Observe(pc, addr, miss))

@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"slices"
+	"math/rand"
 )
 
 // RRIP policies (Jaleel et al., ISCA 2010) predict re-reference intervals
@@ -34,12 +34,6 @@ func (c *rripCore) attach(sets, ways int) error {
 	c.sets, c.ways = sets, ways
 	c.rrpv = make([]uint8, sets*ways)
 	return nil
-}
-
-// clone returns c with its own RRPV array.
-func (c rripCore) clone() rripCore {
-	c.rrpv = slices.Clone(c.rrpv)
-	return c
 }
 
 func (c *rripCore) hit(set, way int) { c.rrpv[set*c.ways+way] = 0 }
@@ -76,8 +70,6 @@ func (p *srripPolicy) OnHit(set, way int)          { p.hit(set, way) }
 func (p *srripPolicy) OnMiss(int)                  {}
 func (p *srripPolicy) Victim(set int) int          { return p.victim(set) }
 
-func (p *srripPolicy) Clone() Policy { return &srripPolicy{p.rripCore.clone()} }
-
 func (p *srripPolicy) OnFill(set, way int) {
 	p.rrpv[set*p.ways+way] = rripMaxRRPV - 1
 }
@@ -88,22 +80,18 @@ func (p *srripPolicy) OnFill(set, way int) {
 type drripPolicy struct {
 	rripCore
 	psel int
-	rng  *seededRand
+	rng  *rand.Rand
 }
 
 // NewDRRIPPolicy returns a dynamic RRIP policy dueling SRRIP vs BRRIP.
 func NewDRRIPPolicy(seed int64) Policy {
-	return &drripPolicy{rng: newSeededRand(seed), psel: (rripPSELMax + 1) / 2}
+	return &drripPolicy{rng: rand.New(rand.NewSource(seed)), psel: (rripPSELMax + 1) / 2}
 }
 
 func (p *drripPolicy) Name() string                { return string(DRRIP) }
 func (p *drripPolicy) Attach(sets, ways int) error { return p.attach(sets, ways) }
 func (p *drripPolicy) OnHit(set, way int)          { p.hit(set, way) }
 func (p *drripPolicy) Victim(set int) int          { return p.victim(set) }
-
-func (p *drripPolicy) Clone() Policy {
-	return &drripPolicy{rripCore: p.rripCore.clone(), psel: p.psel, rng: p.rng.clone()}
-}
 
 // leaderKind: 0 = follower, 1 = SRRIP leader, 2 = BRRIP leader.
 func (p *drripPolicy) leaderKind(set int) int {

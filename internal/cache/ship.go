@@ -12,8 +12,6 @@ package cache
 // sets the bit and strengthens the signature's counter; an eviction with
 // the bit still clear weakens it.
 
-import "slices"
-
 const (
 	shipSHCTBits   = 14 // 16 k counters
 	shipCtrMax     = 7  // 3-bit counters
@@ -54,15 +52,6 @@ func (p *shipPolicy) Attach(sets, ways int) error {
 		p.shct[i] = 1
 	}
 	return nil
-}
-
-func (p *shipPolicy) Clone() Policy {
-	n := *p
-	n.rripCore = p.rripCore.clone()
-	n.shct = slices.Clone(p.shct)
-	n.sig = slices.Clone(p.sig)
-	n.reRef = slices.Clone(p.reRef)
-	return &n
 }
 
 // ObserveAddr implements AddressAware: the cache announces the line

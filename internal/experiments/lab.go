@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -91,31 +90,6 @@ type Config struct {
 	// fetches so any node can serve any table; fetched bytes are
 	// checksum-verified before use and any failure is a plain miss.
 	RemoteFetch func(key string) (data []byte, ok bool, err error)
-
-	// Warmup, when positive, runs every detailed-simulator workload for
-	// that many committed µops per core before its measurement window
-	// begins. The detailed population sweeps then share the warmed
-	// prefix across the case-study policies: each workload is warmed
-	// once, and every policy's measurement runs on a clone of the warmed
-	// machine (multicore.DetailedWarmup / DetailedFrom), so a k-policy
-	// sweep pays the warmup once instead of k times; BADCO
-	// sweeps run each workload's warmup per policy. Warmed tables
-	// persist under distinct cache keys. The default 0 measures
-	// from reset and keeps every result — and every persisted cache
-	// file — bit-identical to previous versions.
-	Warmup int
-
-	// Sampling, when enabled, runs every detailed-simulator sweep under
-	// SMARTS-style systematic sampling (multicore.Spec.Sampling)
-	// instead of exactly: per spec.Unit µops one window of spec.Window
-	// µops is measured in detail after spec.Warmup detailed warmup µops,
-	// with the gap fast-forwarded under functional warming. The
-	// resulting tables are estimates — they persist under distinct cache
-	// keys carrying the spec, with per-workload confidence half-widths
-	// and cv columns alongside the IPC. Mutually exclusive with Warmup
-	// (the sampled driver owns its own warmup structure). The zero spec
-	// keeps every sweep, key and persisted file exactly as before.
-	Sampling multicore.SamplingSpec
 
 	// Observer, when non-nil, receives a ProductEvent whenever an
 	// expensive memoized product is computed (or loaded from the
@@ -324,11 +298,6 @@ type Lab struct {
 	// one-column tables.
 	ipc flightGroup[Request, [][]float64]
 
-	// detShared memoizes the shared-warmup grouped sweep per core count:
-	// one warmed prefix per workload, every case-study policy measured
-	// from it. Only consulted when cfg.Warmup > 0.
-	detShared flightGroup[int, map[cache.PolicyName][][]float64]
-
 	// Sweep counters record how many full population sweeps actually ran
 	// (persistent-cache hits excluded); the single-flight regression
 	// tests assert exactly one sweep per key.
@@ -398,18 +367,16 @@ func observeRun[V any](l *Lab, ctx context.Context, r Request, rows func(V) int,
 // recordProduct files one successful product computation into the lab
 // registry: total latency keyed by the product identity, plus one
 // observation per span phase totalling the time that product spent in it.
+// Every product is measured exactly, so the sampling label always reads
+// "exact"; it stays because exported series and -timing rows carry it.
 func (l *Lab) recordProduct(ev ProductEvent, sp *telemetry.Span) {
 	r := l.metrics()
-	sampling := "exact"
-	if l.runSpec(ev.Request).Sampling.Enabled() {
-		sampling = "sampled"
-	}
 	r.Histogram("mcbench_lab_product_seconds",
 		"end-to-end latency of expensive lab products",
 		telemetry.L("sim", string(ev.Sim)),
 		telemetry.L("cores", strconv.Itoa(ev.Cores)),
 		telemetry.L("policy", string(ev.Policy)),
-		telemetry.L("sampling", sampling)).ObserveDuration(ev.Elapsed)
+		telemetry.L("sampling", "exact")).ObserveDuration(ev.Elapsed)
 	for _, ph := range sp.Breakdown() {
 		r.Histogram("mcbench_lab_phase_seconds",
 			"time spent per simulation phase within a product computation",
@@ -631,10 +598,10 @@ func (l *Lab) toMulticore(w workload.Workload) multicore.Workload {
 // key block on it, and different keys sweep in parallel.
 func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
 	r := Request{Sim: SimBadco, Cores: cores, Policy: policy}
-	return l.ipcTable(ctx, r, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
+	return l.ipcTable(ctx, r, func(ctx context.Context) ([][]float64, error) {
 		models, err := l.Models(ctx)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		l.badcoSweeps.Add(1)
 		pop := l.Population(cores)
@@ -642,21 +609,18 @@ func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) 
 		for i, w := range pop.Workloads {
 			ws[i] = l.toMulticore(w)
 		}
-		// A warmed protocol (Config.Warmup) runs each workload's prefix
-		// once per policy: BADCO is cheap enough that sharing it across
-		// policies buys nothing.
-		table, ci, cv, err = l.sweep(ctx, ws, l.runSpec(r), nil, models)
+		table, err := sweep(ctx, ws, multicore.Spec{Engine: multicore.BADCO, Policy: policy}, nil, models)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
+			return nil, fmt.Errorf("experiments: BADCO sweep (%d cores, %s): %w", cores, policy, err)
 		}
-		return table, ci, cv, nil
+		return table, nil
 	})
 }
 
 // ipcTable memoizes one persisted product under its request: it serves
 // the table from the persistent cache, or computes it under the
 // product's observer span and persists it.
-func (l *Lab) ipcTable(ctx context.Context, r Request, compute func(context.Context) (table, ci, cv [][]float64, err error)) ([][]float64, error) {
+func (l *Lab) ipcTable(ctx context.Context, r Request, compute func(context.Context) ([][]float64, error)) ([][]float64, error) {
 	return l.ipc.do(ctx, r, func() ([][]float64, error) {
 		id := l.tableIdentity(r)
 		if table, ok := l.loadCached(id); ok {
@@ -666,49 +630,29 @@ func (l *Lab) ipcTable(ctx context.Context, r Request, compute func(context.Cont
 		}
 		l.cacheMiss(string(r.Sim))
 		return observeRun(l, ctx, r, func(t [][]float64) int { return len(t) }, func(ctx context.Context) ([][]float64, error) {
-			table, ci, cv, err := compute(ctx)
+			table, err := compute(ctx)
 			if err != nil {
 				return nil, err
 			}
 			stop := telemetry.FromContext(ctx).Time("store_save")
-			l.saveCached(id, table, ci, cv)
+			l.saveCached(id, table)
 			stop()
 			return table, nil
 		})
 	})
 }
 
-// runSpec is the lab's run protocol for one product: the Config.Warmup
-// prefix for both engines, and Config.Sampling for the detailed one only
-// (BADCO is already fast).
-func (l *Lab) runSpec(r Request) multicore.Spec {
-	spec := multicore.Spec{Engine: multicore.BADCO, Policy: r.Policy, Warmup: uint64(l.cfg.Warmup)}
-	if r.Sim == SimDetailed {
-		spec.Engine, spec.Sampling = multicore.Detailed, l.cfg.Sampling
-	}
-	return spec
-}
-
-// sweep runs the workloads under the spec and splits the results into
-// the IPC table and, for a sampled spec, its confidence and cv columns
-// (nil for exact runs, whose IPC is not an estimate).
-func (l *Lab) sweep(ctx context.Context, ws []multicore.Workload, spec multicore.Spec, traces multicore.TraceSource, models map[string]*badco.Model) (table, ci, cv [][]float64, err error) {
+// sweep runs the workloads under the spec and returns their IPC table.
+func sweep(ctx context.Context, ws []multicore.Workload, spec multicore.Spec, traces multicore.TraceSource, models map[string]*badco.Model) ([][]float64, error) {
 	results, err := multicore.Sweep(ctx, ws, spec, traces, models)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	table = make([][]float64, len(results))
+	table := make([][]float64, len(results))
 	for i, r := range results {
 		table[i] = r.IPC
 	}
-	if spec.Sampling.Enabled() {
-		ci = make([][]float64, len(results))
-		cv = make([][]float64, len(results))
-		for i, r := range results {
-			ci[i], cv[i] = r.CIHalf, r.CV
-		}
-	}
-	return table, ci, cv, nil
+	return table, nil
 }
 
 // DetSample returns the population indices of the workloads simulated
@@ -736,42 +680,16 @@ func (l *Lab) DetSample(cores int) []int {
 // model. Row i corresponds to DetSample(cores)[i].
 func (l *Lab) DetailedIPC(ctx context.Context, cores int, policy cache.PolicyName) ([][]float64, error) {
 	r := Request{Sim: SimDetailed, Cores: cores, Policy: policy}
-	return l.ipcTable(ctx, r, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
-		return l.detailedSweep(ctx, r)
-	})
-}
-
-// detailedSweep computes one detailed IPC table, plus its confidence and
-// cv columns when Config.Sampling is set. With a positive Config.Warmup,
-// a case-study policy is served from the grouped shared-warmup sweep
-// (all policies at once, one warmed prefix per workload); any other
-// policy warms alone. A spec that also sets sampling goes to the plain
-// sweep, whose Run refuses the combination before simulating anything.
-// The warmup may exceed the trace length (a long warming prefix before a
-// short measured sample).
-func (l *Lab) detailedSweep(ctx context.Context, r Request) (table, ci, cv [][]float64, err error) {
-	cores, policy := r.Cores, r.Policy
-	spec := l.runSpec(r)
-	if spec.Warmup > 0 && spec.Sampling == (multicore.SamplingSpec{}) {
-		if slices.Contains(Policies(), policy) {
-			group, err := l.detShared.do(ctx, cores, func() (map[cache.PolicyName][][]float64, error) {
-				return l.detailedSharedSweep(ctx, cores, Policies())
-			})
-			return group[policy], nil, nil, err
+	return l.ipcTable(ctx, r, func(ctx context.Context) ([][]float64, error) {
+		l.detSweeps.Add(1)
+		// The sweep resolves traces lazily through the source: only
+		// benchmarks that actually appear in the sample are ever built.
+		table, err := sweep(ctx, l.detWorkloads(cores), multicore.Spec{Engine: multicore.Detailed, Policy: policy}, l.Provider(), nil)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: detailed sweep (%d cores, %s): %w", cores, policy, err)
 		}
-		// Off the case-study list there is nothing to share the prefix
-		// with: warm this policy's runs on their own.
-		group, err := l.detailedSharedSweep(ctx, cores, []cache.PolicyName{policy})
-		return group[policy], nil, nil, err
-	}
-	l.detSweeps.Add(1)
-	// The sweep resolves traces lazily through the source: only
-	// benchmarks that actually appear in the sample are ever built.
-	table, ci, cv, err = l.sweep(ctx, l.detWorkloads(cores), spec, l.Provider(), nil)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: detailed sweep (%d cores, %s, %s): %w", cores, policy, spec.Sampling, err)
-	}
-	return table, ci, cv, nil
+		return table, nil
+	})
 }
 
 // detWorkloads returns the DetSample workloads, in sample order.
@@ -785,48 +703,6 @@ func (l *Lab) detWorkloads(cores int) []multicore.Workload {
 	return ws
 }
 
-// detailedSharedSweep runs the detailed sample once per workload to the
-// warmup boundary and measures every requested policy from the shared
-// prefix. The whole group counts as one sweep: warmup dominates the cost
-// the per-policy tables used to pay k times over.
-//
-// The per-workload body must not call RunBounded (it already holds a
-// slot), so the policy fan-out is sequential within each workload; the
-// sample provides the parallelism, and peak memory holds one warmup
-// checkpoint per simulation slot rather than per workload.
-func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.PolicyName) (map[cache.PolicyName][][]float64, error) {
-	l.detSweeps.Add(1)
-	ws := l.detWorkloads(cores)
-	prov := l.Provider()
-	warm := uint64(l.cfg.Warmup)
-	tables := make(map[cache.PolicyName][][]float64, len(pols))
-	for _, p := range pols {
-		tables[p] = make([][]float64, len(ws))
-	}
-	errs := make([]error, len(ws))
-	if err := multicore.RunBounded(ctx, len(ws), func(i int) {
-		cp, err := multicore.DetailedWarmup(ctx, ws[i], prov, pols[0], warm)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for _, p := range pols {
-			r, err := multicore.DetailedFrom(ctx, cp, p, 0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			tables[p][i] = r.IPC
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, fmt.Errorf("experiments: shared-warmup detailed sweep (%d cores): %w", cores, err)
-	}
-	return tables, nil
-}
-
 // tableIdentity builds the persisted identity of the request's product —
 // the one key it is loaded, saved and fleet-sharded under. Detailed
 // tables cover the DetSample of the population and always name the
@@ -834,14 +710,12 @@ func (l *Lab) detailedSharedSweep(ctx context.Context, cores int, pols []cache.P
 // seed and population): two configs with equal sample sizes but
 // different Pop4Limit/Pop8Size must not share a table, and stamping even
 // full-population tables keeps legacy un-stamped files — written by
-// versions that never read them back — permanently unloadable. The
-// sampling spec is folded in only for the detailed simulator: BADCO
-// tables never run sampled, and stamping them would fragment their
-// caches for no reason. The reference IPC and MPKI vectors are measured
-// alone on an LRU uncore from reset, so their identity names one row
-// per benchmark, policy LRU, and no warmup, sampling or seed (the seed
-// draws populations, samples and trials, none of which enters them);
-// MPKI runs on the one-core machine.
+// versions that never read them back — permanently unloadable. Every
+// product is measured exactly from reset, so no identity names a warmup
+// or sampling protocol. The reference IPC and MPKI vectors are measured
+// alone on an LRU uncore, so their identity names one row per benchmark,
+// policy LRU, and no seed (the seed draws populations, samples and
+// trials, none of which enters them); MPKI runs on the one-core machine.
 func (l *Lab) tableIdentity(r Request) results.IPCTable {
 	t := results.IPCTable{Identity: results.Identity{
 		Simulator: string(r.Sim), Cores: r.Cores, Policy: string(r.Policy),
@@ -855,13 +729,9 @@ func (l *Lab) tableIdentity(r Request) results.IPCTable {
 		}
 		return t
 	}
-	t.Population, t.Warmup = l.Population(r.Cores).Size(), l.cfg.Warmup
+	t.Population = l.Population(r.Cores).Size()
 	if r.Sim == SimDetailed {
 		t.Population, t.Universe = len(l.DetSample(r.Cores)), t.Population
-		if s := l.cfg.Sampling; s.Enabled() {
-			t.SampleUnit, t.SampleWindow = int(s.Unit), int(s.Window)
-			t.SampleWarmup, t.SampleWarm = int(s.Warmup), int(s.Warm)
-		}
 	}
 	return t
 }
@@ -879,15 +749,14 @@ func (l *Lab) loadCached(id results.IPCTable) ([][]float64, bool) {
 	return t.IPC, true
 }
 
-// saveCached persists an IPC table, with the confidence and cv columns
-// of a sampled sweep, if CacheDir is configured; failures are non-fatal
-// (the table is still returned to the caller).
-func (l *Lab) saveCached(id results.IPCTable, table, ci, cv [][]float64) {
+// saveCached persists an IPC table if CacheDir is configured; failures
+// are non-fatal (the table is still returned to the caller).
+func (l *Lab) saveCached(id results.IPCTable, table [][]float64) {
 	store := l.resultStore()
 	if store == nil {
 		return
 	}
-	id.IPC, id.CI, id.CV = table, ci, cv
+	id.IPC = table
 	_ = store.Save(&id)
 }
 
@@ -905,16 +774,16 @@ func (l *Lab) RefIPC(ctx context.Context, cores int) ([]float64, error) {
 // one-column table with one row per benchmark, and returns a copy of
 // the column.
 func (l *Lab) vector(ctx context.Context, r Request, compute func(context.Context) ([]float64, error)) ([]float64, error) {
-	table, err := l.ipcTable(ctx, r, func(ctx context.Context) (table, ci, cv [][]float64, err error) {
+	table, err := l.ipcTable(ctx, r, func(ctx context.Context) ([][]float64, error) {
 		v, err := compute(ctx)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		table = make([][]float64, len(v))
+		table := make([][]float64, len(v))
 		for i := range v {
 			table[i] = v[i : i+1 : i+1]
 		}
-		return table, nil, nil, nil
+		return table, nil
 	})
 	if err != nil {
 		return nil, err

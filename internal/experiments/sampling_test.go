@@ -21,79 +21,21 @@ func TestSamplingExperimentRegistered(t *testing.T) {
 	}
 }
 
-// TestSamplingLabSweep drives the sampled route of the detailed
-// population sweep end to end: a Lab configured with a SamplingSpec must
-// produce estimate tables, persist them with CI/cv columns under
-// spec-distinct keys, and reload them bitwise from a fresh Lab.
-func TestSamplingLabSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	cfg := QuickConfig()
-	cfg.TraceLen = 8000
-	cfg.DetailedCount = 6
-	cfg.CacheDir = t.TempDir()
-	cfg.Sampling = multicore.SamplingSpec{Unit: 2000, Window: 500, Warmup: 500}
-	l1 := NewLab(cfg)
-	a, err := l1.DetailedIPC(tctx, 2, cache.LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 {
-		t.Fatal("empty sampled table")
-	}
-	// A fresh lab with the same sampling config loads the persisted
-	// estimate bitwise.
-	l2 := NewLab(cfg)
-	b, err := l2.DetailedIPC(tctx, 2, cache.LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				t.Fatalf("cached sampled table differs at [%d][%d]", i, k)
-			}
-		}
-	}
-	if _, det := l2.SweepCounts(); det != 0 {
-		t.Errorf("fresh lab resimulated %d detailed sweeps instead of loading the cache", det)
-	}
-	// An exact lab over the same cache dir must NOT see the estimate:
-	// the spec is part of the table identity.
-	exactCfg := cfg
-	exactCfg.Sampling = multicore.SamplingSpec{}
-	l3 := NewLab(exactCfg)
-	c, err := l3.DetailedIPC(tctx, 2, cache.LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a {
-		for k := range a[i] {
-			same = same && a[i][k] == c[i][k]
-		}
-	}
-	if same {
-		t.Error("exact sweep returned the sampled estimate: cache keys collide")
-	}
-}
-
-// TestSamplingWarmupMutuallyExclusive: a Lab with both Warmup and
-// Sampling set must refuse the detailed sweep instead of guessing.
+// TestSamplingWarmupMutuallyExclusive: a lab must refuse a run that
+// sets both a warmup and a sampling spec instead of guessing, before it
+// simulates anything.
 func TestSamplingWarmupMutuallyExclusive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
 	cfg := QuickConfig()
 	cfg.TraceLen = 4000
-	cfg.DetailedCount = 4
-	cfg.Warmup = 1000
-	cfg.Sampling = multicore.SamplingSpec{Unit: 1000, Window: 200, Warmup: 200}
 	l := NewLab(cfg)
-	_, err := l.DetailedIPC(tctx, 2, cache.LRU)
+	spec := multicore.Spec{Engine: multicore.Detailed, Policy: cache.LRU, Warmup: 1000,
+		Sampling: multicore.SamplingSpec{Unit: 1000, Window: 200, Warmup: 200}}
+	res, names, _, err := l.Simulate(tctx, spec, [][]string{{"mcf", "povray"}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("err = %v, want mutual-exclusion error", err)
+	}
+	if res != nil || names != nil {
+		t.Errorf("refused run returned results %v, names %v", res, names)
 	}
 }
 

@@ -24,6 +24,15 @@ const (
 	// so the address must not let one request pin arbitrary memory; a
 	// host name (at most 253 bytes) and a port fit well inside.
 	MaxAddrLen = 512
+	// MaxMembers bounds the live members a coordinator keeps, for the
+	// same reason. A member costs about 1.9 KB of heap at the longest
+	// address (4 096 joins through the HTTP dialer with 512-byte
+	// addresses: the address is held twice, by the member and by its
+	// client, beside about 900 bytes of member, client and map entry),
+	// so a full fleet pins at most 2 MiB; shard dispatch and the metrics
+	// scrape fan out over every member, so the bound caps their width
+	// too.
+	MaxMembers = 1024
 )
 
 // Config parameterises a Coordinator.
@@ -77,7 +86,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 // ErrIncompatible. Re-joining with an address already registered
 // replaces the old membership (the worker restarted, or its previous
 // lease was reaped and it is recovering) rather than accumulating a
-// ghost entry.
+// ghost entry. A join from a new address while MaxMembers members hold
+// live leases fails with a plain error; the worker retries it.
 func (c *Coordinator) Join(req JoinRequest) (*JoinResponse, error) {
 	if req.Build != c.cfg.Build {
 		return nil, fmt.Errorf("%w: worker build %s, coordinator build %s",
@@ -101,6 +111,12 @@ func (c *Coordinator) Join(req JoinRequest) (*JoinResponse, error) {
 	for id, m := range c.members {
 		if m.addr == req.Addr {
 			delete(c.members, id)
+		}
+	}
+	if len(c.members) >= MaxMembers {
+		c.reap()
+		if len(c.members) >= MaxMembers {
+			return nil, fmt.Errorf("fleet: %d members already joined, the most a coordinator keeps", len(c.members))
 		}
 	}
 	c.seq++
@@ -137,19 +153,25 @@ func (c *Coordinator) Leave(id string) {
 // live returns the live members (reaping any whose lease lapsed), sorted
 // by id for deterministic iteration.
 func (c *Coordinator) live() []*member {
-	deadline := time.Now().Add(-time.Duration(missedBeats) * c.cfg.Heartbeat)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reap()
 	var out []*member
-	for id, m := range c.members {
-		if m.lastBeat.Before(deadline) {
-			delete(c.members, id)
-			continue
-		}
+	for _, m := range c.members {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
+}
+
+// reap drops the members whose lease lapsed. c.mu must be held.
+func (c *Coordinator) reap() {
+	deadline := time.Now().Add(-time.Duration(missedBeats) * c.cfg.Heartbeat)
+	for id, m := range c.members {
+		if m.lastBeat.Before(deadline) {
+			delete(c.members, id)
+		}
+	}
 }
 
 // alive reports whether the member still holds a live lease. Used by

@@ -225,18 +225,6 @@ func TestJoinCompatibility(t *testing.T) {
 		t.Errorf("lab mismatch: got %v, want ErrIncompatible", err)
 	}
 
-	bad = joinReq("w1:1")
-	bad.Protocol = "smpu10000d2000w2000"
-	if _, err := c.Join(bad); !errors.Is(err, ErrIncompatible) {
-		t.Errorf("sampling mismatch: got %v, want ErrIncompatible", err)
-	}
-
-	bad = joinReq("w1:1")
-	bad.Protocol = "w1500"
-	if _, err := c.Join(bad); !errors.Is(err, ErrIncompatible) {
-		t.Errorf("warmup mismatch: got %v, want ErrIncompatible", err)
-	}
-
 	bad = joinReq("")
 	if _, err := c.Join(bad); err == nil || errors.Is(err, ErrIncompatible) {
 		t.Errorf("empty addr: got %v, want a plain error", err)
@@ -266,6 +254,51 @@ func TestRejoinReplacesByAddr(t *testing.T) {
 	}
 	if !c.Beat(r2.ID) {
 		t.Errorf("fresh membership %s rejected", r2.ID)
+	}
+}
+
+// TestJoinCapsMembers fills a coordinator to MaxMembers: a join from a
+// new address is then refused with a plain error (a 400 on the wire,
+// which the agent retries), a re-join from a known address still
+// replaces its member, and a leave or a lapsed lease makes room again.
+func TestJoinCapsMembers(t *testing.T) {
+	c := NewCoordinator(Config{
+		Build: testBuild, Lab: testLab, Heartbeat: time.Minute,
+		Dial: func(addr string) (Peer, error) { return &fakeWorker{addr: addr}, nil },
+	})
+	ids := make([]string, MaxMembers)
+	for i := range ids {
+		resp, err := c.Join(joinReq(fmt.Sprintf("w%d:1", i)))
+		if err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		ids[i] = resp.ID
+	}
+	_, err := c.Join(joinReq("extra:1"))
+	if err == nil || errors.Is(err, ErrIncompatible) {
+		t.Fatalf("join past MaxMembers: got %v, want a plain error", err)
+	}
+	if _, err := c.Join(joinReq("w0:1")); err != nil {
+		t.Fatalf("re-join from a known address at the cap: %v", err)
+	}
+	if n := c.Peers(); n != MaxMembers {
+		t.Fatalf("Peers() = %d, want %d", n, MaxMembers)
+	}
+	c.Leave(ids[1])
+	if _, err := c.Join(joinReq("extra:1")); err != nil {
+		t.Fatalf("join after a leave: %v", err)
+	}
+	// Every lease lapses: the cap counts live members only.
+	c.mu.Lock()
+	for _, m := range c.members {
+		m.lastBeat = m.lastBeat.Add(-time.Hour)
+	}
+	c.mu.Unlock()
+	if _, err := c.Join(joinReq("late:1")); err != nil {
+		t.Fatalf("join after the leases lapsed: %v", err)
+	}
+	if n := c.Peers(); n != 1 {
+		t.Errorf("Peers() = %d after the lapse, want 1", n)
 	}
 }
 

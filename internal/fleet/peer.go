@@ -81,9 +81,6 @@ type Lab struct {
 	Source   string `json:"source"`    // benchmark source name
 	TraceLen int    `json:"trace_len"` // per-benchmark trace length
 	Seed     int64  `json:"seed"`
-	// Protocol is the lab's run protocol token, multicore.Spec.Protocol
-	// of its warmup and sampling spec with no separator ("" when exact).
-	Protocol string `json:"protocol,omitempty"`
 }
 
 // JoinResponse grants fleet membership.

@@ -123,6 +123,13 @@ func TestGoldenSingleCore(t *testing.T) {
 	assertMatchesReference(t, Workload{"hmmer"}, Spec{Engine: Detailed, Policy: cache.LRU, Quota: 5000, Warmup: 2000})
 }
 
+// TestGoldenWarmupMatchesReferenceSchedule pins the batched two-stage
+// run to a fully per-step one: per-step warmup boundary, per-step
+// measurement.
+func TestGoldenWarmupMatchesReferenceSchedule(t *testing.T) {
+	assertMatchesReference(t, Workload{"mcf", "gcc"}, Spec{Engine: Detailed, Policy: cache.LRU, Warmup: 2500, Quota: 4000})
+}
+
 // TestGoldenSampledMatchesReference pins the sampled protocol — the
 // calibration prologue, the per-window warmup boundaries and the
 // overshooting measured windows — to the per-step reference, on the solo

@@ -127,8 +127,8 @@ type Spec struct {
 // Protocol renders the spec's measurement protocol, the part of a
 // result's identity that decides whether it can be reused: sep+"w<N>"
 // for a warmup of N µops and sep+"smp"+Sampling.String() for a sampled
-// run, in that order; an exact run renders as "". Cache keys, dedup keys
-// and the fleet handshake all derive their protocol token from it.
+// run, in that order; an exact run renders as "". Persisted table keys
+// and the serve dedup keys both derive their protocol token from it.
 func (s Spec) Protocol(sep string) string {
 	var p string
 	if s.Warmup > 0 {
@@ -312,7 +312,7 @@ type stepper interface {
 //
 // The three protocol stages differ only in cap: the measured quota runs
 // with cap = never (a crossed thread is restarted, as in the paper),
-// a warmup or checkpoint boundary with cap = target (every core halts
+// a warmup boundary with cap = target (every core halts
 // exactly at it), and a sampled window with cap = the start of the next
 // warmup region (overshooters stay timed but keep the windows aligned).
 type driver func(ctx context.Context, cores []stepper, target, cap, cross []uint64) error
@@ -463,7 +463,7 @@ func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models 
 		err      error
 	)
 	if spec.Engine == Detailed {
-		_, detailed, quota, err = buildDetailed(ctx, w, traces, spec.Policy, spec.Quota)
+		detailed, quota, err = buildDetailed(ctx, w, traces, spec.Policy, spec.Quota)
 		cores = asSteppers(detailed)
 	} else {
 		cores, quota, err = buildApproximate(w, models, spec.Policy, spec.Quota)
@@ -487,8 +487,7 @@ func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models 
 
 // measure drives the cores quota µops beyond their current commit counts
 // and reports each core's cycles from its current clock: from reset for
-// an exact run, from the warmup boundary for a warmed run or a
-// checkpoint clone.
+// an exact run, from the warmup boundary for a warmed run.
 func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []stepper, quota uint64, drv driver) (Result, error) {
 	if quota == 0 {
 		return Result{}, fmt.Errorf("multicore: zero quota")
@@ -512,17 +511,17 @@ func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []s
 	return assemble(w, policy, cycles, quota), nil
 }
 
-// buildDetailed constructs the shared uncore and one detailed core per
-// workload slot. A zero quota defaults to the first trace's length. It is
+// buildDetailed constructs one detailed core per workload slot over a
+// shared uncore. A zero quota defaults to the first trace's length. It is
 // the single construction path for plain, warmed and sampled detailed
-// simulations and for warmup checkpoints, so they cannot drift apart.
-func buildDetailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) (*uncore.Uncore, []*cpu.Core, uint64, error) {
+// simulations, so they cannot drift apart.
+func buildDetailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) ([]*cpu.Core, uint64, error) {
 	if len(w) == 0 {
-		return nil, nil, 0, fmt.Errorf("multicore: empty workload")
+		return nil, 0, fmt.Errorf("multicore: empty workload")
 	}
 	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	cores := make([]*cpu.Core, len(w))
 	sp := telemetry.FromContext(ctx)
@@ -531,18 +530,18 @@ func buildDetailed(ctx context.Context, w Workload, traces TraceSource, policy c
 		tr, err := traces.Trace(ctx, name)
 		stop()
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		if quota == 0 {
 			quota = uint64(tr.Len())
 		}
 		core, err := cpu.New(i, cpu.DefaultConfig(), tr, unc)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		cores[i] = core
 	}
-	return unc, cores, quota, nil
+	return cores, quota, nil
 }
 
 func asSteppers[T stepper](cores []T) []stepper {

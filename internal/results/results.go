@@ -57,16 +57,18 @@ type Identity struct {
 	// keeping tables persisted before sources existed loadable.
 	Source string `json:"source,omitempty"`
 	// Warmup is the per-core µop count each workload ran before its
-	// measurement began (see experiments.Config.Warmup). 0 — measurement
-	// from reset — leaves keys identical to pre-warmup versions, so
-	// existing cache files stay loadable.
+	// measurement began. The lab measures from reset and writes 0, which
+	// keeps the key free of a warmup suffix; a positive value appears
+	// only in tables written by earlier builds, whose labs could warm,
+	// and keeps those files listable and valid under their own keys.
 	Warmup int `json:"warmup,omitempty"`
 	// SampleUnit/SampleWindow/SampleWarmup/SampleWarm record the
 	// systematic-sampling spec the sweep ran under
-	// (multicore.SamplingSpec); all zero means an exact sweep, keeping
-	// pre-sampling keys and files unchanged. A sampled table is an
-	// *estimate*, so the spec is identity: an exact and a sampled sweep
-	// of the same configuration must never share a cache entry.
+	// (multicore.SamplingSpec); all zero means an exact sweep, the only
+	// kind the lab writes. Sampled tables were written by earlier
+	// builds, whose labs could sample; a sampled table is an
+	// *estimate*, so the spec stays in its identity and an exact and a
+	// sampled sweep of the same configuration never share a key.
 	SampleUnit   int `json:"sample_unit,omitempty"`
 	SampleWindow int `json:"sample_window,omitempty"`
 	SampleWarmup int `json:"sample_warmup,omitempty"`
@@ -90,8 +92,9 @@ type IPCTable struct {
 	Identity
 	IPC [][]float64 `json:"ipc"`
 	// CI and CV carry the per-workload per-core confidence half-interval
-	// and coefficient of variation of sampled sweeps (same shape as IPC);
-	// both are empty for exact sweeps, whose IPC is not an estimate.
+	// and coefficient of variation of sampled sweeps (same shape as IPC),
+	// which only earlier builds wrote; both are empty for exact sweeps,
+	// whose IPC is not an estimate.
 	CI [][]float64 `json:"ci,omitempty"`
 	CV [][]float64 `json:"cv,omitempty"`
 }

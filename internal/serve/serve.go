@@ -24,7 +24,6 @@ import (
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/experiments"
 	"mcbench/internal/fleet"
-	"mcbench/internal/multicore"
 	"mcbench/internal/results"
 	"mcbench/internal/telemetry"
 )
@@ -148,10 +147,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Fleet != nil && cfg.Fleet.Dial != nil {
 		s.fleet = *cfg.Fleet
-		s.fleetLab = fleet.Lab{
-			Source: labCfg.Source.Name(), TraceLen: labCfg.TraceLen, Seed: labCfg.Seed,
-			Protocol: multicore.Spec{Warmup: uint64(labCfg.Warmup), Sampling: labCfg.Sampling}.Protocol(""),
-		}
+		s.fleetLab = fleet.Lab{Source: labCfg.Source.Name(), TraceLen: labCfg.TraceLen, Seed: labCfg.Seed}
 		if s.fleet.Join == "" {
 			// Coordinator: accept joins, and read through to the workers'
 			// caches (rendezvous-ranked) on local misses.

@@ -23,11 +23,12 @@ func scanMSHR(u *Uncore, line, now uint64) (uint64, bool) {
 // several cores run through one uncore; after every call, isResident
 // agrees with llc.Probe, and mshrLookup with scanMSHR, on every line
 // touched or proposed so far. The mixes carry trained streams and
-// strides whose proposals run past the last allocated page, a
-// switch to a clone and a SetPolicy.
+// strides whose proposals run past the last allocated page; odd seeds
+// run an LRU LLC and even seeds a DRRIP one.
 func TestResidencyBitmapMatchesProbe(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		cfg := ConfigFor(4, cache.LRU)
+		cfg := ConfigFor(4, [...]cache.PolicyName{cache.DRRIP, cache.LRU}[seed%2])
+		cfg.PolicySeed = seed
 		cfg.LLCBytes = 64 << 10 // small, so the mixes evict
 		u := MustNew(cfg)
 		rng := rand.New(rand.NewSource(seed))
@@ -51,14 +52,6 @@ func TestResidencyBitmapMatchesProbe(t *testing.T) {
 		pastEnd, filledPastEnd := 0, false
 		const calls = 1500
 		for i := 0; i < calls; i++ {
-			switch i {
-			case calls / 3:
-				u = u.Clone()
-			case 2 * calls / 3:
-				if err := u.SetPolicy(cache.DRRIP, seed); err != nil {
-					t.Fatal(err)
-				}
-			}
 			core := rng.Intn(cfg.Cores)
 			pc := 0x400000 + uint64(rng.Intn(8))*16
 			var vaddr uint64

@@ -8,8 +8,6 @@ package uncore
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"mcbench/internal/cache"
 	"mcbench/internal/mem"
@@ -228,54 +226,6 @@ func MustNew(cfg Config) *Uncore {
 	}
 	return u
 }
-
-// Clone returns an independent deep copy of the uncore: the LLC with
-// its policy metadata, the bus and DRAM, the LLC prefetchers, the MSHR
-// file, the write buffer, the page tables, the translation caches and
-// the residency bitmap. A prefetcher swapped in by a test (with prefSS
-// cleared) is shared, so it must be stateless.
-func (u *Uncore) Clone() *Uncore {
-	n := *u
-	n.llc = u.llc.Clone()
-	bus, dram := *u.bus, *u.dram
-	n.bus, n.dram = &bus, &dram
-	if u.prefSS != nil {
-		n.prefSS = u.prefSS.Clone()
-		n.pref = n.prefSS
-	}
-	n.mshrLine = slices.Clone(u.mshrLine)
-	n.mshrDone = slices.Clone(u.mshrDone)
-	n.writeBuf = append(make([]uint64, 0, cap(u.writeBuf)), u.writeBuf...)
-	n.pageTables = make([]map[uint64]uint64, len(u.pageTables))
-	for i, pt := range u.pageTables {
-		n.pageTables[i] = maps.Clone(pt)
-	}
-	n.xlat = slices.Clone(u.xlat)
-	n.pfScratch = nil
-	n.resident = slices.Clone(u.resident)
-	return &n
-}
-
-// SetPolicy swaps the LLC's replacement policy for a fresh instance of
-// the named policy seeded with seed, keeping the cache contents (lines,
-// dirtiness, statistics). It is the shared-warmup sweep's fan-out hook:
-// warm once under a base policy, then clone and SetPolicy for each
-// variant.
-func (u *Uncore) SetPolicy(name cache.PolicyName, seed int64) error {
-	pol, err := cache.NewPolicy(name, seed)
-	if err != nil {
-		return err
-	}
-	if err := u.llc.SetPolicy(pol); err != nil {
-		return err
-	}
-	u.cfg.Policy = name
-	u.cfg.PolicySeed = seed
-	return nil
-}
-
-// Config returns the configuration the uncore was built with.
-func (u *Uncore) Config() Config { return u.cfg }
 
 // ResetStats zeroes the event counters without touching cache or MSHR
 // state, so steady-state rates can be measured after a warm-up period.

@@ -98,9 +98,8 @@ func WithQuota(q uint64) Option { return func(o *options) { o.spec.Quota = q } }
 // measurement window opens (default 0: measure from reset). Caches,
 // predictors and prefetchers warm during the prefix; IPC and cycles
 // cover only the quota µops beyond it. Simulate and Sweep run the
-// warmup and the measurement back to back, once per workload; a Lab
-// with experiments.Config.Warmup set warms each workload once and
-// measures every policy of its detailed sweeps on a clone instead.
+// warmup and the measurement back to back, once per workload and
+// policy.
 func WithWarmup(n uint64) Option { return func(o *options) { o.spec.Warmup = n } }
 
 // WithTraceLen sets the per-benchmark trace length in µops (default

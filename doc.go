@@ -219,10 +219,14 @@
 //
 // Under the campaign sits an allocation-free, batch-scheduled simulation
 // kernel: the multicore driver dispatches each core in minimum-clock
-// batches (StepUntil) instead of per µop — provably the same schedule,
+// batches (one StepUntil call, which returns the core's clock and
+// committed count) instead of per µop — provably the same schedule,
 // enforced bit-for-bit by golden tests against a retained per-step
 // reference driver — and the cpu/cache/uncore hot paths run free of map
-// traffic and steady-state allocations. See README.md's Performance,
+// traffic and steady-state allocations. A BADCO machine's StepUntil
+// also memoizes its requests' physical addresses and skips prefetches
+// of lines the LLC already holds, exactly, as tests against its per-node
+// Step check. See README.md's Performance,
 // "Warmed runs" and "Sampled simulation" sections, with measured
 // speedups in BENCH_2.json and BENCH_9.json (bash benchmark/run.sh is
 // the benchmark).

@@ -14,7 +14,7 @@ import (
 type Machine struct {
 	model *Model
 	mem   uncore.Memory
-	unc   *uncore.Uncore // mem devirtualized, when it is the real uncore
+	unc   *uncore.Uncore // mem devirtualized, if real and the model has nodes
 	id    int
 
 	next    int      // next node index within the current iteration
@@ -23,6 +23,16 @@ type Machine struct {
 	compT   []uint64 // per-node completion times, current iteration
 	prevEnd uint64   // end time of the previous iteration
 	clock   uint64   // monotonic local clock
+
+	// nodePA and satPA memoize, on a real uncore, the physical address
+	// of every node's demand request and of every satellite (indexed
+	// like Model.Nodes and Model.Satellites), 0 until StepUntil first
+	// executes the node. A core's page table only ever grows, so a
+	// translation never changes once made, and the bump allocator never
+	// hands out physical page 0. The memo belongs to the machine, not
+	// the shared Model: the addresses are this uncore's.
+	nodePA []uint64
+	satPA  []uint64
 }
 
 // NewMachine binds a model to a core id and memory hierarchy. The
@@ -36,15 +46,19 @@ func NewMachine(id int, m *Model, mem uncore.Memory) (*Machine, error) {
 	if mem == nil {
 		return nil, fmt.Errorf("badco: nil memory")
 	}
-	unc, _ := mem.(*uncore.Uncore)
-	return &Machine{
+	ma := &Machine{
 		model:  m,
 		mem:    mem,
-		unc:    unc,
 		id:     id,
 		issueT: make([]uint64, len(m.Nodes)),
 		compT:  make([]uint64, len(m.Nodes)),
-	}, nil
+	}
+	if unc, ok := mem.(*uncore.Uncore); ok && len(m.Nodes) > 0 {
+		ma.unc = unc
+		ma.nodePA = make([]uint64, len(m.Nodes))
+		ma.satPA = make([]uint64, len(m.Satellites))
+	}
+	return ma, nil
 }
 
 // MustNewMachine is NewMachine for known-good arguments.
@@ -80,6 +94,10 @@ func (ma *Machine) IterationEnds() (iters, endCycle uint64) {
 // and its satellites, and records completion. Models with no nodes (fully
 // L1-resident benchmarks) advance a whole iteration per Step. It returns
 // the machine's local clock after the step.
+//
+// Step is the plain reference replay: every request, resident prefetches
+// included, goes through Memory.Access with its virtual address, and
+// nothing is memoized. StepUntil is its fast form.
 func (ma *Machine) Step() uint64 {
 	m := ma.model
 	if len(m.Nodes) == 0 {
@@ -114,8 +132,7 @@ func (ma *Machine) Step() uint64 {
 		}
 	}
 	done := ma.mem.Access(ma.id, n.PC, n.VAddr, n.Write, false, issue)
-	for i := range n.Satellites {
-		s := &n.Satellites[i]
+	for _, s := range m.sats(j) {
 		ma.mem.Access(ma.id, s.PC, s.VAddr, s.Write, s.Prefetch, issue+s.Offset)
 	}
 
@@ -138,35 +155,49 @@ func (ma *Machine) Step() uint64 {
 
 // StepUntil executes nodes until the local clock reaches limit or the
 // committed µop count reaches quota, whichever comes first, and returns
-// the number of nodes executed. It is the batch form of Step used by the
-// multicore driver: because Now is nondecreasing and the other cores'
-// clocks cannot change while this machine runs, stepping until the clock
-// reaches the runner-up core's clock reproduces the per-step
-// smallest-clock-first schedule exactly, with one dispatch per batch.
+// the clock and the committed count it stopped at. It is the batch form
+// of Step used by the multicore driver: because Now is nondecreasing and
+// the other cores' clocks cannot change while this machine runs,
+// stepping until the clock reaches the runner-up core's clock reproduces
+// the per-step smallest-clock-first schedule exactly, with one dispatch
+// per batch.
 //
-// The loop body is Step's node replay with the machine state held in
-// locals and the committed count maintained incrementally; the golden
-// determinism tests (internal/multicore) pin it to the per-step
-// reference driver (driveReference), so the two cannot drift apart
-// unnoticed.
-func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
+// On a real uncore the loop body is Step's node replay with the machine
+// state held in locals, the committed count maintained incrementally,
+// and two shortcuts, both exact. The first execution of a node
+// translates its demand address and then its satellites' through
+// uncore.Translate, in the order Step's accesses would, so pages are
+// still allocated in first-touch order; every execution then issues
+// through uncore.AccessPhysical from the memo. And a prefetch satellite
+// whose line is already resident is not issued at all: on a resident
+// line the uncore's prefetch path changes no state and no counter, and
+// a satellite's completion time is never read. On any other memory, and
+// for a model with no nodes, StepUntil just loops Step.
+//
+// The differential tests here (StepUntil against Step on a real uncore)
+// and the golden determinism tests in internal/multicore (the batched
+// driver against the per-step reference driver) pin the two together.
+func (ma *Machine) StepUntil(limit, quota uint64) (now, committed uint64) {
 	m := ma.model
-	nodes := m.Nodes
-	if len(nodes) == 0 {
+	unc := ma.unc
+	if unc == nil {
 		for ma.clock < limit && ma.Committed() < quota {
 			ma.Step()
-			steps++
 		}
-		return steps
+		return ma.clock, ma.Committed()
 	}
+	nodes, sats := m.Nodes, m.Satellites
 	issueT, compT := ma.issueT, ma.compT
-	unc, mem, id := ma.unc, ma.mem, ma.id
+	nodePA, satPA := ma.nodePA, ma.satPA
+	id := ma.id
 	next, iter := ma.next, ma.iter
 	prevEnd, clock := ma.prevEnd, ma.clock
 	iterBase := iter * uint64(m.TraceLen)
-	committed := iterBase
+	committed = iterBase
+	sat := 0 // start of node next's satellites
 	if next > 0 {
 		committed += uint64(nodes[next-1].OpIndex)
+		sat = nodes[next-1].SatEnd
 	}
 	for clock < limit && committed < quota {
 		n := &nodes[next]
@@ -188,20 +219,24 @@ func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 				issue = w
 			}
 		}
-		var done uint64
-		if unc != nil {
-			done = unc.Access(id, n.PC, n.VAddr, n.Write, false, issue)
-		} else {
-			done = mem.Access(id, n.PC, n.VAddr, n.Write, false, issue)
-		}
-		for i := range n.Satellites {
-			s := &n.Satellites[i]
-			if unc != nil {
-				unc.Access(id, s.PC, s.VAddr, s.Write, s.Prefetch, issue+s.Offset)
-			} else {
-				mem.Access(id, s.PC, s.VAddr, s.Write, s.Prefetch, issue+s.Offset)
+		end := n.SatEnd
+		pa := nodePA[next]
+		if pa == 0 {
+			pa = unc.Translate(id, n.VAddr)
+			nodePA[next] = pa
+			for k := sat; k < end; k++ {
+				satPA[k] = unc.Translate(id, sats[k].VAddr)
 			}
 		}
+		done := unc.AccessPhysical(id, n.PC, pa, n.Write, false, issue)
+		for k := sat; k < end; k++ {
+			s := &sats[k]
+			if s.Prefetch && unc.Resident(satPA[k]) {
+				continue
+			}
+			unc.AccessPhysical(id, s.PC, satPA[k], s.Write, s.Prefetch, issue+s.Offset)
+		}
+		sat = end
 		issueT[next] = issue
 		compT[next] = done
 		if done > clock {
@@ -211,7 +246,7 @@ func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 		if next == len(nodes) {
 			prevEnd = done + m.Tail
 			iter++
-			next = 0
+			next, sat = 0, 0
 			iterBase += uint64(m.TraceLen)
 			committed = iterBase
 			if prevEnd > clock {
@@ -220,11 +255,10 @@ func (ma *Machine) StepUntil(limit, quota uint64) (steps uint64) {
 		} else {
 			committed = iterBase + uint64(n.OpIndex)
 		}
-		steps++
 	}
 	ma.next, ma.iter = next, iter
 	ma.prevEnd, ma.clock = prevEnd, clock
-	return steps
+	return clock, committed
 }
 
 // RunIterations executes n full trace iterations and returns the end time

@@ -7,10 +7,20 @@
 // per demand uncore request, each carrying the µops fetched since the
 // previous request, an inferred dependency on an earlier node (or none)
 // and a compute delay. Prefetch and writeback requests ride along as
-// satellites of their nearest demand node. A Machine (machine.go) replays
-// the node graph against a real uncore: it reproduces the calibration
-// timing exactly under the calibration latency and approximates the
-// detailed core under any other uncore, at a fraction of the cost.
+// satellites of their nearest demand node; a model keeps all of them in
+// one flat array in node order, and each node records where its run of
+// satellites ends. A Machine (machine.go) replays the node graph against
+// a real uncore: it reproduces the calibration timing exactly under the
+// calibration latency and approximates the detailed core under any other
+// uncore, at a fraction of the cost.
+//
+// A Model is read-only once built, so any number of machines may replay
+// it at once. Whatever a replay learns about its own uncore lives in the
+// Machine: Machine.StepUntil, the replay the multicore driver runs,
+// memoizes the physical address of every request the first time its
+// node executes, and skips a prefetch satellite whose line the LLC
+// already holds. Both are exact (see StepUntil); Machine.Step is the
+// plain replay they are tested against.
 package badco
 
 import (
@@ -26,10 +36,9 @@ import (
 type Satellite struct {
 	VAddr    uint64
 	PC       uint64
-	Kind     cpu.RequestKind
+	Offset   uint64 // issue offset from the owning node's issue time
 	Write    bool
 	Prefetch bool
-	Offset   uint64 // issue offset from the owning node's issue time
 }
 
 // Node is one demand uncore request plus the computation leading to it.
@@ -37,7 +46,6 @@ type Node struct {
 	OpIndex int    // trace position reached when this request issued
 	VAddr   uint64 // virtual line address of the demand request
 	PC      uint64
-	Kind    cpu.RequestKind
 	Write   bool
 
 	// Dep is the index of the node whose completion gates this node's
@@ -55,7 +63,10 @@ type Node struct {
 	// ahead than its instruction window.
 	WindowDep int
 
-	Satellites []Satellite
+	// SatEnd ends this node's satellites in Model.Satellites: they are
+	// Satellites[start:SatEnd], where start is the previous node's
+	// SatEnd (0 for the first node).
+	SatEnd int
 }
 
 // Model is the behavioural core model of one benchmark on one core
@@ -64,6 +75,11 @@ type Model struct {
 	Name     string
 	TraceLen int    // µops per trace iteration
 	Nodes    []Node // demand nodes in issue order
+	// Satellites holds every node's satellites, node by node in node
+	// order (see Node.SatEnd). One flat array costs no slice header per
+	// node and lets a replay walk the satellites of consecutive nodes as
+	// one sequential stream.
+	Satellites []Satellite
 	// Tail is the compute time from the last node's completion to the end
 	// of the trace iteration, measured in the calibration run.
 	Tail uint64
@@ -72,6 +88,15 @@ type Model struct {
 	Head uint64
 	// CalCycles is the calibration run A cycle count, for reference.
 	CalCycles uint64
+}
+
+// sats returns node j's satellites.
+func (m *Model) sats(j int) []Satellite {
+	start := 0
+	if j > 0 {
+		start = m.Nodes[j-1].SatEnd
+	}
+	return m.Satellites[start:m.Nodes[j].SatEnd]
 }
 
 // BuildConfig controls model construction.
@@ -148,7 +173,6 @@ func Build(tr *trace.Trace, cfg BuildConfig) (*Model, error) {
 			OpIndex:   a.req.OpIndex,
 			VAddr:     a.req.VAddr,
 			PC:        a.req.PC,
-			Kind:      a.req.Kind,
 			Write:     a.req.Write,
 			Dep:       -1,
 			WindowDep: -1,
@@ -341,30 +365,32 @@ func calibrateWindow(m *Model, cfg BuildConfig, cyclesB uint64) {
 
 // attachSatellites hangs each satellite on its anchor node with an issue
 // offset; satellites preceding the first node are attached to node 0 with
-// offset 0.
+// offset 0. split lists the satellites in recording order, so their
+// anchors never decrease and the flat array comes out in node order.
 func attachSatellites(m *Model, demand []timedReq, sats []satWithAnchor) {
 	if len(m.Nodes) == 0 {
 		return
 	}
-	for _, s := range sats {
-		anchor := s.anchor
-		if anchor < 0 {
-			anchor = 0
-		}
+	m.Satellites = make([]Satellite, len(sats))
+	for i, s := range sats {
+		anchor := max(s.anchor, 0)
 		base := demand[anchor].issue
 		off := uint64(0)
 		if s.req.Issue > base {
 			off = s.req.Issue - base
 		}
-		n := &m.Nodes[anchor]
-		n.Satellites = append(n.Satellites, Satellite{
+		m.Satellites[i] = Satellite{
 			VAddr:    s.req.VAddr,
 			PC:       s.req.PC,
-			Kind:     s.req.Kind,
+			Offset:   off,
 			Write:    s.req.Write,
 			Prefetch: s.req.Prefetch,
-			Offset:   off,
-		})
+		}
+		m.Nodes[anchor].SatEnd = i + 1
+	}
+	// A node without satellites ends where its predecessor's run ends.
+	for j := 1; j < len(m.Nodes); j++ {
+		m.Nodes[j].SatEnd = max(m.Nodes[j].SatEnd, m.Nodes[j-1].SatEnd)
 	}
 }
 

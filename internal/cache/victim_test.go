@@ -40,12 +40,18 @@ func victimDigest(name PolicyName, seed int64, n int) string {
 
 // TestPolicyVictimStreamsPinned pins the eviction sequence of the
 // policies whose victims depend on their random stream (RND, and the
-// BIP/BRRIP throttles of DIP and DRRIP), plus SHiP, over a seeded access
-// stream on two policy seeds. A change to how a policy draws from its
-// seed — a different source, a wrapper that consumes extra values, a
-// reordered call — changes these digests.
+// BIP/BRRIP throttles of DIP and DRRIP), plus SHiP, LRU and FIFO, over a
+// seeded access stream on two policy seeds. A change to how a policy
+// draws from its seed — a different source, a wrapper that consumes
+// extra values, a reordered call — changes these digests, and so does a
+// change to how LRU or FIFO orders its ways.
 func TestPolicyVictimStreamsPinned(t *testing.T) {
 	want := map[string]string{
+		// LRU and FIFO draw nothing, so each seed gives one stream.
+		"LRU/1":    "47e91a82283985d930e5e095c7361d54eb615504a2eca2a1ecac9fb62d249793",
+		"LRU/42":   "47e91a82283985d930e5e095c7361d54eb615504a2eca2a1ecac9fb62d249793",
+		"FIFO/1":   "fe4eb486dcebaa452cf5073928cc489e28cdda7fb3db5fa6f794ec425ac69f9a",
+		"FIFO/42":  "fe4eb486dcebaa452cf5073928cc489e28cdda7fb3db5fa6f794ec425ac69f9a",
 		"RND/1":    "c4edee2d7e77ac38be917412ff898b0e90f4046606d2fddf492236c9cfbb7277",
 		"RND/42":   "58be27ba593e953e9992a614dde22569aa3e0f914946918dfc85ac3ac79473c8",
 		"DIP/1":    "7ec965021496c1f7138f5679abe7d9010f1fc1ea6f4561dd0ec6bf7b9d07b1bd",
@@ -56,7 +62,7 @@ func TestPolicyVictimStreamsPinned(t *testing.T) {
 		"SHiP/1":  "f1ad367969a50a5b0a3840703ddd64e0e1ef83939a6fc2a4560a5389d62b8b85",
 		"SHiP/42": "f1ad367969a50a5b0a3840703ddd64e0e1ef83939a6fc2a4560a5389d62b8b85",
 	}
-	for _, name := range []PolicyName{Random, DIP, DRRIP, SHIP} {
+	for _, name := range []PolicyName{LRU, FIFO, Random, DIP, DRRIP, SHIP} {
 		for _, seed := range []int64{1, 42} {
 			key := fmt.Sprintf("%s/%d", name, seed)
 			if got := victimDigest(name, seed, 60000); got != want[key] {

@@ -316,17 +316,17 @@ func (c *Core) Step() uint64 {
 
 // StepUntil executes µops until the local clock reaches limit or the
 // committed count reaches quota, whichever comes first, and returns the
-// number of µops executed. It is the batch form of Step used by the
-// multicore driver: because Now is nondecreasing and the other cores'
-// clocks cannot change while this core runs, stepping until the clock
-// reaches the runner-up core's clock reproduces the per-step
-// smallest-clock-first schedule exactly, with one dispatch per batch.
-func (c *Core) StepUntil(limit, quota uint64) (steps uint64) {
+// clock (Now) and the committed count (Committed) it stopped at. It is
+// the batch form of Step used by the multicore driver: because Now is
+// nondecreasing and the other cores' clocks cannot change while this
+// core runs, stepping until the clock reaches the runner-up core's clock
+// reproduces the per-step smallest-clock-first schedule exactly, with
+// one dispatch per batch.
+func (c *Core) StepUntil(limit, quota uint64) (now, committed uint64) {
 	for c.lastCommit < limit && c.seq < quota {
 		c.Step()
-		steps++
 	}
-	return steps
+	return c.lastCommit, c.seq
 }
 
 // fetch computes the cycle the µop leaves the front end.

@@ -298,7 +298,8 @@ func (r Result) CPI(core int) float64 {
 // stepper abstracts the two core models for the interleaving driver.
 type stepper interface {
 	Step() uint64
-	StepUntil(limit, quota uint64) uint64
+	// StepUntil runs a batch and returns Now and Committed after it.
+	StepUntil(limit, quota uint64) (now, committed uint64)
 	Now() uint64
 	Committed() uint64
 }
@@ -408,13 +409,11 @@ func drive(ctx context.Context, cores []stepper, target, cap, cross []uint64) er
 		if !reached[m] {
 			quota = target[m]
 		}
-		c := cores[m]
-		c.StepUntil(limit, quota)
-		clocks[m] = c.Now()
+		now, cm := cores[m].StepUntil(limit, quota)
+		clocks[m] = now
 		if quota == never {
 			continue // crossed, never halts: nothing left to record
 		}
-		cm := c.Committed()
 		if !reached[m] && cm >= target[m] {
 			reached[m] = true
 			cross[m] = clocks[m]

@@ -57,7 +57,7 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 // functional warming leaves the LLC warmer than any timed execution,
 // and measured windows overestimate IPC by tens of percent.
 func (u *Uncore) prefetchFunctional(line uint64) {
-	if u.isResident(line) {
+	if u.Resident(line) {
 		return
 	}
 	rate := 1.0

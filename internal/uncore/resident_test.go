@@ -20,7 +20,7 @@ func scanMSHR(u *Uncore, line, now uint64) (uint64, bool) {
 // TestResidencyBitmapMatchesProbe pins the uncore's residency bitmap to
 // the LLC's own set scan, and its filtered MSHR lookup to a plain scan of
 // the file. Seeded mixes of timed, functional and prefetch requests from
-// several cores run through one uncore; after every call, isResident
+// several cores run through one uncore; after every call, Resident
 // agrees with llc.Probe, and mshrLookup with scanMSHR, on every line
 // touched or proposed so far. The mixes carry trained streams and
 // strides whose proposals run past the last allocated page; odd seeds
@@ -93,7 +93,7 @@ func TestResidencyBitmapMatchesProbe(t *testing.T) {
 			}
 			filledPastEnd = filledPastEnd || uint64(len(u.resident)) > u.nextPage
 			for _, l := range order {
-				if got, want := u.isResident(l), u.llc.Probe(l); got != want {
+				if got, want := u.Resident(l), u.llc.Probe(l); got != want {
 					t.Fatalf("seed %d call %d: line %#x resident %v in the bitmap, %v in the LLC",
 						seed, i, l, got, want)
 				}

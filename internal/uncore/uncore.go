@@ -354,10 +354,13 @@ func (u *Uncore) setMSHR(i int, line, done uint64) {
 	u.mshrLine[i], u.mshrDone[i] = line, done
 }
 
-// isResident reports whether line is in the LLC, as llc.Probe would,
-// from the residency bitmap.
-func (u *Uncore) isResident(line uint64) bool {
-	page, bit := line/PageSize, line/cache.LineSize%64
+// Resident reports whether the line holding the physical address paddr
+// is in the LLC, as llc.Probe would, from the residency bitmap. A
+// prefetch of a resident line changes no state and no counter (see
+// prefetchAccess), so a caller that already holds the physical address
+// may skip such a prefetch outright.
+func (u *Uncore) Resident(paddr uint64) bool {
+	page, bit := paddr/PageSize, paddr/cache.LineSize%64
 	return page < uint64(len(u.resident)) && u.resident[page]>>bit&1 != 0
 }
 
@@ -377,6 +380,11 @@ func (u *Uncore) fill(line uint64, write, prefetch bool) cache.Eviction {
 }
 
 // Access implements Memory.
+//
+// Its body after the translation is AccessPhysical's, repeated rather
+// than called so that the detailed core's every access stays one call
+// deep; the two must stay in step (internal/badco's StepUntil-vs-Step
+// differential test compares them on every suite model).
 func (u *Uncore) Access(core int, pc, vaddr uint64, write, prefetch bool, now uint64) uint64 {
 	if core < 0 || core >= u.cfg.Cores {
 		panic(fmt.Sprintf("uncore: core %d out of range", core))
@@ -423,6 +431,37 @@ func (u *Uncore) Access(core int, pc, vaddr uint64, write, prefetch bool, now ui
 	return done
 }
 
+// AccessPhysical is Access for a request whose address core has
+// already translated: paddr is what Translate(core, vaddr) returned. A
+// replay that memoizes its translations calls it to skip the
+// translation cache; Translate allocates pages on first touch, so the
+// caller must translate in the order Access would have.
+func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool, now uint64) uint64 {
+	if core < 0 || core >= u.cfg.Cores {
+		panic(fmt.Sprintf("uncore: core %d out of range", core))
+	}
+	line := cache.AlignLine(paddr)
+
+	var done uint64
+	if prefetch {
+		done = u.prefetchAccess(line, now)
+	} else {
+		u.stats.Requests++
+		done = u.demandAccess(line, write, now)
+		var props []uint64
+		if u.prefSS != nil {
+			props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
+		} else {
+			props = u.pref.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
+		}
+		u.pfScratch = append(u.pfScratch[:0], props...)
+		for _, a := range u.pfScratch {
+			u.prefetchAccess(cache.AlignLine(a), now)
+		}
+	}
+	return done
+}
+
 // demandAccess performs a demand lookup and, on a miss, schedules the
 // memory fill. It returns the request completion time.
 func (u *Uncore) demandAccess(line uint64, write bool, now uint64) uint64 {
@@ -456,7 +495,7 @@ func (u *Uncore) demandAccess(line uint64, write bool, now uint64) uint64 {
 // the lines they just fetched) find the line resident and are no-ops,
 // and a bitmap test is cheaper than a 16-way set scan.
 func (u *Uncore) prefetchAccess(line uint64, now uint64) uint64 {
-	if u.isResident(line) {
+	if u.Resident(line) {
 		return now + u.cfg.LLCLatency
 	}
 	return u.prefetchMiss(line, now)

@@ -30,7 +30,10 @@ type Machine struct {
 	// executes the node. A core's page table only ever grows, so a
 	// translation never changes once made, and the bump allocator never
 	// hands out physical page 0. The memo belongs to the machine, not
-	// the shared Model: the addresses are this uncore's.
+	// the shared Model: the addresses are this uncore's. It pays for
+	// itself: translating each prefetch satellite afresh before its
+	// residency test ran badco-population about 10% slower
+	// (BENCH_26.nomemo.json).
 	nodePA []uint64
 	satPA  []uint64
 }

@@ -379,12 +379,8 @@ func (u *Uncore) fill(line uint64, write, prefetch bool) cache.Eviction {
 	return ev
 }
 
-// Access implements Memory.
-//
-// Its body after the translation is AccessPhysical's, repeated rather
-// than called so that the detailed core's every access stays one call
-// deep; the two must stay in step (internal/badco's StepUntil-vs-Step
-// differential test compares them on every suite model).
+// Access implements Memory: it translates vaddr for core and issues the
+// request through AccessPhysical.
 func (u *Uncore) Access(core int, pc, vaddr uint64, write, prefetch bool, now uint64) uint64 {
 	if core < 0 || core >= u.cfg.Cores {
 		panic(fmt.Sprintf("uncore: core %d out of range", core))
@@ -399,36 +395,7 @@ func (u *Uncore) Access(core int, pc, vaddr uint64, write, prefetch bool, now ui
 	} else {
 		paddr = u.translateSlow(core, vpage, vaddr, e)
 	}
-	line := cache.AlignLine(paddr)
-
-	var done uint64
-	if prefetch {
-		done = u.prefetchAccess(line, now)
-	} else {
-		u.stats.Requests++
-		done = u.demandAccess(line, write, now)
-		// Train the LLC prefetchers on the demand stream. Proposals are
-		// issued as speculative fills through the same path. The PC is
-		// salted with the core id so per-core streams do not alias. The
-		// proposals are staged through pfScratch so that issuing them
-		// cannot alias the prefetcher's reused buffer; nothing downstream
-		// of prefetchAccess observes the demand stream, so the scratch is
-		// never reused re-entrantly.
-		var props []uint64
-		if u.prefSS != nil {
-			props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
-		} else {
-			props = u.pref.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
-		}
-		u.pfScratch = u.pfScratch[:0]
-		for _, a := range props {
-			u.pfScratch = append(u.pfScratch, a)
-		}
-		for _, a := range u.pfScratch {
-			u.prefetchAccess(cache.AlignLine(a), now)
-		}
-	}
-	return done
+	return u.AccessPhysical(core, pc, paddr, write, prefetch, now)
 }
 
 // AccessPhysical is Access for a request whose address core has
@@ -448,6 +415,13 @@ func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool
 	} else {
 		u.stats.Requests++
 		done = u.demandAccess(line, write, now)
+		// Train the LLC prefetchers on the demand stream. Proposals are
+		// issued as speculative fills through the same path. The PC is
+		// salted with the core id so per-core streams do not alias. The
+		// proposals are staged through pfScratch so that issuing them
+		// cannot alias the prefetcher's reused buffer; nothing downstream
+		// of prefetchAccess observes the demand stream, so the scratch is
+		// never reused re-entrantly.
 		var props []uint64
 		if u.prefSS != nil {
 			props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)

@@ -230,7 +230,7 @@ func productRows(hists map[string]mcbench.HistogramStat) []productRow {
 		if name != "mcbench_lab_product_seconds" || h.Count == 0 {
 			continue
 		}
-		id := fmt.Sprintf("%s/%s cores=%s (%s)", labels["sim"], labels["policy"], labels["cores"], labels["sampling"])
+		id := fmt.Sprintf("%s/%s cores=%s", labels["sim"], labels["policy"], labels["cores"])
 		rows = append(rows, productRow{id: id, count: h.Count, p95: h.P95, total: h.Sum})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })

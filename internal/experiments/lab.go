@@ -367,16 +367,13 @@ func observeRun[V any](l *Lab, ctx context.Context, r Request, rows func(V) int,
 // recordProduct files one successful product computation into the lab
 // registry: total latency keyed by the product identity, plus one
 // observation per span phase totalling the time that product spent in it.
-// Every product is measured exactly, so the sampling label always reads
-// "exact"; it stays because exported series and -timing rows carry it.
 func (l *Lab) recordProduct(ev ProductEvent, sp *telemetry.Span) {
 	r := l.metrics()
 	r.Histogram("mcbench_lab_product_seconds",
 		"end-to-end latency of expensive lab products",
 		telemetry.L("sim", string(ev.Sim)),
 		telemetry.L("cores", strconv.Itoa(ev.Cores)),
-		telemetry.L("policy", string(ev.Policy)),
-		telemetry.L("sampling", "exact")).ObserveDuration(ev.Elapsed)
+		telemetry.L("policy", string(ev.Policy))).ObserveDuration(ev.Elapsed)
 	for _, ph := range sp.Breakdown() {
 		r.Histogram("mcbench_lab_phase_seconds",
 			"time spent per simulation phase within a product computation",

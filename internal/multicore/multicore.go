@@ -127,8 +127,8 @@ type Spec struct {
 // Protocol renders the spec's measurement protocol, the part of a
 // result's identity that decides whether it can be reused: sep+"w<N>"
 // for a warmup of N µops and sep+"smp"+Sampling.String() for a sampled
-// run, in that order; an exact run renders as "". Persisted table keys
-// and the serve dedup keys both derive their protocol token from it.
+// run, in that order; an exact run renders as "". The serve dedup keys
+// of ad-hoc simulate and sweep jobs take their protocol token from it.
 func (s Spec) Protocol(sep string) string {
 	var p string
 	if s.Warmup > 0 {

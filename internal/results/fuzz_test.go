@@ -25,8 +25,8 @@ const (
 // Load must never panic, and any table it returns must validate and
 // carry exactly the requested identity — also on a second Load, which
 // reads what the first one republished or left behind. The seed corpus
-// sits in testdata/fuzz/FuzzStoreLoad; TestFuzzSeedsVectorTables pins
-// which of its reference IPC and MPKI seeds load.
+// sits in testdata/fuzz/FuzzStoreLoad; TestFuzzSeedsVectorTables and
+// TestFuzzSeedsPopulationTables pin which of its seeds load.
 func FuzzStoreLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, local, remote []byte, mode byte) {
 		s, want := fuzzStore(t, local, remote, mode)
@@ -82,7 +82,7 @@ func fuzzStore(t *testing.T, local, remote []byte, mode byte) (*Store, *IPCTable
 // 0 load (from the local file or a peer), while a negative MPKI, a NaN
 // MPKI and a ref row two values wide are refused.
 func TestFuzzSeedsVectorTables(t *testing.T) {
-	for seed, accept := range map[string]bool{
+	checkSeeds(t, map[string]bool{
 		"local_ref_valid":      true,
 		"remote_ref_valid":     true,
 		"local_mpki_zero":      true,
@@ -92,7 +92,35 @@ func TestFuzzSeedsVectorTables(t *testing.T) {
 		"local_mpki_nan":       false,
 		"local_ref_wide_row":   false,
 		"remote_ref_wide_row":  false,
-	} {
+	})
+}
+
+// TestFuzzSeedsPopulationTables loads the population-table seeds of
+// FuzzStoreLoad's corpus. A valid table with its footer loads from the
+// local file or a peer, also when a bit-flipped local file is first
+// quarantined. Refused: a footer-less file, locally or from a peer; a
+// peer's table carrying the sampling fields and CI column that builds
+// before this format wrote; a peer's table of another identity; rows
+// that do not match the population; and a failed fetch.
+func TestFuzzSeedsPopulationTables(t *testing.T) {
+	checkSeeds(t, map[string]bool{
+		"local_valid":                true,
+		"remote_valid":               true,
+		"local_bitflip_remote_valid": true,
+		"local_legacy":               false,
+		"remote_no_footer":           false,
+		"remote_sampled_identity":    false,
+		"remote_other_identity":      false,
+		"local_invalid_rows":         false,
+		"remote_error":               false,
+	})
+}
+
+// checkSeeds runs each named corpus seed through one Load and checks
+// that it returns the requested table exactly when accept is true.
+func checkSeeds(t *testing.T, seeds map[string]bool) {
+	t.Helper()
+	for seed, accept := range seeds {
 		local, remote, mode := readSeed(t, seed)
 		s, want := fuzzStore(t, local, remote, mode)
 		got, ok, err := s.Load(*want)

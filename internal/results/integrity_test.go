@@ -21,9 +21,9 @@ func TestFooterRoundTrip(t *testing.T) {
 		[]byte(""), []byte("x"), []byte(`{"a":1}`), bytes.Repeat([]byte("mcbench"), 1000),
 	} {
 		framed := appendFooter(append([]byte(nil), payload...))
-		got, hasFooter, valid := splitFooter(framed)
-		if !hasFooter || !valid {
-			t.Fatalf("round trip lost the footer: has=%v valid=%v", hasFooter, valid)
+		got, ok := splitFooter(framed)
+		if !ok {
+			t.Fatal("round trip lost the footer")
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("payload changed through the footer: %q != %q", got, payload)
@@ -35,7 +35,7 @@ func TestFooterRoundTrip(t *testing.T) {
 			}
 			mut := append([]byte(nil), framed...)
 			mut[i] ^= 0x40
-			if _, has, valid := splitFooter(mut); has && valid {
+			if _, ok := splitFooter(mut); ok {
 				t.Fatalf("bit flip at %d of %d went undetected", i, len(framed))
 			}
 		}
@@ -43,7 +43,7 @@ func TestFooterRoundTrip(t *testing.T) {
 }
 
 // TestSavedFilesCarryFooter pins that Save writes the footer and that
-// the payload before it is plain JSON a legacy reader would accept.
+// the payload before it is plain JSON.
 func TestSavedFilesCarryFooter(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -55,9 +55,9 @@ func TestSavedFilesCarryFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, hasFooter, valid := splitFooter(data)
-	if !hasFooter || !valid {
-		t.Fatalf("saved file footer: has=%v valid=%v", hasFooter, valid)
+	payload, ok := splitFooter(data)
+	if !ok {
+		t.Fatal("saved file lacks a valid footer")
 	}
 	var got IPCTable
 	if err := json.Unmarshal(payload, &got); err != nil {
@@ -68,9 +68,12 @@ func TestSavedFilesCarryFooter(t *testing.T) {
 	}
 }
 
-// TestLegacyFileWithoutFooterLoads pins backward compatibility: a file
-// written by an older version — raw JSON, no footer — still loads.
-func TestLegacyFileWithoutFooterLoads(t *testing.T) {
+// TestFooterlessFileQuarantined pins that the footer is mandatory: a
+// file of plain JSON with no footer, which builds before the footer
+// wrote, lists as corrupt, is refused by ReadRaw, and is quarantined
+// and reported as a miss by Load, even though its payload is a valid
+// table of the requested identity.
+func TestFooterlessFileQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	want := table()
@@ -78,30 +81,113 @@ func TestLegacyFileWithoutFooterLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, want.Key()+".json"), data, 0o644); err != nil {
+	path := filepath.Join(dir, want.Key()+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Load(*want)
-	if err != nil || !ok {
-		t.Fatalf("legacy file did not load: ok=%v err=%v", ok, err)
-	}
-	if got.Identity != want.Identity {
-		t.Error("legacy load changed identity")
-	}
-	// And List must not call it corrupt.
 	entries, err := s.List()
-	if err != nil || len(entries) != 1 || entries[0].Corrupt {
-		t.Fatalf("legacy file listed wrong: %+v err=%v", entries, err)
+	if err != nil || len(entries) != 1 || !entries[0].Corrupt || entries[0].Quarantined {
+		t.Fatalf("footer-less file listed as %+v (err %v), want one live corrupt entry", entries, err)
+	}
+	for _, read := range []string{"Load", "ReadRaw"} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if read == "Load" {
+			var got *IPCTable
+			got, ok, err = s.Load(*want)
+			if got != nil {
+				t.Fatalf("Load served a footer-less file: %+v", got)
+			}
+		} else {
+			_, ok, err = s.ReadRaw(want.Key())
+		}
+		if err != nil || ok {
+			t.Fatalf("%s(footer-less) = %v, %v; want a miss", read, ok, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s left the footer-less file live", read)
+		}
+	}
+	if q, err := os.ReadDir(filepath.Join(dir, QuarantineDir)); err != nil || len(q) != 2 {
+		t.Fatalf("quarantine holds %d files, want 2 (err %v)", len(q), err)
 	}
 }
 
-// TestTornWriteEveryBoundary is the satellite contract: truncate a
-// staged table at every byte boundary, reopen the store, and assert the
-// torn file is quarantined — never decoded into a wrong table and never
-// fatal to Open or List. The only truncations allowed to load are the
-// two that happen to leave the complete payload (the footer cut off at
-// or just after the payload's end, i.e. a well-formed legacy file whose
-// content is exactly right).
+// TestWarmedAndSampledFilesRefused pins what happens to the warmed and
+// sampled tables that builds before this format wrote. The bytes are
+// those builds' Save output, footer included. Listed under their own
+// keys, both are corrupt: their identity no longer renders to that key.
+// Neither is served for the exact identity of the same configuration,
+// not even when copied under its key, where the strict decoder refuses
+// the fields this format does not have.
+func TestWarmedAndSampledFilesRefused(t *testing.T) {
+	old := map[string]string{
+		"badco-c2-LRU-l1000-p3-s7-w1500": `{"simulator":"badco","cores":2,"policy":"LRU","trace_len":1000,"population":3,"seed":7,"warmup":1500,` +
+			`"ipc":[[1,2],[0.5,1.5],[2,2]]}` + "\nmcbench-crc32:3683433e\n",
+		"badco-c2-LRU-l1000-p3-s7-smpu10000d1000w500": `{"simulator":"badco","cores":2,"policy":"LRU","trace_len":1000,"population":3,"seed":7,` +
+			`"sample_unit":10000,"sample_window":1000,"sample_warmup":500,"ipc":[[1,2],[0.5,1.5],[2,2]],` +
+			`"ci":[[0.1,0.2],[0.1,0.1],[0.2,0.2]],"cv":[[0.3,0.4],[0.3,0.3],[0.4,0.4]]}` + "\nmcbench-crc32:d4d9236c\n",
+	}
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	for key, data := range old {
+		if _, ok := splitFooter([]byte(data)); !ok {
+			t.Fatalf("%s: the stored bytes fail their own footer", key)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := s.List()
+	if err != nil || len(entries) != len(old) {
+		t.Fatalf("List = %+v (err %v), want %d entries", entries, err, len(old))
+	}
+	for _, e := range entries {
+		if _, ok := old[e.Key]; !ok || !e.Corrupt || e.Quarantined {
+			t.Errorf("entry %+v, want a live corrupt entry for an old key", e)
+		}
+	}
+	want := table()
+	if got, ok, err := s.Load(*want); err != nil || ok || got != nil {
+		t.Fatalf("exact Load beside old files = %v, %v, %v; want a miss", got, ok, err)
+	}
+	for key, data := range old {
+		if err := os.WriteFile(filepath.Join(dir, want.Key()+".json"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := s.Load(*want); err != nil || ok || got != nil {
+			t.Errorf("%s under the exact key: Load = %v, %v, %v; want a miss", key, got, ok, err)
+		}
+	}
+}
+
+// TestTrailingDataRefused pins that a verified payload holding a valid
+// table followed by more JSON is corrupt, not a table.
+func TestTrailingDataRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	want := table()
+	payload, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" {}", "\n" + string(payload), " x"} {
+		data := appendFooter(append(append([]byte(nil), payload...), tail...))
+		if err := os.WriteFile(filepath.Join(dir, want.Key()+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := s.Load(*want); err != nil || ok || got != nil {
+			t.Errorf("payload with trailing %q: Load = %v, %v, %v; want a miss", tail, got, ok, err)
+		}
+	}
+}
+
+// TestTornWriteEveryBoundary truncates a staged table at every byte
+// boundary, reopens the store, and asserts the torn file is quarantined
+// — never served, not even when the cut leaves the complete payload,
+// and never fatal to Open or List.
 func TestTornWriteEveryBoundary(t *testing.T) {
 	want := table()
 	payload, err := json.Marshal(want)
@@ -123,17 +209,8 @@ func TestTornWriteEveryBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("torn file at %d bytes made Load error: %v", n, err)
 		}
-		if ok {
-			// Tolerable only when the cut preserved the full payload
-			// (n == len(payload): intact JSON; +1: plus the footer's
-			// leading newline, which JSON treats as trailing whitespace).
-			if n != len(payload) && n != len(payload)+1 {
-				t.Fatalf("torn file at %d of %d bytes served a table", n, len(full))
-			}
-			if got.Identity != want.Identity {
-				t.Fatalf("torn file at %d bytes served a WRONG table", n)
-			}
-			continue
+		if ok || got != nil {
+			t.Fatalf("torn file at %d of %d bytes served a table", n, len(full))
 		}
 		if _, err := os.Stat(filepath.Join(dir, QuarantineDir, path)); err != nil {
 			t.Fatalf("torn file at %d bytes not quarantined: %v", n, err)

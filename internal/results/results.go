@@ -2,16 +2,18 @@
 // experimental campaign — per-workload per-core IPC tables, and the
 // per-benchmark reference IPC and MPKI vectors — as JSON, so they
 // survive across process runs. A Store is keyed by (simulator, core
-// count, policy, trace length, population size); any parameter change
-// invalidates the entry by construction of the key.
+// count, policy, trace length, population size, seed, universe, source);
+// any parameter change invalidates the entry by construction of the key.
 package results
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -23,7 +25,6 @@ import (
 	"time"
 
 	"mcbench/internal/faultinject"
-	"mcbench/internal/multicore"
 	"mcbench/internal/telemetry"
 )
 
@@ -56,23 +57,6 @@ type Identity struct {
 	// ("scaled:64:7", "dir:..."). Empty means the default fixed suite,
 	// keeping tables persisted before sources existed loadable.
 	Source string `json:"source,omitempty"`
-	// Warmup is the per-core µop count each workload ran before its
-	// measurement began. The lab measures from reset and writes 0, which
-	// keeps the key free of a warmup suffix; a positive value appears
-	// only in tables written by earlier builds, whose labs could warm,
-	// and keeps those files listable and valid under their own keys.
-	Warmup int `json:"warmup,omitempty"`
-	// SampleUnit/SampleWindow/SampleWarmup/SampleWarm record the
-	// systematic-sampling spec the sweep ran under
-	// (multicore.SamplingSpec); all zero means an exact sweep, the only
-	// kind the lab writes. Sampled tables were written by earlier
-	// builds, whose labs could sample; a sampled table is an
-	// *estimate*, so the spec stays in its identity and an exact and a
-	// sampled sweep of the same configuration never share a key.
-	SampleUnit   int `json:"sample_unit,omitempty"`
-	SampleWindow int `json:"sample_window,omitempty"`
-	SampleWarmup int `json:"sample_warmup,omitempty"`
-	SampleWarm   int `json:"sample_warm,omitempty"`
 }
 
 // Simulators whose tables hold one value per benchmark, as a one-row-
@@ -87,16 +71,14 @@ const (
 // IPCTable is one sweep result: row per workload, column per core (for
 // SimRef and SimMPKI, row per benchmark and one column). The embedded
 // Identity names the sweep; its fields encode first, so the JSON form is
-// flat.
+// flat. Every table is an exact measurement from reset. Tables that
+// builds before this format wrote under a warmup or sampling protocol
+// (a "-w…" or "-smp…" key, "warmup"/"sample_*" fields, "ci"/"cv"
+// columns) are refused: List marks them corrupt and Load never serves
+// them.
 type IPCTable struct {
 	Identity
 	IPC [][]float64 `json:"ipc"`
-	// CI and CV carry the per-workload per-core confidence half-interval
-	// and coefficient of variation of sampled sweeps (same shape as IPC),
-	// which only earlier builds wrote; both are empty for exact sweeps,
-	// whose IPC is not an estimate.
-	CI [][]float64 `json:"ci,omitempty"`
-	CV [][]float64 `json:"cv,omitempty"`
 }
 
 // Key returns the filename-safe form of the identity. Non-default sources
@@ -110,22 +92,12 @@ func (t Identity) Key() string {
 	if t.Universe > 0 {
 		key += fmt.Sprintf("-u%d", t.Universe)
 	}
-	key += multicore.Spec{Warmup: uint64(max(t.Warmup, 0)), Sampling: t.sampling()}.Protocol("-")
 	if t.Source != "" {
 		h := fnv.New32a()
 		h.Write([]byte(t.Source))
 		key += fmt.Sprintf("-%s-%08x", sanitize(t.Source), h.Sum32())
 	}
 	return key
-}
-
-// sampling is the sampling spec the identity records. A negative field,
-// which Validate rejects, converts to a huge one.
-func (t Identity) sampling() multicore.SamplingSpec {
-	return multicore.SamplingSpec{
-		Unit: uint64(t.SampleUnit), Window: uint64(t.SampleWindow),
-		Warmup: uint64(t.SampleWarmup), Warm: uint64(t.SampleWarm),
-	}
 }
 
 // sanitize maps a source name onto the filename-safe alphabet (source
@@ -172,28 +144,6 @@ func (t *IPCTable) Validate() error {
 				}
 			} else if !(v > 0) {
 				return fmt.Errorf("results: non-positive IPC at [%d][%d]", i, k)
-			}
-		}
-	}
-	if t.SampleUnit < 0 || t.SampleWindow < 0 || t.SampleWarmup < 0 || t.SampleWarm < 0 {
-		return fmt.Errorf("results: negative sampling field")
-	}
-	if err := t.sampling().Validate(); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	for name, col := range map[string][][]float64{"ci": t.CI, "cv": t.CV} {
-		if len(col) == 0 {
-			continue
-		}
-		if t.SampleUnit == 0 {
-			return fmt.Errorf("results: %s column on an exact table", name)
-		}
-		if len(col) != t.Population {
-			return fmt.Errorf("results: %d %s rows for population %d", len(col), name, t.Population)
-		}
-		for i, row := range col {
-			if len(row) != t.Cores {
-				return fmt.Errorf("results: %s row %d has %d cores, want %d", name, i, len(row), t.Cores)
 			}
 		}
 	}
@@ -322,9 +272,9 @@ func (s *Store) path(key string) string {
 // Integrity footer. Every file the store writes ends with a fixed-width
 // CRC32-C line over the payload that precedes it, so Load can tell a
 // complete table from a torn or bit-flipped one before decoding. The
-// footer sits *after* the payload (a trailing line a JSON decoder never
-// reaches), so files written by older versions — no footer at all —
-// keep loading unchanged; only a present-but-wrong footer is corruption.
+// footer is mandatory: a file without one (a torn write, or a file
+// from a build that predates the footer) fails verification like a
+// file whose footer is wrong.
 const (
 	footerMagic = "\nmcbench-crc32:"
 	footerLen   = len(footerMagic) + 8 + 1 // magic + 8 hex digits + "\n"
@@ -339,24 +289,43 @@ func appendFooter(payload []byte) []byte {
 	return fmt.Appendf(payload, "%s%08x\n", footerMagic, sum)
 }
 
-// splitFooter detects and verifies the integrity footer. hasFooter is
-// false for legacy footer-less files (payload is then the whole input);
-// valid is meaningful only when hasFooter is true.
-func splitFooter(data []byte) (payload []byte, hasFooter, valid bool) {
+// splitFooter verifies the integrity footer and returns the payload
+// before it; ok is false when the footer is missing, malformed or does
+// not match the payload.
+func splitFooter(data []byte) (payload []byte, ok bool) {
 	if len(data) < footerLen {
-		return data, false, false
+		return nil, false
 	}
 	tail := data[len(data)-footerLen:]
 	if string(tail[:len(footerMagic)]) != footerMagic || tail[footerLen-1] != '\n' {
-		return data, false, false
+		return nil, false
 	}
 	// Strict parse: all 8 digits must be hex, or this is not a footer.
 	sum, err := strconv.ParseUint(string(tail[len(footerMagic):footerLen-1]), 16, 32)
 	if err != nil {
-		return data, false, false
+		return nil, false
 	}
 	payload = data[:len(data)-footerLen]
-	return payload, true, crc32.Checksum(payload, crcTable) == uint32(sum)
+	return payload, crc32.Checksum(payload, crcTable) == uint32(sum)
+}
+
+// decode verifies stored bytes (footer included) and decodes them into
+// a valid table. The decoder refuses unknown fields and trailing data,
+// so a table with fields this format does not have (an earlier build's
+// warmup, sampling or CI/CV) is refused instead of being served with
+// them silently dropped.
+func decode(data []byte) (*IPCTable, bool) {
+	payload, ok := splitFooter(data)
+	if !ok {
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	var t IPCTable
+	if dec.Decode(&t) != nil || dec.Decode(new(json.RawMessage)) != io.EOF || t.Validate() != nil {
+		return nil, false
+	}
+	return &t, true
 }
 
 // QuarantineDir is the store subdirectory corrupt files are moved into.
@@ -476,8 +445,9 @@ func (s *Store) publish(tmpPattern, dst string, buf []byte, tornSite string) err
 }
 
 // Load reads the table with the given identity; ok is false when absent.
-// A corrupt file — torn write, bit flip, failed checksum, undecodable or
-// structurally invalid content — is quarantined into QuarantineDir and
+// A corrupt file — torn write, bit flip, missing footer or failed
+// checksum, undecodable, unknown-field or structurally invalid content —
+// is quarantined into QuarantineDir and
 // reported as absent, never as an error and never as a wrong table: the
 // caller recomputes and the next Save republishes a good file.
 //
@@ -494,17 +464,8 @@ func (s *Store) Load(proto IPCTable) (*IPCTable, bool, error) {
 	if err := faultinject.Error("results.load"); err != nil {
 		return nil, false, fmt.Errorf("results: %w", err)
 	}
-	payload, hasFooter, valid := splitFooter(data)
-	if hasFooter && !valid {
-		s.quarantine(path)
-		return s.loadRemote(proto)
-	}
-	var t IPCTable
-	if err := json.Unmarshal(payload, &t); err != nil {
-		s.quarantine(path)
-		return s.loadRemote(proto)
-	}
-	if err := t.Validate(); err != nil {
+	t, ok := decode(data)
+	if !ok {
 		s.quarantine(path)
 		return s.loadRemote(proto)
 	}
@@ -515,7 +476,7 @@ func (s *Store) Load(proto IPCTable) (*IPCTable, bool, error) {
 		return s.loadRemote(proto)
 	}
 	s.tel.Load().loadHits.Inc()
-	return &t, true, nil
+	return t, true, nil
 }
 
 // loadRemote consults the read-through fetcher after a local miss. Every
@@ -551,22 +512,12 @@ func (s *Store) fetchRemote(proto IPCTable) (*IPCTable, bool) {
 	if err != nil || !ok {
 		return nil, false
 	}
-	// Stricter than local loads: ReadRaw stamps a footer on every wire
-	// response, so footer-less remote bytes are not legacy files — they
-	// are truncation or a non-store response, and are rejected.
-	payload, hasFooter, valid := splitFooter(data)
-	if !hasFooter || !valid {
-		return nil, false
-	}
-	var t IPCTable
-	if err := json.Unmarshal(payload, &t); err != nil {
-		return nil, false
-	}
-	if t.Validate() != nil || t.Identity != proto.Identity {
+	t, ok := decode(data)
+	if !ok || t.Identity != proto.Identity {
 		return nil, false
 	}
 	s.publish(key+"-*.tmp", s.path(key), data, "results.fetch.write")
-	return &t, true
+	return t, true
 }
 
 // ErrBadKey reports a ReadRaw key outside the store's filename-safe
@@ -595,9 +546,8 @@ func validKey(key string) bool {
 // ReadRaw returns the stored bytes of key exactly as a remote peer must
 // receive them: payload plus integrity footer. It is strictly local — it
 // never consults the read-through fetcher — so two stores fetching from
-// each other cannot loop. Legacy footer-less files are stamped with a
-// footer on the way out, keeping every wire response verifiable; a file
-// with a present-but-wrong footer is quarantined and reported absent.
+// each other cannot loop. A file whose footer is missing or wrong is
+// quarantined and reported absent, so every wire response verifies.
 func (s *Store) ReadRaw(key string) ([]byte, bool, error) {
 	if !validKey(key) {
 		return nil, false, ErrBadKey
@@ -610,13 +560,9 @@ func (s *Store) ReadRaw(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("results: %w", err)
 	}
-	payload, hasFooter, valid := splitFooter(data)
-	if hasFooter && !valid {
+	if _, ok := splitFooter(data); !ok {
 		s.quarantine(path)
 		return nil, false, nil
-	}
-	if !hasFooter {
-		return appendFooter(payload), true, nil
 	}
 	return data, true, nil
 }
@@ -648,7 +594,7 @@ type Entry struct {
 }
 
 // List returns one identity-preserving entry per stored table, sorted by
-// key. It reports the raw identity fields (spec, cores, policy,
+// key. It reports the raw identity fields (simulator, cores, policy,
 // source, ...), which is what the serve /cache endpoint and list-style
 // tooling show. Only the identity fields are decoded — the
 // IPC rows are skipped — an entry whose content does not match its
@@ -720,16 +666,18 @@ func (s *Store) listQuarantine() []Entry {
 }
 
 // decodeIdentity fills the entry's identity (or Corrupt flag) from one
-// stored file, decoding only the identity fields and verifying the
-// integrity footer when present.
+// stored file, verifying the integrity footer and decoding only the
+// identity fields. A file whose identity does not render back to its
+// name is corrupt: that covers a table stored under the wrong name and
+// every warmed or sampled table an earlier build keyed "-w…"/"-smp…".
 func (e *Entry) decodeIdentity(path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		e.Corrupt = true
 		return
 	}
-	payload, hasFooter, valid := splitFooter(data)
-	if hasFooter && !valid {
+	payload, ok := splitFooter(data)
+	if !ok {
 		e.Corrupt = true
 		return
 	}

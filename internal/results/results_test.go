@@ -386,157 +386,10 @@ func TestListPreservesIdentity(t *testing.T) {
 	}
 }
 
-// sampledTable is table() with a sampling identity and CI/CV columns.
-func sampledTable() *IPCTable {
-	tab := table()
-	tab.SampleUnit = 10000
-	tab.SampleWindow = 1000
-	tab.SampleWarmup = 1000
-	tab.CI = [][]float64{{0.1, 0.2}, {0.1, 0.1}, {0.2, 0.2}}
-	tab.CV = [][]float64{{0.3, 0.4}, {0.3, 0.3}, {0.4, 0.4}}
-	return tab
-}
-
-func TestSampledKeyDistinguishesSpecs(t *testing.T) {
-	exact := table()
-	a := sampledTable()
-	if exact.Key() == a.Key() {
-		t.Error("sampled and exact tables share a key")
-	}
-	b := sampledTable()
-	b.SampleWindow = 2000
-	if a.Key() == b.Key() {
-		t.Error("different windows share a key")
-	}
-	c := sampledTable()
-	c.SampleWarm = 4000
-	if a.Key() == c.Key() {
-		t.Error("bounded and full warming share a key")
-	}
-}
-
-func TestSampledTableRoundTrip(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	want := sampledTable()
-	want.SampleWarm = 4000
-	if err := s.Save(want); err != nil {
-		t.Fatal(err)
-	}
-	// An exact request must miss the sampled entry.
-	if _, ok, err := s.Load(*table()); err != nil || ok {
-		t.Fatalf("exact request served a sampled table: ok=%v err=%v", ok, err)
-	}
-	got, ok, err := s.Load(*want)
-	if err != nil || !ok {
-		t.Fatalf("Load: ok=%v err=%v", ok, err)
-	}
-	for i := range want.CI {
-		for k := range want.CI[i] {
-			if got.CI[i][k] != want.CI[i][k] || got.CV[i][k] != want.CV[i][k] {
-				t.Fatalf("CI/CV[%d][%d] did not survive the round trip", i, k)
-			}
-		}
-	}
-	// The sampling identity survives a listing (and the file is not
-	// flagged corrupt, i.e. the identity decode covers these fields).
-	entries, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range entries {
-		if e.Key == want.Key() {
-			found = true
-			if e.Corrupt {
-				t.Fatal("sampled table listed as corrupt")
-			}
-			if e.Table.SampleUnit != want.SampleUnit || e.Table.SampleWindow != want.SampleWindow ||
-				e.Table.SampleWarmup != want.SampleWarmup || e.Table.SampleWarm != want.SampleWarm {
-				t.Errorf("listed sampling identity %+v does not match saved table", e.Table)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("List missing sampled key %s", want.Key())
-	}
-}
-
-func TestWarmedTableListsClean(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	tab := table()
-	tab.Warmup = 5000
-	if err := s.Save(tab); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Corrupt {
-		t.Fatalf("warmed table listing: %+v", entries)
-	}
-	if entries[0].Table.Warmup != tab.Warmup {
-		t.Errorf("listed warmup %d, want %d", entries[0].Table.Warmup, tab.Warmup)
-	}
-}
-
-func TestValidateRejectsBadSampledTables(t *testing.T) {
-	cases := []func(*IPCTable){
-		func(t *IPCTable) { t.SampleWindow = 0 },                // unit without window
-		func(t *IPCTable) { t.SampleWindow = 9500 },             // window+warmup > unit
-		func(t *IPCTable) { t.SampleWarm = 9000 },               // warm > gap
-		func(t *IPCTable) { t.SampleUnit = -1 },                 // negative
-		func(t *IPCTable) { t.SampleUnit = 0; t.CI = nil },      // warmup without unit
-		func(t *IPCTable) { t.CI = [][]float64{{1, 2}} },        // CI row mismatch
-		func(t *IPCTable) { t.CV = [][]float64{{1}, {1}, {1}} }, // CV core mismatch
-	}
-	for i, mutate := range cases {
-		tab := sampledTable()
-		mutate(tab)
-		if err := tab.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted bad sampled table", i)
-		}
-	}
-	exact := table()
-	exact.CI = [][]float64{{1, 2}, {1, 2}, {1, 2}}
-	if err := exact.Validate(); err == nil {
-		t.Error("Validate accepted CI column on an exact table")
-	}
-	if err := sampledTable().Validate(); err != nil {
-		t.Errorf("Validate rejected good sampled table: %v", err)
-	}
-}
-
-// TestWarmupKeyedSeparately pins that warmed tables live under their own
-// cache keys while zero-warmup keys keep the historic format, so files
-// persisted before warmup existed stay loadable.
-func TestWarmupKeyedSeparately(t *testing.T) {
-	a := table()
-	if got, want := a.Key(), "badco-c2-LRU-l1000-p3-s7"; got != want {
-		t.Fatalf("zero-warmup key %q, want historic %q", got, want)
-	}
-	b := table()
-	b.Warmup = 500
-	if a.Key() == b.Key() {
-		t.Fatalf("warmed and unwarmed tables share key %q", a.Key())
-	}
-
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Load(*b); err != nil || ok {
-		t.Fatalf("warmed proto loaded the unwarmed table (ok=%v, err=%v)", ok, err)
-	}
-}
-
-// TestIdentityKeysPinned pins Identity.Key to literal strings for every
-// run protocol: the keys name files persisted across versions and the
-// fleet fetches tables by them, so a refactor of how the key is built
-// must reproduce these bytes exactly.
+// TestIdentityKeysPinned pins Identity.Key to literal strings: the keys
+// name files persisted across versions and the fleet fetches tables by
+// them, so a refactor of how the key is built must reproduce these bytes
+// exactly.
 func TestIdentityKeysPinned(t *testing.T) {
 	base := Identity{Simulator: "badco", Cores: 4, Policy: "DRRIP", TraceLen: 20000, Population: 330, Seed: 1}
 	with := func(f func(*Identity)) Identity {
@@ -552,20 +405,10 @@ func TestIdentityKeysPinned(t *testing.T) {
 		{with(func(id *Identity) {
 			id.Simulator, id.Population, id.Universe = "detailed", 40, 330
 		}), "detailed-c4-DRRIP-l20000-p40-s1-u330"},
-		{with(func(id *Identity) { id.Warmup = 1500 }), "badco-c4-DRRIP-l20000-p330-s1-w1500"},
-		{with(func(id *Identity) {
-			id.Simulator, id.SampleUnit, id.SampleWindow, id.SampleWarmup = "detailed", 10000, 1000, 500
-		}), "detailed-c4-DRRIP-l20000-p330-s1-smpu10000d1000w500"},
-		{with(func(id *Identity) {
-			id.Simulator, id.SampleUnit, id.SampleWindow, id.SampleWarmup, id.SampleWarm = "detailed", 10000, 1000, 500, 4000
-		}), "detailed-c4-DRRIP-l20000-p330-s1-smpu10000d1000w500f4000"},
-		{with(func(id *Identity) {
-			id.Warmup, id.SampleUnit, id.SampleWindow, id.SampleWarmup = 1500, 10000, 1000, 500
-		}), "badco-c4-DRRIP-l20000-p330-s1-w1500-smpu10000d1000w500"},
 		{with(func(id *Identity) { id.Source = "scaled:64:7" }), "badco-c4-DRRIP-l20000-p330-s1-scaled_64_7-7b934576"},
 		{with(func(id *Identity) {
-			id.Simulator, id.Population, id.Universe, id.Warmup, id.Source = "detailed", 40, 2016, 1500, "dir:traces/spec"
-		}), "detailed-c4-DRRIP-l20000-p40-s1-u2016-w1500-dir_traces_spec-5a9c5cba"},
+			id.Simulator, id.Population, id.Universe, id.Source = "detailed", 40, 2016, "dir:traces/spec"
+		}), "detailed-c4-DRRIP-l20000-p40-s1-u2016-dir_traces_spec-5a9c5cba"},
 		{with(func(id *Identity) {
 			id.Simulator, id.Cores, id.Policy, id.Population = SimRef, 2, "LRU", 22
 		}), "ref-c2-LRU-l20000-p22-s1"},

@@ -33,17 +33,15 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 		u.fillFunctional(line, write, false)
 	}
 	// Train the LLC prefetchers on the demand stream, exactly as the
-	// timed path does (PC salted with the core id; proposals staged
-	// through the reusable scratch).
+	// timed path does (PC salted with the core id; proposals read from
+	// the prefetcher's buffer, which prefetchFunctional never refills).
 	var props []uint64
 	if u.prefSS != nil {
 		props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, !hit)
 	} else {
 		props = u.pref.Observe(pc^uint64(core)<<56, paddr, !hit)
 	}
-	u.pfScratch = u.pfScratch[:0]
-	u.pfScratch = append(u.pfScratch, props...)
-	for _, a := range u.pfScratch {
+	for _, a := range props {
 		u.prefetchFunctional(cache.AlignLine(a))
 	}
 }

@@ -17,6 +17,19 @@ func scanMSHR(u *Uncore, line, now uint64) (uint64, bool) {
 	return 0, false
 }
 
+// recordingPrefetcher wraps the uncore's prefetcher and keeps a copy of
+// the proposals of its latest Observe.
+type recordingPrefetcher struct {
+	cache.Prefetcher
+	last []uint64
+}
+
+func (p *recordingPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
+	props := p.Prefetcher.Observe(pc, addr, miss)
+	p.last = append(p.last[:0], props...)
+	return props
+}
+
 // TestResidencyBitmapMatchesProbe pins the uncore's residency bitmap to
 // the LLC's own set scan, and its filtered MSHR lookup to a plain scan of
 // the file. Seeded mixes of timed, functional and prefetch requests from
@@ -31,6 +44,8 @@ func TestResidencyBitmapMatchesProbe(t *testing.T) {
 		cfg.PolicySeed = seed
 		cfg.LLCBytes = 64 << 10 // small, so the mixes evict
 		u := MustNew(cfg)
+		rec := &recordingPrefetcher{Prefetcher: u.pref}
+		u.pref, u.prefSS = rec, nil
 		rng := rand.New(rand.NewSource(seed))
 		seen := map[uint64]bool{}
 		var order []uint64 // seen, in first-seen order, for stable failures
@@ -85,7 +100,7 @@ func TestResidencyBitmapMatchesProbe(t *testing.T) {
 				u.Access(core, pc, vaddr, write, prefetch, now)
 			}
 			see(cache.AlignLine(u.Translate(core, vaddr)))
-			for _, a := range u.pfScratch {
+			for _, a := range rec.last {
 				if a/PageSize >= u.nextPage {
 					pastEnd++
 				}

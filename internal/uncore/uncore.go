@@ -140,12 +140,6 @@ type Uncore struct {
 	// order, so results are unchanged. Row-major by core.
 	xlat []xlatEntry
 
-	// pfScratch detaches prefetch proposals from the prefetcher's reused
-	// buffer before they are issued. An Uncore serves one simulation
-	// goroutine, so a single reusable scratch keeps the demand path
-	// allocation-free.
-	pfScratch []uint64
-
 	// resident is the LLC's residency bitmap: bit line/LineSize%64 of
 	// resident[line/PageSize] is set while line is in the LLC (a page
 	// holds exactly 64 lines). The uncore is the LLC's only writer and
@@ -418,18 +412,16 @@ func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool
 		// Train the LLC prefetchers on the demand stream. Proposals are
 		// issued as speculative fills through the same path. The PC is
 		// salted with the core id so per-core streams do not alias. The
-		// proposals are staged through pfScratch so that issuing them
-		// cannot alias the prefetcher's reused buffer; nothing downstream
-		// of prefetchAccess observes the demand stream, so the scratch is
-		// never reused re-entrantly.
+		// proposals are read straight from the prefetcher's reused
+		// buffer: prefetchAccess never calls Observe, so nothing
+		// overwrites the buffer while it is read.
 		var props []uint64
 		if u.prefSS != nil {
 			props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
 		} else {
 			props = u.pref.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
 		}
-		u.pfScratch = append(u.pfScratch[:0], props...)
-		for _, a := range u.pfScratch {
+		for _, a := range props {
 			u.prefetchAccess(cache.AlignLine(a), now)
 		}
 	}

@@ -19,18 +19,12 @@ const (
 	GMSU = metrics.GMSU
 )
 
-// Metrics returns the paper's three metrics in presentation order.
-func Metrics() []Metric { return metrics.All() }
-
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) float64 { return stats.Mean(xs) }
 
 // CoefVar returns the coefficient of variation sigma/mu of the values —
 // the paper's central statistic over the per-workload differences d(w).
 func CoefVar(xs []float64) float64 { return stats.CoefVar(xs) }
-
-// InvCoefVar returns 1/cv, the decisiveness measure of Figures 4 and 5.
-func InvCoefVar(xs []float64) float64 { return stats.InvCoefVar(xs) }
 
 // Confidence returns the analytic degree of confidence (equation 5) that
 // the mean difference has the sign of its expectation, for a random

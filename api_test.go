@@ -9,12 +9,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mcbench"
+	"mcbench/internal/experiments"
 )
 
 // apiCtx is the background context of the API tests.
@@ -219,6 +221,51 @@ func TestLabRunRegistryExperiment(t *testing.T) {
 	// must succeed.
 	if _, err := l.Warm(apiCtx, []string{"fig1"}, 0); err != nil {
 		t.Errorf("Warm rejected a valid name: %v", err)
+	}
+}
+
+// TestCoresPlansAgree pins the one meaning of a cores argument. The CLI
+// hands its -cores to Lab.Warm and Lab.Run, and the server plans an
+// experiment job through experiments.ParamsFor; all three plan the same
+// products. For fig2, fig3 and fig7 a positive count pins the core-count
+// sweep, so every product is an N-core one, while 0 keeps the paper's
+// sweep over several core counts.
+func TestCoresPlansAgree(t *testing.T) {
+	cfg := tinyConfig()
+	l := mcbench.NewLab(cfg)
+	served := experiments.NewLab(cfg)
+	for _, name := range []string{"fig2", "fig3", "fig7"} {
+		for _, cores := range []int{0, 2, 8} {
+			got, err := mcbench.WarmPlan(l, []string{name}, cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := experiments.Distinct(served.CampaignPlan([]string{name}, experiments.ParamsFor(cores)))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with cores %d: Lab plans %v, the server %v", name, cores, got, want)
+			}
+			counts := map[int]bool{}
+			for _, r := range got {
+				if r.Cores > 0 {
+					counts[r.Cores] = true
+				}
+			}
+			if cores > 0 && (len(counts) != 1 || !counts[cores]) {
+				t.Errorf("%s with cores %d plans core counts %v, want %d only", name, cores, counts, cores)
+			}
+			if cores == 0 && len(counts) < 2 {
+				t.Errorf("%s with cores 0 plans core counts %v, want the paper's sweep", name, counts)
+			}
+		}
+	}
+	// The default, 0, plans the whole campaign the CLI planned when its
+	// -cores defaulted to 4 and set the single-count experiments only.
+	got, err := mcbench.WarmPlan(l, []string{"all"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := experiments.Distinct(served.CampaignPlan([]string{"all"}, experiments.Params{Cores: 4})); !reflect.DeepEqual(got, want) {
+		t.Errorf("all with cores 0 plans %v, want %v", got, want)
 	}
 }
 

@@ -427,9 +427,9 @@ func (c *Client) Health(ctx context.Context) (*ServerHealth, error) {
 }
 
 // ServerExperiments fetches the server's registry catalogue.
-func (c *Client) ServerExperiments(ctx context.Context) ([]ServeExperimentInfo, error) {
+func (c *Client) ServerExperiments(ctx context.Context) ([]ExperimentInfo, error) {
 	var payload struct {
-		Experiments []ServeExperimentInfo `json:"experiments"`
+		Experiments []ExperimentInfo `json:"experiments"`
 	}
 	if err := c.do(ctx, http.MethodGet, "/experiments", nil, &payload); err != nil {
 		return nil, err

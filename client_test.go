@@ -143,6 +143,48 @@ func TestClientSimulateJob(t *testing.T) {
 	}
 }
 
+// TestClientSweepJob round-trips an ad-hoc sweep through the public
+// client: the served results come back indexed like the submitted
+// workloads, with the IPCs a local Sweep at the lab's trace length
+// computes.
+func TestClientSweepJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := tinyConfig()
+	c, cancel, _ := startServer(t, cfg)
+	defer cancel()
+	ctx := context.Background()
+
+	workloads := [][]string{{"mcf", "povray"}, {"gcc", "soplex"}}
+	opts := []mcbench.Option{mcbench.WithPolicy(mcbench.DRRIP), mcbench.WithQuota(2000)}
+	st, err := c.SubmitSweep(ctx, workloads, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := mcbench.Sweep(ctx, workloads, append(opts, mcbench.WithTraceLen(cfg.TraceLen))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != len(workloads) {
+		t.Fatalf("sweep returned %d results, want %d", len(res.Results), len(workloads))
+	}
+	for i, r := range res.Results {
+		if strings.Join(r.Workload, ",") != strings.Join(workloads[i], ",") || len(r.IPC) != len(local[i].IPC) {
+			t.Fatalf("result %d: workload %v with %d IPCs, want %v with %d", i, r.Workload, len(r.IPC), workloads[i], len(local[i].IPC))
+		}
+		for j := range r.IPC {
+			if r.IPC[j] != local[i].IPC[j] {
+				t.Errorf("workload %v core %d: served IPC %g, local %g", workloads[i], j, r.IPC[j], local[i].IPC[j])
+			}
+		}
+	}
+}
+
 func TestNewClientValidation(t *testing.T) {
 	if _, err := mcbench.NewClient("ftp://nope"); err == nil {
 		t.Error("non-http scheme accepted")

@@ -13,11 +13,19 @@
 //	mcbench top [-addr URL] [-interval D] [-n N]
 //	mcbench version
 //
-// Experiments are dispatched through the registry in
-// internal/experiments; `mcbench list` enumerates them. -quick runs a
+// The command is a client of the public mcbench package: a campaign
+// runs through mcbench.Lab (Warm, then Run and Chart per experiment),
+// the same dispatcher a library caller and the server's experiment jobs
+// use, so one set of arguments builds the same products on every entry
+// point. `mcbench list` enumerates the experiments. -quick runs a
 // reduced campaign (smaller traces, subsampled populations, fewer
 // Monte-Carlo trials) that finishes in a few minutes; the default
 // campaign matches the paper's scale and may take much longer.
+//
+// -cores pins the core count of every experiment: the single-count ones
+// (fig4/fig5/fig6/overhead and most extensions) and the core-count
+// sweeps of fig2, fig3 and fig7. 0, the default, keeps each experiment's
+// paper default (4 cores; 2, 4 and 8 for the sweeps).
 //
 // -suite selects the benchmark source the campaign studies: "suite"
 // (the paper's fixed 22 benchmarks), "scaled:B[:seed]" (B ∈ [12, 512]
@@ -46,13 +54,10 @@ import (
 	"time"
 
 	"mcbench"
-	"mcbench/internal/bench"
-	"mcbench/internal/buildinfo"
-	"mcbench/internal/cache"
-	"mcbench/internal/experiments"
-	"mcbench/internal/multicore"
-	"mcbench/internal/sigctx"
-	"mcbench/internal/trace"
+	"mcbench/internal/buildinfo"   // version and the serve banner print the build identity
+	"mcbench/internal/experiments" // Suggest and CheckCores: a mistyped name or a bad -cores exits 2 before any simulation
+	"mcbench/internal/multicore"   // -sample parses into a SamplingSpec (sim prints its canonical form); sim's hints match its sentinel errors
+	"mcbench/internal/sigctx"      // the signal context and exit codes batch runs and serve share
 )
 
 func main() {
@@ -64,7 +69,7 @@ func main() {
 func realMain() int {
 	quick := flag.Bool("quick", false, "reduced campaign (fast, lower resolution)")
 	suiteSpec := flag.String("suite", "suite", "benchmark source: suite | scaled:B[:seed] | dir:PATH")
-	cores := flag.Int("cores", 4, "core count for the single-core-count experiments (fig4/fig5/fig6/overhead/extensions)")
+	cores := flag.Int("cores", 0, "core count of every experiment, fig2/fig3/fig7's sweeps included (0 = each experiment's paper default)")
 	cacheDir := flag.String("cache", "", "directory for persisting population sweeps across runs")
 	plotFlag := flag.Bool("plot", false, "render figures as text charts in addition to tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof)")
@@ -73,10 +78,6 @@ func realMain() int {
 	flag.Usage = usage
 	flag.Parse()
 
-	if *cores < 1 {
-		fmt.Fprintf(os.Stderr, "mcbench: -cores must be >= 1 (got %d)\n", *cores)
-		return 2
-	}
 	if err := experiments.CheckCores(*cores); err != nil {
 		fmt.Fprintln(os.Stderr, "mcbench: -cores:", err)
 		return 2
@@ -102,26 +103,25 @@ func realMain() int {
 	}
 	defer stopProfiles()
 
-	cfg := experiments.DefaultConfig()
+	cfg := mcbench.DefaultConfig()
 	if *quick {
-		cfg = experiments.QuickConfig()
+		cfg = mcbench.QuickConfig()
 	}
 	cfg.CacheDir = *cacheDir
-	src, err := bench.Parse(*suiteSpec)
+	src, err := mcbench.Suite(*suiteSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcbench:", err)
 		return 2
 	}
 	cfg.Source = src
-	lab := experiments.NewLab(cfg)
-	params := experiments.Params{Cores: *cores}
+	lab := mcbench.NewLab(cfg)
 
 	switch args[0] {
 	case "list":
 		listExperiments(os.Stdout)
 		return 0
 	case "benches":
-		listBenches(os.Stdout, src)
+		listBenches(os.Stdout, lab)
 		return 0
 	case "version":
 		fmt.Println(buildinfo.Read())
@@ -131,8 +131,8 @@ func realMain() int {
 	case "top":
 		return topCmd(ctx, args[1:])
 	case "sim":
-		if err := simulate(ctx, lab, args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "mcbench:", err)
+		if err := simulate(ctx, cfg, args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return sigctx.ExitCode(err)
 		}
 		return 0
@@ -140,11 +140,12 @@ func realMain() int {
 
 	// Validate every requested name before any simulation starts, so a
 	// typo late in the argument list cannot waste a warmed campaign.
+	known := map[string]bool{"all": true}
+	for _, e := range mcbench.Experiments() {
+		known[e.Name] = true
+	}
 	for _, name := range args {
-		if name == "all" {
-			continue
-		}
-		if _, ok := experiments.Lookup(name); !ok {
+		if !known[name] {
 			msg := fmt.Sprintf("mcbench: unknown experiment %q", name)
 			if s := suggest(name); s != "" {
 				msg += fmt.Sprintf(" (did you mean %q?)", s)
@@ -154,35 +155,66 @@ func realMain() int {
 			return 2
 		}
 	}
-
-	// Precompute every table the selected experiments declare, with
-	// campaign-level parallelism on top of the per-sweep parallelism, so
-	// a full reproduction saturates the host's cores. The experiments
-	// then read memoized (or -cache persisted) tables.
-	if plan := lab.CampaignPlan(args, params); len(plan) > 0 {
-		start := time.Now()
-		n, err := lab.Warm(ctx, plan, 0)
-		if err != nil {
-			return campaignErr(err, *cacheDir)
-		}
-		fmt.Printf("(warmed %d tables/products in %v)\n\n", n, time.Since(start).Round(time.Millisecond))
-	}
-
-	for _, name := range args {
-		names := []string{name}
-		if name == "all" {
-			names = experiments.AllExperiments()
-		}
-		for _, n := range names {
-			if err := run(ctx, lab, n, params, *plotFlag); err != nil {
-				return campaignErr(err, *cacheDir)
-			}
-		}
+	if err := campaign(ctx, lab, args, *cores, *plotFlag); err != nil {
+		return campaignErr(err, *cacheDir)
 	}
 	if *timing {
 		printTiming(os.Stdout)
 	}
 	return 0
+}
+
+// campaign precomputes every product the named experiments read, with
+// campaign-level parallelism on top of the per-sweep parallelism so a
+// full reproduction saturates the host's cores, then runs each
+// experiment on the memoized (or -cache persisted) products and prints
+// its table, and its chart with -plot.
+func campaign(ctx context.Context, lab *mcbench.Lab, names []string, cores int, plot bool) error {
+	start := time.Now()
+	n, err := lab.Warm(ctx, names, cores)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		fmt.Printf("(warmed %d tables/products in %v)\n\n", n, time.Since(start).Round(time.Millisecond))
+	}
+	for _, arg := range names {
+		group := []string{arg}
+		if arg == "all" {
+			group = paperExperiments()
+		}
+		for _, name := range group {
+			start := time.Now()
+			t, err := lab.Run(ctx, name, cores)
+			if err != nil {
+				return err
+			}
+			t.Fprint(os.Stdout)
+			if plot {
+				chart, ok, err := lab.Chart(ctx, name, cores)
+				if err != nil {
+					return err
+				}
+				if ok && chart != "" {
+					fmt.Println(chart)
+				}
+			}
+			fmt.Printf("(%s took %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		}
+	}
+	return nil
+}
+
+// paperExperiments lists the experiments "all" runs: the paper's, in
+// run order.
+func paperExperiments() []string {
+	var names []string
+	for _, e := range mcbench.Experiments() {
+		if e.Group == "paper" {
+			names = append(names, e.Name)
+		}
+	}
+	return names
 }
 
 // campaignErr reports a campaign failure under the shared exit-code
@@ -207,7 +239,7 @@ func campaignErr(err error, cacheDir string) int {
 // disk. With -join the server runs as a fleet worker of the coordinator
 // at that address; without it the server is itself a coordinator, and
 // campaigns submitted to it shard across whatever workers have joined.
-func serveCmd(ctx context.Context, cfg experiments.Config, args []string) int {
+func serveCmd(ctx context.Context, cfg mcbench.Config, args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 2, "concurrently executing jobs")
@@ -322,9 +354,10 @@ func parseSampleSpec(s string) (multicore.SamplingSpec, error) {
 // thread commits N µops before the measurement window opens. With
 // -sample the detailed simulator runs under systematic sampling and the
 // IPCs become estimates with a 95% confidence column. Both passes run
-// through the lab's ad-hoc executor rather than mcbench.Simulate, whose
-// errors carry a package prefix the CLI would print twice.
-func simulate(ctx context.Context, lab *experiments.Lab, args []string) error {
+// through mcbench.Simulate at the campaign's trace length, which builds
+// the BADCO models of the workload's benchmarks only. Every error it
+// returns carries the "mcbench:" prefix, as mcbench.Simulate's do.
+func simulate(ctx context.Context, cfg mcbench.Config, args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	warmup := fs.Uint64("warmup", 0, "µops committed per thread before measurement (warms caches and predictors)")
 	quota := fs.Uint64("quota", 0, "µops measured per thread (default: one trace length)")
@@ -334,23 +367,27 @@ func simulate(ctx context.Context, lab *experiments.Lab, args []string) error {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fmt.Errorf("mcbench: %w", err)
 	}
 	args = fs.Args()
 	if len(args) != 2 {
-		return fmt.Errorf("%s", simUsage)
+		return fmt.Errorf("mcbench: %s", simUsage)
 	}
-	policy := cache.PolicyName(args[0])
-	spec := multicore.Spec{Policy: policy, Quota: *quota, Warmup: *warmup}
+	policy := mcbench.Policy(args[0])
+	opts := []mcbench.Option{
+		mcbench.WithSuite(cfg.Source), mcbench.WithTraceLen(cfg.TraceLen),
+		mcbench.WithPolicy(policy), mcbench.WithQuota(*quota), mcbench.WithWarmup(*warmup),
+	}
+	var smp multicore.SamplingSpec
 	if *sample != "" {
-		smp, err := parseSampleSpec(*sample)
-		if err != nil {
-			return err
+		var err error
+		if smp, err = parseSampleSpec(*sample); err != nil {
+			return fmt.Errorf("mcbench: %w", err)
 		}
-		spec.Sampling = smp
+		opts = append(opts, mcbench.WithSampling(smp.Unit, smp.Window, smp.Warmup), mcbench.WithSamplingWarm(smp.Warm))
 	}
-	workload := [][]string{strings.Split(args[1], ",")}
-	res, _, _, err := lab.Simulate(ctx, spec, workload, 0)
+	workload := strings.Split(args[1], ",")
+	det, err := mcbench.Simulate(ctx, workload, opts...)
 	switch {
 	case errors.Is(err, multicore.ErrUnknownBenchmark):
 		return fmt.Errorf("%w (run `mcbench benches`)", err)
@@ -359,12 +396,12 @@ func simulate(ctx context.Context, lab *experiments.Lab, args []string) error {
 	case err != nil:
 		return err
 	}
-	det := res[0]
 	w := det.Workload
+	name := strings.Join(w, "+")
 
-	if spec.Sampling.Enabled() {
+	if smp.Enabled() {
 		fmt.Printf("workload %s under %s (sampled %s, %d windows of %d µops)\n",
-			w, policy, spec.Sampling, det.Windows, spec.Sampling.Window)
+			name, policy, smp, det.Windows, smp.Window)
 		fmt.Printf("%-12s  %10s  %10s  %8s\n", "thread", "IPC(est)", "±95% CI", "cv")
 		for i, n := range w {
 			fmt.Printf("%-12s  %10.4f  %10.4f  %8.3f\n", n, det.IPC[i], det.CIHalf[i], det.CV[i])
@@ -372,16 +409,15 @@ func simulate(ctx context.Context, lab *experiments.Lab, args []string) error {
 		return nil
 	}
 
-	spec.Engine = multicore.BADCO
-	if res, _, _, err = lab.Simulate(ctx, spec, workload, 0); err != nil {
+	app, err := mcbench.Simulate(ctx, workload, append(opts, mcbench.WithSimulator(mcbench.BADCO))...)
+	if err != nil {
 		return err
 	}
-	app := res[0]
 	window := fmt.Sprintf("%d µops/thread", det.Instructions)
 	if *warmup > 0 {
 		window += fmt.Sprintf(" after %d warmup", *warmup)
 	}
-	fmt.Printf("workload %s under %s (%s)\n", w, policy, window)
+	fmt.Printf("workload %s under %s (%s)\n", name, policy, window)
 	fmt.Printf("%-12s  %10s  %10s\n", "thread", "detailed", "BADCO")
 	for i, n := range w {
 		fmt.Printf("%-12s  %10.4f  %10.4f\n", n, det.IPC[i], app.IPC[i])
@@ -389,28 +425,15 @@ func simulate(ctx context.Context, lab *experiments.Lab, args []string) error {
 	return nil
 }
 
-// listBenches prints the active source's benchmark catalogue.
-func listBenches(w io.Writer, src bench.Source) {
-	names := src.Names()
-	fmt.Fprintf(w, "benchmarks of source %s (%d):\n", src.Name(), len(names))
-	type paramsSource interface {
-		Params(string) (trace.Params, bool)
-	}
-	ps, hasParams := src.(paramsSource)
-	for i, n := range names {
-		line := fmt.Sprintf("  %3d  %-12s", i, n)
-		if hasParams {
-			if p, ok := ps.Params(n); ok {
-				pats := ""
-				for j, spec := range p.Patterns {
-					if j > 0 {
-						pats += "+"
-					}
-					pats += spec.Kind.String()
-				}
-				line += fmt.Sprintf("  load %.2f  store %.2f  branch %.2f  fp %.2f  %s",
-					p.LoadFrac, p.StoreFrac, p.BranchFrac, p.FPFrac, pats)
-			}
+// listBenches prints the benchmark catalogue of the lab's source.
+func listBenches(w io.Writer, lab *mcbench.Lab) {
+	benches := lab.Benches()
+	fmt.Fprintf(w, "benchmarks of source %s (%d):\n", lab.Suite().Name(), len(benches))
+	for i, b := range benches {
+		line := fmt.Sprintf("  %3d  %-12s", i, b.Name)
+		if p := b.Params; p != nil {
+			line += fmt.Sprintf("  load %.2f  store %.2f  branch %.2f  fp %.2f  %s",
+				p.LoadFrac, p.StoreFrac, p.BranchFrac, p.FPFrac, strings.Join(p.Patterns, "+"))
 		}
 		fmt.Fprintln(w, line)
 	}
@@ -438,20 +461,23 @@ func suggest(name string) string {
 	return experiments.Suggest(name, extra...)
 }
 
-// listExperiments prints the registry catalogue, grouped.
+// listExperiments prints the catalogue, grouped.
 func listExperiments(w io.Writer) {
+	exps := mcbench.Experiments()
 	fmt.Fprintln(w, "experiments (paper):")
-	printGroup(w, experiments.GroupPaper)
+	printGroup(w, exps, "paper")
 	fmt.Fprintln(w, "\nextensions (beyond the paper):")
-	printGroup(w, experiments.GroupExtension)
+	printGroup(w, exps, "extension")
 	fmt.Fprintln(w, "\ncommands:")
 	printEntry(w, "all", "every paper experiment above, in order")
 	printCommands(w)
 }
 
-func printGroup(w io.Writer, g experiments.Group) {
-	for _, e := range experiments.ByGroup(g) {
-		printEntry(w, e.Name, e.Synopsis)
+func printGroup(w io.Writer, exps []mcbench.ExperimentInfo, group string) {
+	for _, e := range exps {
+		if e.Group == group {
+			printEntry(w, e.Name, e.Synopsis)
+		}
 	}
 }
 
@@ -468,17 +494,18 @@ func printEntry(w io.Writer, name, synopsis string) {
 	fmt.Fprintf(w, "  %-18s %s\n", name, synopsis)
 }
 
-// usage is generated from the registry and the command table, so a
+// usage is generated from the catalogue and the command table, so a
 // newly registered experiment shows up without touching the CLI.
 func usage() {
+	exps := mcbench.Experiments()
 	fmt.Fprint(os.Stderr, `usage: mcbench [-quick] [-cores N] [-suite SPEC] <experiment>...
 
 experiments:
 `)
-	printGroup(os.Stderr, experiments.GroupPaper)
+	printGroup(os.Stderr, exps, "paper")
 	printEntry(os.Stderr, "all", "everything above")
 	fmt.Fprint(os.Stderr, "\nextensions (beyond the paper):\n")
-	printGroup(os.Stderr, experiments.GroupExtension)
+	printGroup(os.Stderr, exps, "extension")
 	fmt.Fprint(os.Stderr, "\ncommands:\n")
 	printCommands(os.Stderr)
 	fmt.Fprint(os.Stderr, `
@@ -487,31 +514,4 @@ flags: -suite selects the benchmark source (suite | scaled:B[:seed] | dir:PATH)
        -timing prints the per-phase simulation timing breakdown after the run
        -cpuprofile/-memprofile write pprof profiles for performance work
 `)
-}
-
-// run executes one registered experiment and prints its table (and
-// chart, with -plot).
-func run(ctx context.Context, lab *experiments.Lab, name string, p experiments.Params, plotFlag bool) error {
-	e, ok := experiments.Lookup(name)
-	if !ok {
-		// Unreachable after upfront validation; kept for safety.
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	start := time.Now()
-	t, err := e.Run(ctx, lab, p)
-	if err != nil {
-		return err
-	}
-	t.Fprint(os.Stdout)
-	if plotFlag && e.Chart != nil {
-		chart, err := e.Chart(ctx, lab, p)
-		if err != nil {
-			return err
-		}
-		if chart != "" {
-			fmt.Println(chart)
-		}
-	}
-	fmt.Printf("(%s took %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	return nil
 }

@@ -43,16 +43,19 @@ func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // TestCoresFlagBounded pins the -cores bound: the experiments size their
-// machines and populations by it, so a count beyond the largest machine
-// exits with a usage error before any simulation starts.
+// machines and populations by it, so a negative count or one beyond the
+// largest machine exits with a usage error before any simulation starts.
+// 0 is each experiment's paper default, as in Lab.Run and the server.
 func TestCoresFlagBounded(t *testing.T) {
-	for _, cores := range []string{"0", "-3", "65", "100000"} {
+	for _, cores := range []string{"-3", "65", "100000"} {
 		if code, _, _ := runMain(t, "-quick", "-cores", cores, "fig4"); code != 2 {
 			t.Errorf("-cores %s: exit %d, want 2", cores, code)
 		}
 	}
-	if code, _, _ := runMain(t, "-quick", "-cores", "64", "fig1"); code != 0 {
-		t.Errorf("-cores 64 fig1: exit %d, want 0", code)
+	for _, cores := range []string{"0", "64"} {
+		if code, _, _ := runMain(t, "-quick", "-cores", cores, "fig1"); code != 0 {
+			t.Errorf("-cores %s fig1: exit %d, want 0", cores, code)
+		}
 	}
 }
 

@@ -223,6 +223,10 @@ type productRow struct {
 	p95, total float64
 }
 
+// productRows distils the mcbench_lab_product_seconds histogram family
+// into one row per product, named by the fields the product is keyed on:
+// the simulator, then the policy and core count where the product has
+// them ("models", "ref cores=2", "badco/LRU cores=2").
 func productRows(hists map[string]mcbench.HistogramStat) []productRow {
 	var rows []productRow
 	for key, h := range hists {
@@ -230,7 +234,13 @@ func productRows(hists map[string]mcbench.HistogramStat) []productRow {
 		if name != "mcbench_lab_product_seconds" || h.Count == 0 {
 			continue
 		}
-		id := fmt.Sprintf("%s/%s cores=%s", labels["sim"], labels["policy"], labels["cores"])
+		id := labels["sim"]
+		if p := labels["policy"]; p != "" {
+			id += "/" + p
+		}
+		if c := labels["cores"]; c != "0" {
+			id += " cores=" + c
+		}
 		rows = append(rows, productRow{id: id, count: h.Count, p95: h.P95, total: h.Sum})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })

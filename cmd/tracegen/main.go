@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
+	"mcbench/internal/bench"
 	"mcbench/internal/profile"
 	"mcbench/internal/trace"
 )
@@ -53,17 +55,10 @@ func fail(err error) {
 
 func listSuite() {
 	fmt.Printf("%-12s %6s %6s %6s %6s  %s\n", "benchmark", "load", "store", "branch", "fp", "patterns")
-	for _, name := range trace.SuiteNames() {
-		p, _ := trace.ByName(name)
-		pats := ""
-		for i, ps := range p.Patterns {
-			if i > 0 {
-				pats += "+"
-			}
-			pats += ps.Kind.String()
-		}
+	for _, b := range bench.Describe(bench.NewSuite()) {
+		p := b.Params
 		fmt.Printf("%-12s %6.2f %6.2f %6.2f %6.2f  %s\n",
-			name, p.LoadFrac, p.StoreFrac, p.BranchFrac, p.FPFrac, pats)
+			b.Name, p.LoadFrac, p.StoreFrac, p.BranchFrac, p.FPFrac, strings.Join(p.Patterns, "+"))
 	}
 }
 

@@ -20,8 +20,7 @@ type CophaseResult = cophase.Result
 
 // NewCophase builds a co-phase simulator for the named workload over the
 // given traces — materialised from any benchmark source via
-// Source.Trace, or from the fixed-suite helpers GenerateTrace and
-// GenerateSuite.
+// Source.Trace, or from the fixed-suite helper GenerateTrace.
 func NewCophase(workload []string, traces map[string]*Trace, cfg CophaseConfig) (*Cophase, error) {
 	return cophase.New(workload, traces, cfg)
 }

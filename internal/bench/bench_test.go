@@ -22,17 +22,14 @@ func TestSuiteSourceMatchesLegacySuite(t *testing.T) {
 		t.Fatalf("names %v != suite names %v", got, want)
 	}
 	const n = 4000
-	legacy, err := trace.NewSuite(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := trace.GenerateSuite(n)
 	for _, name := range src.Names() {
 		tr, err := src.Trace(bctx, name, n)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(tr.Ops, legacy[name].Ops) {
-			t.Fatalf("%s: source trace diverges from trace.NewSuite", name)
+			t.Fatalf("%s: source trace diverges from trace.GenerateSuite", name)
 		}
 	}
 	if got := Resident(src); got != 22 {

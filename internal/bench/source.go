@@ -214,11 +214,54 @@ func (s *paramsSource) Release(name string) { s.m.release(name) }
 func (s *paramsSource) Resident() int { return s.m.Resident() }
 
 // Params returns the generator parameters of the named benchmark, for
-// introspection (the CLI's benches listing); ok is false for unknown
-// names.
+// introspection (see Describe); ok is false for unknown names.
 func (s *paramsSource) Params(name string) (trace.Params, bool) {
 	p, ok := s.params[name]
 	return p, ok
+}
+
+// Info describes one benchmark of a source: what `mcbench benches`
+// prints and GET /benches serves.
+type Info struct {
+	Name string `json:"name"`
+	// Params carries the trace-generator parameters when the source
+	// exposes them (load/store/branch/fp fractions, pattern kinds).
+	Params *Mix `json:"params,omitempty"`
+}
+
+// Mix is the introspectable slice of trace.Params: the instruction mix
+// and the access-pattern kinds of a generated benchmark.
+type Mix struct {
+	LoadFrac   float64  `json:"load_frac"`
+	StoreFrac  float64  `json:"store_frac"`
+	BranchFrac float64  `json:"branch_frac"`
+	FPFrac     float64  `json:"fp_frac"`
+	Patterns   []string `json:"patterns,omitempty"`
+}
+
+// Describe lists the source's benchmarks in source order, each with its
+// generator parameters when the source is generated (the suite and the
+// scaled sources); a directory of recorded traces gives names only.
+func Describe(src Source) []Info {
+	ps, generated := src.(interface {
+		Params(string) (trace.Params, bool)
+	})
+	names := src.Names()
+	out := make([]Info, len(names))
+	for i, n := range names {
+		out[i].Name = n
+		if !generated {
+			continue
+		}
+		if p, ok := ps.Params(n); ok {
+			mix := &Mix{LoadFrac: p.LoadFrac, StoreFrac: p.StoreFrac, BranchFrac: p.BranchFrac, FPFrac: p.FPFrac}
+			for _, spec := range p.Patterns {
+				mix.Patterns = append(mix.Patterns, spec.Kind.String())
+			}
+			out[i].Params = mix
+		}
+	}
+	return out
 }
 
 // Provider binds a Source to one trace length. It satisfies the

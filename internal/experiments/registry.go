@@ -2,9 +2,9 @@ package experiments
 
 // The experiment registry. Every figure, table and extension registers
 // itself as an Experiment (via Register, from an init function next to
-// its implementation), and all dispatch — cmd/mcbench's experiment
-// names, campaign planning, the public mcbench package — goes through
-// Lookup instead of hard-coded switches. The registry is the single
+// its implementation), and all dispatch — the public mcbench package
+// (and through it cmd/mcbench), the server, campaign planning — goes
+// through Lookup instead of hard-coded switches. The registry is the single
 // source of truth for what the reproduction can compute.
 
 import (
@@ -28,7 +28,8 @@ const (
 )
 
 // Params carries the per-run knobs an experiment accepts. The zero value
-// means "paper defaults".
+// means "paper defaults". Dispatchers (the public Lab, which cmd/mcbench
+// drives, and the serve subsystem) build it with ParamsFor.
 type Params struct {
 	// Cores is the core count for single-core-count experiments
 	// (fig4/fig5/fig6/overhead and most extensions); 0 means 4, the
@@ -49,11 +50,12 @@ func (p Params) cores() int {
 }
 
 // ParamsFor maps a bare cores argument onto Params the way every
-// dispatcher (the public Lab, the serve subsystem) must: 0 means each
-// experiment's paper default, a positive count pins both the
-// single-count experiments and the core-count sweeps of fig2, fig3 and
-// fig7. Centralised so two entry points cannot drift and key the shared
-// memo/cache with different parameters.
+// dispatcher must: the public Lab (and through it cmd/mcbench's -cores)
+// and the serve subsystem. 0 means each experiment's paper default, a
+// positive count pins both the single-count experiments and the
+// core-count sweeps of fig2, fig3 and fig7. Centralised so the entry
+// points cannot drift and key the shared memo/cache with different
+// parameters.
 func ParamsFor(cores int) Params {
 	p := Params{Cores: cores}
 	if cores > 0 {
@@ -158,6 +160,28 @@ func ByGroup(g Group) []*Experiment {
 	for _, n := range Names() {
 		if e, ok := Lookup(n); ok && e.Group == g && !seen[n] {
 			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Info is one catalogue entry: how `mcbench list`, the public
+// Experiments and GET /experiments describe a registered experiment.
+type Info struct {
+	Name     string `json:"name"`
+	Synopsis string `json:"synopsis"`
+	// Group is "paper" for reproductions of the paper's figures and
+	// tables, "extension" for experiments beyond it.
+	Group string `json:"group"`
+}
+
+// Catalogue lists the registered experiments: the paper's figures and
+// tables first, in run order, then the extensions (see ByGroup).
+func Catalogue() []Info {
+	var out []Info
+	for _, g := range []Group{GroupPaper, GroupExtension} {
+		for _, e := range ByGroup(g) {
+			out = append(out, Info{Name: e.Name, Synopsis: e.Synopsis, Group: string(e.Group)})
 		}
 	}
 	return out

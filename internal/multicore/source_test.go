@@ -29,17 +29,14 @@ func equivWorkloads() []Workload {
 // TestSuiteSourceBitIdenticalToLegacySuite pins the tentpole refactor's
 // zero-drift guarantee: resolving traces through a SuiteSource produces
 // byte-identical sweep Results — detailed and BADCO alike — to the
-// legacy eagerly-built trace.NewSuite map.
+// legacy eagerly-built trace.GenerateSuite map.
 func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
 	const n = 8000
 	ctx := context.Background()
-	legacy, err := trace.NewSuite(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := trace.GenerateSuite(n)
 	legacySrc := TraceMap(legacy)
 	prov := bench.At(bench.NewSuite(), n)
 	ws := equivWorkloads()
@@ -54,7 +51,7 @@ func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("detailed sweep under %s diverges between SuiteSource and trace.NewSuite", pol)
+			t.Fatalf("detailed sweep under %s diverges between SuiteSource and trace.GenerateSuite", pol)
 		}
 	}
 
@@ -62,7 +59,7 @@ func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 	wantModels := buildModels(t, legacySrc, names)
 	gotModels := buildModels(t, prov, names)
 	if !reflect.DeepEqual(gotModels, wantModels) {
-		t.Fatal("BADCO models diverge between SuiteSource and trace.NewSuite")
+		t.Fatal("BADCO models diverge between SuiteSource and trace.GenerateSuite")
 	}
 	for _, pol := range []cache.PolicyName{cache.LRU, cache.DRRIP} {
 		want, err := Sweep(ctx, ws, Spec{Engine: BADCO, Policy: pol}, nil, wantModels)
@@ -74,7 +71,7 @@ func TestSuiteSourceBitIdenticalToLegacySuite(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("BADCO sweep under %s diverges between SuiteSource and trace.NewSuite", pol)
+			t.Fatalf("BADCO sweep under %s diverges between SuiteSource and trace.GenerateSuite", pol)
 		}
 	}
 }

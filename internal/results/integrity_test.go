@@ -332,3 +332,28 @@ func TestInjectedSaveFaults(t *testing.T) {
 		t.Fatalf("heal failed: %v, %v", ok, err)
 	}
 }
+
+// TestListAgreesWithLoad pins that List decodes a file as Load does: a
+// table whose footer verifies and whose identity renders its own key,
+// but which Validate refuses (an IPC of 0), lists as corrupt and is
+// never served.
+func TestListAgreesWithLoad(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	bad := table()
+	bad.IPC[1][0] = 0
+	payload, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, bad.Key()+".json"), appendFooter(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := s.List()
+	if err != nil || len(entries) != 1 || entries[0].Key != bad.Key() || !entries[0].Corrupt {
+		t.Fatalf("List = %+v (err %v), want one corrupt entry %s", entries, err, bad.Key())
+	}
+	if got, ok, err := s.Load(*table()); err != nil || ok || got != nil {
+		t.Fatalf("Load = %v, %v, %v; want a miss", got, ok, err)
+	}
+}

@@ -666,9 +666,10 @@ func (s *Store) listQuarantine() []Entry {
 }
 
 // decodeIdentity fills the entry's identity (or Corrupt flag) from one
-// stored file, verifying the integrity footer and decoding only the
-// identity fields. A file whose identity does not render back to its
-// name is corrupt: that covers a table stored under the wrong name and
+// stored file. The file is decoded exactly as Load decodes it, so a
+// file Load would quarantine lists as corrupt; only the identity is
+// kept. A file whose identity does not render back to its name is
+// corrupt too: that covers a table stored under the wrong name and
 // every warmed or sampled table an earlier build keyed "-w…"/"-smp…".
 func (e *Entry) decodeIdentity(path string) {
 	data, err := os.ReadFile(path)
@@ -676,15 +677,10 @@ func (e *Entry) decodeIdentity(path string) {
 		e.Corrupt = true
 		return
 	}
-	payload, ok := splitFooter(data)
-	if !ok {
+	t, ok := decode(data)
+	if !ok || t.Key() != e.Key {
 		e.Corrupt = true
 		return
 	}
-	var id Identity
-	if json.Unmarshal(payload, &id) != nil || id.Simulator == "" || id.Key() != e.Key {
-		e.Corrupt = true
-		return
-	}
-	e.Table = IPCTable{Identity: id}
+	e.Table = IPCTable{Identity: t.Identity}
 }

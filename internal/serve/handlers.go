@@ -26,10 +26,10 @@ import (
 	"strings"
 	"time"
 
+	"mcbench/internal/bench"
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/experiments"
 	"mcbench/internal/results"
-	"mcbench/internal/trace"
 )
 
 // maxBodyBytes bounds submission bodies (sweep workload lists included).
@@ -93,65 +93,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ExperimentInfo is one /experiments entry.
-type ExperimentInfo struct {
-	Name     string `json:"name"`
-	Synopsis string `json:"synopsis"`
-	Group    string `json:"group"`
-}
-
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	var out []ExperimentInfo
-	for _, g := range []experiments.Group{experiments.GroupPaper, experiments.GroupExtension} {
-		for _, e := range experiments.ByGroup(g) {
-			out = append(out, ExperimentInfo{Name: e.Name, Synopsis: e.Synopsis, Group: string(e.Group)})
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
-}
-
-// BenchInfo is one /benches entry.
-type BenchInfo struct {
-	Name string `json:"name"`
-	// Params carries the trace-generator parameters when the source
-	// exposes them (load/store/branch/fp fractions, pattern kinds).
-	Params *BenchParams `json:"params,omitempty"`
-}
-
-// BenchParams is the introspectable slice of trace.Params.
-type BenchParams struct {
-	LoadFrac   float64  `json:"load_frac"`
-	StoreFrac  float64  `json:"store_frac"`
-	BranchFrac float64  `json:"branch_frac"`
-	FPFrac     float64  `json:"fp_frac"`
-	Patterns   []string `json:"patterns,omitempty"`
+	writeJSON(w, http.StatusOK, map[string]any{"experiments": experiments.Catalogue()})
 }
 
 func (s *Server) handleBenches(w http.ResponseWriter, r *http.Request) {
 	src := s.lab.Source()
-	type paramsSource interface {
-		Params(string) (trace.Params, bool)
-	}
-	ps, hasParams := src.(paramsSource)
-	names := src.Names()
-	out := make([]BenchInfo, 0, len(names))
-	for _, n := range names {
-		info := BenchInfo{Name: n}
-		if hasParams {
-			if p, ok := ps.Params(n); ok {
-				bp := &BenchParams{
-					LoadFrac: p.LoadFrac, StoreFrac: p.StoreFrac,
-					BranchFrac: p.BranchFrac, FPFrac: p.FPFrac,
-				}
-				for _, spec := range p.Patterns {
-					bp.Patterns = append(bp.Patterns, spec.Kind.String())
-				}
-				info.Params = bp
-			}
-		}
-		out = append(out, info)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"source": src.Name(), "benchmarks": out})
+	writeJSON(w, http.StatusOK, map[string]any{"source": src.Name(), "benchmarks": bench.Describe(src)})
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {

@@ -200,15 +200,15 @@ func TestEndToEndSubmitStreamResult(t *testing.T) {
 		t.Errorf("healthz payload %+v", health)
 	}
 	var cat struct {
-		Experiments []ExperimentInfo `json:"experiments"`
+		Experiments []experiments.Info `json:"experiments"`
 	}
 	getJSON(t, ts.URL+"/experiments", &cat)
 	if len(cat.Experiments) < 20 {
 		t.Errorf("catalogue has %d experiments", len(cat.Experiments))
 	}
 	var benches struct {
-		Source     string      `json:"source"`
-		Benchmarks []BenchInfo `json:"benchmarks"`
+		Source     string       `json:"source"`
+		Benchmarks []bench.Info `json:"benchmarks"`
 	}
 	getJSON(t, ts.URL+"/benches", &benches)
 	if benches.Source != "suite" || len(benches.Benchmarks) != 22 {

@@ -236,27 +236,13 @@ func ByName(name string) (Params, bool) {
 	return Params{}, false
 }
 
-// NewSuite builds traces of n µops for every benchmark in the suite,
-// keyed by name. It is the non-panicking constructor library paths use;
-// the only runtime failure mode is a non-positive n.
-func NewSuite(n int) (map[string]*Trace, error) {
+// GenerateSuite builds traces of n µops for every benchmark in the
+// suite, keyed by name, for tests. It panics on a non-positive n, the
+// only failure mode.
+func GenerateSuite(n int) map[string]*Trace {
 	out := make(map[string]*Trace, 22)
 	for _, p := range Suite() {
-		t, err := Generate(p, n)
-		if err != nil {
-			return nil, err
-		}
-		out[p.Name] = t
-	}
-	return out, nil
-}
-
-// GenerateSuite is NewSuite for known-good lengths (tests, examples); it
-// panics on error.
-func GenerateSuite(n int) map[string]*Trace {
-	out, err := NewSuite(n)
-	if err != nil {
-		panic(err)
+		out[p.Name] = MustGenerate(p, n)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mcbench/internal/bench"
 	"mcbench/internal/experiments"
 	"mcbench/internal/multicore"
 )
@@ -74,25 +75,20 @@ func lookup(name string) (*experiments.Experiment, error) {
 }
 
 // Run executes one registered experiment (see Experiments for the
-// catalogue) and returns its table. cores pins the core count (0 = the
-// experiment's paper default). The experiment's prerequisites are warmed
-// first with campaign-level parallelism, so repeated Runs share work
+// catalogue) and returns its table. A positive cores pins the core
+// count of every experiment, the core-count sweeps of fig2, fig3 and fig7
+// included; 0 keeps each experiment's paper default. The experiment's
+// prerequisites are warmed first (see Warm), so repeated Runs share work
 // through the lab's memoization.
 func (l *Lab) Run(ctx context.Context, name string, cores int) (*Table, error) {
 	e, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	p, err := runParams(cores)
-	if err != nil {
+	if _, err := l.Warm(ctx, []string{name}, cores); err != nil {
 		return nil, err
 	}
-	if reqs := l.lab.CampaignPlan([]string{name}, p); len(reqs) > 0 {
-		if _, err := l.lab.Warm(ctx, reqs, 0); err != nil {
-			return nil, err
-		}
-	}
-	return e.Run(ctx, l.lab, p)
+	return e.Run(ctx, l.lab, experiments.ParamsFor(cores))
 }
 
 // Chart renders the experiment's text chart, or ok=false when the
@@ -115,24 +111,36 @@ func (l *Lab) Chart(ctx context.Context, name string, cores int) (chart string, 
 
 // Warm precomputes the expensive products (population sweeps, reference
 // IPCs, MPKI measurements) the named experiments will read, with bounded
-// parallelism. It returns the number of distinct products in the plan.
-// Unknown experiment names are an error (with a did-you-mean hint), like
-// Run. Cancelling the context stops the campaign promptly; completed
-// products stay memoized (and persisted when CacheDir is set).
+// parallelism; "all" names the paper's experiments. It returns the
+// number of distinct products in the plan. Unknown experiment names are
+// an error (with a did-you-mean hint), and cores is read as Run reads
+// it, so Warm plans what the Runs will read. Cancelling the context
+// stops the campaign promptly; completed products stay memoized (and
+// persisted when CacheDir is set).
 func (l *Lab) Warm(ctx context.Context, names []string, cores int) (int, error) {
+	plan, err := l.plan(names, cores)
+	if err != nil {
+		return 0, err
+	}
+	return l.lab.Warm(ctx, plan, 0)
+}
+
+// plan checks the names and cores of a Warm and returns the products it
+// precomputes.
+func (l *Lab) plan(names []string, cores int) ([]experiments.Request, error) {
 	for _, name := range names {
 		if name == "all" {
 			continue
 		}
 		if _, err := lookup(name); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	p, err := runParams(cores)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return l.lab.Warm(ctx, l.lab.CampaignPlan(names, p), 0)
+	return l.lab.CampaignPlan(names, p), nil
 }
 
 // Simulate runs one workload on the lab's shared traces and models — the
@@ -152,7 +160,7 @@ func (l *Lab) Simulate(ctx context.Context, workload []string, opts ...Option) (
 	}
 	if o.spec.Engine == multicore.BADCO {
 		if _, err := l.lab.Models(ctx); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mcbench: %w", err)
 		}
 	}
 	out, err := o.run(ctx, l.lab, [][]string{workload})
@@ -196,23 +204,20 @@ func (l *Lab) BenchFeatures(ctx context.Context) ([][]float64, error) {
 	return l.lab.BenchFeatures(ctx)
 }
 
-// ExperimentInfo describes one registered experiment.
-type ExperimentInfo struct {
-	Name     string
-	Synopsis string
-	// Group is "paper" for reproductions of the paper's figures and
-	// tables, "extension" for experiments beyond it.
-	Group string
-}
+// ExperimentInfo describes one registered experiment: its name, its
+// one-line synopsis and its group, "paper" for reproductions of the
+// paper's figures and tables and "extension" for experiments beyond it.
+// GET /experiments serves the same entries (Client.ServerExperiments).
+type ExperimentInfo = experiments.Info
 
 // Experiments enumerates the registered experiments: the paper's figures
 // and tables first (in run order), then the extensions.
-func Experiments() []ExperimentInfo {
-	var out []ExperimentInfo
-	for _, g := range []experiments.Group{experiments.GroupPaper, experiments.GroupExtension} {
-		for _, e := range experiments.ByGroup(g) {
-			out = append(out, ExperimentInfo{Name: e.Name, Synopsis: e.Synopsis, Group: string(e.Group)})
-		}
-	}
-	return out
-}
+func Experiments() []ExperimentInfo { return experiments.Catalogue() }
+
+// BenchInfo describes one benchmark of a source: its name and, for a
+// generated source, its instruction mix and access-pattern kinds.
+// GET /benches serves the same entries (Client.Benches).
+type BenchInfo = bench.Info
+
+// Benches describes the benchmarks of the lab's source, in source order.
+func (l *Lab) Benches() []BenchInfo { return bench.Describe(l.lab.Source()) }

@@ -15,30 +15,16 @@ type Population = workload.Population
 
 // EnumerateWorkloads builds the full population of cores-sized multisets
 // over the fixed 22-benchmark suite — e.g. 253 workloads for 2 cores,
-// 12650 for 4. For other benchmark sources use EnumerateWorkloadsOver
-// (or a Lab's Population, which also knows when to sample instead).
+// 12650 for 4. For other benchmark sources use a Lab's Population, which
+// also knows when to sample instead.
 func EnumerateWorkloads(cores int) *Population {
 	return workload.Enumerate(len(trace.SuiteNames()), cores)
-}
-
-// EnumerateWorkloadsOver builds the full population of cores-sized
-// multisets over the given source's benchmarks. Mind the combinatorics:
-// the population has C(B+cores-1, cores) members, which explodes for
-// large scaled sources.
-func EnumerateWorkloadsOver(src Source, cores int) *Population {
-	return workload.Enumerate(len(src.Names()), cores)
 }
 
 // WorkloadNames expands a population over the fixed suite into
 // benchmark-name workloads, ready for Sweep.
 func WorkloadNames(p *Population) [][]string {
-	return WorkloadNamesOver(p, trace.SuiteNames())
-}
-
-// WorkloadNamesOver expands a population into named workloads using an
-// explicit benchmark name table (a Source's Names, index-aligned with
-// the population).
-func WorkloadNamesOver(p *Population, names []string) [][]string {
+	names := trace.SuiteNames()
 	out := make([][]string, len(p.Workloads))
 	for i, w := range p.Workloads {
 		out[i] = w.Names(names)
@@ -93,12 +79,6 @@ func NumStrata(s Sampler) int { return sampling.NumStrata(s) }
 // of w workloads.
 func EmpiricalConfidence(rng *rand.Rand, values []float64, s Sampler, w, trials int) float64 {
 	return sampling.EmpiricalConfidence(rng, values, s, w, trials)
-}
-
-// ModelConfidence is the analytic counterpart of EmpiricalConfidence for
-// simple random sampling (equation 5 applied to the values' cv).
-func ModelConfidence(values []float64, w int) float64 {
-	return sampling.ModelConfidence(values, w)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Fails when a function declared under internal/ is linked by no entry
-# point: the mcbench and tracegen commands, the examples and the
-# benchmark module. The few functions that stay without a production
-# caller on purpose are listed, each with its reason, in the allowlist
-# below; an allowlist entry that some entry point links again fails too.
+# Fails when a function declared in the public mcbench package or under
+# internal/ is linked by no entry point: the mcbench and tracegen
+# commands, the examples and the benchmark module. The few functions that
+# stay without a production caller on purpose are listed, each with its
+# reason, in the allowlist below; an allowlist entry that some entry
+# point links again fails too.
 #
 # Usage: bash scripts/deadcode.sh   (from any directory; offline)
 #
 # Method: build every entry point with inlining off (an inlined callee
 # leaves no symbol of its own), collect the text symbols the binaries
 # link, and subtract them from the functions compiled into the export
-# archives of ./internal/... (go list -export). Compiler-generated
+# archives of . and ./internal/... (go list -export). Compiler-generated
 # wrappers, closures and generic shape instantiations are not
 # declarations and are skipped; generic functions compare by name
 # without their type arguments, since the linker names their bodies by
@@ -18,9 +19,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One function per line, as the tools print it below mcbench/internal/
-# (pointer receivers without the star), then the reason it stays.
+# One function per line, as the tools print it (pointer receivers
+# without the star) less the mcbench/internal/ prefix, then the reason it
+# stays. Functions of the public package keep their mcbench. prefix.
 allow='
+mcbench.Client.Benches            public client: fronts GET /benches
+mcbench.Client.Cache              public client: fronts GET /cache
+mcbench.Client.Jobs               public client: fronts GET /jobs
+mcbench.Client.ServerExperiments  public client: fronts GET /experiments
+mcbench.Client.SubmitSweep        public client: fronts POST /jobs of kind sweep
+mcbench.Engine.String             public API: fmt.Stringer of Engine
+mcbench.WithCores                 public API: the Option behind replicated simulate jobs; tests use it
+mcbench.WorkloadNames             public API: names an EnumerateWorkloads population for Sweep; tests use it
 bpred.MustNew                     test constructor
 cache.MustNew                     test constructor
 cache.MustNewPolicy               test constructor
@@ -69,7 +79,6 @@ experiments.PaperClass            tests read the paper table through it
 sampling.PaperThresholds          tests read the paper table through it
 profile.FeatureNames              tests read the feature table through it
 trace.SortedNames                 tests read the suite table through it
-trace.NewSuite                    reachable only through the public mcbench.GenerateSuite
 cophase.Simulator.SimulatedOps    reachable only through the public mcbench.Cophase
 '
 
@@ -89,12 +98,12 @@ for bin in "$work"/bin/*; do
 	go tool nm "$bin" | sed -nE 's/^ *[0-9a-f]+ [Tt] (.*)$/\1/p'
 done | norm >"$work/linked"
 
-go list -export "${flags[@]}" -f '{{.Export}}' ./internal/... | while read -r archive; do
-	go tool objdump "$archive" | sed -nE 's/^TEXT (mcbench\/internal\/.*)\(SB\) (.*)$/\1\t\2/p'
+go list -export "${flags[@]}" -f '{{.Export}}' . ./internal/... | while read -r archive; do
+	go tool objdump "$archive" | sed -nE 's/^TEXT (mcbench(\/internal\/[^.]*)?\..*)\(SB\) (.*)$/\1\t\3/p'
 done | awk -F'\t' '$2 != "<autogenerated>" { print $1 }' |
 	grep -Ev 'go\.shape|\.(func|gowrap|deferwrap)[0-9]+' | norm >"$work/declared"
 
-printf '%s\n' "$allow" | awk 'NF { print "mcbench/internal/" $1 }' | sort -u >"$work/allowed"
+printf '%s\n' "$allow" | awk 'NF { print ($1 ~ /^mcbench\./ ? "" : "mcbench/internal/") $1 }' | sort -u >"$work/allowed"
 comm -23 "$work/declared" "$work/linked" >"$work/unlinked"
 
 status=0

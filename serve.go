@@ -112,10 +112,6 @@ type (
 	ServerStats = serve.Stats
 	// CacheEntry is one identity-preserving /cache listing entry.
 	CacheEntry = results.Entry
-	// ServeExperimentInfo is one /experiments catalogue entry.
-	ServeExperimentInfo = serve.ExperimentInfo
-	// BenchInfo is one /benches catalogue entry.
-	BenchInfo = serve.BenchInfo
 	// ProductRef names one campaign product in a warm submission
 	// (POST /jobs with kind "warm").
 	ProductRef = serve.ProductRef

@@ -171,14 +171,12 @@ func Sweep(ctx context.Context, workloads [][]string, opts ...Option) ([]*Result
 
 // run runs the workloads through the lab's ad-hoc executor
 // (experiments.Lab.Simulate) and maps its results onto the public
-// Result. A run the checks reject is reported under the package prefix.
+// Result. Every error, a run the checks reject or a cancelled or failed
+// simulation, is reported under the package prefix.
 func (o options) run(ctx context.Context, lab *experiments.Lab, workloads [][]string) ([]*Result, error) {
-	results, names, _, err := lab.Simulate(ctx, o.spec, workloads, o.cores)
+	results, _, _, err := lab.Simulate(ctx, o.spec, workloads, o.cores)
 	if err != nil {
-		if names == nil {
-			return nil, fmt.Errorf("mcbench: %w", err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("mcbench: %w", err)
 	}
 	out := make([]*Result, len(results))
 	for i, r := range results {

@@ -110,10 +110,3 @@ func GenerateTrace(name string, n int) (*Trace, error) {
 	}
 	return trace.Generate(p, n)
 }
-
-// GenerateSuite builds n-µop traces for every fixed-suite benchmark,
-// keyed by name. Prefer a Source for anything long-lived: it builds
-// lazily and can release.
-func GenerateSuite(n int) (map[string]*Trace, error) {
-	return trace.NewSuite(n)
-}

@@ -34,6 +34,11 @@ type Machine struct {
 	// itself: translating each prefetch satellite afresh before its
 	// residency test ran badco-population about 10% slower
 	// (BENCH_26.nomemo.json).
+	//
+	// A satPA entry also carries the satellite's Prefetch flag in bit 0
+	// (satPrefetch): the model's addresses are line addresses, so the
+	// bit is otherwise 0. The replay then tests a satellite for a
+	// resident prefetch from its memo word alone.
 	nodePA []uint64
 	satPA  []uint64
 }
@@ -63,6 +68,9 @@ func NewMachine(id int, m *Model, mem uncore.Memory) (*Machine, error) {
 	}
 	return ma, nil
 }
+
+// satPrefetch marks a prefetch satellite's memoized physical address.
+const satPrefetch = 1
 
 // MustNewMachine is NewMachine for known-good arguments.
 func MustNewMachine(id int, m *Model, mem uncore.Memory) *Machine {
@@ -229,15 +237,19 @@ func (ma *Machine) StepUntil(limit, quota uint64) (now, committed uint64) {
 			nodePA[next] = pa
 			for k := sat; k < end; k++ {
 				satPA[k] = unc.Translate(id, sats[k].VAddr)
+				if sats[k].Prefetch {
+					satPA[k] |= satPrefetch
+				}
 			}
 		}
 		done := unc.AccessPhysical(id, n.PC, pa, n.Write, false, issue)
 		for k := sat; k < end; k++ {
-			s := &sats[k]
-			if s.Prefetch && unc.Resident(satPA[k]) {
+			spa := satPA[k]
+			if spa&satPrefetch != 0 && unc.Resident(spa) {
 				continue
 			}
-			unc.AccessPhysical(id, s.PC, satPA[k], s.Write, s.Prefetch, issue+s.Offset)
+			s := &sats[k]
+			unc.AccessPhysical(id, s.PC, spa&^satPrefetch, s.Write, s.Prefetch, issue+s.Offset)
 		}
 		sat = end
 		issueT[next] = issue

@@ -34,7 +34,7 @@ import (
 // Satellite is a non-gating request (prefetch or writeback) anchored to a
 // demand node: it issues at a fixed offset after the node issues.
 type Satellite struct {
-	VAddr    uint64
+	VAddr    uint64 // virtual line address
 	PC       uint64
 	Offset   uint64 // issue offset from the owning node's issue time
 	Write    bool

@@ -58,9 +58,11 @@ func stepUntilRef(ma *Machine, limit, quota uint64) (now, committed uint64) {
 // sameReplay reports the first way the reference machine a and the
 // batched machine b, or their uncores, differ: the clock, the committed
 // count, the replay position, every node's issue and completion time,
-// the uncore's counters, or a physical address in b's memo that a's page
+// the uncore's counters, a physical address in b's memo that a's page
 // table maps otherwise (the memo fills in first-touch order or pages
-// are allocated in another order). It returns "" when they agree.
+// are allocated in another order), or a memoized prefetch flag (bit 0,
+// masked off before the address is compared) that is not the
+// satellite's. It returns "" when they agree.
 func sameReplay(a, b *Machine, ua, ub *uncore.Uncore) string {
 	switch {
 	case a.Now() != b.Now():
@@ -84,8 +86,15 @@ func sameReplay(a, b *Machine, ua, ub *uncore.Uncore) string {
 		}
 	}
 	for k, pa := range b.satPA {
-		if pa != 0 && pa != ua.Translate(b.id, b.model.Satellites[k].VAddr) {
+		if pa == 0 {
+			continue
+		}
+		s := &b.model.Satellites[k]
+		if pa&^satPrefetch != ua.Translate(b.id, s.VAddr) {
 			return "memoized satellite addresses"
+		}
+		if (pa&satPrefetch != 0) != s.Prefetch {
+			return "memoized satellite prefetch flags"
 		}
 	}
 	return ""

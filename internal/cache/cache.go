@@ -164,15 +164,19 @@ func (c *Cache) set(set int) []line {
 
 // Probe reports whether addr is present without updating replacement
 // state or statistics.
-func (c *Cache) Probe(addr uint64) bool {
+func (c *Cache) Probe(addr uint64) bool { return c.Way(addr) >= 0 }
+
+// Way returns the way holding addr, or -1 if it is absent, without
+// updating replacement state or statistics.
+func (c *Cache) Way(addr uint64) int {
 	set, tag := c.index(addr)
 	want := lineKey(tag)
-	for _, l := range c.set(set) {
+	for w, l := range c.set(set) {
 		if l&^(lineDirty|linePref) == want {
-			return true
+			return w
 		}
 	}
-	return false
+	return -1
 }
 
 // Access performs a demand access. On a hit it updates replacement state
@@ -188,30 +192,58 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool) {
 	ways := c.set(set)
 	want := lineKey(tag)
 	for w := range ways {
-		l := ways[w]
-		if l&^(lineDirty|linePref) == want {
-			c.stats.Hits++
-			if write {
-				l |= lineDirty
-			}
-			if l&linePref != 0 {
-				c.stats.PrefetchHits++
-				l &^= linePref
-			}
-			ways[w] = l
-			if c.lru != nil {
-				c.lru.touch(set, w)
-			} else {
-				c.policy.OnHit(set, w)
-			}
+		if ways[w]&^(lineDirty|linePref) == want {
+			c.hit(set, w, write)
 			return true
 		}
 	}
+	c.miss(set)
+	return false
+}
+
+// AccessWay is Access for a caller that tracks where lines sit: way is
+// the way holding addr (as Fill reported it), or -1 if addr is absent.
+// It skips the set scan and otherwise does what Access does.
+func (c *Cache) AccessWay(addr uint64, way int, write bool) (hit bool) {
+	set, _ := c.index(addr)
+	c.stats.Accesses++
+	if c.addrObs != nil {
+		c.addrObs.ObserveAddr(addr)
+	}
+	if way < 0 {
+		c.miss(set)
+		return false
+	}
+	c.hit(set, way, write)
+	return true
+}
+
+// hit records a demand hit on way w of set.
+func (c *Cache) hit(set, w int, write bool) {
+	ways := c.set(set)
+	l := ways[w]
+	c.stats.Hits++
+	if write {
+		l |= lineDirty
+	}
+	if l&linePref != 0 {
+		c.stats.PrefetchHits++
+		l &^= linePref
+	}
+	ways[w] = l
+	if c.lru != nil {
+		c.lru.touch(set, w)
+	} else {
+		c.policy.OnHit(set, w)
+	}
+}
+
+// miss records a demand miss in set.
+func (c *Cache) miss(set int) {
 	c.stats.Misses++
 	if c.lru == nil {
 		c.policy.OnMiss(set)
 	}
-	return false
 }
 
 // Eviction describes the line displaced by a fill.
@@ -219,6 +251,7 @@ type Eviction struct {
 	Valid bool   // an actual line was evicted
 	Dirty bool   // it requires a writeback
 	Addr  uint64 // its line-aligned address
+	Way   int    // the way now holding the filled line
 }
 
 // Fill installs addr, evicting a victim if the set is full. write marks
@@ -241,7 +274,7 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
 			if write {
 				ways[w] |= lineDirty
 			}
-			return Eviction{}
+			return Eviction{Way: w}
 		}
 	}
 	way := -1
@@ -281,6 +314,7 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
 	} else {
 		c.policy.OnFill(set, way)
 	}
+	ev.Way = way
 	return ev
 }
 

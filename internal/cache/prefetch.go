@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // Prefetchers observe the demand access stream of a cache and propose
 // line-aligned addresses to fetch ahead of demand. The paper's core uses a
 // next-line prefetcher on the IL1 and IP-stride + next-line on the DL1;
@@ -111,46 +113,45 @@ func (p *ipStridePrefetcher) Observe(pc, addr uint64, _ bool) []uint64 {
 // Stream
 
 const (
-	streamTableSize  = 16
-	streamTrainHits  = 2
-	streamFilterSize = 256 // buckets of the key filter (a power of two)
+	streamTableSize = 16
+	streamTrainHits = 2
+	streamIndexSize = 1024 // buckets of the key index (a power of two)
+	// streamRecencyInit lists slots 0..15 least recent first: every slot
+	// starts empty, and empty slots are taken in index order.
+	streamRecencyInit = 0xFEDCBA9876543210
 )
 
-// The list links are uint8 slot indices, so the table must fit them.
-var _ [256 - streamTableSize]struct{}
+// The index holds one bit per slot, and the recency word one nibble.
+var _ [16 - streamTableSize]struct{}
+var _ [streamTableSize - 16]struct{}
 
-// streamPrefetcher stores its table as parallel strips so the match scan
-// reads one dense 128-byte run of words:
+// streamPrefetcher keeps, per slot, its key and its hit count:
 //
 //   - keys[i] holds the stream's lastLine+2 (0 = no stream), so
 //     keys[i] == line+2 is a repeat access and keys[i] == line+1 extends
 //     the stream, and an empty slot matches neither;
-//   - clocks[i] is the entry's LRU clock (0 = empty slot);
 //   - hits[i] counts consecutive sequential observations.
 //
-// Two derived structures make Observe O(1) without changing a result:
+// Two derived structures make Observe O(1):
 //
-//   - filter counts the live keys per bucket key%streamFilterSize, and the
-//     match scan runs only when the bucket of line+2 or of line+1 is
-//     non-zero, that is, only when it could match. Keys are not unique
-//     (observing lines 8, 10, 9, 10 leaves two slots keyed 12), so the
-//     scan, not an index, still picks the first match in index order.
-//   - older/newer link the live slots from the least recently used (lru)
-//     to the most recently used (mru). Slots fill in index order and never
-//     empty again, because keys are ≥ 2 and clocks ≥ 1, so the victim is
-//     slot used while the table has room and the lru end after that. The
-//     clocks are unique and increase, so that is the slot a scan for the
-//     first empty slot, else the minimum clock, would pick.
+//   - index[b] is the mask of the live slots whose key falls in bucket
+//     key%streamIndexSize. A match is in the bucket of line+2 or of
+//     line+1, so Observe checks only the slots of those two masks, in
+//     index order. Keys are not unique (observing lines 8, 10, 9, 10
+//     leaves two slots keyed 12), and the first match in index order is
+//     the one a full scan of the table finds.
+//   - recency lists the slots, one nibble each, from the least recently
+//     used (nibble 0) to the most recently used (nibble 15). It starts as
+//     streamRecencyInit, so the empty slots sit below the live ones in
+//     index order. Slots never empty again (keys are ≥ 2), so nibble 0 is
+//     the slot a scan for the first empty slot, else the least recent
+//     one, would pick. Allocating it rotates it to the top; a promote
+//     lifts one slot's nibble to the top.
 type streamPrefetcher struct {
-	keys   [streamTableSize]uint64
-	clocks [streamTableSize]uint64
-	hits   [streamTableSize]uint8
-	clock  uint64
-
-	filter       [streamFilterSize]uint8
-	older, newer [streamTableSize]uint8
-	mru, lru     uint8
-	used         int
+	keys    [streamTableSize]uint64
+	hits    [streamTableSize]uint8
+	recency uint64
+	index   [streamIndexSize]uint16
 
 	degree int
 	buf    []uint64
@@ -162,85 +163,67 @@ func NewStream(degree int) Prefetcher {
 	if degree < 1 {
 		degree = 1
 	}
-	return &streamPrefetcher{degree: degree, buf: make([]uint64, 0, degree)}
+	return &streamPrefetcher{recency: streamRecencyInit, degree: degree, buf: make([]uint64, 0, degree)}
 }
 
 func (p *streamPrefetcher) Name() string { return "stream" }
 
 func (p *streamPrefetcher) Observe(_, addr uint64, _ bool) []uint64 {
 	line := addr / LineSize
-	p.clock++
-	p.buf = p.buf[:0]
+	rk := line + 2
 
 	// Find a stream this access extends (same line or the next one), the
-	// first in index order. (&p.keys: ranging over the array value would
-	// copy it each call.)
-	rk := line + 2
-	if p.filter[rk%streamFilterSize] != 0 || p.filter[(line+1)%streamFilterSize] != 0 {
-		for i, k := range &p.keys {
-			if k == rk { // repeat access: keep the stream warm
-				p.clocks[i] = p.clock
-				p.promote(uint8(i))
+	// first in index order.
+	for m := p.index[rk%streamIndexSize] | p.index[(line+1)%streamIndexSize]; m != 0; m &= m - 1 {
+		i := uint64(bits.TrailingZeros16(m))
+		switch p.keys[i] {
+		case rk: // repeat access: keep the stream warm
+			p.promote(i)
+			return nil
+		case line + 1: // sequential: extend the stream
+			p.rekey(i, rk)
+			p.promote(i)
+			if p.hits[i] < streamTrainHits {
+				p.hits[i]++
+			}
+			if p.hits[i] < streamTrainHits {
 				return nil
 			}
-			if k == line+1 { // sequential: extend the stream
-				p.filter[k%streamFilterSize]--
-				p.filter[rk%streamFilterSize]++
-				p.keys[i] = rk
-				p.clocks[i] = p.clock
-				p.promote(uint8(i))
-				if p.hits[i] < streamTrainHits {
-					p.hits[i]++
-				}
-				if p.hits[i] >= streamTrainHits {
-					for d := 1; d <= p.degree; d++ {
-						p.buf = append(p.buf, (line+uint64(d))*LineSize)
-					}
-				}
-				return p.buf
+			p.buf = p.buf[:0]
+			for d := 1; d <= p.degree; d++ {
+				p.buf = append(p.buf, (line+uint64(d))*LineSize)
 			}
+			return p.buf
 		}
 	}
 
-	// Allocate for a potential new stream: the next empty slot, else the
-	// least recently used.
-	var victim uint8
-	if p.used < streamTableSize {
-		victim = uint8(p.used)
-		p.used++
-		p.push(victim)
-	} else {
-		victim = p.lru
-		p.filter[p.keys[victim]%streamFilterSize]--
-		p.promote(victim)
-	}
-	p.filter[rk%streamFilterSize]++
-	p.keys[victim] = rk
-	p.clocks[victim] = p.clock
+	// Allocate for a potential new stream: the least recent slot, which
+	// is the next empty one while the table has room.
+	victim := p.recency & 0xF
+	p.recency = p.recency>>4 | victim<<60
+	p.rekey(victim, rk)
 	p.hits[victim] = 0
 	return nil
 }
 
-// push links slot i, not yet in the list, in at the mru end.
-func (p *streamPrefetcher) push(i uint8) {
-	p.older[i] = p.mru
-	p.newer[p.mru] = i
-	p.mru = i
+// rekey sets slot i's key to k, keeping the index in step. An empty
+// slot's bit is in no bucket, so clearing it from key 0's is a no-op.
+func (p *streamPrefetcher) rekey(i, k uint64) {
+	p.index[p.keys[i]%streamIndexSize] &^= 1 << i
+	p.index[k%streamIndexSize] |= 1 << i
+	p.keys[i] = k
 }
 
-// promote moves live slot i to the mru end of the list.
-func (p *streamPrefetcher) promote(i uint8) {
-	if i == p.mru {
-		return
-	}
-	o, n := p.older[i], p.newer[i]
-	if i == p.lru {
-		p.lru = n
-	} else {
-		p.newer[o] = n
-	}
-	p.older[n] = o
-	p.push(i)
+// promote moves slot i to the most recent end of the recency word. The
+// slot's nibble is found by the zero-nibble test on recency^i·0x1…1:
+// the test can flag a nibble above a zero one, never below, and i
+// occurs once, so the lowest flag is i's nibble.
+func (p *streamPrefetcher) promote(i uint64) {
+	const ones, highs = 0x1111111111111111, 0x8888888888888888
+	x := p.recency ^ i*ones
+	s := uint(bits.TrailingZeros64((x-ones)&^x&highs)) &^ 3 // 4 × i's nibble
+	low := p.recency & (1<<s - 1)
+	p.recency = low | p.recency>>(s+4)<<s | i<<60
 }
 
 // ---------------------------------------------------------------------------
@@ -319,9 +302,16 @@ type StrideStreamPrefetcher struct {
 
 func (p *StrideStreamPrefetcher) Name() string { return "combined" }
 
+// Observe merges the two parts' proposals; most calls have none, and
+// skip the merge.
 func (p *StrideStreamPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
-	p.buf = appendDedup(p.buf[:0], p.stride.Observe(pc, addr, miss))
-	p.buf = appendDedup(p.buf, p.stream.Observe(pc, addr, miss))
+	a := p.stride.Observe(pc, addr, miss)
+	b := p.stream.Observe(pc, addr, miss)
+	if len(a) == 0 && len(b) == 0 {
+		return nil
+	}
+	p.buf = appendDedup(p.buf[:0], a)
+	p.buf = appendDedup(p.buf, b)
 	return p.buf
 }
 

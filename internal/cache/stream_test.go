@@ -1,16 +1,17 @@
 package cache
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// refStream is the stream prefetcher as a plain table scan: an in-order
-// match scan, then a victim scan for the first empty slot, else the
-// least recent clock. The indexed streamPrefetcher must agree with it on
-// every call.
+// refStream is the stream prefetcher as a plain table scan over per-slot
+// LRU clocks: an in-order match scan, then a victim scan for the first
+// empty slot, else the least recent clock. The indexed streamPrefetcher
+// must agree with it on every call.
 type refStream struct {
 	keys   [streamTableSize]uint64
 	clocks [streamTableSize]uint64
@@ -61,8 +62,28 @@ func (p *refStream) Observe(addr uint64) []uint64 {
 	return nil
 }
 
+// recencyOrder lists the reference's slots least recent first, as the
+// indexed prefetcher's recency word holds them: empty slots (clock 0) in
+// index order, then the live ones by clock.
+func (p *refStream) recencyOrder() (order [streamTableSize]uint64) {
+	for i := range order {
+		order[i] = uint64(i)
+	}
+	slices.SortStableFunc(order[:], func(a, b uint64) int { return cmp.Compare(p.clocks[a], p.clocks[b]) })
+	return order
+}
+
+// nibbles unpacks a recency word, nibble 0 first.
+func nibbles(w uint64) (order [streamTableSize]uint64) {
+	for i := range order {
+		order[i] = w >> (4 * i) & 0xF
+	}
+	return order
+}
+
 // streamDiff replays addrs through the indexed prefetcher and the
-// reference scan, comparing tables and proposals after every call.
+// reference scan, comparing keys, hits, recency order and proposals
+// after every call.
 func streamDiff(t *testing.T, degree int, addrs []uint64) {
 	t.Helper()
 	s := NewStrideStream(degree).stream
@@ -70,16 +91,17 @@ func streamDiff(t *testing.T, degree int, addrs []uint64) {
 	for n, a := range addrs {
 		props := s.Observe(0, a, true)
 		want := ref.Observe(a)
-		if s.keys != ref.keys || s.clocks != ref.clocks || s.hits != ref.hits || !slices.Equal(props, want) {
-			t.Fatalf("call %d (addr %#x): got keys %v clocks %v hits %v props %v; want %v %v %v %v",
-				n, a, s.keys, s.clocks, s.hits, props, ref.keys, ref.clocks, ref.hits, want)
+		got, wantOrder := nibbles(s.recency), ref.recencyOrder()
+		if s.keys != ref.keys || s.hits != ref.hits || got != wantOrder || !slices.Equal(props, want) {
+			t.Fatalf("call %d (addr %#x): got keys %v hits %v recency %v props %v; want %v %v %v %v",
+				n, a, s.keys, s.hits, got, props, ref.keys, ref.hits, wantOrder, want)
 		}
 	}
 }
 
 // localStream draws n addresses from a few ascending streams with
 // repeats, backward steps and jumps, so that keys collide, streams are
-// evicted and the counting filter both hits and misses.
+// evicted and the key index both hits and misses.
 func localStream(rng *rand.Rand, n int) []uint64 {
 	heads := make([]uint64, 1+rng.Intn(24))
 	for i := range heads {
@@ -113,6 +135,25 @@ func TestStreamMatchesReferenceScan(t *testing.T) {
 		t.Fatalf("lines 8, 10, 9, 10 left keys %v, want two slots keyed 12", ref.keys)
 	}
 	streamDiff(t, 2, dup)
+
+	// Duplicate keys that fall in one index bucket with other keys
+	// (lines a streamIndexSize apart), then repeats and extensions of
+	// each, so the bucket mask holds several slots at once.
+	var shared []uint64
+	for _, l := range []uint64{8, 10, 9, 10, 8 + streamIndexSize, 9 + streamIndexSize, 10, 10 + streamIndexSize, 11, 12, 11 + streamIndexSize} {
+		shared = append(shared, l*LineSize)
+	}
+	streamDiff(t, 1, shared)
+
+	// Promotes before the table fills: repeats and extensions of early
+	// slots while empty slots remain, so live slots move above one
+	// another while the empty ones stay below them in index order.
+	early := []uint64{100, 200, 300, 100, 101, 200, 400, 300, 102, 500, 201, 103}
+	for i := range early {
+		early[i] *= LineSize
+	}
+	streamDiff(t, 2, early)
+
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		addrs := localStream(rng, 1+rng.Intn(600))

@@ -71,3 +71,49 @@ func TestPolicyVictimStreamsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessWayMatchesAccess runs one seeded stream of demand accesses
+// and fills through two caches under each policy: one looks lines up by
+// Access's set scan, the other by AccessWay with the ways Fill reported,
+// kept in a map as the uncore keeps them. After every call the two agree
+// on the hit, the eviction, the statistics, and the way Way finds for
+// every line the map holds.
+func TestAccessWayMatchesAccess(t *testing.T) {
+	for _, name := range []PolicyName{LRU, FIFO, Random, DIP, DRRIP, SRRIP, SHIP} {
+		scan := MustNew("LLC", 16<<10, 16, MustNewPolicy(name, 7))
+		memo := MustNew("LLC", 16<<10, 16, MustNewPolicy(name, 7))
+		ways := map[uint64]int{}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 20000; i++ {
+			addr := uint64(rng.Intn(1<<11)) * LineSize
+			write := rng.Intn(3) == 0
+			if rng.Intn(3) != 0 {
+				w, ok := ways[addr]
+				if !ok {
+					w = -1
+				}
+				if got, want := memo.AccessWay(addr, w, write), scan.Access(addr, write); got != want {
+					t.Fatalf("%s call %d: AccessWay hit %v, Access %v", name, i, got, want)
+				}
+			} else {
+				prefetch := rng.Intn(4) == 0
+				got, want := memo.Fill(addr, write, prefetch), scan.Fill(addr, write, prefetch)
+				if got != want {
+					t.Fatalf("%s call %d: fills evicted %+v and %+v", name, i, got, want)
+				}
+				if got.Valid {
+					delete(ways, got.Addr)
+				}
+				ways[addr] = got.Way
+			}
+			if memo.Stats() != scan.Stats() {
+				t.Fatalf("%s call %d: stats %+v, want %+v", name, i, memo.Stats(), scan.Stats())
+			}
+			for a, w := range ways {
+				if got := memo.Way(a); got != w {
+					t.Fatalf("%s call %d: line %#x in way %d, Fill reported %d", name, i, a, got, w)
+				}
+			}
+		}
+	}
+}

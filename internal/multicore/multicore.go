@@ -551,15 +551,11 @@ func asSteppers[T stepper](cores []T) []stepper {
 	return s
 }
 
-// badcoStepper adapts a BADCO machine to the quota-based driver: the
-// machine commits in node-sized chunks, and its committed count is exact
-// at iteration boundaries, which is where quotas land (quota = trace
-// length).
-type badcoStepper struct{ *badco.Machine }
-
 // buildApproximate is buildDetailed's BADCO counterpart: BADCO machines
 // sharing a real uncore, one per workload slot. A zero quota defaults to
-// the first model's trace length.
+// the first model's trace length. A machine commits in node-sized
+// chunks, and its committed count is exact at iteration boundaries,
+// which is where quotas land (quota = trace length).
 func buildApproximate(w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) ([]stepper, uint64, error) {
 	if len(w) == 0 {
 		return nil, 0, fmt.Errorf("multicore: empty workload")
@@ -581,7 +577,7 @@ func buildApproximate(w Workload, models map[string]*badco.Model, policy cache.P
 		if err != nil {
 			return nil, 0, err
 		}
-		machines[i] = badcoStepper{ma}
+		machines[i] = ma
 	}
 	return machines, quota, nil
 }

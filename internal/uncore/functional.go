@@ -27,14 +27,16 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 		return
 	}
 	u.stats.Requests++
-	hit := u.llc.Access(line, write)
+	hit := u.llc.AccessWay(line, u.way(line), write)
 	if !hit {
 		u.stats.DemandMisses++
 		u.fillFunctional(line, write, false)
 	}
 	// Train the LLC prefetchers on the demand stream, exactly as the
-	// timed path does (PC salted with the core id; proposals read from
-	// the prefetcher's buffer, which prefetchFunctional never refills).
+	// timed path does (PC salted with the core id, which separates the
+	// cores' IP-stride tags but not their table entries; proposals read
+	// from the prefetcher's buffer, which prefetchFunctional never
+	// refills).
 	var props []uint64
 	if u.prefSS != nil {
 		props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, !hit)

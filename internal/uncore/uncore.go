@@ -8,6 +8,8 @@ package uncore
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"mcbench/internal/cache"
 	"mcbench/internal/mem"
@@ -105,12 +107,15 @@ type Uncore struct {
 	// address and completion time per slot), so each scan walks one dense
 	// strip of words. A slot whose completion time is at or before "now"
 	// is free. The fixed arrays keep the hot path free of map traffic.
+	// "now" is the requesting core's clock, and the cores' clocks differ,
+	// so a slot free at one core's now may be live at another's.
 	mshrLine []uint64
 	mshrDone []uint64
-	// mshrTags counts the slots whose line falls in each bucket (see
-	// mshrBucket), empty slots included, so a lookup skips the scan when
-	// its bucket is empty. A count never exceeds len(mshrLine), an int.
-	mshrTags [mshrBuckets]int
+	// mshrLast is, per bucket of lines (see mshrBucket), the latest
+	// completion time ever booked for a line in it: no fill of a line in
+	// the bucket is in flight at or after it, so a lookup whose now has
+	// reached it skips the scan.
+	mshrLast [mshrBuckets]uint64
 
 	// MSHR-pressure prefetch-drop calibration (see prefetchFunctional):
 	// the timed path counts proposals reaching its pressure check and
@@ -140,24 +145,21 @@ type Uncore struct {
 	// order, so results are unchanged. Row-major by core.
 	xlat []xlatEntry
 
-	// resident is the LLC's residency bitmap: bit line/LineSize%64 of
-	// resident[line/PageSize] is set while line is in the LLC (a page
-	// holds exactly 64 lines). The uncore is the LLC's only writer and
-	// keeps the bitmap in step through fill. It grows with the lines
+	// llcWay maps each physical line number to 1 + the LLC way holding
+	// the line, or 0 while the line is not in the LLC. The uncore is the
+	// LLC's only writer and keeps it in step through fill; demand
+	// accesses hand the way to llc.AccessWay, which then skips the set
+	// scan, and prefetches test residency on it. It grows with the lines
 	// filled, not with the allocated pages, because prefetch proposals
-	// may point past the last allocated page; a page beyond its end holds
-	// no resident line.
-	resident []uint64
+	// may point past the last allocated page; a line beyond its end is
+	// not resident.
+	llcWay []uint8
 }
-
-// A page's lines must fit one bitmap word.
-var _ [PageSize/cache.LineSize - 64]struct{}
-var _ [64 - PageSize/cache.LineSize]struct{}
 
 // mshrBuckets is the number of MSHR line-tag buckets (a power of two).
 const mshrBuckets = 64
 
-// mshrBucket returns line's bucket in mshrTags.
+// mshrBucket returns line's bucket in mshrLast.
 func mshrBucket(line uint64) int { return int(line/cache.LineSize) & (mshrBuckets - 1) }
 
 // xlatEntries is the per-core translation-cache size (a power of two).
@@ -176,6 +178,9 @@ func New(cfg Config) (*Uncore, error) {
 	}
 	if cfg.MSHRs <= 0 || cfg.WriteBufEnts <= 0 {
 		return nil, fmt.Errorf("uncore: MSHRs/write buffer must be positive")
+	}
+	if cfg.LLCWays > math.MaxUint8 { // llcWay stores way+1 in a byte
+		return nil, fmt.Errorf("uncore: %d LLC ways, at most %d", cfg.LLCWays, math.MaxUint8)
 	}
 	pol, err := cache.NewPolicy(cfg.Policy, cfg.PolicySeed)
 	if err != nil {
@@ -208,7 +213,6 @@ func New(cfg Config) (*Uncore, error) {
 		nextPage:   1, // keep physical page 0 unused
 		xlat:       make([]xlatEntry, cfg.Cores*xlatEntries),
 	}
-	u.mshrTags[mshrBucket(0)] = cfg.MSHRs // every slot starts empty, at line 0
 	return u, nil
 }
 
@@ -267,7 +271,7 @@ func (u *Uncore) translateSlow(core int, vpage, vaddr uint64, e *xlatEntry) uint
 // mshrLookup returns the completion time of an in-flight fill of line, if
 // any.
 func (u *Uncore) mshrLookup(line, now uint64) (uint64, bool) {
-	if now >= u.mshrMax || u.mshrTags[mshrBucket(line)] == 0 {
+	if now >= u.mshrLast[mshrBucket(line)] {
 		return 0, false
 	}
 	for i, l := range u.mshrLine {
@@ -280,53 +284,65 @@ func (u *Uncore) mshrLookup(line, now uint64) (uint64, bool) {
 	return 0, false
 }
 
+// live is 1 if a slot completing at done is occupied at now, else 0,
+// without a branch: now-done borrows exactly when done > now.
+func live(done, now uint64) uint64 {
+	_, borrow := bits.Sub64(now, done, 0)
+	return borrow
+}
+
 // mshrInFlight counts occupied MSHRs and returns the earliest completion
-// among them.
+// among them (0 if none).
 func (u *Uncore) mshrInFlight(now uint64) (count int, earliest uint64) {
 	if now >= u.mshrMax {
 		return 0, 0
 	}
-	first := true
+	earliest = ^uint64(0)
+	n := uint64(0)
 	for _, done := range u.mshrDone {
-		if done > now {
-			count++
-			if first || done < earliest {
-				earliest = done
-				first = false
-			}
-		}
+		l := live(done, now)
+		n += l
+		// A free slot's time becomes the maximum, which no live one beats.
+		earliest = min(earliest, done|(l-1))
 	}
-	return count, earliest
+	if n == 0 {
+		earliest = 0
+	}
+	return int(n), earliest
 }
 
-// mshrProbe is mshrLookup and mshrInFlight's count in a single pass over
-// the file: it returns the completion time of an in-flight fill of line
-// (at most one fill of a line is ever in flight) and the number of
-// occupied MSHRs.
+// mshrProbe returns the completion time of an in-flight fill of line
+// and the number of occupied MSHRs. At an early core's now, two slots
+// can hold fills of one line (booked at a later core's now, the second
+// after the first had completed there); the probe then returns the
+// higher slot's, where mshrLookup returns the lower slot's.
 func (u *Uncore) mshrProbe(line, now uint64) (done uint64, ok bool, count int) {
 	if now >= u.mshrMax {
 		return 0, false, 0
 	}
-	for i, d := range u.mshrDone {
-		if d > now {
-			count++
-			if u.mshrLine[i] == line {
-				done, ok = d, true
+	n := uint64(0)
+	for _, d := range u.mshrDone {
+		n += live(d, now)
+	}
+	if now < u.mshrLast[mshrBucket(line)] {
+		for i, l := range u.mshrLine {
+			if l == line && u.mshrDone[i] > now {
+				done, ok = u.mshrDone[i], true
 			}
 		}
 	}
-	return done, ok, count
+	return done, ok, int(n)
 }
 
 // mshrInsert books a slot for a fill completing at done. A free (expired)
 // slot must exist; callers ensure capacity beforehand.
 func (u *Uncore) mshrInsert(line, done, now uint64) {
-	if done > u.mshrMax {
-		u.mshrMax = done
-	}
+	u.mshrMax = max(u.mshrMax, done)
+	b := mshrBucket(line)
+	u.mshrLast[b] = max(u.mshrLast[b], done)
 	for i, d := range u.mshrDone {
 		if d <= now {
-			u.setMSHR(i, line, done)
+			u.mshrLine[i], u.mshrDone[i] = line, done
 			return
 		}
 	}
@@ -338,38 +354,37 @@ func (u *Uncore) mshrInsert(line, done, now uint64) {
 			min = i
 		}
 	}
-	u.setMSHR(min, line, done)
-}
-
-// setMSHR books slot i for line, keeping mshrTags in step.
-func (u *Uncore) setMSHR(i int, line, done uint64) {
-	u.mshrTags[mshrBucket(u.mshrLine[i])]--
-	u.mshrTags[mshrBucket(line)]++
-	u.mshrLine[i], u.mshrDone[i] = line, done
+	u.mshrLine[min], u.mshrDone[min] = line, done
 }
 
 // Resident reports whether the line holding the physical address paddr
-// is in the LLC, as llc.Probe would, from the residency bitmap. A
+// is in the LLC, as llc.Probe would, from llcWay. A
 // prefetch of a resident line changes no state and no counter (see
 // prefetchAccess), so a caller that already holds the physical address
 // may skip such a prefetch outright.
-func (u *Uncore) Resident(paddr uint64) bool {
-	page, bit := paddr/PageSize, paddr/cache.LineSize%64
-	return page < uint64(len(u.resident)) && u.resident[page]>>bit&1 != 0
+func (u *Uncore) Resident(paddr uint64) bool { return u.way(paddr) >= 0 }
+
+// way returns the LLC way holding the line of paddr, or -1 if it is not
+// in the LLC.
+func (u *Uncore) way(paddr uint64) int {
+	if l := paddr / cache.LineSize; l < uint64(len(u.llcWay)) {
+		return int(u.llcWay[l]) - 1
+	}
+	return -1
 }
 
-// fill installs line in the LLC and updates the residency bitmap: the
-// filled line's bit is set and the victim's, if any, cleared.
+// fill installs line in the LLC and keeps llcWay in step: the filled
+// line's way is recorded and the victim's, if any, cleared.
 func (u *Uncore) fill(line uint64, write, prefetch bool) cache.Eviction {
 	ev := u.llc.Fill(line, write, prefetch)
 	if ev.Valid {
-		u.resident[ev.Addr/PageSize] &^= 1 << (ev.Addr / cache.LineSize % 64)
+		u.llcWay[ev.Addr/cache.LineSize] = 0
 	}
-	page := line / PageSize
-	if page >= uint64(len(u.resident)) {
-		u.resident = append(u.resident, make([]uint64, page+1-uint64(len(u.resident)))...)
+	l := line / cache.LineSize
+	if l >= uint64(len(u.llcWay)) {
+		u.llcWay = append(u.llcWay, make([]uint8, l+1-uint64(len(u.llcWay)))...)
 	}
-	u.resident[page] |= 1 << (line / cache.LineSize % 64)
+	u.llcWay[l] = uint8(ev.Way + 1)
 	return ev
 }
 
@@ -411,10 +426,13 @@ func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool
 		done = u.demandAccess(line, write, now)
 		// Train the LLC prefetchers on the demand stream. Proposals are
 		// issued as speculative fills through the same path. The PC is
-		// salted with the core id so per-core streams do not alias. The
-		// proposals are read straight from the prefetcher's reused
-		// buffer: prefetchAccess never calls Observe, so nothing
-		// overwrites the buffer while it is read.
+		// salted with the core id at bit 56, which keeps the cores'
+		// IP-stride tags apart but not their entries: the table index
+		// (pc ^ pc>>8) % 256 drops the salt, so cores running the same
+		// PC evict each other's entry. The proposals are read straight
+		// from the prefetcher's reused buffer: prefetchAccess never
+		// calls Observe, so nothing overwrites the buffer while it is
+		// read.
 		var props []uint64
 		if u.prefSS != nil {
 			props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
@@ -432,7 +450,7 @@ func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool
 // memory fill. It returns the request completion time.
 func (u *Uncore) demandAccess(line uint64, write bool, now uint64) uint64 {
 	hitTime := now + u.cfg.LLCLatency
-	if u.llc.Access(line, write) {
+	if u.llc.AccessWay(line, u.way(line), write) {
 		// The line's state is installed at schedule time, so a "hit" may
 		// be on a still-in-flight fill (e.g. a late prefetch): the data
 		// is only usable once the fill completes.
@@ -456,10 +474,10 @@ func (u *Uncore) demandAccess(line uint64, write bool, now uint64) uint64 {
 // nor in flight and an MSHR is free. Prefetches are dropped rather than
 // stalled when resources are exhausted.
 //
-// Residency is read from the uncore's bitmap, not from the LLC's sets:
-// most prefetches (BADCO's satellites and trained streams re-proposing
-// the lines they just fetched) find the line resident and are no-ops,
-// and a bitmap test is cheaper than a 16-way set scan.
+// Residency is read from llcWay, not from the LLC's sets: most
+// prefetches (BADCO's satellites and trained streams re-proposing the
+// lines they just fetched) find the line resident and are no-ops, and
+// one byte load is cheaper than a 16-way set scan.
 func (u *Uncore) prefetchAccess(line uint64, now uint64) uint64 {
 	if u.Resident(line) {
 		return now + u.cfg.LLCLatency
@@ -490,9 +508,13 @@ func (u *Uncore) prefetchMiss(line, now uint64) uint64 {
 // LLC (post-lookup).
 func (u *Uncore) scheduleFill(line uint64, write, prefetch bool, start uint64) uint64 {
 	// MSHR capacity: a full file delays the request until an entry frees.
-	if count, earliest := u.mshrInFlight(start); count >= u.cfg.MSHRs {
-		if earliest > start {
-			start = earliest
+	// A prefetch never waits: prefetchMiss found fewer than half the
+	// MSHRs occupied at now, and start is later, so fewer still are.
+	if !prefetch {
+		if count, earliest := u.mshrInFlight(start); count >= u.cfg.MSHRs {
+			if earliest > start {
+				start = earliest
+			}
 		}
 	}
 	_, cmdDone := u.bus.TransferCommand(start)

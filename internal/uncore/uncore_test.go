@@ -58,6 +58,15 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted bad LLC size")
 	}
+	cfg = testConfig()
+	cfg.LLCWays, cfg.LLCBytes = 256, 256*cache.LineSize
+	if _, err := New(cfg); err == nil {
+		t.Error("New accepted 256 LLC ways")
+	}
+	cfg.LLCWays, cfg.LLCBytes = 255, 255*cache.LineSize
+	if _, err := New(cfg); err != nil {
+		t.Errorf("New refused 255 LLC ways: %v", err)
+	}
 }
 
 func TestTranslateAllocatesDistinctPagesPerCore(t *testing.T) {

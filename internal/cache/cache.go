@@ -23,7 +23,7 @@ const LineSize = 64
 // strip — a single cache line of bookkeeping per lookup. The packing
 // constrains addresses to < 2^(29+log2(LineSize*sets)) — at least 2^41
 // for the smallest simulated cache, far above both the synthetic
-// virtual address space and the bump-allocated physical one; Fill
+// virtual address space and the bump-allocated physical one; FillMiss
 // panics if an address ever exceeds it.
 type line uint32
 
@@ -72,7 +72,7 @@ type Cache struct {
 	setMask  uint64
 	lines    []line // sets*ways, row-major by set
 	policy   Policy
-	lru      *lruPolicy   // policy devirtualized, when it is plain LRU
+	lru      *lruPolicy   // policy devirtualized, when it is LRU in recency words
 	addrObs  AddressAware // non-nil if the policy wants addresses
 	stats    Stats
 }
@@ -117,9 +117,12 @@ func New(name string, sizeBytes, ways int, policy Policy) (*Cache, error) {
 	}
 	c.policy = policy
 	c.addrObs, _ = policy.(AddressAware)
-	// Plain LRU (every L1, and the LLC in much of the campaign) gets its
-	// hooks called directly: touch on hits and fills, nothing on misses.
-	c.lru, _ = policy.(*lruPolicy)
+	// LRU (every L1, and the LLC in much of the campaign) gets its hooks
+	// called directly: touch on hits and fills, nothing on misses. Above
+	// 16 ways it keeps stamps and goes through the interface.
+	if p, ok := policy.(*lruPolicy); ok && p.order != nil {
+		c.lru = p
+	}
 	return c, nil
 }
 
@@ -170,42 +173,42 @@ func (c *Cache) Probe(addr uint64) bool { return c.Way(addr) >= 0 }
 // updating replacement state or statistics.
 func (c *Cache) Way(addr uint64) int {
 	set, tag := c.index(addr)
-	want := lineKey(tag)
-	for w, l := range c.set(set) {
+	return find(c.set(set), lineKey(tag))
+}
+
+// find returns the way of the set holding the line keyed want, or -1.
+// A tag sits in at most one way, so the scan visits every way and keeps
+// the match instead of stopping at it: an L1 set of 4 or 8 ways costs
+// less scanned whole than one mispredicted early exit.
+func find(ways []line, want line) int {
+	way := -1
+	for w, l := range ways {
 		if l&^(lineDirty|linePref) == want {
-			return w
+			way = w
 		}
 	}
-	return -1
+	return way
 }
 
 // Access performs a demand access. On a hit it updates replacement state
 // and returns hit=true. On a miss it updates miss statistics and the
 // policy's miss hook but does NOT fill; the caller fills after the miss
-// has been serviced (see Fill).
+// has been serviced (see FillMiss).
 func (c *Cache) Access(addr uint64, write bool) (hit bool) {
 	set, tag := c.index(addr)
-	c.stats.Accesses++
-	if c.addrObs != nil {
-		c.addrObs.ObserveAddr(addr)
-	}
-	ways := c.set(set)
-	want := lineKey(tag)
-	for w := range ways {
-		if ways[w]&^(lineDirty|linePref) == want {
-			c.hit(set, w, write)
-			return true
-		}
-	}
-	c.miss(set)
-	return false
+	return c.access(addr, set, find(c.set(set), lineKey(tag)), write)
 }
 
 // AccessWay is Access for a caller that tracks where lines sit: way is
-// the way holding addr (as Fill reported it), or -1 if addr is absent.
-// It skips the set scan and otherwise does what Access does.
+// the way holding addr (as Way or FillMiss reported it), or -1 if addr
+// is absent. It skips the set scan and otherwise does what Access does.
 func (c *Cache) AccessWay(addr uint64, way int, write bool) (hit bool) {
 	set, _ := c.index(addr)
+	return c.access(addr, set, way, write)
+}
+
+// access is the demand access of addr, found in way of set (-1: absent).
+func (c *Cache) access(addr uint64, set, way int, write bool) bool {
 	c.stats.Accesses++
 	if c.addrObs != nil {
 		c.addrObs.ObserveAddr(addr)
@@ -214,28 +217,17 @@ func (c *Cache) AccessWay(addr uint64, way int, write bool) (hit bool) {
 		c.miss(set)
 		return false
 	}
-	c.hit(set, way, write)
-	return true
-}
-
-// hit records a demand hit on way w of set.
-func (c *Cache) hit(set, w int, write bool) {
 	ways := c.set(set)
-	l := ways[w]
+	l := ways[way]
 	c.stats.Hits++
-	if write {
-		l |= lineDirty
-	}
-	if l&linePref != 0 {
-		c.stats.PrefetchHits++
-		l &^= linePref
-	}
-	ways[w] = l
+	c.stats.PrefetchHits += uint64(l&linePref) / uint64(linePref)
+	ways[way] = l&^linePref | dirtyIf(write)
 	if c.lru != nil {
-		c.lru.touch(set, w)
+		c.lru.touch(set, way)
 	} else {
-		c.policy.OnHit(set, w)
+		c.policy.OnHit(set, way)
 	}
+	return true
 }
 
 // miss records a demand miss in set.
@@ -254,11 +246,33 @@ type Eviction struct {
 	Way   int    // the way now holding the filled line
 }
 
-// Fill installs addr, evicting a victim if the set is full. write marks
-// the new line dirty (write-allocate). prefetch marks the fill as
-// prefetch-initiated for statistics. The returned Eviction tells the
-// caller whether a writeback must be modelled.
+// dirtyIf returns the dirty flag if write is set, else no flag.
+func dirtyIf(write bool) line {
+	if write {
+		return lineDirty
+	}
+	return 0
+}
+
+// Fill installs addr, evicting a victim if the set is full, unless it
+// is already present (say, a prefetch raced a demand fill): a present
+// line keeps its way and replacement state, and a write dirties it.
+// write marks the new line dirty (write-allocate). prefetch marks the
+// fill as prefetch-initiated for statistics. The returned Eviction tells
+// the caller whether a writeback must be modelled.
 func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
+	if w := c.Way(addr); w >= 0 {
+		set, _ := c.index(addr)
+		c.set(set)[w] |= dirtyIf(write)
+		return Eviction{Way: w}
+	}
+	return c.FillMiss(addr, write, prefetch)
+}
+
+// FillMiss is Fill for an addr known to be absent: the caller's Access
+// missed, or Way or Probe found nothing, with no fill of the set since.
+// It skips the scan for a present line.
+func (c *Cache) FillMiss(addr uint64, write, prefetch bool) Eviction {
 	set, tag := c.index(addr)
 	if tag >= lineTagMax {
 		panic(fmt.Sprintf("cache %s: address %#x exceeds the packed-tag range", c.name, addr))
@@ -266,44 +280,33 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
 	if c.addrObs != nil {
 		c.addrObs.ObserveAddr(addr)
 	}
-	// Already present (e.g. a prefetch raced a demand fill): refresh state.
 	ways := c.set(set)
-	want := lineKey(tag)
-	for w := range ways {
-		if ways[w]&^(lineDirty|linePref) == want {
-			if write {
-				ways[w] |= lineDirty
+	var way int
+	if c.lru != nil {
+		// The first invalid way while the set has one (the untouched ways
+		// are the invalid ones), else the least recently used.
+		way = c.lru.victim(set)
+	} else {
+		way = -1
+		for w := range ways {
+			if !ways[w].valid() {
+				way = w
+				break
 			}
-			return Eviction{Way: w}
 		}
-	}
-	way := -1
-	for w := range ways {
-		if !ways[w].valid() {
-			way = w
-			break
-		}
-	}
-	var ev Eviction
-	if way < 0 {
-		if c.lru != nil {
-			way = c.lru.Victim(set)
-		} else {
+		if way < 0 {
 			way = c.policy.Victim(set)
-		}
-		if way < 0 || way >= c.ways {
-			panic(fmt.Sprintf("cache %s: policy %s returned invalid victim %d", c.name, c.policy.Name(), way))
-		}
-		v := ways[way]
-		ev = Eviction{Valid: true, Dirty: v.dirty(), Addr: c.lineAddr(set, v.tag())}
-		if v.dirty() {
-			c.stats.Writebacks++
+			if way < 0 || way >= c.ways {
+				panic(fmt.Sprintf("cache %s: policy %s returned invalid victim %d", c.name, c.policy.Name(), way))
+			}
 		}
 	}
-	nl := want
-	if write {
-		nl |= lineDirty
+	ev := Eviction{Way: way}
+	if v := ways[way]; v.valid() {
+		ev.Valid, ev.Dirty, ev.Addr = true, v.dirty(), c.lineAddr(set, v.tag())
+		c.stats.Writebacks += uint64(v&lineDirty) / uint64(lineDirty)
 	}
+	nl := lineKey(tag) | dirtyIf(write)
 	if prefetch {
 		nl |= linePref
 		c.stats.PrefetchFills++
@@ -314,7 +317,6 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) Eviction {
 	} else {
 		c.policy.OnFill(set, way)
 	}
-	ev.Way = way
 	return ev
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -80,15 +81,31 @@ func MustNewPolicy(name PolicyName, seed int64) Policy {
 // ---------------------------------------------------------------------------
 // LRU
 
-// lruPolicy tracks a global use counter per line; the victim is the line
-// with the smallest stamp. Touches vastly outnumber victim selections
-// (every hit touches; only evictions scan), so the stamp write is the
-// operation to keep cheap.
+// lruPolicy keeps each set's recency order in one word, a nibble per
+// way from the least recently used (nibble 0) to the most recently used
+// (nibble ways-1). A word starts in way order (lruOrderInit cut to the
+// set's ways), and a touch lifts one way's nibble to the top, so the
+// ways no access has touched stay at the bottom in way order: the
+// victim, the low nibble, is the lowest untouched way while the set has
+// one, else the least recently touched way — the way the smallest
+// per-way use stamp would name, stamps being unique once touched and 0
+// before. A line turns valid only by a fill, which touches it, so the
+// untouched ways are exactly the invalid ones.
+//
+// A nibble names at most 16 ways; above that (no shipped geometry) the
+// policy keeps a global use stamp per way instead, and the victim is
+// the way with the smallest stamp.
 type lruPolicy struct {
-	ways   int
+	ways  int
+	top   uint     // shift of the most recent nibble, 4·(ways-1)
+	order []uint64 // per set, at most 16 ways
+
 	clock  uint64
-	stamps []uint64
+	stamps []uint64 // per way, above 16 ways
 }
+
+// lruOrderInit lists ways 0..15 least recent first.
+const lruOrderInit = 0xFEDCBA9876543210
 
 // NewLRUPolicy returns a least-recently-used policy.
 func NewLRUPolicy() Policy { return &lruPolicy{} }
@@ -100,20 +117,53 @@ func (p *lruPolicy) Attach(sets, ways int) error {
 		return fmt.Errorf("lru: bad geometry %dx%d", sets, ways)
 	}
 	p.ways = ways
-	p.stamps = make([]uint64, sets*ways)
+	if ways > 16 {
+		p.stamps = make([]uint64, sets*ways)
+		return nil
+	}
+	p.top = uint(4 * (ways - 1))
+	p.order = make([]uint64, sets)
+	start := uint64(lruOrderInit) & (1<<(4*ways) - 1) // 16 ways: 1<<64 is 0
+	for s := range p.order {
+		p.order[s] = start
+	}
 	return nil
 }
 
+// touch makes way the most recently used of its set. The way's nibble
+// is found by the zero-nibble test on order^way·0x1…1: the test can flag
+// a nibble above a zero one, never below, and way occurs once below the
+// unused high nibbles (which are 0 under 16 ways), so the lowest flag is
+// way's nibble. The nibbles above it shift down one, and way goes on top.
 func (p *lruPolicy) touch(set, way int) {
-	p.clock++
-	p.stamps[set*p.ways+way] = p.clock
+	const ones, highs = 0x1111111111111111, 0x8888888888888888
+	r, w := p.order[set], uint64(way)
+	x := r ^ w*ones
+	s := uint(bits.TrailingZeros64((x-ones)&^x&highs)) & 60 // 4 × way's rank
+	p.order[set] = r&(1<<s-1) | r>>s>>4<<s | w<<(p.top&63)
 }
 
-func (p *lruPolicy) OnHit(set, way int)  { p.touch(set, way) }
+// victim returns the low nibble of set's order: its least recent way.
+func (p *lruPolicy) victim(set int) int { return int(p.order[set] & 0xF) }
+
+// use records a use of (set, way) in whichever form the policy keeps.
+func (p *lruPolicy) use(set, way int) {
+	if p.order == nil {
+		p.clock++
+		p.stamps[set*p.ways+way] = p.clock
+		return
+	}
+	p.touch(set, way)
+}
+
+func (p *lruPolicy) OnHit(set, way int)  { p.use(set, way) }
 func (p *lruPolicy) OnMiss(int)          {}
-func (p *lruPolicy) OnFill(set, way int) { p.touch(set, way) }
+func (p *lruPolicy) OnFill(set, way int) { p.use(set, way) }
 
 func (p *lruPolicy) Victim(set int) int {
+	if p.order != nil {
+		return p.victim(set)
+	}
 	base := set * p.ways
 	best, bestStamp := 0, p.stamps[base]
 	for w := 1; w < p.ways; w++ {

@@ -86,17 +86,17 @@ func (p *ipStridePrefetcher) Observe(pc, addr uint64, _ bool) []uint64 {
 		*e = ipStrideEntry{tag: pc, lastAddr: addr}
 		return nil
 	}
+	// A repeated nonzero stride gains confidence, any other resets it;
+	// either way the entry keeps the new stride (a repeat leaves it as
+	// it was). Confidence reaches the threshold only on repeats, so a
+	// confident stride is nonzero.
 	stride := int64(addr) - int64(e.lastAddr)
-	if stride == e.stride && stride != 0 {
-		if e.conf < ipStrideConfMax {
-			e.conf++
-		}
-	} else {
-		e.stride = stride
-		e.conf = 0
+	conf := min(e.conf+1, ipStrideConfMax)
+	if stride != e.stride || stride == 0 {
+		conf = 0
 	}
-	e.lastAddr = addr
-	if e.conf >= ipStrideThreshold && e.stride != 0 {
+	e.stride, e.conf, e.lastAddr = stride, conf, addr
+	if conf >= ipStrideThreshold {
 		next := int64(addr)
 		for d := 0; d < p.degree; d++ {
 			next += e.stride
@@ -324,9 +324,16 @@ type StrideNextPrefetcher struct {
 
 func (p *StrideNextPrefetcher) Name() string { return "combined" }
 
+// Observe merges the two parts' proposals; most calls have none, and
+// skip the merge.
 func (p *StrideNextPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
-	p.buf = appendDedup(p.buf[:0], p.stride.Observe(pc, addr, miss))
-	p.buf = appendDedup(p.buf, p.next.Observe(pc, addr, miss))
+	a := p.stride.Observe(pc, addr, miss)
+	b := p.next.Observe(pc, addr, miss)
+	if len(a) == 0 && len(b) == 0 {
+		return nil
+	}
+	p.buf = appendDedup(p.buf[:0], a)
+	p.buf = appendDedup(p.buf, b)
 	return p.buf
 }
 

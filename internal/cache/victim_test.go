@@ -72,48 +72,222 @@ func TestPolicyVictimStreamsPinned(t *testing.T) {
 	}
 }
 
-// TestAccessWayMatchesAccess runs one seeded stream of demand accesses
-// and fills through two caches under each policy: one looks lines up by
-// Access's set scan, the other by AccessWay with the ways Fill reported,
-// kept in a map as the uncore keeps them. After every call the two agree
-// on the hit, the eviction, the statistics, and the way Way finds for
-// every line the map holds.
+// TestAccessWayMatchesAccess runs one seeded stream of demand accesses,
+// probes, fills after a miss and fills of possibly present lines through
+// two caches and a plain reference model (refCache) under every policy at
+// 4, 8, 16 and 32 ways. One cache looks lines up by Access's set scan,
+// the other by AccessWay with the ways Fill and FillMiss reported, kept
+// in a map as the uncore keeps them. After every call both agree with
+// the reference on the hit, the way Way finds, the eviction (validity,
+// address, dirtiness, way), the statistics and the contents of the set
+// the call touched. Under LRU the reference keeps per-way use stamps, so
+// the recency words are checked against an independent order; 32 ways
+// take the stamp form in the cache too.
 func TestAccessWayMatchesAccess(t *testing.T) {
-	for _, name := range []PolicyName{LRU, FIFO, Random, DIP, DRRIP, SRRIP, SHIP} {
-		scan := MustNew("LLC", 16<<10, 16, MustNewPolicy(name, 7))
-		memo := MustNew("LLC", 16<<10, 16, MustNewPolicy(name, 7))
-		ways := map[uint64]int{}
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 20000; i++ {
-			addr := uint64(rng.Intn(1<<11)) * LineSize
-			write := rng.Intn(3) == 0
-			if rng.Intn(3) != 0 {
-				w, ok := ways[addr]
-				if !ok {
-					w = -1
-				}
-				if got, want := memo.AccessWay(addr, w, write), scan.Access(addr, write); got != want {
-					t.Fatalf("%s call %d: AccessWay hit %v, Access %v", name, i, got, want)
-				}
-			} else {
+	const sets = 16
+	for _, ways := range []int{4, 8, 16, 32} {
+		for _, name := range []PolicyName{LRU, FIFO, Random, DIP, DRRIP, SRRIP, SHIP, PLRU} {
+			key := fmt.Sprintf("%s/%d-way", name, ways)
+			size := sets * ways * LineSize
+			scan := MustNew("LLC", size, ways, MustNewPolicy(name, 7))
+			memo := MustNew("LLC", size, ways, MustNewPolicy(name, 7))
+			refPol := MustNewPolicy(name, 7)
+			if name == LRU {
+				refPol = &refLRU{}
+			}
+			ref := newRefCache(sets, ways, refPol)
+			memoWays := map[uint64]int{}
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 20000; i++ {
+				addr := uint64(rng.Intn(2*sets*ways)) * LineSize
+				write := rng.Intn(3) == 0
 				prefetch := rng.Intn(4) == 0
-				got, want := memo.Fill(addr, write, prefetch), scan.Fill(addr, write, prefetch)
-				if got != want {
-					t.Fatalf("%s call %d: fills evicted %+v and %+v", name, i, got, want)
+				want := ref.way(addr)
+				if got := scan.Way(addr); got != want {
+					t.Fatalf("%s call %d: Way %d, reference %d", key, i, got, want)
 				}
-				if got.Valid {
-					delete(ways, got.Addr)
+				if got, ok := memoWays[addr]; ok != (want >= 0) || ok && got != want {
+					t.Fatalf("%s call %d: Fill reported way %d (%v), reference %d", key, i, got, ok, want)
 				}
-				ways[addr] = got.Way
-			}
-			if memo.Stats() != scan.Stats() {
-				t.Fatalf("%s call %d: stats %+v, want %+v", name, i, memo.Stats(), scan.Stats())
-			}
-			for a, w := range ways {
-				if got := memo.Way(a); got != w {
-					t.Fatalf("%s call %d: line %#x in way %d, Fill reported %d", name, i, a, got, w)
+				var evs []Eviction // the reference's, then scan's and memo's
+				switch op := rng.Intn(4); op {
+				case 0, 1: // a demand access, and on a miss the fill after it
+					hit := ref.access(addr, write)
+					if got := scan.Access(addr, write); got != hit {
+						t.Fatalf("%s call %d: Access hit %v, reference %v", key, i, got, hit)
+					}
+					if got := memo.AccessWay(addr, want, write); got != hit {
+						t.Fatalf("%s call %d: AccessWay hit %v, reference %v", key, i, got, hit)
+					}
+					if hit || op == 1 {
+						break
+					}
+					evs = []Eviction{ref.fill(addr, write, prefetch), scan.FillMiss(addr, write, prefetch), memo.FillMiss(addr, write, prefetch)}
+				case 2: // a probe
+					if got := scan.Probe(addr); got != (want >= 0) {
+						t.Fatalf("%s call %d: Probe %v, reference way %d", key, i, got, want)
+					}
+					continue
+				case 3: // a fill of a line that may be present
+					evs = []Eviction{ref.fill(addr, write, prefetch), scan.Fill(addr, write, prefetch), memo.Fill(addr, write, prefetch)}
+				}
+				if evs != nil {
+					if evs[1] != evs[0] || evs[2] != evs[0] {
+						t.Fatalf("%s call %d: evictions %+v and %+v, reference %+v", key, i, evs[1], evs[2], evs[0])
+					}
+					if evs[0].Valid {
+						delete(memoWays, evs[0].Addr)
+					}
+					memoWays[addr] = evs[0].Way
+				}
+				for _, c := range []*Cache{scan, memo} {
+					if c.Stats() != ref.stats {
+						t.Fatalf("%s call %d: stats %+v, reference %+v", key, i, c.Stats(), ref.stats)
+					}
+					set, _ := c.index(addr)
+					for w, l := range c.set(set) {
+						if got, want := refLineOf(c, set, l), ref.lines[set*ways+w]; got != want {
+							t.Fatalf("%s call %d: set %d way %d holds %+v, reference %+v", key, i, set, w, got, want)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// refCache is a plain model of Cache: one struct per way, a scan that
+// stops at the first match, a scan for the first invalid way, and the
+// policy's hooks called where the cache calls them.
+type refCache struct {
+	sets, ways int
+	lines      []refLine
+	policy     Policy
+	obs        AddressAware
+	stats      Stats
+}
+
+// refLine is one line of refCache; an invalid line is the zero value.
+type refLine struct {
+	valid, dirty, pref bool
+	addr               uint64 // line-aligned
+}
+
+func newRefCache(sets, ways int, p Policy) *refCache {
+	if err := p.Attach(sets, ways); err != nil {
+		panic(err)
+	}
+	obs, _ := p.(AddressAware)
+	return &refCache{sets: sets, ways: ways, lines: make([]refLine, sets*ways), policy: p, obs: obs}
+}
+
+// refLineOf reads line l of set in c as a refLine.
+func refLineOf(c *Cache, set int, l line) refLine {
+	if !l.valid() {
+		return refLine{}
+	}
+	return refLine{valid: true, dirty: l.dirty(), pref: l&linePref != 0, addr: c.lineAddr(set, l.tag())}
+}
+
+func (r *refCache) set(addr uint64) int { return int(addr / LineSize % uint64(r.sets)) }
+
+// way returns the first way of addr's set holding its line, or -1.
+func (r *refCache) way(addr uint64) int {
+	set := r.set(addr)
+	for w := 0; w < r.ways; w++ {
+		if l := r.lines[set*r.ways+w]; l.valid && l.addr == AlignLine(addr) {
+			return w
+		}
+	}
+	return -1
+}
+
+func (r *refCache) access(addr uint64, write bool) bool {
+	set := r.set(addr)
+	r.stats.Accesses++
+	if r.obs != nil {
+		r.obs.ObserveAddr(addr)
+	}
+	w := r.way(addr)
+	if w < 0 {
+		r.stats.Misses++
+		r.policy.OnMiss(set)
+		return false
+	}
+	l := &r.lines[set*r.ways+w]
+	r.stats.Hits++
+	if write {
+		l.dirty = true
+	}
+	if l.pref {
+		r.stats.PrefetchHits++
+		l.pref = false
+	}
+	r.policy.OnHit(set, w)
+	return true
+}
+
+func (r *refCache) fill(addr uint64, write, prefetch bool) Eviction {
+	set := r.set(addr)
+	if r.obs != nil {
+		r.obs.ObserveAddr(addr)
+	}
+	if w := r.way(addr); w >= 0 {
+		if write {
+			r.lines[set*r.ways+w].dirty = true
+		}
+		return Eviction{Way: w}
+	}
+	way := -1
+	for w := 0; w < r.ways; w++ {
+		if !r.lines[set*r.ways+w].valid {
+			way = w
+			break
+		}
+	}
+	var ev Eviction
+	if way < 0 {
+		way = r.policy.Victim(set)
+		v := r.lines[set*r.ways+way]
+		ev = Eviction{Valid: true, Dirty: v.dirty, Addr: v.addr}
+		if v.dirty {
+			r.stats.Writebacks++
+		}
+	}
+	if prefetch {
+		r.stats.PrefetchFills++
+	}
+	r.lines[set*r.ways+way] = refLine{valid: true, dirty: write, pref: prefetch, addr: AlignLine(addr)}
+	r.policy.OnFill(set, way)
+	ev.Way = way
+	return ev
+}
+
+// refLRU is least-recently-used by a global use stamp per way: the victim
+// is the way with the smallest stamp, the lowest such way on a tie.
+type refLRU struct {
+	ways   int
+	clock  uint64
+	stamps []uint64
+}
+
+func (p *refLRU) Name() string { return string(LRU) }
+
+func (p *refLRU) Attach(sets, ways int) error {
+	p.ways, p.stamps = ways, make([]uint64, sets*ways)
+	return nil
+}
+
+func (p *refLRU) OnHit(set, way int)  { p.clock++; p.stamps[set*p.ways+way] = p.clock }
+func (p *refLRU) OnMiss(int)          {}
+func (p *refLRU) OnFill(set, way int) { p.OnHit(set, way) }
+
+func (p *refLRU) Victim(set int) int {
+	best := 0
+	for w := 1; w < p.ways; w++ {
+		if p.stamps[set*p.ways+w] < p.stamps[set*p.ways+best] {
+			best = w
+		}
+	}
+	return best
 }

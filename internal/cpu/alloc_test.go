@@ -9,17 +9,16 @@ import (
 
 // TestStepAllocationFree pins the core's per-µop hot path at zero
 // steady-state allocations (recorder detached): the MSHR file is a fixed
-// array and prefetch staging reuses a per-core scratch, so the only
-// allocations happen at construction and during warm-up growth of the
-// shadow call stack.
+// array, so the only allocations happen at construction and during
+// warm-up growth of the shadow call stack.
 func TestStepAllocationFree(t *testing.T) {
 	traces := trace.GenerateSuite(5000)
 	for _, bench := range []string{"mcf", "povray", "gcc"} {
 		tr := traces[bench]
 		unc := uncore.MustNew(uncore.ConfigFor(1, "LRU"))
 		c := MustNew(0, DefaultConfig(), tr, unc)
-		// Warm up: one full trace iteration grows the shadow RAS and any
-		// lazily-sized scratch to steady state.
+		// Warm up: one full trace iteration grows the shadow RAS to
+		// steady state.
 		c.Run(tr.Len())
 		if avg := testing.AllocsPerRun(2000, func() { c.Step() }); avg != 0 {
 			t.Errorf("%s: steady-state Step allocates %.2f times per µop, want 0", bench, avg)

@@ -15,7 +15,6 @@ type tlb struct {
 	tags   []uint64 // vpage+1 so zero means empty
 	mask   uint64
 	misses uint64
-	hits   uint64
 }
 
 func newTLB(entries int) *tlb {
@@ -34,7 +33,6 @@ func newTLB(entries int) *tlb {
 func (t *tlb) lookup(vpage uint64) bool {
 	idx := vpage & t.mask
 	if t.tags[idx] == vpage+1 {
-		t.hits++
 		return true
 	}
 	t.tags[idx] = vpage + 1

@@ -79,6 +79,7 @@ type Core struct {
 	cfg Config
 	tr  *trace.Trace
 	mem uncore.Memory
+	unc *uncore.Uncore // mem devirtualized, when it is the real uncore
 
 	il1  *cache.Cache
 	dl1  *cache.Cache
@@ -89,7 +90,6 @@ type Core struct {
 	ind  *bpred.Indirect
 	ras  *bpred.RAS
 	dpf  *cache.StrideNextPrefetcher // DL1 prefetcher (ip-stride + next-line)
-	ipf  cache.Prefetcher            // IL1 prefetcher (next-line)
 
 	// shadowRAS is the architectural call stack (ground truth for return
 	// targets); the 16-entry ras above is the predictor being modelled.
@@ -116,6 +116,15 @@ type Core struct {
 	lastILine    uint32
 	haveILine    bool
 
+	// The IL1 next-line prefetch of every code-line fetch leaves the
+	// line after it resident: nextILine is that line's address (0 before
+	// the first fetch; code lines start at codeBase) and nextIWay its IL1
+	// way, which the next fetch of nextILine hands to AccessWay instead of
+	// scanning the set. Only code-line fetches touch the IL1, so the way
+	// holds until then.
+	nextILine uint64
+	nextIWay  int
+
 	// Issue bandwidth booking: one packed word per slot, the cycle tag in
 	// the high 60 bits and the booked count in the low 4 (IssueWidth is
 	// far below 16), so probing a slot touches one cache line, not two
@@ -135,6 +144,9 @@ type Core struct {
 	// order-independent, so swap-removal preserves the exact semantics.
 	dl1Miss  [maxDL1MSHRs]mshrEntry
 	dl1MissN int
+	// dl1MissMax is the latest completion ever booked: a DL1 hit at or
+	// after it finds no fill in flight, and skips the lookup.
+	dl1MissMax uint64
 
 	// MSHR-pressure prefetch-drop calibration (see ffPrefetchObserve):
 	// the detailed path counts proposals reaching its pressure check and
@@ -143,12 +155,6 @@ type Core struct {
 	pfCand   uint64
 	pfIssued uint64
 	ffPfAcc  float64
-
-	// pfBuf detaches DL1 prefetch proposals from the prefetcher's reused
-	// buffer before they are issued (dl1Prefetch feeds the uncore, whose
-	// own prefetchers have their own buffers, so pfBuf is never reused
-	// re-entrantly).
-	pfBuf []uint64
 
 	stats    Stats
 	recorder *[]UncoreRequest
@@ -172,8 +178,8 @@ func New(id int, cfg Config, tr *trace.Trace, mem uncore.Memory) (*Core, error) 
 	if mem == nil {
 		return nil, fmt.Errorf("cpu: nil memory")
 	}
-	if cfg.ROB > ring {
-		return nil, fmt.Errorf("cpu: ROB %d exceeds window limit %d", cfg.ROB, ring)
+	if cfg.ROB > ring || cfg.RS > ring {
+		return nil, fmt.Errorf("cpu: ROB %d or RS %d exceeds window limit %d", cfg.ROB, cfg.RS, ring)
 	}
 	if cfg.LDQ > len((&Core{}).loadDone) || cfg.STQ > len((&Core{}).storeDone) {
 		return nil, fmt.Errorf("cpu: LDQ/STQ exceed ring sizes")
@@ -208,11 +214,13 @@ func New(id int, cfg Config, tr *trace.Trace, mem uncore.Memory) (*Core, error) 
 	if btacEnts <= 0 {
 		btacEnts = 512
 	}
+	unc, _ := mem.(*uncore.Uncore)
 	return &Core{
 		id:   id,
 		cfg:  cfg,
 		tr:   tr,
 		mem:  mem,
+		unc:  unc,
 		il1:  il1,
 		dl1:  dl1,
 		itlb: newTLB(cfg.ITLBEntries),
@@ -222,10 +230,6 @@ func New(id int, cfg Config, tr *trace.Trace, mem uncore.Memory) (*Core, error) 
 		ind:  bpred.DefaultIndirect(),
 		ras:  bpred.NewRAS(ras),
 		dpf:  cache.NewStrideNext(cfg.PrefetchDegree, true),
-		// The IL1 next-line prefetcher fires on every access so that
-		// sequential code fetch stays ahead of demand.
-		ipf:   cache.NewNextLine(false),
-		pfBuf: make([]uint64, 0, 8),
 	}, nil
 }
 
@@ -332,20 +336,13 @@ func (c *Core) StepUntil(limit, quota uint64) (now, committed uint64) {
 // fetch computes the cycle the µop leaves the front end.
 func (c *Core) fetch(op *trace.Op, i uint64) uint64 {
 	// New decode group when the current cycle's slots are exhausted.
-	if c.fetchInCycle >= c.cfg.DecodeWidth {
-		c.fetchCycle++
-		c.fetchInCycle = 0
+	cyc, n := c.fetchCycle, c.fetchInCycle
+	if n >= c.cfg.DecodeWidth {
+		cyc, n = cyc+1, 0
 	}
-	ft := c.fetchCycle
-	if c.redirectAt > ft {
-		ft = c.redirectAt
-	}
-	// ROB occupancy: the op cannot enter until op i-ROB has committed.
-	if i >= uint64(c.cfg.ROB) {
-		if t := c.commitT[(i-uint64(c.cfg.ROB))%ring]; t > ft {
-			ft = t
-		}
-	}
+	// ROB occupancy: the op cannot enter until op i-ROB has committed
+	// (before the first ROB µops, a slot no µop has written yet: 0).
+	ft := max(cyc, c.redirectAt, c.commitT[(i-uint64(c.cfg.ROB))%ring])
 	// Instruction delivery: one IL1 access per new code line.
 	if iline := op.ILine(); !c.haveILine || iline != c.lastILine {
 		c.lastILine = iline
@@ -353,12 +350,11 @@ func (c *Core) fetch(op *trace.Op, i uint64) uint64 {
 		line := codeBase + uint64(iline)*cache.LineSize
 		ft = c.instrFetch(line, line, ft)
 	}
-	if ft > c.fetchCycle {
-		c.fetchCycle = ft
-		c.fetchInCycle = 0
+	if ft > cyc {
+		cyc, n = ft, 0
 	}
-	c.fetchInCycle++
-	return c.fetchCycle
+	c.fetchCycle, c.fetchInCycle = cyc, n+1
+	return cyc
 }
 
 // codeBase is the virtual base address of the synthetic code segment,
@@ -368,71 +364,68 @@ const codeBase = 0x10000000
 // instrFetch models ITLB + IL1 access at cycle t, returning when the
 // instruction bytes are available. Sequential IL1 hits are fully
 // pipelined and do not stall the front end; only misses (and TLB walks)
-// do.
+// do. The IL1 next-line prefetcher fires on every access, so that
+// sequential code fetch stays ahead of demand.
 func (c *Core) instrFetch(pc, line uint64, t uint64) uint64 {
 	if !c.itlb.lookup(pc / uncore.PageSize) {
 		t += c.cfg.TLBWalkLat
 	}
-	hit := c.il1.Access(line, false)
-	if !hit {
+	if !c.il1.AccessWay(line, c.il1Way(line), false) {
 		miss := t + c.cfg.IL1Lat
-		done := c.mem.Access(c.id, pc, line, false, false, miss)
+		done := c.access(pc, line, false, false, miss)
 		c.record(UncoreRequest{OpIndex: c.pos, VAddr: line, PC: pc, Kind: ReqInstr, Issue: miss, Complete: done})
 		c.stats.UncoreDemand++
-		c.il1.Fill(line, false, false)
+		c.il1.FillMiss(line, false, false)
 		t = done
 	}
-	for _, a := range c.ipf.Observe(pc, line, !hit) {
-		c.il1Prefetch(pc, a, t)
+	next := line + cache.LineSize
+	w := c.il1.Way(next)
+	if w < 0 {
+		done := c.access(pc, next, false, true, t)
+		c.record(UncoreRequest{OpIndex: c.pos, VAddr: next, PC: pc, Kind: ReqInstr, Prefetch: true, Issue: t, Complete: done})
+		c.stats.UncorePref++
+		w = c.il1.FillMiss(next, false, true).Way
 	}
+	c.nextILine, c.nextIWay = next, w
 	return t
 }
 
-// il1Prefetch issues a next-line instruction prefetch.
-func (c *Core) il1Prefetch(pc, line uint64, t uint64) {
-	if c.il1.Probe(line) {
-		return
+// il1Way returns the IL1 way holding the code line, or -1: the carried
+// way if the line is the one the last fetch prefetched, else a set scan.
+func (c *Core) il1Way(line uint64) int {
+	if line == c.nextILine {
+		return c.nextIWay
 	}
-	done := c.mem.Access(c.id, pc, line, false, true, t)
-	c.record(UncoreRequest{OpIndex: c.pos, VAddr: line, PC: pc, Kind: ReqInstr, Prefetch: true, Issue: t, Complete: done})
-	c.stats.UncorePref++
-	c.il1.Fill(line, false, true)
+	return c.il1.Way(line)
+}
+
+// access sends one request to the memory hierarchy below the L1s,
+// calling the real uncore directly.
+func (c *Core) access(pc, vaddr uint64, write, prefetch bool, now uint64) uint64 {
+	if c.unc != nil {
+		return c.unc.Access(c.id, pc, vaddr, write, prefetch, now)
+	}
+	return c.mem.Access(c.id, pc, vaddr, write, prefetch, now)
 }
 
 // issue computes the op's issue cycle: operands ready, reservation
 // station free, load/store queue entry free, issue slot free.
 func (c *Core) issue(op *trace.Op, i, fetch uint64) uint64 {
-	ready := fetch + c.cfg.FetchToIssue
-	if d := op.Dep1(); d > 0 {
-		if t := c.completeT[(i-uint64(d))%ring]; t > ready {
-			ready = t
-		}
-	}
-	if d := op.Dep2(); d > 0 {
-		if t := c.completeT[(i-uint64(d))%ring]; t > ready {
-			ready = t
-		}
-	}
+	// Both dependency operands are read unconditionally: a distance of
+	// 0 (no dependency) masks its read to 0, which never raises ready.
+	d1, d2 := uint64(op.Dep1()), uint64(op.Dep2())
+	t1 := c.completeT[(i-d1)%ring] & -((d1 + 0xFFFF) >> 16)
+	t2 := c.completeT[(i-d2)%ring] & -((d2 + 0xFFFF) >> 16)
 	// RS occupancy (approximated in program order: entry i-RS freed at
-	// its issue).
-	if i >= uint64(c.cfg.RS) {
-		if t := c.issueT[(i-uint64(c.cfg.RS))%ring]; t > ready {
-			ready = t
-		}
-	}
+	// its issue), and the load/store queue entry. Before the first RS
+	// µops (LDQ loads, STQ stores) the read lands on a slot no µop has
+	// written yet, which holds 0.
+	ready := max(fetch+c.cfg.FetchToIssue, t1, t2, c.issueT[(i-uint64(c.cfg.RS))%ring])
 	switch op.Kind {
 	case trace.Load:
-		if c.loadSeq >= uint64(c.cfg.LDQ) {
-			if t := c.loadDone[(c.loadSeq-uint64(c.cfg.LDQ))%uint64(len(c.loadDone))]; t > ready {
-				ready = t
-			}
-		}
+		ready = max(ready, c.loadDone[(c.loadSeq-uint64(c.cfg.LDQ))%uint64(len(c.loadDone))])
 	case trace.Store:
-		if c.storeSeq >= uint64(c.cfg.STQ) {
-			if t := c.storeDone[(c.storeSeq-uint64(c.cfg.STQ))%uint64(len(c.storeDone))]; t > ready {
-				ready = t
-			}
-		}
+		ready = max(ready, c.storeDone[(c.storeSeq-uint64(c.cfg.STQ))%uint64(len(c.storeDone))])
 	}
 	return c.bookIssueSlot(ready)
 }
@@ -522,8 +515,10 @@ func (c *Core) load(op *trace.Op, issue uint64) uint64 {
 	var done uint64
 	if hit {
 		done = t
-		if fill, ok := c.dl1MissLookup(line); ok && fill > done {
-			done = fill // late fill (e.g. in-flight prefetch)
+		if t < c.dl1MissMax {
+			if fill, ok := c.dl1MissLookup(line); ok && fill > done {
+				done = fill // late fill (e.g. in-flight prefetch)
+			}
 		}
 	} else {
 		done = c.dl1FillMiss(op.PC, line, false, t)
@@ -564,14 +559,14 @@ func (c *Core) dl1FillMiss(pc, line uint64, write bool, t uint64) uint64 {
 		}
 		c.pruneDL1(t)
 	}
-	done := c.mem.Access(c.id, pc, line, write, false, t)
+	done := c.access(pc, line, write, false, t)
 	c.record(UncoreRequest{OpIndex: c.pos, VAddr: line, PC: pc, Kind: ReqData, Write: write, Issue: t, Complete: done})
 	c.stats.UncoreDemand++
 	c.dl1MissInsert(line, done)
-	ev := c.dl1.Fill(line, write, false)
+	ev := c.dl1.FillMiss(line, write, false)
 	if ev.Valid && ev.Dirty {
 		// Write the dirty victim back to the LLC at fill time.
-		c.mem.Access(c.id, pc, ev.Addr, true, false, done)
+		c.access(pc, ev.Addr, true, false, done)
 		c.record(UncoreRequest{OpIndex: c.pos, VAddr: ev.Addr, PC: pc, Kind: ReqWB, Write: true, Issue: done, Complete: done})
 		c.stats.UncoreDemand++
 	}
@@ -595,32 +590,24 @@ func (c *Core) dl1Prefetch(pc, line uint64, t uint64) {
 		return
 	}
 	c.pfIssued++
-	done := c.mem.Access(c.id, pc, line, false, true, t)
+	done := c.access(pc, line, false, true, t)
 	c.record(UncoreRequest{OpIndex: c.pos, VAddr: line, PC: pc, Kind: ReqData, Prefetch: true, Issue: t, Complete: done})
 	c.stats.UncorePref++
 	c.dl1MissInsert(line, done)
-	ev := c.dl1.Fill(line, false, true)
+	ev := c.dl1.FillMiss(line, false, true)
 	if ev.Valid && ev.Dirty {
-		c.mem.Access(c.id, pc, ev.Addr, true, false, done)
+		c.access(pc, ev.Addr, true, false, done)
 		c.record(UncoreRequest{OpIndex: c.pos, VAddr: ev.Addr, PC: pc, Kind: ReqWB, Write: true, Issue: done, Complete: done})
 		c.stats.UncoreDemand++
 	}
 }
 
 // dl1PrefetchObserve trains the DL1 prefetchers and issues proposals.
+// The proposals are read straight from the prefetcher's reused buffer:
+// dl1Prefetch never calls dpf.Observe (the uncore's prefetchers have
+// buffers of their own), so nothing overwrites it while it is read.
 func (c *Core) dl1PrefetchObserve(pc, addr uint64, miss bool, t uint64) {
-	props := c.dpf.Observe(pc, addr, miss)
-	if len(props) == 0 {
-		return
-	}
-	// Stage through the reusable per-core scratch: props aliases the
-	// prefetcher's internal buffer, which the next Observe overwrites.
-	// (Element-wise: proposals are 1-2 entries, below memmove's worth.)
-	c.pfBuf = c.pfBuf[:0]
-	for _, a := range props {
-		c.pfBuf = append(c.pfBuf, a)
-	}
-	for _, a := range c.pfBuf {
+	for _, a := range c.dpf.Observe(pc, addr, miss) {
 		c.dl1Prefetch(pc, cache.AlignLine(a), t)
 	}
 }
@@ -641,6 +628,7 @@ func (c *Core) dl1MissLookup(line uint64) (uint64, bool) {
 // earliest-completing entry is replaced (unreachable through the normal
 // paths; keeps the model robust).
 func (c *Core) dl1MissInsert(line, done uint64) {
+	c.dl1MissMax = max(c.dl1MissMax, done)
 	if c.dl1MissN == len(c.dl1Miss) {
 		min := 0
 		for i := 1; i < c.dl1MissN; i++ {
@@ -656,6 +644,10 @@ func (c *Core) dl1MissInsert(line, done uint64) {
 }
 
 func (c *Core) pruneDL1(now uint64) {
+	if now >= c.dl1MissMax { // every booked fill has completed
+		c.dl1MissN = 0
+		return
+	}
 	for i := 0; i < c.dl1MissN; {
 		if c.dl1Miss[i].done <= now {
 			c.dl1MissN--
@@ -680,23 +672,18 @@ func (c *Core) earliestDL1() uint64 {
 
 // commit retires the op in order with commit-width bandwidth.
 func (c *Core) commit(complete uint64) uint64 {
-	ct := complete
-	if c.lastCommit > ct {
-		ct = c.lastCommit
+	ct := max(complete, c.lastCommit)
+	// The op is the n-th of cycle ct; past the commit width it moves to
+	// the next cycle as its first. A cycle's first op always commits,
+	// so a width below 1 acts as 1.
+	n := c.commitsInCycle + 1
+	if ct != c.lastCommitCyc {
+		n = 1
 	}
-	if ct == c.lastCommitCyc {
-		if c.commitsInCycle >= c.cfg.CommitWidth {
-			ct++
-			c.lastCommitCyc = ct
-			c.commitsInCycle = 1
-		} else {
-			c.commitsInCycle++
-		}
-	} else {
-		c.lastCommitCyc = ct
-		c.commitsInCycle = 1
+	if n > max(c.cfg.CommitWidth, 1) {
+		ct, n = ct+1, 1
 	}
-	c.lastCommit = ct
+	c.lastCommit, c.lastCommitCyc, c.commitsInCycle = ct, ct, n
 	return ct
 }
 

@@ -2,8 +2,10 @@ package cpu
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"mcbench/internal/cache"
 	"mcbench/internal/trace"
 	"mcbench/internal/uncore"
 )
@@ -32,6 +34,11 @@ func TestNewValidation(t *testing.T) {
 	cfg.ROB = ring + 1
 	if _, err := New(0, cfg, tr, fastMem(10)); err == nil {
 		t.Error("New accepted oversized ROB")
+	}
+	cfg = DefaultConfig()
+	cfg.RS = ring + 1
+	if _, err := New(0, cfg, tr, fastMem(10)); err == nil {
+		t.Error("New accepted oversized RS")
 	}
 }
 
@@ -279,5 +286,46 @@ func TestSmallROBIsSlower(t *testing.T) {
 	if cs.Cycles() <= cb.Cycles() {
 		t.Errorf("16-entry ROB (%d cyc) not slower than 128-entry (%d cyc) on memory-bound code",
 			cs.Cycles(), cb.Cycles())
+	}
+}
+
+// TestCarriedIL1WayMatchesWay drives cores through Step, FastForward and
+// Skip, wrapping their traces several times, and checks after every µop
+// that the IL1 way carried from the last code-line fetch to the next
+// (nextIWay) is where the IL1 holds that line (Way), and that fetches did
+// take the carried way.
+func TestCarriedIL1WayMatchesWay(t *testing.T) {
+	for _, bench := range []string{"gcc", "povray", "mcf"} {
+		for _, mem := range []string{"uncore", "fixed"} {
+			tr := mkTrace(t, bench, 3000)
+			var m uncore.Memory = fastMem(30)
+			if mem == "uncore" {
+				m = uncore.MustNew(uncore.ConfigFor(1, "LRU"))
+			}
+			c := MustNew(0, DefaultConfig(), tr, m)
+			rng := rand.New(rand.NewSource(5))
+			carried := 0
+			for c.Committed() < uint64(4*tr.Len()) {
+				if iline := tr.Ops[c.pos].ILine(); (!c.haveILine || iline != c.lastILine) &&
+					codeBase+uint64(iline)*cache.LineSize == c.nextILine {
+					carried++
+				}
+				switch r := rng.Intn(100); {
+				case r < 60:
+					c.Step()
+				case r < 99:
+					c.FastForward(1)
+				default:
+					c.Skip(uint64(rng.Intn(tr.Len())))
+				}
+				if got := c.il1.Way(c.nextILine); got != c.nextIWay || got < 0 {
+					t.Fatalf("%s/%s after µop %d: line %#x carried in way %d, IL1 holds it in way %d",
+						bench, mem, c.Committed(), c.nextILine, c.nextIWay, got)
+				}
+			}
+			if carried == 0 {
+				t.Errorf("%s/%s: no fetch took the carried way", bench, mem)
+			}
+		}
 	}
 }

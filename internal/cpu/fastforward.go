@@ -82,6 +82,10 @@ func (c *Core) Skip(n uint64) {
 // access at the frozen clock (result discarded) when the backend has no
 // functional path.
 func (c *Core) ffAccess(fm functionalMemory, pc, line uint64, write, prefetch bool) {
+	if c.unc != nil {
+		c.unc.AccessFunctional(c.id, pc, line, write, prefetch)
+		return
+	}
 	if fm != nil {
 		fm.AccessFunctional(c.id, pc, line, write, prefetch)
 		return
@@ -103,20 +107,19 @@ func (c *Core) ffStep(fm functionalMemory) {
 		c.haveILine = true
 		line := codeBase + uint64(iline)*cache.LineSize
 		c.itlb.lookup(line / uncore.PageSize)
-		hit := c.il1.Access(line, false)
-		if !hit {
+		if !c.il1.AccessWay(line, c.il1Way(line), false) {
 			c.ffAccess(fm, line, line, false, false)
 			c.stats.UncoreDemand++
-			c.il1.Fill(line, false, false)
+			c.il1.FillMiss(line, false, false)
 		}
-		for _, a := range c.ipf.Observe(line, line, !hit) {
-			if c.il1.Probe(a) {
-				continue
-			}
-			c.ffAccess(fm, line, a, false, true)
+		next := line + cache.LineSize
+		w := c.il1.Way(next)
+		if w < 0 {
+			c.ffAccess(fm, line, next, false, true)
 			c.stats.UncorePref++
-			c.il1.Fill(a, false, true)
+			w = c.il1.FillMiss(next, false, true).Way
 		}
+		c.nextILine, c.nextIWay = next, w
 	}
 
 	switch op.Kind {
@@ -174,7 +177,7 @@ func (c *Core) ffStep(fm functionalMemory) {
 func (c *Core) ffFill(fm functionalMemory, pc, line uint64, write bool) {
 	c.ffAccess(fm, pc, line, write, false)
 	c.stats.UncoreDemand++
-	ev := c.dl1.Fill(line, write, false)
+	ev := c.dl1.FillMiss(line, write, false)
 	if ev.Valid && ev.Dirty {
 		c.ffAccess(fm, pc, ev.Addr, true, false)
 		c.stats.UncoreDemand++
@@ -203,9 +206,9 @@ func (c *Core) ffPrefetchObserve(fm functionalMemory, pc, addr uint64, miss bool
 	if c.pfCand > 0 {
 		rate = float64(c.pfIssued) / float64(c.pfCand)
 	}
-	c.pfBuf = c.pfBuf[:0]
-	c.pfBuf = append(c.pfBuf, props...)
-	for _, a := range c.pfBuf {
+	// props is the prefetcher's reused buffer, which nothing below
+	// refills (see dl1PrefetchObserve).
+	for _, a := range props {
 		line := cache.AlignLine(a)
 		if c.dl1.Probe(line) {
 			continue
@@ -217,7 +220,7 @@ func (c *Core) ffPrefetchObserve(fm functionalMemory, pc, addr uint64, miss bool
 		c.ffPfAcc--
 		c.ffAccess(fm, pc, line, false, true)
 		c.stats.UncorePref++
-		ev := c.dl1.Fill(line, false, true)
+		ev := c.dl1.FillMiss(line, false, true)
 		if ev.Valid && ev.Dirty {
 			c.ffAccess(fm, pc, ev.Addr, true, false)
 			c.stats.UncoreDemand++

@@ -20,7 +20,11 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 	if core < 0 || core >= u.cfg.Cores {
 		panic(fmt.Sprintf("uncore: core %d out of range", core))
 	}
-	paddr := u.Translate(core, vaddr)
+	// Translate, with its hit path inlined.
+	e, paddr, ok := u.xlatLookup(core, vaddr)
+	if !ok {
+		paddr = u.translateSlow(core, vaddr, e)
+	}
 	line := cache.AlignLine(paddr)
 	if prefetch {
 		u.prefetchFunctional(line)

@@ -244,19 +244,30 @@ func (u *Uncore) Stats() Stats {
 // Translate maps a core-local virtual address to a physical address,
 // allocating a fresh physical page on first touch.
 func (u *Uncore) Translate(core int, vaddr uint64) uint64 {
-	vpage := vaddr / PageSize
-	// +1 in the cache tags distinguishes "page 0" from "empty".
-	e := &u.xlat[core*xlatEntries+int(vpage&(xlatEntries-1))]
-	if e.vpage == vpage+1 {
-		return e.ppage*PageSize + vaddr%PageSize
+	e, paddr, ok := u.xlatLookup(core, vaddr)
+	if !ok {
+		paddr = u.translateSlow(core, vaddr, e)
 	}
-	return u.translateSlow(core, vpage, vaddr, e)
+	return paddr
+}
+
+// xlatLookup is Translate's hit path: it returns core's translation-cache
+// entry for vaddr's page, the physical address the entry gives, and
+// whether the entry holds that page. It sits on every simulated memory
+// access and is small enough to inline where Translate (the page-table
+// fallback drags it over the inlining budget) is not.
+func (u *Uncore) xlatLookup(core int, vaddr uint64) (e *xlatEntry, paddr uint64, ok bool) {
+	vpage := vaddr / PageSize
+	e = &u.xlat[core*xlatEntries+int(vpage&(xlatEntries-1))]
+	// +1 in the cache tags distinguishes "page 0" from "empty".
+	return e, e.ppage*PageSize + vaddr%PageSize, e.vpage == vpage+1
 }
 
 // translateSlow is the translation-cache miss path: consult the page
 // table, allocating a fresh physical page on first touch, and refill the
-// cache entry.
-func (u *Uncore) translateSlow(core int, vpage, vaddr uint64, e *xlatEntry) uint64 {
+// cache entry e.
+func (u *Uncore) translateSlow(core int, vaddr uint64, e *xlatEntry) uint64 {
+	vpage := vaddr / PageSize
 	pt := u.pageTables[core]
 	ppage, ok := pt[vpage]
 	if !ok {
@@ -373,10 +384,11 @@ func (u *Uncore) way(paddr uint64) int {
 	return -1
 }
 
-// fill installs line in the LLC and keeps llcWay in step: the filled
-// line's way is recorded and the victim's, if any, cleared.
+// fill installs line, which llcWay shows absent, in the LLC and keeps
+// llcWay in step: the filled line's way is recorded and the victim's,
+// if any, cleared.
 func (u *Uncore) fill(line uint64, write, prefetch bool) cache.Eviction {
-	ev := u.llc.Fill(line, write, prefetch)
+	ev := u.llc.FillMiss(line, write, prefetch)
 	if ev.Valid {
 		u.llcWay[ev.Addr/cache.LineSize] = 0
 	}
@@ -394,15 +406,10 @@ func (u *Uncore) Access(core int, pc, vaddr uint64, write, prefetch bool, now ui
 	if core < 0 || core >= u.cfg.Cores {
 		panic(fmt.Sprintf("uncore: core %d out of range", core))
 	}
-	// Translate's cache-hit path, by hand: the call sits on every
-	// simulated memory access and the compiler won't inline it (the
-	// page-table fallback drags it over the inlining budget).
-	vpage := vaddr / PageSize
-	var paddr uint64
-	if e := &u.xlat[core*xlatEntries+int(vpage&(xlatEntries-1))]; e.vpage == vpage+1 {
-		paddr = e.ppage*PageSize + vaddr%PageSize
-	} else {
-		paddr = u.translateSlow(core, vpage, vaddr, e)
+	// Translate, with its hit path inlined.
+	e, paddr, ok := u.xlatLookup(core, vaddr)
+	if !ok {
+		paddr = u.translateSlow(core, vaddr, e)
 	}
 	return u.AccessPhysical(core, pc, paddr, write, prefetch, now)
 }

@@ -1,7 +1,7 @@
 // Package cache implements set-associative caches with pluggable
 // replacement policies (LRU, RANDOM, FIFO, DIP, DRRIP, SRRIP) and the
-// hardware prefetchers of the paper's configuration tables (next-line,
-// IP-based stride, stream).
+// hardware prefetcher pairings of the paper's configuration tables
+// (IP-based stride with next-line for the DL1, with stream for the LLC).
 //
 // A Cache models state only (tags, dirtiness, replacement metadata);
 // timing (latencies, MSHRs, buses) belongs to the uncore and core models
@@ -72,7 +72,7 @@ type Cache struct {
 	setMask  uint64
 	lines    []line // sets*ways, row-major by set
 	policy   Policy
-	lru      *lruPolicy   // policy devirtualized, when it is LRU in recency words
+	lru      *lruPolicy   // policy devirtualized, when it is LRU
 	addrObs  AddressAware // non-nil if the policy wants addresses
 	stats    Stats
 }
@@ -118,11 +118,8 @@ func New(name string, sizeBytes, ways int, policy Policy) (*Cache, error) {
 	c.policy = policy
 	c.addrObs, _ = policy.(AddressAware)
 	// LRU (every L1, and the LLC in much of the campaign) gets its hooks
-	// called directly: touch on hits and fills, nothing on misses. Above
-	// 16 ways it keeps stamps and goes through the interface.
-	if p, ok := policy.(*lruPolicy); ok && p.order != nil {
-		c.lru = p
-	}
+	// called directly: touch on hits and fills, nothing on misses.
+	c.lru, _ = policy.(*lruPolicy)
 	return c, nil
 }
 

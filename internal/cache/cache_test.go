@@ -27,8 +27,10 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	}{
 		{0, 4},
 		{1024, 0},
-		{100, 2},          // not a line multiple
-		{6 * LineSize, 2}, // 3 sets, not a power of two
+		{100, 2},            // not a line multiple
+		{6 * LineSize, 2},   // 3 sets, not a power of two
+		{17 * LineSize, 17}, // LRU names at most 16 ways
+		{64 * LineSize, 32},
 	}
 	for _, c := range cases {
 		if _, err := New("bad", c.size, c.ways, NewLRUPolicy()); err == nil {

@@ -87,21 +87,13 @@ func MustNewPolicy(name PolicyName, seed int64) Policy {
 // set's ways), and a touch lifts one way's nibble to the top, so the
 // ways no access has touched stay at the bottom in way order: the
 // victim, the low nibble, is the lowest untouched way while the set has
-// one, else the least recently touched way — the way the smallest
-// per-way use stamp would name, stamps being unique once touched and 0
-// before. A line turns valid only by a fill, which touches it, so the
-// untouched ways are exactly the invalid ones.
-//
-// A nibble names at most 16 ways; above that (no shipped geometry) the
-// policy keeps a global use stamp per way instead, and the victim is
-// the way with the smallest stamp.
+// one, else the least recently touched way. A line turns valid only by
+// a fill, which touches it, so the untouched ways are exactly the
+// invalid ones. A nibble names at most 16 ways, so Attach refuses more;
+// every shipped cache has 4, 8 or 16.
 type lruPolicy struct {
-	ways  int
 	top   uint     // shift of the most recent nibble, 4·(ways-1)
-	order []uint64 // per set, at most 16 ways
-
-	clock  uint64
-	stamps []uint64 // per way, above 16 ways
+	order []uint64 // per set
 }
 
 // lruOrderInit lists ways 0..15 least recent first.
@@ -113,13 +105,8 @@ func NewLRUPolicy() Policy { return &lruPolicy{} }
 func (p *lruPolicy) Name() string { return string(LRU) }
 
 func (p *lruPolicy) Attach(sets, ways int) error {
-	if sets <= 0 || ways <= 0 {
-		return fmt.Errorf("lru: bad geometry %dx%d", sets, ways)
-	}
-	p.ways = ways
-	if ways > 16 {
-		p.stamps = make([]uint64, sets*ways)
-		return nil
+	if sets <= 0 || ways <= 0 || ways > 16 {
+		return fmt.Errorf("lru: bad geometry %dx%d (at most 16 ways)", sets, ways)
 	}
 	p.top = uint(4 * (ways - 1))
 	p.order = make([]uint64, sets)
@@ -146,33 +133,10 @@ func (p *lruPolicy) touch(set, way int) {
 // victim returns the low nibble of set's order: its least recent way.
 func (p *lruPolicy) victim(set int) int { return int(p.order[set] & 0xF) }
 
-// use records a use of (set, way) in whichever form the policy keeps.
-func (p *lruPolicy) use(set, way int) {
-	if p.order == nil {
-		p.clock++
-		p.stamps[set*p.ways+way] = p.clock
-		return
-	}
-	p.touch(set, way)
-}
-
-func (p *lruPolicy) OnHit(set, way int)  { p.use(set, way) }
+func (p *lruPolicy) OnHit(set, way int)  { p.touch(set, way) }
 func (p *lruPolicy) OnMiss(int)          {}
-func (p *lruPolicy) OnFill(set, way int) { p.use(set, way) }
-
-func (p *lruPolicy) Victim(set int) int {
-	if p.order != nil {
-		return p.victim(set)
-	}
-	base := set * p.ways
-	best, bestStamp := 0, p.stamps[base]
-	for w := 1; w < p.ways; w++ {
-		if s := p.stamps[base+w]; s < bestStamp {
-			best, bestStamp = w, s
-		}
-	}
-	return best
-}
+func (p *lruPolicy) OnFill(set, way int) { p.touch(set, way) }
+func (p *lruPolicy) Victim(set int) int  { return p.victim(set) }
 
 // ---------------------------------------------------------------------------
 // Random

@@ -2,41 +2,30 @@ package cache
 
 import "math/bits"
 
-// Prefetchers observe the demand access stream of a cache and propose
-// line-aligned addresses to fetch ahead of demand. The paper's core uses a
-// next-line prefetcher on the IL1 and IP-stride + next-line on the DL1;
-// the LLC uses IP-stride + stream prefetchers (Tables I and II).
-
-// Prefetcher proposes prefetch addresses from observed demand accesses.
-type Prefetcher interface {
-	// Name identifies the prefetcher.
-	Name() string
-	// Observe is called on every demand access with the instruction
-	// address, the data address and whether the access missed. It returns
-	// line-aligned addresses to prefetch (possibly none). The returned
-	// slice is only valid until the next Observe call; callers that keep
-	// proposals across observations must copy them.
-	Observe(pc, addr uint64, miss bool) []uint64
-}
+// The paper's configuration tables (Tables I and II) give each cache its
+// prefetchers: the core's IL1 prefetches the next line (inline in package
+// cpu), the DL1 pairs IP-stride with next-line-on-miss (NewStrideNext) and
+// the LLC pairs IP-stride with stream (NewStrideStream). Each pairing is
+// one concrete type whose parts are called directly.
+//
+// Every Observe takes the instruction address, the data address and
+// whether the access missed, and returns line-aligned addresses to
+// prefetch (possibly none). The returned slice is only valid until the
+// next Observe call; callers that keep proposals across observations
+// must copy them.
 
 // ---------------------------------------------------------------------------
 // Next-line
 
+// nextLinePrefetcher proposes the line after a missing access.
 type nextLinePrefetcher struct {
-	onMissOnly bool
-	buf        [1]uint64
+	buf [1]uint64
 }
 
-// NewNextLine returns a next-line prefetcher. If onMissOnly is true it
-// fires only on misses (the usual configuration for L1 caches).
-func NewNextLine(onMissOnly bool) Prefetcher {
-	return &nextLinePrefetcher{onMissOnly: onMissOnly}
-}
-
-func (p *nextLinePrefetcher) Name() string { return "next-line" }
+func newNextLine() *nextLinePrefetcher { return &nextLinePrefetcher{} }
 
 func (p *nextLinePrefetcher) Observe(_, addr uint64, miss bool) []uint64 {
-	if p.onMissOnly && !miss {
+	if !miss {
 		return nil
 	}
 	p.buf[0] = AlignLine(addr) + LineSize
@@ -67,16 +56,14 @@ type ipStridePrefetcher struct {
 	buf    []uint64
 }
 
-// NewIPStride returns an IP-based stride prefetcher issuing up to degree
+// newIPStride returns an IP-based stride prefetcher issuing up to degree
 // prefetches ahead on a confident stride.
-func NewIPStride(degree int) Prefetcher {
+func newIPStride(degree int) *ipStridePrefetcher {
 	if degree < 1 {
 		degree = 1
 	}
 	return &ipStridePrefetcher{degree: degree, buf: make([]uint64, 0, degree)}
 }
-
-func (p *ipStridePrefetcher) Name() string { return "ip-stride" }
 
 func (p *ipStridePrefetcher) Observe(pc, addr uint64, _ bool) []uint64 {
 	idx := (pc ^ pc>>8) % ipStrideTableSize
@@ -157,16 +144,14 @@ type streamPrefetcher struct {
 	buf    []uint64
 }
 
-// NewStream returns a stream prefetcher tracking up to 16 ascending
+// newStream returns a stream prefetcher tracking up to 16 ascending
 // streams and prefetching degree lines ahead once trained.
-func NewStream(degree int) Prefetcher {
+func newStream(degree int) *streamPrefetcher {
 	if degree < 1 {
 		degree = 1
 	}
 	return &streamPrefetcher{recency: streamRecencyInit, degree: degree, buf: make([]uint64, 0, degree)}
 }
-
-func (p *streamPrefetcher) Name() string { return "stream" }
 
 func (p *streamPrefetcher) Observe(_, addr uint64, _ bool) []uint64 {
 	line := addr / LineSize
@@ -227,41 +212,7 @@ func (p *streamPrefetcher) promote(i uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// Composition
-
-type multiPrefetcher struct {
-	parts []Prefetcher
-	buf   []uint64
-}
-
-// Combine merges several prefetchers into one; duplicate proposals are
-// deduplicated per observation. The two pairings the simulators actually
-// build (IP-stride + stream for LLCs, IP-stride + next-line for DL1s)
-// get devirtualized combiners whose parts are called directly on the
-// hot path; any other combination falls back to the generic form.
-func Combine(parts ...Prefetcher) Prefetcher {
-	if len(parts) == 2 {
-		if a, ok := parts[0].(*ipStridePrefetcher); ok {
-			switch b := parts[1].(type) {
-			case *streamPrefetcher:
-				return &StrideStreamPrefetcher{stride: a, stream: b}
-			case *nextLinePrefetcher:
-				return &StrideNextPrefetcher{stride: a, next: b}
-			}
-		}
-	}
-	return &multiPrefetcher{parts: parts}
-}
-
-func (p *multiPrefetcher) Name() string { return "combined" }
-
-func (p *multiPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
-	p.buf = p.buf[:0]
-	for _, part := range p.parts {
-		p.buf = appendDedup(p.buf, part.Observe(pc, addr, miss))
-	}
-	return p.buf
-}
+// Pairings
 
 // appendDedup appends the proposals not already present in buf.
 func appendDedup(buf, proposals []uint64) []uint64 {
@@ -280,30 +231,27 @@ func appendDedup(buf, proposals []uint64) []uint64 {
 	return buf
 }
 
-// NewStrideStream builds the LLC pairing (IP-stride + stream, equal
-// degrees) as its concrete type, so callers hold a devirtualized
-// reference on their hot path.
+// NewStrideStream builds the LLC pairing: IP-stride and stream, each
+// prefetching degree lines ahead.
 func NewStrideStream(degree int) *StrideStreamPrefetcher {
-	return Combine(NewIPStride(degree), NewStream(degree)).(*StrideStreamPrefetcher)
+	return &StrideStreamPrefetcher{stride: newIPStride(degree), stream: newStream(degree)}
 }
 
-// NewStrideNext builds the DL1 pairing (IP-stride + next-line) as its
-// concrete type (see NewStrideStream).
-func NewStrideNext(degree int, onMissOnly bool) *StrideNextPrefetcher {
-	return Combine(NewIPStride(degree), NewNextLine(onMissOnly)).(*StrideNextPrefetcher)
+// NewStrideNext builds the DL1 pairing: IP-stride, degree lines ahead,
+// and next-line on misses.
+func NewStrideNext(degree int) *StrideNextPrefetcher {
+	return &StrideNextPrefetcher{stride: newIPStride(degree), next: newNextLine()}
 }
 
-// StrideStreamPrefetcher is Combine(ip-stride, stream) with direct calls.
+// StrideStreamPrefetcher is the LLC's IP-stride + stream pairing.
 type StrideStreamPrefetcher struct {
 	stride *ipStridePrefetcher
 	stream *streamPrefetcher
 	buf    []uint64
 }
 
-func (p *StrideStreamPrefetcher) Name() string { return "combined" }
-
-// Observe merges the two parts' proposals; most calls have none, and
-// skip the merge.
+// Observe merges the two parts' proposals, the stride's first, without
+// duplicates; most calls have none, and skip the merge.
 func (p *StrideStreamPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	a := p.stride.Observe(pc, addr, miss)
 	b := p.stream.Observe(pc, addr, miss)
@@ -315,17 +263,15 @@ func (p *StrideStreamPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	return p.buf
 }
 
-// StrideNextPrefetcher is Combine(ip-stride, next-line) with direct calls.
+// StrideNextPrefetcher is the DL1's IP-stride + next-line-on-miss pairing.
 type StrideNextPrefetcher struct {
 	stride *ipStridePrefetcher
 	next   *nextLinePrefetcher
 	buf    []uint64
 }
 
-func (p *StrideNextPrefetcher) Name() string { return "combined" }
-
-// Observe merges the two parts' proposals; most calls have none, and
-// skip the merge.
+// Observe merges the two parts' proposals, the stride's first, without
+// duplicates; most calls have none, and skip the merge.
 func (p *StrideNextPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	a := p.stride.Observe(pc, addr, miss)
 	b := p.next.Observe(pc, addr, miss)
@@ -336,12 +282,3 @@ func (p *StrideNextPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	p.buf = appendDedup(p.buf, b)
 	return p.buf
 }
-
-// None is a Prefetcher that never prefetches.
-type None struct{}
-
-// Name identifies the null prefetcher.
-func (None) Name() string { return "none" }
-
-// Observe always returns no prefetches.
-func (None) Observe(uint64, uint64, bool) []uint64 { return nil }

@@ -3,22 +3,18 @@ package cache
 import "testing"
 
 func TestNextLine(t *testing.T) {
-	p := NewNextLine(true)
+	p := newNextLine()
 	if got := p.Observe(0, 0x1000, false); len(got) != 0 {
-		t.Errorf("miss-only next-line fired on hit: %v", got)
+		t.Errorf("next-line fired on hit: %v", got)
 	}
 	got := p.Observe(0, 0x1010, true)
 	if len(got) != 1 || got[0] != 0x1040 {
 		t.Errorf("next-line proposed %v, want [0x1040]", got)
 	}
-	p2 := NewNextLine(false)
-	if got := p2.Observe(0, 0x2000, false); len(got) != 1 || got[0] != 0x2040 {
-		t.Errorf("always next-line proposed %v", got)
-	}
 }
 
 func TestIPStrideLocksOntoStride(t *testing.T) {
-	p := NewIPStride(2)
+	p := newIPStride(2)
 	pc := uint64(0x400100)
 	var got []uint64
 	addr := uint64(0x10000)
@@ -37,7 +33,7 @@ func TestIPStrideLocksOntoStride(t *testing.T) {
 }
 
 func TestIPStrideDistinguishesPCs(t *testing.T) {
-	p := NewIPStride(1)
+	p := newIPStride(1)
 	// Interleave two PCs with different strides; both must train.
 	a, b := uint64(0x1000), uint64(0x900000)
 	var gotA, gotB []uint64
@@ -58,7 +54,7 @@ func TestIPStrideDistinguishesPCs(t *testing.T) {
 }
 
 func TestIPStrideResetsOnIrregular(t *testing.T) {
-	p := NewIPStride(1)
+	p := newIPStride(1)
 	pc := uint64(0x400100)
 	addr := uint64(0x10000)
 	for i := 0; i < 5; i++ {
@@ -76,7 +72,7 @@ func TestIPStrideResetsOnIrregular(t *testing.T) {
 }
 
 func TestStreamDetectsAscendingLines(t *testing.T) {
-	p := NewStream(4)
+	p := newStream(4)
 	base := uint64(0x40000)
 	var got []uint64
 	for i := 0; i < 5; i++ {
@@ -92,7 +88,7 @@ func TestStreamDetectsAscendingLines(t *testing.T) {
 }
 
 func TestStreamIgnoresRandomTraffic(t *testing.T) {
-	p := NewStream(4)
+	p := newStream(4)
 	addrs := []uint64{0x1000, 0x88000, 0x3000, 0xF2000, 0x51000}
 	for _, a := range addrs {
 		if got := p.Observe(0, a, true); len(got) != 0 {
@@ -102,7 +98,7 @@ func TestStreamIgnoresRandomTraffic(t *testing.T) {
 }
 
 func TestStreamTracksMultipleStreams(t *testing.T) {
-	p := NewStream(1)
+	p := newStream(1)
 	a, b := uint64(0x10000), uint64(0x900000)
 	var gotA, gotB []uint64
 	for i := 0; i < 4; i++ {
@@ -116,20 +112,19 @@ func TestStreamTracksMultipleStreams(t *testing.T) {
 	}
 }
 
-func TestCombineDeduplicates(t *testing.T) {
-	p := Combine(NewNextLine(false), NewNextLine(false))
-	got := p.Observe(0, 0x1000, true)
-	if len(got) != 1 {
-		t.Errorf("combined proposals %v, want deduplicated single", got)
+// TestStrideNextDeduplicates trains the DL1 pairing on a stride of one
+// line, so that the stride's first proposal on a miss is the next line,
+// which the next-line part proposes too: it must appear once.
+func TestStrideNextDeduplicates(t *testing.T) {
+	p := NewStrideNext(2)
+	pc, addr := uint64(0x400100), uint64(0x10000)
+	var got []uint64
+	for i := 0; i < 4; i++ {
+		got = p.Observe(pc, addr, true)
+		addr += LineSize
 	}
-}
-
-func TestNone(t *testing.T) {
-	var p None
-	if got := p.Observe(1, 2, true); got != nil {
-		t.Errorf("None proposed %v", got)
-	}
-	if p.Name() != "none" {
-		t.Errorf("None name %q", p.Name())
+	last := addr - LineSize
+	if len(got) != 2 || got[0] != last+LineSize || got[1] != last+2*LineSize {
+		t.Errorf("stride + next-line proposed %#x, want [%#x %#x]", got, last+LineSize, last+2*LineSize)
 	}
 }

@@ -42,8 +42,6 @@ type Config struct {
 	WarmOps int
 	// Policy is the shared-LLC replacement policy of the simulated CMP.
 	Policy cache.PolicyName
-	// Core optionally overrides the detailed core configuration.
-	Core *cpu.Config
 }
 
 // Result is the outcome of one co-phase-predicted execution.
@@ -161,9 +159,6 @@ func (s *Simulator) measure(phases []int) (entry, error) {
 		return entry{}, err
 	}
 	coreCfg := cpu.DefaultConfig()
-	if s.cfg.Core != nil {
-		coreCfg = *s.cfg.Core
-	}
 	cores := make([]*cpu.Core, len(s.names))
 	for k := range s.names {
 		// Simulate from the phase's starting point onward (the original

@@ -229,7 +229,7 @@ func New(id int, cfg Config, tr *trace.Trace, mem uncore.Memory) (*Core, error) 
 		btac: bpred.NewBTAC(btacEnts, 4),
 		ind:  bpred.DefaultIndirect(),
 		ras:  bpred.NewRAS(ras),
-		dpf:  cache.NewStrideNext(cfg.PrefetchDegree, true),
+		dpf:  cache.NewStrideNext(cfg.PrefetchDegree),
 	}, nil
 }
 

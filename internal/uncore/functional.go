@@ -41,13 +41,7 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 	// cores' IP-stride tags but not their table entries; proposals read
 	// from the prefetcher's buffer, which prefetchFunctional never
 	// refills).
-	var props []uint64
-	if u.prefSS != nil {
-		props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, !hit)
-	} else {
-		props = u.pref.Observe(pc^uint64(core)<<56, paddr, !hit)
-	}
-	for _, a := range props {
+	for _, a := range u.pref.Observe(pc^uint64(core)<<56, paddr, !hit) {
 		u.prefetchFunctional(cache.AlignLine(a))
 	}
 }

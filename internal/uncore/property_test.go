@@ -71,14 +71,16 @@ func TestMSHRBoundProperty(t *testing.T) {
 		cfg := ConfigFor(1, cache.LRU)
 		cfg.MSHRs = mshrs
 		u := MustNew(cfg)
-		// Isolate demand fills from prefetch traffic (clearing prefSS so
-		// the devirtualized path cannot resurrect the real prefetcher).
-		u.pref, u.prefSS = cache.None{}, nil
 		dones := make([]uint64, 0, burstLen)
 		for i := 0; i < burstLen; i++ {
-			// Spread addresses widely so no two misses merge.
+			// Spread addresses widely so no two misses merge, each from
+			// its own PC so no prefetcher trains.
 			vaddr := uint64(i) * 131072
 			dones = append(dones, u.Access(0, uint64(0x100+i*88), vaddr, false, false, 0))
+		}
+		// The burst's fills are demand fills only.
+		if n := u.Stats().PrefetchIssued; n != 0 {
+			t.Fatalf("%d MSHRs: %d prefetches issued during the burst", mshrs, n)
 		}
 		sort.Slice(dones, func(a, b int) bool { return dones[a] < dones[b] })
 		return dones

@@ -109,19 +109,6 @@ func TestMSHRMatchesPlainScan(t *testing.T) {
 	}
 }
 
-// recordingPrefetcher wraps the uncore's prefetcher and keeps a copy of
-// the proposals of its latest Observe.
-type recordingPrefetcher struct {
-	cache.Prefetcher
-	last []uint64
-}
-
-func (p *recordingPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
-	props := p.Prefetcher.Observe(pc, addr, miss)
-	p.last = append(p.last[:0], props...)
-	return props
-}
-
 // TestResidencyBitmapMatchesProbe pins the uncore's map of LLC ways
 // (llcWay, which also answers Resident) to the LLC's own set scan, and
 // its filtered MSHR helpers to plain scans of the file. Seeded mixes of
@@ -130,15 +117,17 @@ func (p *recordingPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 // llc.Way, and the MSHR helpers with checkMSHR's scans, on every line
 // touched or proposed so far. The mixes carry trained streams and
 // strides whose proposals run past the last allocated page; odd seeds
-// run an LRU LLC and even seeds a DRRIP one.
+// run an LRU LLC and even seeds a DRRIP one. Each demand call's proposals
+// come from a twin prefetcher fed what the uncore's own is fed: the
+// salted PC, the physical address and whether the call missed.
 func TestResidencyBitmapMatchesProbe(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := ConfigFor(4, [...]cache.PolicyName{cache.DRRIP, cache.LRU}[seed%2])
 		cfg.PolicySeed = seed
 		cfg.LLCBytes = 64 << 10 // small, so the mixes evict
 		u := MustNew(cfg)
-		rec := &recordingPrefetcher{Prefetcher: u.pref}
-		u.pref, u.prefSS = rec, nil
+		twin := cache.NewStrideStream(cfg.PrefetchDegree)
+		var last []uint64 // the proposals of the latest demand call
 		rng := rand.New(rand.NewSource(seed))
 		seen := map[uint64]bool{}
 		var order []uint64 // seen, in first-seen order, for stable failures
@@ -187,13 +176,20 @@ func TestResidencyBitmapMatchesProbe(t *testing.T) {
 				write, prefetch = false, false
 				now += 250
 			}
+			// Translating first allocates pages in the order Access would.
+			paddr := u.Translate(core, vaddr)
+			var miss bool
 			if burst == 0 && rng.Intn(3) == 0 {
+				miss = u.llc.Way(paddr) < 0
 				u.AccessFunctional(core, pc, vaddr, write, prefetch)
 			} else {
-				u.Access(core, pc, vaddr, write, prefetch, now)
+				miss = u.Access(core, pc, vaddr, write, prefetch, now) > now+cfg.LLCLatency
 			}
-			see(cache.AlignLine(u.Translate(core, vaddr)))
-			for _, a := range rec.last {
+			if !prefetch {
+				last = append(last[:0], twin.Observe(pc^uint64(core)<<56, paddr, miss)...)
+			}
+			see(cache.AlignLine(paddr))
+			for _, a := range last {
 				if a/PageSize >= u.nextPage {
 					pastEnd++
 				}

@@ -96,12 +96,10 @@ type Uncore struct {
 	llc  *cache.Cache
 	bus  *mem.Bus
 	dram *mem.DRAM
-	pref cache.Prefetcher
-	// prefSS is pref devirtualized: non-nil when pref is the standard
-	// LLC stride+stream pairing, which the demand path then calls
-	// directly. Tests that swap pref must clear it.
-	prefSS *cache.StrideStreamPrefetcher
-	stats  Stats
+	// pref is the LLC's IP-stride + stream pairing, trained on the
+	// demand stream.
+	pref  *cache.StrideStreamPrefetcher
+	stats Stats
 
 	// The MSHR file: fixed parallel arrays of in-flight fills (line
 	// address and completion time per slot), so each scan walks one dense
@@ -198,14 +196,12 @@ func New(cfg Config) (*Uncore, error) {
 	for i := range tables {
 		tables[i] = make(map[uint64]uint64)
 	}
-	pref := cache.NewStrideStream(cfg.PrefetchDegree)
 	u := &Uncore{
 		cfg:        cfg,
 		llc:        llc,
 		bus:        bus,
 		dram:       mem.NewDRAM(cfg.DRAMLatency),
-		pref:       pref,
-		prefSS:     pref,
+		pref:       cache.NewStrideStream(cfg.PrefetchDegree),
 		mshrLine:   make([]uint64, cfg.MSHRs),
 		mshrDone:   make([]uint64, cfg.MSHRs),
 		writeBuf:   make([]uint64, 0, cfg.WriteBufEnts),
@@ -440,13 +436,7 @@ func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool
 		// from the prefetcher's reused buffer: prefetchAccess never
 		// calls Observe, so nothing overwrites the buffer while it is
 		// read.
-		var props []uint64
-		if u.prefSS != nil {
-			props = u.prefSS.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
-		} else {
-			props = u.pref.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency)
-		}
-		for _, a := range props {
+		for _, a := range u.pref.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency) {
 			u.prefetchAccess(cache.AlignLine(a), now)
 		}
 	}

@@ -58,7 +58,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted bad LLC size")
 	}
+	// The way map's byte bound, under a policy with no way limit of its
+	// own (LRU stops at 16).
 	cfg = testConfig()
+	cfg.Policy = cache.FIFO
 	cfg.LLCWays, cfg.LLCBytes = 256, 256*cache.LineSize
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted 256 LLC ways")

@@ -42,8 +42,6 @@ profile.MustCompute               test constructor
 bpred.DefaultBTAC                 test constructor
 bpred.DefaultRAS                  test constructor
 trace.GenerateSuite               test constructor
-cache.None.Name                   test constructor: the null prefetcher
-cache.None.Observe                test constructor: the null prefetcher
 faultinject.Enable                fault-injection Plan API, driven by the chaos harness
 faultinject.Disable               fault-injection Plan API, driven by the chaos harness
 faultinject.Enabled               fault-injection Plan API, driven by the chaos harness

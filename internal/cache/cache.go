@@ -282,7 +282,7 @@ func (c *Cache) FillMiss(addr uint64, write, prefetch bool) Eviction {
 	if c.lru != nil {
 		// The first invalid way while the set has one (the untouched ways
 		// are the invalid ones), else the least recently used.
-		way = c.lru.victim(set)
+		way = c.lru.Victim(set)
 	} else {
 		way = -1
 		for w := range ways {

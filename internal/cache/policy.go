@@ -130,13 +130,12 @@ func (p *lruPolicy) touch(set, way int) {
 	p.order[set] = r&(1<<s-1) | r>>s>>4<<s | w<<(p.top&63)
 }
 
-// victim returns the low nibble of set's order: its least recent way.
-func (p *lruPolicy) victim(set int) int { return int(p.order[set] & 0xF) }
-
 func (p *lruPolicy) OnHit(set, way int)  { p.touch(set, way) }
 func (p *lruPolicy) OnMiss(int)          {}
 func (p *lruPolicy) OnFill(set, way int) { p.touch(set, way) }
-func (p *lruPolicy) Victim(set int) int  { return p.victim(set) }
+
+// Victim returns the low nibble of set's order: its least recent way.
+func (p *lruPolicy) Victim(set int) int { return int(p.order[set] & 0xF) }
 
 // ---------------------------------------------------------------------------
 // Random

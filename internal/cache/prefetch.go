@@ -22,8 +22,6 @@ type nextLinePrefetcher struct {
 	buf [1]uint64
 }
 
-func newNextLine() *nextLinePrefetcher { return &nextLinePrefetcher{} }
-
 func (p *nextLinePrefetcher) Observe(_, addr uint64, miss bool) []uint64 {
 	if !miss {
 		return nil
@@ -240,7 +238,7 @@ func NewStrideStream(degree int) *StrideStreamPrefetcher {
 // NewStrideNext builds the DL1 pairing: IP-stride, degree lines ahead,
 // and next-line on misses.
 func NewStrideNext(degree int) *StrideNextPrefetcher {
-	return &StrideNextPrefetcher{stride: newIPStride(degree), next: newNextLine()}
+	return &StrideNextPrefetcher{stride: newIPStride(degree), next: &nextLinePrefetcher{}}
 }
 
 // StrideStreamPrefetcher is the LLC's IP-stride + stream pairing.

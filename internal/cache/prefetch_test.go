@@ -3,7 +3,7 @@ package cache
 import "testing"
 
 func TestNextLine(t *testing.T) {
-	p := newNextLine()
+	p := &nextLinePrefetcher{}
 	if got := p.Observe(0, 0x1000, false); len(got) != 0 {
 		t.Errorf("next-line fired on hit: %v", got)
 	}

@@ -277,12 +277,12 @@ func (ma *Machine) StepUntil(limit, quota uint64) (now, committed uint64) {
 }
 
 // RunIterations executes n full trace iterations and returns the end time
-// of the last one.
+// of the last one. It is one StepUntil batch with no clock limit, whose
+// quota lands on the iteration boundary: a node's OpIndex lies below
+// TraceLen, so the committed count reaches the quota exactly when the
+// n-th iteration's last node completes.
 func (ma *Machine) RunIterations(n int) uint64 {
-	target := ma.iter + uint64(n)
-	for ma.iter < target {
-		ma.Step()
-	}
+	ma.StepUntil(^uint64(0), (ma.iter+uint64(n))*uint64(ma.model.TraceLen))
 	return ma.prevEnd
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mcbench/internal/memo"
 	"mcbench/internal/trace"
 )
 
@@ -78,11 +79,12 @@ func TestSourceMemoizesAndReleases(t *testing.T) {
 
 func TestSourceSingleFlight(t *testing.T) {
 	var builds atomic.Int64
-	m := newMemo(func(ctx context.Context, name string, n int) (*trace.Trace, error) {
+	var m memo.Group[string, *trace.Trace]
+	build := func() (*trace.Trace, error) {
 		builds.Add(1)
-		p, _ := trace.ByName(name)
-		return trace.Generate(p, n)
-	})
+		p, _ := trace.ByName("gcc")
+		return trace.Generate(p, 3000)
+	}
 	const callers = 8
 	var wg sync.WaitGroup
 	got := make([]*trace.Trace, callers)
@@ -90,7 +92,7 @@ func TestSourceSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := m.trace(bctx, "gcc", 3000)
+			tr, err := m.Do(bctx, "gcc", build)
 			if err != nil {
 				panic(err)
 			}
@@ -137,21 +139,22 @@ func TestSourceLengthMismatchReplaces(t *testing.T) {
 func TestSourceErrorsNotMemoized(t *testing.T) {
 	fail := errors.New("boom")
 	calls := 0
-	m := newMemo(func(ctx context.Context, name string, n int) (*trace.Trace, error) {
+	var m memo.Group[string, *trace.Trace]
+	build := func() (*trace.Trace, error) {
 		calls++
 		if calls == 1 {
 			return nil, fail
 		}
-		p, _ := trace.ByName(name)
-		return trace.Generate(p, n)
-	})
-	if _, err := m.trace(bctx, "mcf", 1000); !errors.Is(err, fail) {
+		p, _ := trace.ByName("mcf")
+		return trace.Generate(p, 1000)
+	}
+	if _, err := m.Do(bctx, "mcf", build); !errors.Is(err, fail) {
 		t.Fatalf("first call error %v", err)
 	}
-	if m.Resident() != 0 {
+	if m.Len() != 0 {
 		t.Fatal("failed build left an entry behind")
 	}
-	if _, err := m.trace(bctx, "mcf", 1000); err != nil {
+	if _, err := m.Do(bctx, "mcf", build); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
 }

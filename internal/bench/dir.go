@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
+	"mcbench/internal/memo"
 	"mcbench/internal/trace"
 )
 
@@ -23,7 +24,7 @@ type DirSource struct {
 	name  string
 	dir   string
 	names []string
-	m     *memo
+	m     memo.Group[string, *trace.Trace]
 }
 
 // NewDir scans dir for stored traces and returns a source over them.
@@ -41,34 +42,8 @@ func NewDir(dir string) (*DirSource, error) {
 	for i, m := range matches {
 		names[i] = strings.TrimSuffix(filepath.Base(m), TraceExt)
 	}
-	sort.Strings(names)
-	s := &DirSource{
-		name:  "dir:" + filepath.Clean(dir),
-		dir:   dir,
-		names: names,
-	}
-	known := make(map[string]bool, len(names))
-	for _, n := range names {
-		known[n] = true
-	}
-	s.m = newMemo(func(ctx context.Context, bench string, _ int) (*trace.Trace, error) {
-		if !known[bench] {
-			return nil, fmt.Errorf("bench: %s: unknown benchmark %q", s.name, bench)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tr, err := trace.LoadFile(filepath.Join(s.dir, bench+TraceExt))
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", s.name, err)
-		}
-		if tr.Name != bench {
-			return nil, fmt.Errorf("bench: %s: file %s%s contains benchmark %q",
-				s.name, bench, TraceExt, tr.Name)
-		}
-		return tr, nil
-	})
-	return s, nil
+	slices.Sort(names)
+	return &DirSource{name: "dir:" + filepath.Clean(dir), dir: dir, names: names}, nil
 }
 
 func (s *DirSource) Name() string { return s.name }
@@ -80,7 +55,7 @@ func (s *DirSource) Names() []string { return append([]string(nil), s.names...) 
 // returns a prefix view sharing the loaded µops, and a longer n is an
 // error — a file cannot be extended.
 func (s *DirSource) Trace(ctx context.Context, name string, n int) (*trace.Trace, error) {
-	full, err := s.m.trace(ctx, name, 0)
+	full, err := s.m.Do(ctx, name, func() (*trace.Trace, error) { return s.load(ctx, name) })
 	if err != nil {
 		return nil, err
 	}
@@ -95,10 +70,29 @@ func (s *DirSource) Trace(ctx context.Context, name string, n int) (*trace.Trace
 	}
 }
 
-func (s *DirSource) Release(name string) { s.m.release(name) }
+// load reads the named benchmark's whole stored trace.
+func (s *DirSource) load(ctx context.Context, bench string) (*trace.Trace, error) {
+	if _, ok := slices.BinarySearch(s.names, bench); !ok {
+		return nil, fmt.Errorf("bench: %s: unknown benchmark %q", s.name, bench)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	tr, err := trace.LoadFile(filepath.Join(s.dir, bench+TraceExt))
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", s.name, err)
+	}
+	if tr.Name != bench {
+		return nil, fmt.Errorf("bench: %s: file %s%s contains benchmark %q",
+			s.name, bench, TraceExt, tr.Name)
+	}
+	return tr, nil
+}
+
+func (s *DirSource) Release(name string) { s.m.Forget(name) }
 
 // Resident returns the number of loaded (or in-flight) traces.
-func (s *DirSource) Resident() int { return s.m.Resident() }
+func (s *DirSource) Resident() int { return s.m.Len() }
 
 // Dir returns the backing directory.
 func (s *DirSource) Dir() string { return s.dir }

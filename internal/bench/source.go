@@ -6,7 +6,8 @@
 // knob that grows B (ScaledSource), swaps in recorded traces
 // (DirSource) or keeps the paper's fixed suite (SuiteSource).
 //
-// Traces are built on first use and memoized until released, so a
+// Traces are built on first use and memoized, one memo.Group per source
+// keyed by benchmark name, until released, so a
 // source's peak memory tracks the in-flight working set rather than the
 // whole benchmark population: a consumer that releases each trace after
 // its last use (e.g. BADCO model building) keeps O(parallelism) traces
@@ -16,8 +17,8 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"mcbench/internal/memo"
 	"mcbench/internal/trace"
 )
 
@@ -56,125 +57,13 @@ func Resident(s Source) int {
 	return -1
 }
 
-// builder materialises one benchmark's trace at a given length.
-type builder func(ctx context.Context, name string, n int) (*trace.Trace, error)
-
-// entry is one memoized (or in-flight) trace build.
-type entry struct {
-	n    int
-	done chan struct{}
-	tr   *trace.Trace
-	err  error
-}
-
-// memo gives a source single-flight, release-droppable memoization: one
-// entry per benchmark name, concurrent callers share the build, errors
-// are never memoized, and Release drops the entry so the next caller
-// rebuilds. A benchmark requested at a different length than its
-// memoized entry replaces the entry (sources serve one length per
-// benchmark at a time; mixed-length use thrashes but stays correct).
-type memo struct {
-	build builder
-
-	mu      sync.Mutex
-	entries map[string]*entry
-}
-
-// newMemo returns a memo over the given builder.
-func newMemo(build builder) *memo {
-	return &memo{build: build, entries: map[string]*entry{}}
-}
-
-func (m *memo) lock()   { m.mu.Lock() }
-func (m *memo) unlock() { m.mu.Unlock() }
-
-// trace returns the memoized trace for (name, n), building at most once.
-func (m *memo) trace(ctx context.Context, name string, n int) (*trace.Trace, error) {
-	for {
-		m.lock()
-		e := m.entries[name]
-		switch {
-		case e == nil:
-			e = &entry{n: n, done: make(chan struct{})}
-			m.entries[name] = e
-			m.unlock()
-			e.tr, e.err = m.build(ctx, name, n)
-			if e.err != nil {
-				// Never memoize a failure (most commonly a cancelled
-				// context): drop the entry so the next caller retries.
-				m.lock()
-				if m.entries[name] == e {
-					delete(m.entries, name)
-				}
-				m.unlock()
-			}
-			close(e.done)
-			return e.tr, e.err
-
-		case e.n == n:
-			m.unlock()
-			select {
-			case <-e.done:
-				if e.err != nil {
-					// The building caller failed (and dropped the
-					// entry); retry with our own context.
-					if ctx.Err() != nil {
-						return nil, ctx.Err()
-					}
-					continue
-				}
-				return e.tr, e.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-
-		default:
-			// Length mismatch: wait out the incumbent, replace it.
-			m.unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			m.lock()
-			if m.entries[name] == e {
-				delete(m.entries, name)
-			}
-			m.unlock()
-		}
-	}
-}
-
-// release drops the memoized entry for name. An in-flight build is left
-// alone (it is in use by definition); its caller still receives the
-// trace, and the entry becomes releasable once built.
-func (m *memo) release(name string) {
-	m.lock()
-	if e := m.entries[name]; e != nil {
-		select {
-		case <-e.done:
-			delete(m.entries, name)
-		default:
-		}
-	}
-	m.unlock()
-}
-
-// Resident returns the number of memoized (or in-flight) traces.
-func (m *memo) Resident() int {
-	m.lock()
-	n := len(m.entries)
-	m.unlock()
-	return n
-}
-
 // paramsSource is a source backed by a fixed set of trace generator
 // parameters (the suite, or a scaled synthetic population).
 type paramsSource struct {
 	name   string
 	names  []string
 	params map[string]trace.Params
-	m      *memo
+	m      memo.Group[string, *trace.Trace]
 }
 
 func newParamsSource(name string, ps []trace.Params) *paramsSource {
@@ -187,16 +76,6 @@ func newParamsSource(name string, ps []trace.Params) *paramsSource {
 		s.names[i] = p.Name
 		s.params[p.Name] = p
 	}
-	s.m = newMemo(func(ctx context.Context, bench string, n int) (*trace.Trace, error) {
-		p, ok := s.params[bench]
-		if !ok {
-			return nil, fmt.Errorf("bench: %s: unknown benchmark %q", s.name, bench)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return trace.Generate(p, n)
-	})
 	return s
 }
 
@@ -204,14 +83,32 @@ func (s *paramsSource) Name() string { return s.name }
 
 func (s *paramsSource) Names() []string { return append([]string(nil), s.names...) }
 
+// Trace serves one length per benchmark at a time: a memoized trace of
+// another length is forgotten and rebuilt (mixed-length use thrashes but
+// stays correct).
 func (s *paramsSource) Trace(ctx context.Context, name string, n int) (*trace.Trace, error) {
-	return s.m.trace(ctx, name, n)
+	for {
+		tr, err := s.m.Do(ctx, name, func() (*trace.Trace, error) {
+			p, ok := s.params[name]
+			if !ok {
+				return nil, fmt.Errorf("bench: %s: unknown benchmark %q", s.name, name)
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return trace.Generate(p, n)
+		})
+		if err != nil || tr.Len() == n {
+			return tr, err
+		}
+		s.m.Forget(name)
+	}
 }
 
-func (s *paramsSource) Release(name string) { s.m.release(name) }
+func (s *paramsSource) Release(name string) { s.m.Forget(name) }
 
 // Resident returns the number of memoized (or in-flight) traces.
-func (s *paramsSource) Resident() int { return s.m.Resident() }
+func (s *paramsSource) Resident() int { return s.m.Len() }
 
 // Params returns the generator parameters of the named benchmark, for
 // introspection (see Describe); ok is false for unknown names.

@@ -249,7 +249,9 @@ type StrideStreamPrefetcher struct {
 }
 
 // Observe merges the two parts' proposals, the stride's first, without
-// duplicates; most calls have none, and skip the merge.
+// duplicates; most calls have none, and skip the merge. Neither part
+// reads miss: the pairing trains on every demand access alike. The
+// parameter stays for callers that pass the access outcome.
 func (p *StrideStreamPrefetcher) Observe(pc, addr uint64, miss bool) []uint64 {
 	a := p.stride.Observe(pc, addr, miss)
 	b := p.stream.Observe(pc, addr, miss)

@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestNextLine(t *testing.T) {
 	p := &nextLinePrefetcher{}
@@ -126,5 +130,39 @@ func TestStrideNextDeduplicates(t *testing.T) {
 	last := addr - LineSize
 	if len(got) != 2 || got[0] != last+LineSize || got[1] != last+2*LineSize {
 		t.Errorf("stride + next-line proposed %#x, want [%#x %#x]", got, last+LineSize, last+2*LineSize)
+	}
+}
+
+// TestStrideStreamIgnoresMiss feeds two LLC pairings one seeded demand
+// stream, one with random miss flags and the other with their negation:
+// since neither part reads the flag, they must propose the same lines
+// after every call.
+func TestStrideStreamIgnoresMiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := NewStrideStream(2), NewStrideStream(2)
+	heads := make([]uint64, 8)
+	for i := range heads {
+		heads[i] = uint64(rng.Intn(1 << 12))
+	}
+	proposed := 0
+	for n := 0; n < 20000; n++ {
+		// Each head walks mostly ascending lines under its own PC, so
+		// both the stride and the stream part train and fire.
+		k := rng.Intn(len(heads))
+		if rng.Intn(10) == 0 {
+			heads[k] = uint64(rng.Intn(1 << 12))
+		} else {
+			heads[k]++
+		}
+		pc, addr, miss := 0x400000+uint64(k)*64, heads[k]*LineSize, rng.Intn(2) == 0
+		got := slices.Clone(a.Observe(pc, addr, miss))
+		if want := b.Observe(pc, addr, !miss); !slices.Equal(got, want) {
+			t.Fatalf("call %d (pc %#x addr %#x): miss=%v proposed %#x, miss=%v proposed %#x",
+				n, pc, addr, miss, got, !miss, want)
+		}
+		proposed += len(got)
+	}
+	if proposed == 0 {
+		t.Fatal("the stream trained neither part: nothing was proposed")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mcbench/internal/cache"
+	"mcbench/internal/memo"
 )
 
 // waitGoroutines polls until the goroutine count returns to (near) the
@@ -95,7 +96,7 @@ func TestSweepCancelledBeforeStart(t *testing.T) {
 // story depends on: a failed computation is reported to its waiters but
 // not memoized, and the next caller recomputes.
 func TestFlightGroupDropsFailures(t *testing.T) {
-	var g flightGroup[string, int]
+	var g memo.Group[string, int]
 	calls := 0
 	boom := errors.New("boom")
 	compute := func() (int, error) {
@@ -105,10 +106,10 @@ func TestFlightGroupDropsFailures(t *testing.T) {
 		}
 		return 42, nil
 	}
-	if _, err := g.do(context.Background(), "k", compute); !errors.Is(err, boom) {
+	if _, err := g.Do(context.Background(), "k", compute); !errors.Is(err, boom) {
 		t.Fatalf("first do: %v", err)
 	}
-	v, err := g.do(context.Background(), "k", compute)
+	v, err := g.Do(context.Background(), "k", compute)
 	if err != nil || v != 42 {
 		t.Fatalf("retry: %v %v", v, err)
 	}
@@ -116,7 +117,7 @@ func TestFlightGroupDropsFailures(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 2", calls)
 	}
 	// Memoized now: no third call.
-	if v, _ := g.do(context.Background(), "k", compute); v != 42 || calls != 2 {
+	if v, _ := g.Do(context.Background(), "k", compute); v != 42 || calls != 2 {
 		t.Fatalf("memoization broken: v=%d calls=%d", v, calls)
 	}
 }
@@ -126,13 +127,13 @@ func TestFlightGroupDropsFailures(t *testing.T) {
 // must not inherit the foreign cancellation — it retries the
 // computation under its own context.
 func TestFlightGroupWaiterRetriesAfterCreatorCancelled(t *testing.T) {
-	var g flightGroup[string, int]
+	var g memo.Group[string, int]
 	creatorCtx, cancelCreator := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
 	creatorDone := make(chan error, 1)
 	go func() {
-		_, err := g.do(creatorCtx, "k", func() (int, error) {
+		_, err := g.Do(creatorCtx, "k", func() (int, error) {
 			close(started)
 			<-release
 			return 0, creatorCtx.Err() // cancelled mid-compute
@@ -145,7 +146,7 @@ func TestFlightGroupWaiterRetriesAfterCreatorCancelled(t *testing.T) {
 	var err error
 	go func() {
 		defer close(waiterDone)
-		v, err = g.do(context.Background(), "k", func() (int, error) { return 99, nil })
+		v, err = g.Do(context.Background(), "k", func() (int, error) { return 99, nil })
 	}()
 	cancelCreator()
 	close(release)
@@ -166,10 +167,10 @@ func TestFlightGroupWaiterRetriesAfterCreatorCancelled(t *testing.T) {
 // stops waiting with ctx.Err() while the computation proceeds for the
 // original caller.
 func TestFlightGroupWaiterCancellation(t *testing.T) {
-	var g flightGroup[string, int]
+	var g memo.Group[string, int]
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go g.do(context.Background(), "k", func() (int, error) {
+	go g.Do(context.Background(), "k", func() (int, error) {
 		close(started)
 		<-release
 		return 7, nil
@@ -177,11 +178,11 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.do(ctx, "k", func() (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
+	if _, err := g.Do(ctx, "k", func() (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter error = %v, want context.Canceled", err)
 	}
 	close(release)
-	if v, err := g.do(context.Background(), "k", nil); err != nil || v != 7 {
+	if v, err := g.Do(context.Background(), "k", nil); err != nil || v != 7 {
 		t.Fatalf("original computation lost: %v %v", v, err)
 	}
 }

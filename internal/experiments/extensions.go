@@ -74,7 +74,7 @@ func init() {
 // Profiles returns the microarchitecture-independent profile of every
 // benchmark, indexed like Names(), profiled in parallel (perTrace).
 func (l *Lab) Profiles(ctx context.Context) ([]*profile.Profile, error) {
-	return l.profiles.get(ctx, func() ([]*profile.Profile, error) {
+	return l.profiles.Do(ctx, struct{}{}, func() ([]*profile.Profile, error) {
 		return perTrace(ctx, l, profile.Compute)
 	})
 }

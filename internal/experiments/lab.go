@@ -14,8 +14,8 @@
 // cmd/mcbench and the public mcbench package dispatch through the
 // registry instead of hard-coded switches.
 //
-// All lazy state is memoized with per-key single-flight semantics, so a
-// Lab is safe for concurrent use: two goroutines asking for the same
+// All lazy state is memoized with per-key single-flight semantics, in
+// memo.Group values, so a Lab is safe for concurrent use: two goroutines asking for the same
 // table block on one computation, while different tables build in
 // parallel. Lab.Warm precomputes a whole campaign's plan with bounded
 // parallelism. Everything is context-aware: cancelling the context
@@ -25,7 +25,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -36,6 +35,7 @@ import (
 	"mcbench/internal/badco"
 	"mcbench/internal/bench"
 	"mcbench/internal/cache"
+	"mcbench/internal/memo"
 	"mcbench/internal/metrics"
 	"mcbench/internal/multicore"
 	"mcbench/internal/profile"
@@ -175,108 +175,12 @@ func PolicyPairs() [][2]cache.PolicyName {
 	return pairs
 }
 
-// flight is one in-flight (or completed) computation of a value.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
-// flightGroup memoizes one value per key with single-flight semantics:
-// concurrent callers of the same key block on a single computation, while
-// different keys compute independently and may run in parallel. The
-// mutex only guards the entry map, never a computation.
-//
-// A computation that fails (most commonly: its context was cancelled) is
-// not memoized — the entry is dropped, the failure is reported to every
-// caller blocked on it, and the next caller recomputes. A waiter whose
-// own context is cancelled stops waiting with that context's error while
-// the computation keeps running for the remaining callers.
-type flightGroup[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*flight[V]
-}
-
-// do returns the memoized value for key, computing it at most once.
-func (g *flightGroup[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
-	for {
-		g.mu.Lock()
-		if g.m == nil {
-			g.m = make(map[K]*flight[V])
-		}
-		if f, ok := g.m[key]; ok {
-			g.mu.Unlock()
-			select {
-			case <-f.done:
-				if isCtxErr(f.err) && ctx.Err() == nil {
-					// The computing caller was cancelled, but this
-					// waiter is live: retry with our own context
-					// instead of inheriting someone else's
-					// cancellation. (The failed entry was already
-					// dropped, so the loop starts a fresh flight.)
-					continue
-				}
-				return f.val, f.err
-			case <-ctx.Done():
-				var zero V
-				return zero, ctx.Err()
-			}
-		}
-		f := &flight[V]{done: make(chan struct{})}
-		g.m[key] = f
-		g.mu.Unlock()
-		f.val, f.err = compute()
-		if f.err != nil {
-			g.mu.Lock()
-			delete(g.m, key)
-			g.mu.Unlock()
-		}
-		close(f.done)
-		return f.val, f.err
-	}
-}
-
-// cached returns key's value if a computation of it has already
-// succeeded, without waiting on or starting one.
-func (g *flightGroup[K, V]) cached(key K) (V, bool) {
-	g.mu.Lock()
-	f, ok := g.m[key]
-	g.mu.Unlock()
-	if ok {
-		select {
-		case <-f.done:
-			if f.err == nil {
-				return f.val, true
-			}
-		default:
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// isCtxErr reports whether err is a context cancellation/deadline — the
-// only failures worth retrying on behalf of a live waiter (a
-// deterministic compute error would just fail again).
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// lazy is a single-value flightGroup: a memoized computation with the
-// same retry-on-failure and cancellation semantics.
-type lazy[V any] struct {
-	fg flightGroup[struct{}, V]
-}
-
-func (z *lazy[V]) get(ctx context.Context, compute func() (V, error)) (V, error) {
-	return z.fg.do(ctx, struct{}{}, compute)
-}
-
 // Lab lazily builds and caches all experimental state. The pure products
-// (benchmark names, populations, detailed-sample indices, the persistent
-// store handle) are cheap and infallible; everything that simulates —
-// traces, models, IPC tables, reference IPCs, the MPKI measurement,
-// profiles — is context-aware and memoized with single-flight semantics.
+// (benchmark names, populations, detailed-sample indices) are cheap and
+// infallible, and the persistent store handle is opened once; everything
+// that simulates — traces, models, IPC tables, reference IPCs, the MPKI
+// measurement, profiles — is context-aware and memoized with
+// single-flight semantics.
 type Lab struct {
 	cfg Config
 	src bench.Source // the benchmark population under study
@@ -284,19 +188,18 @@ type Lab struct {
 	namesOnce sync.Once
 	names     []string // benchmark order (source order)
 
-	models   lazy[map[string]*badco.Model]     // every benchmark's model, drawn from model
-	model    flightGroup[string, *badco.Model] // per benchmark, shared with ad-hoc jobs
-	profiles lazy[[]*profile.Profile]          // per benchmark: microarch-independent profile
+	models   memo.Group[struct{}, map[string]*badco.Model] // every benchmark's model, drawn from model
+	model    memo.Group[string, *badco.Model]              // per benchmark, shared with ad-hoc jobs
+	profiles memo.Group[struct{}, []*profile.Profile]      // per benchmark: microarch-independent profile
 
-	storeOnce sync.Once
-	store     *results.Store // nil: no CacheDir, or the directory is unusable
+	store func() (*results.Store, error) // see Store
 
-	pops      flightGroup[int, *workload.Population]
-	detSample flightGroup[int, []int] // population indices simulated in detail
+	pops      memo.Group[int, *workload.Population]
+	detSample memo.Group[int, []int] // population indices simulated in detail
 	// ipc holds every persisted product: the BADCO and detailed
 	// population tables, and the reference IPC and MPKI vectors as
 	// one-column tables.
-	ipc flightGroup[Request, [][]float64]
+	ipc memo.Group[Request, [][]float64]
 
 	// Sweep counters record how many full population sweeps actually ran
 	// (persistent-cache hits excluded); the single-flight regression
@@ -390,7 +293,9 @@ func NewLab(cfg Config) *Lab {
 		src = bench.NewSuite()
 		cfg.Source = src
 	}
-	return &Lab{cfg: cfg, src: src}
+	l := &Lab{cfg: cfg, src: src}
+	l.store = sync.OnceValues(l.openStore)
+	return l
 }
 
 // Config returns the lab's configuration.
@@ -427,7 +332,7 @@ func (l *Lab) Names() []string {
 // first use (two detailed calibration runs per benchmark, in parallel)
 // through ModelsFor, so they are the very models ad-hoc jobs get.
 func (l *Lab) Models(ctx context.Context) (map[string]*badco.Model, error) {
-	return l.models.get(ctx, func() (map[string]*badco.Model, error) {
+	return l.models.Do(ctx, struct{}{}, func() (map[string]*badco.Model, error) {
 		return observeRun(l, ctx, Request{Sim: SimModels},
 			func(m map[string]*badco.Model) int { return len(m) },
 			func(ctx context.Context) (map[string]*badco.Model, error) {
@@ -452,7 +357,7 @@ func (l *Lab) ModelsFor(ctx context.Context, names []string) (models map[string]
 	models = make(map[string]*badco.Model, len(names))
 	var missing []string
 	for _, name := range names {
-		if m, ok := l.model.cached(name); ok {
+		if m, ok := l.model.Cached(name); ok {
 			models[name] = m
 		} else {
 			missing = append(missing, name)
@@ -463,7 +368,7 @@ func (l *Lab) ModelsFor(ctx context.Context, names []string) (models map[string]
 	var builds atomic.Int64
 	prov := l.Provider()
 	if err := multicore.RunBounded(ctx, len(missing), func(i int) {
-		got[i], errs[i] = l.model.do(ctx, missing[i], func() (*badco.Model, error) {
+		got[i], errs[i] = l.model.Do(ctx, missing[i], func() (*badco.Model, error) {
 			builds.Add(1)
 			return multicore.BuildModel(ctx, prov, missing[i], badco.DefaultBuildConfig())
 		})
@@ -507,22 +412,25 @@ func (l *Lab) Simulate(ctx context.Context, spec multicore.Spec, workloads [][]s
 	return results, names, built, err
 }
 
-// resultStore returns the persistent store, opened once, or nil when
-// CacheDir is unset (or unusable — persistence is best-effort).
-func (l *Lab) resultStore() *results.Store {
-	l.storeOnce.Do(func() {
-		if l.cfg.CacheDir == "" {
-			return
-		}
-		if s, err := results.Open(l.cfg.CacheDir); err == nil {
-			if l.cfg.RemoteFetch != nil {
-				s.SetFetch(results.Fetcher(l.cfg.RemoteFetch))
-			}
-			s.Instrument(l.metrics())
-			l.store = s
-		}
-	})
-	return l.store
+// Store returns the lab's persistent results store, opened once: nil
+// with a nil error when CacheDir is unset, and the Open error when the
+// directory is unusable. It is the process's one handle on the
+// directory; the server lists and serves stored tables through it.
+func (l *Lab) Store() (*results.Store, error) { return l.store() }
+
+func (l *Lab) openStore() (*results.Store, error) {
+	if l.cfg.CacheDir == "" {
+		return nil, nil
+	}
+	s, err := results.Open(l.cfg.CacheDir)
+	if err != nil {
+		return nil, err
+	}
+	if l.cfg.RemoteFetch != nil {
+		s.SetFetch(results.Fetcher(l.cfg.RemoteFetch))
+	}
+	s.Instrument(l.metrics())
+	return s, nil
 }
 
 // maxEnumerate bounds the population size Population will materialise
@@ -546,7 +454,7 @@ const (
 // uint64 for large sources; populations are pure combinatorics — no
 // simulation — so this is infallible.
 func (l *Lab) Population(cores int) *workload.Population {
-	pop, _ := l.pops.do(context.Background(), cores, func() (*workload.Population, error) {
+	pop, _ := l.pops.Do(context.Background(), cores, func() (*workload.Population, error) {
 		b := len(l.Names())
 		total, exact := workload.PopulationSize(b, cores)
 		limit := 0
@@ -618,7 +526,7 @@ func (l *Lab) BadcoIPC(ctx context.Context, cores int, policy cache.PolicyName) 
 // the table from the persistent cache, or computes it under the
 // product's observer span and persists it.
 func (l *Lab) ipcTable(ctx context.Context, r Request, compute func(context.Context) ([][]float64, error)) ([][]float64, error) {
-	return l.ipc.do(ctx, r, func() ([][]float64, error) {
+	return l.ipc.Do(ctx, r, func() ([][]float64, error) {
 		id := l.tableIdentity(r)
 		if table, ok := l.loadCached(id); ok {
 			l.cacheHit(string(r.Sim))
@@ -657,7 +565,7 @@ func sweep(ctx context.Context, ws []multicore.Workload, spec multicore.Spec, tr
 // for 2 cores (the paper simulates all 253 workloads with Zesto),
 // otherwise a DetailedCount random subset (paper: 250 for 4 and 8 cores).
 func (l *Lab) DetSample(cores int) []int {
-	idx, _ := l.detSample.do(context.Background(), cores, func() ([]int, error) {
+	idx, _ := l.detSample.Do(context.Background(), cores, func() ([]int, error) {
 		n := l.Population(cores).Size()
 		if cores <= 2 || n <= l.cfg.DetailedCount+3 {
 			idx := make([]int, n)
@@ -733,9 +641,10 @@ func (l *Lab) tableIdentity(r Request) results.IPCTable {
 	return t
 }
 
-// loadCached fetches a persisted IPC table if CacheDir is configured.
+// loadCached fetches a persisted IPC table if CacheDir is configured
+// and usable.
 func (l *Lab) loadCached(id results.IPCTable) ([][]float64, bool) {
-	store := l.resultStore()
+	store, _ := l.Store()
 	if store == nil {
 		return nil, false
 	}
@@ -746,10 +655,11 @@ func (l *Lab) loadCached(id results.IPCTable) ([][]float64, bool) {
 	return t.IPC, true
 }
 
-// saveCached persists an IPC table if CacheDir is configured; failures
-// are non-fatal (the table is still returned to the caller).
+// saveCached persists an IPC table if CacheDir is configured and
+// usable; failures are non-fatal (the table is still returned to the
+// caller).
 func (l *Lab) saveCached(id results.IPCTable, table [][]float64) {
-	store := l.resultStore()
+	store, _ := l.Store()
 	if store == nil {
 		return
 	}

@@ -455,23 +455,12 @@ func run(ctx context.Context, w Workload, spec Spec, traces TraceSource, models 
 	if err := spec.runnable(); err != nil {
 		return Result{}, fmt.Errorf("multicore: %w", err)
 	}
-	var (
-		cores    []stepper
-		detailed []*cpu.Core
-		quota    uint64
-		err      error
-	)
-	if spec.Engine == Detailed {
-		detailed, quota, err = buildDetailed(ctx, w, traces, spec.Policy, spec.Quota)
-		cores = asSteppers(detailed)
-	} else {
-		cores, quota, err = buildApproximate(w, models, spec.Policy, spec.Quota)
-	}
+	cores, detailed, quota, err := build(ctx, w, spec, traces, models)
 	if err != nil {
 		return Result{}, err
 	}
 	if spec.Sampling.Enabled() {
-		return sampled(ctx, w, spec.Policy, spec.Sampling, detailed, quota, drv)
+		return sampled(ctx, w, spec.Policy, spec.Sampling, detailed, cores, quota, drv)
 	}
 	if spec.Warmup > 0 {
 		stop := telemetry.FromContext(ctx).Time(phaseWarmup)
@@ -510,76 +499,57 @@ func measure(ctx context.Context, w Workload, policy cache.PolicyName, cores []s
 	return assemble(w, policy, cycles, quota), nil
 }
 
-// buildDetailed constructs one detailed core per workload slot over a
-// shared uncore. A zero quota defaults to the first trace's length. It is
-// the single construction path for plain, warmed and sampled detailed
-// simulations, so they cannot drift apart.
-func buildDetailed(ctx context.Context, w Workload, traces TraceSource, policy cache.PolicyName, quota uint64) ([]*cpu.Core, uint64, error) {
+// build constructs one stepper per workload slot over a shared uncore:
+// detailed cores over the slots' traces, or BADCO machines over their
+// models. It is the single construction path for plain, warmed and
+// sampled simulations under either engine, so they cannot drift apart;
+// detailed holds the detailed cores (nil under BADCO), which sampled
+// drives. A zero quota defaults to the first slot's trace length. A
+// BADCO machine commits in node-sized chunks, and its committed count is
+// exact at iteration boundaries, which is where quotas land (quota =
+// trace length).
+func build(ctx context.Context, w Workload, spec Spec, traces TraceSource, models map[string]*badco.Model) (cores []stepper, detailed []*cpu.Core, quota uint64, err error) {
 	if len(w) == 0 {
-		return nil, 0, fmt.Errorf("multicore: empty workload")
+		return nil, nil, 0, fmt.Errorf("multicore: empty workload")
 	}
-	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
+	unc, err := uncore.New(uncore.ConfigFor(len(w), spec.Policy))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	cores := make([]*cpu.Core, len(w))
+	quota = spec.Quota
+	cores = make([]stepper, len(w))
 	sp := telemetry.FromContext(ctx)
 	for i, name := range w {
-		stop := sp.Time(phaseTraceLoad)
-		tr, err := traces.Trace(ctx, name)
-		stop()
-		if err != nil {
-			return nil, 0, err
+		var n int
+		if spec.Engine == Detailed {
+			stop := sp.Time(phaseTraceLoad)
+			tr, err := traces.Trace(ctx, name)
+			stop()
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			core, err := cpu.New(i, cpu.DefaultConfig(), tr, unc)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			cores[i], n = core, tr.Len()
+			detailed = append(detailed, core)
+		} else {
+			m, ok := models[name]
+			if !ok {
+				return nil, nil, 0, fmt.Errorf("multicore: no model for benchmark %q", name)
+			}
+			ma, err := badco.NewMachine(i, m, unc)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			cores[i], n = ma, m.TraceLen
 		}
 		if quota == 0 {
-			quota = uint64(tr.Len())
+			quota = uint64(n)
 		}
-		core, err := cpu.New(i, cpu.DefaultConfig(), tr, unc)
-		if err != nil {
-			return nil, 0, err
-		}
-		cores[i] = core
 	}
-	return cores, quota, nil
-}
-
-func asSteppers[T stepper](cores []T) []stepper {
-	s := make([]stepper, len(cores))
-	for i, c := range cores {
-		s[i] = c
-	}
-	return s
-}
-
-// buildApproximate is buildDetailed's BADCO counterpart: BADCO machines
-// sharing a real uncore, one per workload slot. A zero quota defaults to
-// the first model's trace length. A machine commits in node-sized
-// chunks, and its committed count is exact at iteration boundaries,
-// which is where quotas land (quota = trace length).
-func buildApproximate(w Workload, models map[string]*badco.Model, policy cache.PolicyName, quota uint64) ([]stepper, uint64, error) {
-	if len(w) == 0 {
-		return nil, 0, fmt.Errorf("multicore: empty workload")
-	}
-	unc, err := uncore.New(uncore.ConfigFor(len(w), policy))
-	if err != nil {
-		return nil, 0, err
-	}
-	machines := make([]stepper, len(w))
-	for i, name := range w {
-		m, ok := models[name]
-		if !ok {
-			return nil, 0, fmt.Errorf("multicore: no model for benchmark %q", name)
-		}
-		if quota == 0 {
-			quota = uint64(m.TraceLen)
-		}
-		ma, err := badco.NewMachine(i, m, unc)
-		if err != nil {
-			return nil, 0, err
-		}
-		machines[i] = ma
-	}
-	return machines, quota, nil
+	return cores, detailed, quota, nil
 }
 
 func assemble(w Workload, policy cache.PolicyName, cycles []uint64, quota uint64) Result {

@@ -98,19 +98,19 @@ func (s SamplingSpec) String() string {
 	return fmt.Sprintf("u%dd%dw%d", s.Unit, s.Window, s.Warmup)
 }
 
-// sampled runs the workload's freshly built detailed cores under
-// systematic sampling (Run dispatches here for an enabled spec): per
+// sampled runs the workload's freshly built detailed cores (steppers are
+// the same cores, as the driver takes them) under systematic sampling
+// (Run dispatches here for an enabled spec): per
 // sampling unit of spec.Unit µops, fast-forward the gap functionally,
 // warm spec.Warmup µops and measure spec.Window µops in full detail.
 // quota/spec.Unit full units are sampled (a partial tail unit is not
 // simulated at all — that is where the speedup comes from). The estimate
 // and its confidence interval are over the per-window IPCs.
-func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec SamplingSpec, cores []*cpu.Core, quota uint64, drv driver) (Result, error) {
+func sampled(ctx context.Context, w Workload, policy cache.PolicyName, spec SamplingSpec, cores []*cpu.Core, steppers []stepper, quota uint64, drv driver) (Result, error) {
 	windows := quota / spec.Unit
 	if windows == 0 {
 		return Result{}, fmt.Errorf("multicore: sampling unit %d exceeds quota %d", spec.Unit, quota)
 	}
-	steppers := asSteppers(cores)
 	n := len(cores)
 	gap := spec.Unit - spec.Warmup - spec.Window
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mcbench/internal/cache"
-	"mcbench/internal/cpu"
 )
 
 // executedUops runs w exactly from reset under spec through the
@@ -15,18 +14,7 @@ import (
 func executedUops(t *testing.T, w Workload, spec Spec) uint64 {
 	t.Helper()
 	ctx := context.Background()
-	var (
-		cores []stepper
-		quota uint64
-		err   error
-	)
-	if spec.Engine == Detailed {
-		var detailed []*cpu.Core
-		detailed, quota, err = buildDetailed(ctx, w, traces(t), spec.Policy, spec.Quota)
-		cores = asSteppers(detailed)
-	} else {
-		cores, quota, err = buildApproximate(w, models(t), spec.Policy, spec.Quota)
-	}
+	cores, _, quota, err := build(ctx, w, spec, traces(t), models(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func shardData(ev fleet.ShardEvent) map[string]any {
 // fabric. Strictly local: it never triggers this node's own
 // read-through, so peer fetches cannot cycle.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	store, err := s.cacheStore()
+	store, err := s.lab.Store()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

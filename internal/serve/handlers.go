@@ -103,7 +103,7 @@ func (s *Server) handleBenches(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	store, err := s.cacheStore()
+	store, err := s.lab.Store()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -24,7 +24,6 @@ import (
 	"mcbench/internal/buildinfo"
 	"mcbench/internal/experiments"
 	"mcbench/internal/fleet"
-	"mcbench/internal/results"
 	"mcbench/internal/telemetry"
 )
 
@@ -80,13 +79,6 @@ type Server struct {
 	// disjoint series.
 	metrics *telemetry.Registry
 
-	// storeOnce opens the /cache browsing store once, so repeated
-	// listings reuse its per-file memo instead of re-reading the
-	// directory's tables on every request.
-	storeOnce sync.Once
-	store     *results.Store
-	storeErr  error
-
 	// Fleet state (see fleet.go). coord is non-nil on coordinators,
 	// coordPeer on workers; the agent is created once the listener is
 	// bound (its advertised address defaults to the bound one). fleetLab
@@ -98,20 +90,6 @@ type Server struct {
 	agentMu   sync.Mutex
 	agent     *fleet.Agent
 	fleetErr  error // worker dial failure, surfaced by ListenAndServe
-}
-
-// cacheStore returns the shared browsing store (nil with a nil error
-// when no cache directory is configured).
-func (s *Server) cacheStore() (*results.Store, error) {
-	s.storeOnce.Do(func() {
-		if dir := s.lab.Config().CacheDir; dir != "" {
-			s.store, s.storeErr = results.Open(dir)
-			if s.store != nil {
-				s.store.Instrument(s.metrics)
-			}
-		}
-	})
-	return s.store, s.storeErr
 }
 
 // New builds a server (and its lab) from the configuration.

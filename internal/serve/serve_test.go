@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -661,5 +662,23 @@ func TestAdhocSampledJob(t *testing.T) {
 	}
 	if got := bench.Resident(s.Lab().Source()); got != 0 {
 		t.Errorf("%d traces resident after the sampled and exact jobs, want 0", got)
+	}
+}
+
+// TestCacheUnusableDir: the cache endpoints read the lab's one store
+// handle, and a directory that cannot be opened answers 500 on both
+// rather than the empty listing of a server with no -cache.
+func TestCacheUnusableDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, filepath.Join(file, "cache"))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/cache", "/cache/some-key"} {
+		if code := getJSON(t, ts.URL+path, nil); code != http.StatusInternalServerError {
+			t.Errorf("GET %s on an unusable directory: status %d, want 500", path, code)
+		}
 	}
 }

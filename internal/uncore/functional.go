@@ -31,8 +31,7 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 		return
 	}
 	u.stats.Requests++
-	hit := u.llc.AccessWay(line, u.way(line), write)
-	if !hit {
+	if !u.llc.AccessWay(line, u.way(line), write) {
 		u.stats.DemandMisses++
 		u.fillFunctional(line, write, false)
 	}
@@ -40,8 +39,8 @@ func (u *Uncore) AccessFunctional(core int, pc, vaddr uint64, write, prefetch bo
 	// timed path does (PC salted with the core id, which separates the
 	// cores' IP-stride tags but not their table entries; proposals read
 	// from the prefetcher's buffer, which prefetchFunctional never
-	// refills).
-	for _, a := range u.pref.Observe(pc^uint64(core)<<56, paddr, !hit) {
+	// refills; the pairing ignores the miss flag).
+	for _, a := range u.pref.Observe(pc^uint64(core)<<56, paddr, false) {
 		u.prefetchFunctional(cache.AlignLine(a))
 	}
 }

@@ -435,8 +435,8 @@ func (u *Uncore) AccessPhysical(core int, pc, paddr uint64, write, prefetch bool
 		// PC evict each other's entry. The proposals are read straight
 		// from the prefetcher's reused buffer: prefetchAccess never
 		// calls Observe, so nothing overwrites the buffer while it is
-		// read.
-		for _, a := range u.pref.Observe(pc^uint64(core)<<56, paddr, done > now+u.cfg.LLCLatency) {
+		// read. The pairing ignores the miss flag.
+		for _, a := range u.pref.Observe(pc^uint64(core)<<56, paddr, false) {
 			u.prefetchAccess(cache.AlignLine(a), now)
 		}
 	}

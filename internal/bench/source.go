@@ -6,10 +6,10 @@
 // knob that grows B (ScaledSource), swaps in recorded traces
 // (DirSource) or keeps the paper's fixed suite (SuiteSource).
 //
-// Traces are built on first use and memoized, one memo.Group per source
-// keyed by benchmark name, until released, so a
-// source's peak memory tracks the in-flight working set rather than the
-// whole benchmark population: a consumer that releases each trace after
+// Traces are built on first use and memoized until released (one
+// memo.Group per source, keyed by benchmark name), so a source's peak
+// memory tracks the in-flight working set rather than the whole
+// benchmark population: a consumer that releases each trace after
 // its last use (e.g. BADCO model building) keeps O(parallelism) traces
 // resident instead of O(B).
 package bench

@@ -148,6 +148,10 @@ func TestFlightGroupWaiterRetriesAfterCreatorCancelled(t *testing.T) {
 		defer close(waiterDone)
 		v, err = g.Do(context.Background(), "k", func() (int, error) { return 99, nil })
 	}()
+	// Let the waiter block on the creator's computation first: a waiter
+	// that arrives after the failed entry is dropped starts afresh and
+	// would pass without ever seeing the foreign cancellation.
+	time.Sleep(50 * time.Millisecond)
 	cancelCreator()
 	close(release)
 	if cerr := <-creatorDone; !errors.Is(cerr, context.Canceled) {

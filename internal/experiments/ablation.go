@@ -20,12 +20,21 @@ import (
 // ablations (the regime where detailed-simulation budgets live).
 const ablationSampleSize = 20
 
+// nearTiePair is this reproduction's near-tie policy pair, DRRIP vs DIP
+// (the analogue of the paper's hardest Figure 6 case), which the strata
+// ablation and the methods extension measure; classesPair is the
+// classification ablation's pair.
+var (
+	nearTiePair = [2]cache.PolicyName{cache.DIP, cache.DRRIP}
+	classesPair = [2]cache.PolicyName{cache.LRU, cache.DRRIP}
+)
+
 func init() {
 	Register(Experiment{
 		Name:     "ablation-strata",
 		Synopsis: "WT/TSD sensitivity of workload stratification",
 		Group:    GroupExtension,
-		Requests: func(l *Lab, p Params) []Request { return l.AblationRequests(p.cores()) },
+		Requests: func(l *Lab, p Params) []Request { return l.AblationStrataRequests(p.cores()) },
 		Run: func(ctx context.Context, l *Lab, p Params) (*Table, error) {
 			return l.AblationStrataParams(ctx, p.cores(), ablationSampleSize)
 		},
@@ -34,7 +43,7 @@ func init() {
 		Name:     "ablation-classes",
 		Synopsis: "value of the MPKI classes for benchmark stratification",
 		Group:    GroupExtension,
-		Requests: func(l *Lab, p Params) []Request { return l.AblationRequests(p.cores()) },
+		Requests: func(l *Lab, p Params) []Request { return l.AblationClassesRequests(p.cores()) },
 		Run: func(ctx context.Context, l *Lab, p Params) (*Table, error) {
 			return l.AblationClassification(ctx, p.cores(), ablationSampleSize)
 		},
@@ -43,20 +52,33 @@ func init() {
 		Name:     "ablation-metrics",
 		Synopsis: "required sample size per throughput metric (incl. GMSU)",
 		Group:    GroupExtension,
-		Requests: func(l *Lab, p Params) []Request { return l.AblationRequests(p.cores()) },
+		Requests: func(l *Lab, p Params) []Request { return l.AblationMetricsRequests(p.cores()) },
 		Run: func(ctx context.Context, l *Lab, p Params) (*Table, error) {
 			return l.AblationMetricChoice(ctx, p.cores())
 		},
 	})
 }
 
-// AblationRequests declares the inputs shared by the three ablation
-// tables: every policy pair's BADCO tables (AblationMetricChoice sweeps
-// all pairs), the reference IPCs, and the MPKI classes.
-func (l *Lab) AblationRequests(cores int) []Request {
-	return append(badcoSet(cores, Policies()),
+// AblationStrataRequests declares what AblationStrataParams reads: the
+// near-tie pair's BADCO tables and the reference IPCs.
+func (l *Lab) AblationStrataRequests(cores int) []Request {
+	return append(badcoSet(cores, nearTiePair[:]),
+		Request{Sim: SimRef, Cores: cores})
+}
+
+// AblationClassesRequests declares what AblationClassification reads:
+// its pair's BADCO tables, the reference IPCs and the MPKI classes.
+func (l *Lab) AblationClassesRequests(cores int) []Request {
+	return append(badcoSet(cores, classesPair[:]),
 		Request{Sim: SimRef, Cores: cores},
 		Request{Sim: SimMPKI})
+}
+
+// AblationMetricsRequests declares what AblationMetricChoice reads:
+// every policy's BADCO table (it sweeps all pairs) and the reference
+// IPCs.
+func (l *Lab) AblationMetricsRequests(cores int) []Request {
+	return append(badcoSet(cores, Policies()), Request{Sim: SimRef, Cores: cores})
 }
 
 // AblationStrataParams measures, for the near-tie policy pair at a small
@@ -64,7 +86,7 @@ func (l *Lab) AblationRequests(cores int) []Request {
 // count against confidence. The paper fixes WT=50, TSD=0.001; this table
 // shows the neighbourhood.
 func (l *Lab) AblationStrataParams(ctx context.Context, cores, sampleSize int) (*Table, error) {
-	d, err := l.Diffs(ctx, cores, metrics.IPCT, cache.DIP, cache.DRRIP)
+	d, err := l.Diffs(ctx, cores, metrics.IPCT, nearTiePair[0], nearTiePair[1])
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +119,7 @@ func (l *Lab) AblationStrataParams(ctx context.Context, cores, sampleSize int) (
 // "authors' intuition" the paper discusses is worth.
 func (l *Lab) AblationClassification(ctx context.Context, cores, sampleSize int) (*Table, error) {
 	pop := l.Population(cores)
-	d, err := l.Diffs(ctx, cores, metrics.IPCT, cache.LRU, cache.DRRIP)
+	d, err := l.Diffs(ctx, cores, metrics.IPCT, classesPair[0], classesPair[1])
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"mcbench/internal/metrics"
 	"mcbench/internal/plot"
@@ -128,33 +129,23 @@ func (l *Lab) Fig6Chart(ctx context.Context, cores int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type pairKey string
-	byPair := map[pairKey]map[string]*plot.Series{}
-	var pairOrder []pairKey
-	for _, p := range points {
-		pk := pairKey(fmt.Sprintf("%s > %s", p.Pair[1], p.Pair[0]))
-		if byPair[pk] == nil {
-			byPair[pk] = map[string]*plot.Series{}
-			pairOrder = append(pairOrder, pk)
-		}
-		s, ok := byPair[pk][p.Method]
-		if !ok {
-			s = &plot.Series{Name: p.Method}
-			byPair[pk][p.Method] = s
-		}
-		s.X = append(s.X, float64(p.SampleSize))
-		s.Y = append(s.Y, p.Confidence)
-	}
 	out := ""
-	for _, pk := range pairOrder {
+	for _, c := range methodCurves(points) {
 		var series []plot.Series
-		for _, m := range []string{"random", "bal-random", "bench-strata", "workload-strata"} {
-			if s, ok := byPair[pk][m]; ok {
-				series = append(series, plot.SortSeriesByX(*s))
+		for m, name := range paperMethodNames {
+			s := plot.Series{Name: name}
+			for j, w := range c.sizes {
+				if v := c.conf[j][m]; !math.IsNaN(v) {
+					s.X = append(s.X, float64(w))
+					s.Y = append(s.Y, v)
+				}
+			}
+			if len(s.X) > 0 {
+				series = append(series, s)
 			}
 		}
 		out += plot.Line(plot.Config{
-			Title:  fmt.Sprintf("Figure 6 (%s): confidence vs sample size, IPCT, %d cores", pk, cores),
+			Title:  fmt.Sprintf("Figure 6 (%s > %s): confidence vs sample size, IPCT, %d cores", c.pair[1], c.pair[0], cores),
 			XLabel: "sample size (log)",
 			YLabel: "confidence",
 			LogX:   true,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -28,11 +29,22 @@ func must[T any](v T, err error) T {
 }
 
 // sharedLab caches one quick lab across tests (population sweeps are the
-// expensive part; the lab memoizes them).
+// expensive part; the lab memoizes them). It persists its products to
+// sharedCacheDir, so the fresh labs of runFresh load them instead of
+// sweeping again.
 var (
-	labOnce   sync.Once
-	sharedLab *Lab
+	labOnce        sync.Once
+	sharedLab      *Lab
+	sharedCacheDir string
 )
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if sharedCacheDir != "" {
+		os.RemoveAll(sharedCacheDir)
+	}
+	os.Exit(code)
+}
 
 // testPlan is every memoized product the test suite reads: the paper
 // experiments at 2 cores plus the extension experiments at 4. Warming it
@@ -50,7 +62,9 @@ func testPlan(l *Lab) []Request {
 	plan = append(plan, l.TableIIIRequests()...)
 	plan = append(plan, l.TableIVRequests()...)
 	plan = append(plan, l.OverheadRequests(2)...)
-	plan = append(plan, l.AblationRequests(2)...)
+	plan = append(plan, l.AblationStrataRequests(2)...)
+	plan = append(plan, l.AblationClassesRequests(2)...)
+	plan = append(plan, l.AblationMetricsRequests(2)...)
 	plan = append(plan, l.SpeedupRequests(2)...)
 	plan = append(plan, l.GuidelineRequests(2)...)
 	plan = append(plan, l.ExtPoliciesRequests(2)...)
@@ -65,7 +79,14 @@ func quickLab(t *testing.T) *Lab {
 		t.Skip("experiments need population sweeps; skipped with -short")
 	}
 	labOnce.Do(func() {
-		sharedLab = NewLab(QuickConfig())
+		dir, err := os.MkdirTemp("", "experiments-test-")
+		if err != nil {
+			panic(err)
+		}
+		sharedCacheDir = dir
+		cfg := QuickConfig()
+		cfg.CacheDir = dir
+		sharedLab = NewLab(cfg)
 		// Warm the whole plan only for full-suite runs; a targeted
 		// `go test -run X` should pay just for the tables X reads
 		// (which the lab then builds lazily).
@@ -230,9 +251,14 @@ func TestFig5SignsConsistent(t *testing.T) {
 	}
 }
 
+// fig6At2 is the shared lab's Figure 6 at 2 cores (the full population,
+// so all four methods are present), computed once for the tests that
+// read it.
+var fig6At2 = sync.OnceValues(func() ([]MethodPoint, error) { return sharedLab.Fig6(tctx, 2) })
+
 func TestFig6StratificationWins(t *testing.T) {
-	l := quickLab(t)
-	points := must(l.Fig6(tctx, 2)) // 2 cores: full population, all 4 methods present
+	quickLab(t)
+	points := must(fig6At2())
 	if len(points) == 0 {
 		t.Fatal("no points")
 	}
@@ -349,6 +375,43 @@ func TestOverheadStory(t *testing.T) {
 	}
 	if len(r.Random) != 3 {
 		t.Fatalf("%d random lines", len(r.Random))
+	}
+
+	// The deterministic columns follow from Figure 6's DIP > LRU curves:
+	// each random line's W is the smallest size whose balanced-random
+	// confidence reaches its target, and the strata row is the smallest
+	// size whose workload-strata confidence reaches 0.99 (else the
+	// smallest size), with that confidence.
+	curve := map[string]map[int]float64{}
+	for _, p := range must(fig6At2()) {
+		if p.Pair != [2]cache.PolicyName{cache.LRU, cache.DIP} {
+			continue
+		}
+		if curve[p.Method] == nil {
+			curve[p.Method] = map[int]float64{}
+		}
+		curve[p.Method][p.SampleSize] = p.Confidence
+	}
+	smallest := func(method string, target float64) int {
+		for _, w := range Fig6SampleSizes {
+			if c, ok := curve[method][w]; ok && c >= target {
+				return w
+			}
+		}
+		return -1
+	}
+	for _, line := range r.Random {
+		if want := smallest("bal-random", line.Target); line.W != want {
+			t.Errorf("random line at %.2f: W = %d, Figure 6's bal-random curve gives %d", line.Target, line.W, want)
+		}
+	}
+	wantW := smallest("workload-strata", 0.99)
+	if wantW < 0 {
+		wantW = Fig6SampleSizes[0]
+	}
+	if r.StrataWorkloads != wantW || r.StrataConfidence != curve["workload-strata"][wantW] {
+		t.Errorf("strata row W=%d confidence %v, Figure 6's workload-strata curve gives W=%d confidence %v",
+			r.StrataWorkloads, r.StrataConfidence, wantW, curve["workload-strata"][wantW])
 	}
 }
 

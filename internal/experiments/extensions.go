@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mcbench/internal/bpred"
 	"mcbench/internal/cache"
@@ -97,24 +98,15 @@ func (l *Lab) BenchFeatures(ctx context.Context) ([][]float64, error) {
 // simulation budgets live.
 var ExtMethodsSampleSizes = []int{10, 20, 30, 50}
 
-// ExtMethodsPoint is one (method, sample size) confidence measurement of
-// the extended comparison.
-type ExtMethodsPoint struct {
-	Method     string
-	SampleSize int
-	Confidence float64
-	Trials     int
-}
-
 // ExtMethods compares six selection methods on this reproduction's
 // near-tie pair, DRRIP vs DIP (the analogue of the paper's hardest
 // Figure 6 case), with the IPCT metric: the paper's four, benchmark stratification with
 // cluster-derived classes, and representative workload clustering. The
 // representative method re-clusters per draw, so its Monte-Carlo trial
 // count is reduced.
-func (l *Lab) ExtMethods(ctx context.Context, cores int) ([]ExtMethodsPoint, error) {
+func (l *Lab) ExtMethods(ctx context.Context, cores int) ([]MethodPoint, error) {
 	pop := l.Population(cores)
-	d, err := l.Diffs(ctx, cores, metrics.IPCT, cache.DIP, cache.DRRIP)
+	d, err := l.Diffs(ctx, cores, metrics.IPCT, nearTiePair[0], nearTiePair[1])
 	if err != nil {
 		return nil, err
 	}
@@ -127,61 +119,18 @@ func (l *Lab) ExtMethods(ctx context.Context, cores int) ([]ExtMethodsPoint, err
 		return nil, err
 	}
 
-	full := l.isFullPopulation(pop.Size(), cores)
-	samplers := []struct {
-		s      sampling.Sampler
-		trials int
-	}{
-		{sampling.NewSimpleRandom(len(d)), l.cfg.Fig6Trials},
-	}
-	if full {
-		samplers = append(samplers, struct {
-			s      sampling.Sampler
-			trials int
-		}{sampling.NewBalancedRandom(pop), l.cfg.Fig6Trials})
-	}
-	samplers = append(samplers, struct {
-		s      sampling.Sampler
-		trials int
-	}{sampling.NewBenchmarkStrata(pop, classes, sampling.NumClasses), l.cfg.Fig6Trials})
-
+	samplers := paperMethods(pop, l.isFullPopulation(pop.Size(), cores), classes, d)
 	clusterRng := rand.New(rand.NewSource(l.cfg.Seed + 9001))
 	if cs, _, err := sampling.NewClusterBenchStrata(clusterRng, pop, feats, sampling.NumClasses); err == nil {
-		samplers = append(samplers, struct {
-			s      sampling.Sampler
-			trials int
-		}{cs, l.cfg.Fig6Trials})
+		samplers = slices.Insert(samplers, len(samplers)-1, cs)
 	}
-	samplers = append(samplers, struct {
-		s      sampling.Sampler
-		trials int
-	}{sampling.NewWorkloadStrata(d, sampling.DefaultWorkloadStrataConfig()), l.cfg.Fig6Trials})
-
+	seed := l.cfg.Seed + 700
+	out := methodSweep(MethodPoint{Pair: nearTiePair, Cores: cores, Trials: l.cfg.Fig6Trials}, d, samplers, seed, ExtMethodsSampleSizes)
 	if wf, err := sampling.WorkloadFeatures(pop, feats); err == nil {
-		trials := l.cfg.Fig6Trials / 40
-		if trials < 10 {
-			trials = 10
-		}
-		samplers = append(samplers, struct {
-			s      sampling.Sampler
-			trials int
-		}{sampling.NewRepresentative(wf, 25), trials})
-	}
-
-	var out []ExtMethodsPoint
-	for si, sp := range samplers {
-		rng := rand.New(rand.NewSource(l.cfg.Seed + 700 + int64(si)))
-		for _, w := range ExtMethodsSampleSizes {
-			if w > len(d) {
-				break
-			}
-			out = append(out, ExtMethodsPoint{
-				Method:     sp.s.Name(),
-				SampleSize: w,
-				Confidence: sampling.EmpiricalConfidence(rng, d, sp.s, w, sp.trials),
-				Trials:     sp.trials,
-			})
-		}
+		rep := []sampling.Sampler{sampling.NewRepresentative(wf, 25)}
+		trials := max(l.cfg.Fig6Trials/40, 10)
+		out = append(out, methodSweep(MethodPoint{Pair: nearTiePair, Cores: cores, Trials: trials}, d, rep,
+			seed+int64(len(samplers)), ExtMethodsSampleSizes)...)
 	}
 	return out, nil
 }
@@ -189,7 +138,7 @@ func (l *Lab) ExtMethods(ctx context.Context, cores int) ([]ExtMethodsPoint, err
 // ExtMethodsRequests declares the tables ExtMethods reads: the near-tie
 // pair's BADCO tables, the reference IPCs and the MPKI classification.
 func (l *Lab) ExtMethodsRequests(cores int) []Request {
-	return append(badcoSet(cores, []cache.PolicyName{cache.DIP, cache.DRRIP}),
+	return append(badcoSet(cores, nearTiePair[:]),
 		Request{Sim: SimRef, Cores: cores},
 		Request{Sim: SimMPKI})
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"mcbench/internal/cache"
 	"mcbench/internal/metrics"
-	"mcbench/internal/sampling"
 )
 
 func init() {
@@ -39,60 +37,38 @@ func Fig6Pairs() [][2]cache.PolicyName {
 // Fig6SampleSizes is the figure's sample-size sweep.
 var Fig6SampleSizes = []int{10, 20, 30, 40, 50, 60, 80, 100, 120, 140, 160, 180, 200, 300, 400, 500, 600, 700, 800}
 
-// Fig6Point is one (pair, method, sample size) confidence measurement.
-type Fig6Point struct {
-	Pair       [2]cache.PolicyName
-	Method     string
-	SampleSize int
-	Confidence float64
-}
-
 // Fig6 reproduces Figure 6: the experimental degree of confidence
 // (cfg.Fig6Trials stratified/random samples per point, BADCO throughput,
 // IPCT metric, 4 cores) for the four sampling methods on four policy
-// pairs. Workload stratification uses the paper's parameters
-// (TSD = 0.001, WT = 50). Balanced random sampling requires the full
-// population; when the lab runs on a subsampled population it is skipped.
-func (l *Lab) Fig6(ctx context.Context, cores int) ([]Fig6Point, error) {
+// pairs. Balanced random sampling requires the full population; when the
+// lab runs on a subsampled population it is skipped.
+func (l *Lab) Fig6(ctx context.Context, cores int) ([]MethodPoint, error) {
+	var out []MethodPoint
+	for pi := range Fig6Pairs() {
+		points, err := l.fig6Curve(ctx, cores, pi)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, points...)
+	}
+	return out, nil
+}
+
+// fig6Curve measures the confidence curves of Fig6Pairs()[pi].
+func (l *Lab) fig6Curve(ctx context.Context, cores, pi int) ([]MethodPoint, error) {
 	pop := l.Population(cores)
 	classes, err := l.Classes(ctx)
 	if err != nil {
 		return nil, err
 	}
-	full := l.isFullPopulation(pop.Size(), cores)
-
-	var out []Fig6Point
-	for pi, pair := range Fig6Pairs() {
-		d, err := l.Diffs(ctx, cores, metrics.IPCT, pair[0], pair[1])
-		if err != nil {
-			return nil, err
-		}
-
-		samplers := []sampling.Sampler{sampling.NewSimpleRandom(len(d))}
-		if full {
-			samplers = append(samplers, sampling.NewBalancedRandom(pop))
-		}
-		samplers = append(samplers,
-			sampling.NewBenchmarkStrata(pop, classes, sampling.NumClasses),
-			sampling.NewWorkloadStrata(d, sampling.DefaultWorkloadStrataConfig()),
-		)
-
-		for si, s := range samplers {
-			rng := rand.New(rand.NewSource(l.cfg.Seed + 600 + int64(pi*10+si)))
-			for _, w := range Fig6SampleSizes {
-				if w > len(d) {
-					break
-				}
-				out = append(out, Fig6Point{
-					Pair:       pair,
-					Method:     s.Name(),
-					SampleSize: w,
-					Confidence: sampling.EmpiricalConfidence(rng, d, s, w, l.cfg.Fig6Trials),
-				})
-			}
-		}
+	pair := Fig6Pairs()[pi]
+	d, err := l.Diffs(ctx, cores, metrics.IPCT, pair[0], pair[1])
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	samplers := paperMethods(pop, l.isFullPopulation(pop.Size(), cores), classes, d)
+	return methodSweep(MethodPoint{Pair: pair, Cores: cores, Trials: l.cfg.Fig6Trials}, d, samplers,
+		l.cfg.Seed+600+int64(pi*10), Fig6SampleSizes), nil
 }
 
 // Fig6Requests declares the tables Fig6 reads: the BADCO tables of its
@@ -112,39 +88,13 @@ func (l *Lab) fig6Table(ctx context.Context, cores int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods := []string{"random", "bal-random", "bench-strata", "workload-strata"}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 6: confidence vs sample size, 4 sampling methods (IPCT, %d cores)", cores),
-		Columns: append([]string{"pair (Y>X)", "W"}, methods...),
+	return methodTable(&Table{
+		Title: fmt.Sprintf("Figure 6: confidence vs sample size, 4 sampling methods (IPCT, %d cores)", cores),
 		Notes: []string{
 			"paper: workload-strata ~100% at W=10 for FIFO>RND (random needs ~80); DIP>LRU needs 50 vs 800;",
 			"bal-random second best on average; bench-strata only slightly better than random",
 		},
-	}
-	type key struct {
-		pair string
-		w    int
-	}
-	cell := map[key]map[string]float64{}
-	var order []key
-	for _, p := range points {
-		k := key{fmt.Sprintf("%s>%s", p.Pair[1], p.Pair[0]), p.SampleSize}
-		if cell[k] == nil {
-			cell[k] = map[string]float64{}
-			order = append(order, k)
-		}
-		cell[k][p.Method] = p.Confidence
-	}
-	for _, k := range order {
-		row := []string{k.pair, fmt.Sprint(k.w)}
-		for _, m := range methods {
-			if v, ok := cell[k][m]; ok {
-				row = append(row, f3(v))
-			} else {
-				row = append(row, "n/a")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, points, "pair (Y>X)", func(c *methodCurve) string {
+		return fmt.Sprintf("%s>%s", c.pair[1], c.pair[0])
+	}), nil
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"mcbench/internal/cache"
 	"mcbench/internal/metrics"
-	"mcbench/internal/sampling"
 	"mcbench/internal/workload"
 )
 
@@ -26,21 +24,15 @@ func init() {
 // Fig7SampleSizes is the figure's small-sample sweep.
 var Fig7SampleSizes = []int{10, 20, 30, 40, 50}
 
+// fig7Pair is the policy pair of Figure 7: is DIP better than LRU?
+var fig7Pair = [2]cache.PolicyName{cache.LRU, cache.DIP}
+
 // fig7CoreCounts resolves the figure's core-count sweep.
 func fig7CoreCounts(coreCounts []int) []int {
 	if len(coreCounts) == 0 {
 		return []int{2, 4}
 	}
 	return coreCounts
-}
-
-// Fig7Point is one (cores, method, sample size) confidence measurement
-// with the detailed simulator.
-type Fig7Point struct {
-	Cores      int
-	Method     string
-	SampleSize int
-	Confidence float64
 }
 
 // Fig7 reproduces Figure 7: the *actual* degree of confidence that DIP
@@ -51,21 +43,21 @@ type Fig7Point struct {
 // (and 8) cores only the detailed sample is available, and sampling is
 // performed within it. Balanced random sampling is only applicable when
 // the sampled set is the full population (2 cores), as in the paper.
-func (l *Lab) Fig7(ctx context.Context, coreCounts []int) ([]Fig7Point, error) {
-	var out []Fig7Point
+func (l *Lab) Fig7(ctx context.Context, coreCounts []int) ([]MethodPoint, error) {
+	var out []MethodPoint
 	for _, cores := range fig7CoreCounts(coreCounts) {
 		pop := l.Population(cores)
 		sample := l.DetSample(cores)
 
 		// Detailed-simulator differences over the sample: the values the
 		// confidence is measured on.
-		dDet, err := l.DetailedDiffs(ctx, cores, metrics.IPCT, cache.LRU, cache.DIP)
+		dDet, err := l.DetailedDiffs(ctx, cores, metrics.IPCT, fig7Pair[0], fig7Pair[1])
 		if err != nil {
 			return nil, err
 		}
 		// BADCO differences over the same workloads: what the strata are
 		// built from.
-		dBadco, err := l.BadcoDiffsAt(ctx, cores, metrics.IPCT, cache.LRU, cache.DIP, sample)
+		dBadco, err := l.BadcoDiffsAt(ctx, cores, metrics.IPCT, fig7Pair[0], fig7Pair[1], sample)
 		if err != nil {
 			return nil, err
 		}
@@ -82,29 +74,9 @@ func (l *Lab) Fig7(ctx context.Context, coreCounts []int) ([]Fig7Point, error) {
 		}
 		subPop := workload.FromWorkloads(pop.B, pop.K, ws)
 
-		samplers := []sampling.Sampler{sampling.NewSimpleRandom(len(dDet))}
-		if l.isFullPopulation(len(sample), cores) {
-			samplers = append(samplers, sampling.NewBalancedRandom(subPop))
-		}
-		samplers = append(samplers,
-			sampling.NewBenchmarkStrata(subPop, classes, sampling.NumClasses),
-			sampling.NewWorkloadStrata(dBadco, sampling.DefaultWorkloadStrataConfig()),
-		)
-
-		for si, s := range samplers {
-			rng := rand.New(rand.NewSource(l.cfg.Seed + 700 + int64(cores*10+si)))
-			for _, w := range Fig7SampleSizes {
-				if w > len(dDet) {
-					break
-				}
-				out = append(out, Fig7Point{
-					Cores:      cores,
-					Method:     s.Name(),
-					SampleSize: w,
-					Confidence: sampling.EmpiricalConfidence(rng, dDet, s, w, l.cfg.Fig7Trials),
-				})
-			}
-		}
+		samplers := paperMethods(subPop, l.isFullPopulation(len(sample), cores), classes, dBadco)
+		out = append(out, methodSweep(MethodPoint{Pair: fig7Pair, Cores: cores, Trials: l.cfg.Fig7Trials}, dDet, samplers,
+			l.cfg.Seed+700+int64(cores*10), Fig7SampleSizes)...)
 	}
 	return out, nil
 }
@@ -113,7 +85,7 @@ func (l *Lab) Fig7(ctx context.Context, coreCounts []int) ([]Fig7Point, error) {
 // simulators, the reference IPCs and the MPKI classification, at each
 // core count.
 func (l *Lab) Fig7Requests(coreCounts []int) []Request {
-	pols := []cache.PolicyName{cache.LRU, cache.DIP}
+	pols := fig7Pair[:]
 	plan := []Request{{Sim: SimMPKI}}
 	for _, cores := range fig7CoreCounts(coreCounts) {
 		plan = append(plan, badcoSet(cores, pols)...)
@@ -129,38 +101,11 @@ func (l *Lab) fig7Table(ctx context.Context, coreCounts []int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	methods := []string{"random", "bal-random", "bench-strata", "workload-strata"}
-	t := &Table{
-		Title:   "Figure 7: actual confidence that DIP > LRU (IPCT), measured with the detailed simulator",
-		Columns: append([]string{"cores", "W"}, methods...),
+	return methodTable(&Table{
+		Title: "Figure 7: actual confidence that DIP > LRU (IPCT), measured with the detailed simulator",
 		Notes: []string{
 			"paper: workload stratification still dominates, though its detailed-sim confidence can be",
 			"below the BADCO-estimated one (the approximate simulator is itself a source of error)",
 		},
-	}
-	type key struct {
-		cores, w int
-	}
-	cell := map[key]map[string]float64{}
-	var order []key
-	for _, p := range points {
-		k := key{p.Cores, p.SampleSize}
-		if cell[k] == nil {
-			cell[k] = map[string]float64{}
-			order = append(order, k)
-		}
-		cell[k][p.Method] = p.Confidence
-	}
-	for _, k := range order {
-		row := []string{fmt.Sprint(k.cores), fmt.Sprint(k.w)}
-		for _, m := range methods {
-			if v, ok := cell[k][m]; ok {
-				row = append(row, f3(v))
-			} else {
-				row = append(row, "n/a")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, points, "cores", func(c *methodCurve) string { return fmt.Sprint(c.cores) }), nil
 }

@@ -4,7 +4,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,8 +14,10 @@ import (
 // per-figure Lab methods (Fig2Table, TableIV, ...) at QuickConfig before
 // the registry refactor deleted them. This test pins every registry
 // experiment's output byte-identical to that legacy output, proving the
-// refactor changed dispatch, not results. -update regenerates the files
-// from the registry (for intentional output changes in later work).
+// refactor changed dispatch, not results; each experiment runs on a
+// fresh lab (runFresh), which also pins its plan exact. -update
+// regenerates the files from the registry (for intentional output
+// changes in later work).
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from registry output")
 
 // goldenParams returns the parameters each golden file was generated
@@ -36,21 +40,13 @@ var timingExperiments = map[string]bool{
 }
 
 func TestRegistryMatchesLegacyGolden(t *testing.T) {
-	l := quickLab(t)
+	quickLab(t)
 	for _, name := range Names() {
 		if timingExperiments[name] {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			e, ok := Lookup(name)
-			if !ok {
-				t.Fatalf("experiment %q vanished from the registry", name)
-			}
-			tab, err := e.Run(tctx, l, goldenParams(name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := tab.String()
+			got := runFresh(t, name, goldenParams(name)).String()
 			path := filepath.Join("testdata", "golden", name+".txt")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -68,6 +64,59 @@ func TestRegistryMatchesLegacyGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// planExempt names the experiments that run child labs of their own by
+// design, so their products are not this lab's plan.
+var planExempt = map[string]bool{"population-scaling": true, "sampling-accuracy": true}
+
+// runFresh runs the named experiment on a fresh lab over the shared
+// lab's persistent cache and returns its table. The shared lab warms the
+// experiment's plan first (a no-op once the whole test plan is warm), so
+// the fresh lab loads every declared table instead of sweeping it. It
+// also checks that the products the fresh lab emits a ProductEvent for
+// are exactly the experiment's plan, Distinct(CampaignPlan): a product
+// missing from the plan is left out of a campaign's concurrent warm-up,
+// and a product the run never reads is swept for nothing. An experiment
+// without a plan must emit none.
+func runFresh(t *testing.T, name string, p Params) *Table {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q vanished from the registry", name)
+	}
+	shared := quickLab(t)
+	if _, err := shared.Warm(tctx, shared.CampaignPlan([]string{name}, p), 0); err != nil {
+		t.Fatal(err)
+	}
+	cfg := shared.Config()
+	var mu sync.Mutex
+	var emitted []Request
+	cfg.Observer = func(ev ProductEvent) {
+		mu.Lock()
+		emitted = append(emitted, ev.Request)
+		mu.Unlock()
+	}
+	l := NewLab(cfg)
+	tab, err := e.Run(tctx, l, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planExempt[name] {
+		return tab
+	}
+	got, want := Distinct(emitted), Distinct(l.CampaignPlan([]string{name}, p))
+	for _, r := range got {
+		if !slices.Contains(want, r) {
+			t.Errorf("%s reads %+v, which its plan does not declare", name, r)
+		}
+	}
+	for _, r := range want {
+		if !slices.Contains(got, r) {
+			t.Errorf("%s declares %+v, which its run never reads", name, r)
+		}
+	}
+	return tab
 }
 
 // firstDiffWindow returns a short window of a around its first
@@ -95,15 +144,11 @@ func firstDiffWindow(a, b string) string {
 }
 
 // TestTimingExperimentsStructure pins what is stable about the two
-// timing-based tables: shape and labels.
+// timing-based tables: shape and labels (runFresh checks their plans).
 func TestTimingExperimentsStructure(t *testing.T) {
-	l := quickLab(t)
 	p := Params{Cores: 2}
 
-	tab3, err := must2(Lookup("table3")).Run(tctx, l, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab3 := runFresh(t, "table3", p)
 	if len(tab3.Rows) != 4 {
 		t.Errorf("table3: %d rows, want 4 (1/2/4/8 cores)", len(tab3.Rows))
 	}
@@ -114,10 +159,7 @@ func TestTimingExperimentsStructure(t *testing.T) {
 		}
 	}
 
-	over, err := must2(Lookup("overhead")).Run(tctx, l, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	over := runFresh(t, "overhead", p)
 	if len(over.Rows) != 4 {
 		t.Errorf("overhead: %d rows, want 4 (3 random targets + strata)", len(over.Rows))
 	}
@@ -125,6 +167,3 @@ func TestTimingExperimentsStructure(t *testing.T) {
 		t.Errorf("overhead last row approach %q", got)
 	}
 }
-
-// must2 adapts Lookup's (Experiment, bool) to a bare value for chaining.
-func must2(e *Experiment, ok bool) *Experiment { return e }

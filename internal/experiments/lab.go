@@ -8,11 +8,12 @@
 // telemetry labels, the identity its ProductEvents carry, and the unit
 // campaign plans dedup and the fleet shards by.
 //
-// Experiments are registered implementations of the Experiment interface
-// (see registry.go): each declares its name, the expensive Lab products
-// it reads as a []Request, and a Run method producing its Table.
-// cmd/mcbench and the public mcbench package dispatch through the
-// registry instead of hard-coded switches.
+// Each experiment registers an Experiment (see registry.go), a struct of
+// its name, a Run function producing its Table and optional Requests and
+// Chart functions; Requests declares exactly the expensive Lab products
+// the run reads (the golden test pins every plan exact). cmd/mcbench and
+// the public mcbench package dispatch through the registry instead of
+// hard-coded switches.
 //
 // All lazy state is memoized with per-key single-flight semantics, in
 // memo.Group values, so a Lab is safe for concurrent use: two goroutines asking for the same

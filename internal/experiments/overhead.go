@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"mcbench/internal/cache"
 )
 
 func init() {
@@ -66,15 +64,15 @@ func (l *Lab) Overhead(ctx context.Context, cores int) (OverheadResult, error) {
 		}
 	}
 
-	points, err := l.Fig6(ctx, cores)
+	// Fig6Pairs()[0] is DIP > LRU.
+	points, err := l.fig6Curve(ctx, cores, 0)
 	if err != nil {
 		return OverheadResult{}, err
 	}
 	best := func(method string) (conf map[int]float64) {
 		conf = map[int]float64{}
 		for _, p := range points {
-			// DIP > LRU pair only.
-			if p.Pair[0] == cache.LRU && p.Pair[1] == cache.DIP && p.Method == method {
+			if p.Method == method {
 				conf[p.SampleSize] = p.Confidence
 			}
 		}
@@ -137,9 +135,12 @@ func (l *Lab) Overhead(ctx context.Context, cores int) (OverheadResult, error) {
 }
 
 // OverheadRequests declares the overhead example's inputs: the Table III
-// speed measurement's prerequisites plus everything Figure 6 reads.
+// speed measurement's prerequisites plus what Figure 6's DIP > LRU curve
+// reads.
 func (l *Lab) OverheadRequests(cores int) []Request {
-	return append(l.TableIIIRequests(), l.Fig6Requests(cores)...)
+	pair := Fig6Pairs()[0]
+	plan := append(l.TableIIIRequests(), badcoSet(cores, pair[:])...)
+	return append(plan, Request{Sim: SimRef, Cores: cores}, Request{Sim: SimMPKI})
 }
 
 // overheadTable renders the Section VII-A example.

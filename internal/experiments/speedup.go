@@ -9,7 +9,7 @@ import (
 
 	"mcbench/internal/cache"
 	"mcbench/internal/metrics"
-	"mcbench/internal/sampling"
+	"mcbench/internal/stats"
 )
 
 // The paper closes with an open problem: "the problem of defining
@@ -79,14 +79,7 @@ func (l *Lab) SpeedupAccuracy(ctx context.Context, cores int, m metrics.Metric, 
 
 	popSpeedup := m.Sample(tY) / m.Sample(tX)
 
-	samplers := []sampling.Sampler{sampling.NewSimpleRandom(len(d))}
-	if l.isFullPopulation(pop.Size(), cores) {
-		samplers = append(samplers, sampling.NewBalancedRandom(pop))
-	}
-	samplers = append(samplers,
-		sampling.NewBenchmarkStrata(pop, classes, sampling.NumClasses),
-		sampling.NewWorkloadStrata(d, sampling.DefaultWorkloadStrataConfig()),
-	)
+	samplers := paperMethods(pop, l.isFullPopulation(pop.Size(), cores), classes, d)
 
 	var out []SpeedupAccuracyPoint
 	var idx []int
@@ -111,20 +104,12 @@ func (l *Lab) SpeedupAccuracy(ctx context.Context, cores int, m metrics.Metric, 
 			out = append(out, SpeedupAccuracyPoint{
 				Method:     s.Name(),
 				SampleSize: w,
-				MeanAbsErr: mean(errs),
+				MeanAbsErr: stats.Mean(errs),
 				P95AbsErr:  percentile95(errs),
 			})
 		}
 	}
 	return out, nil
-}
-
-func mean(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 func percentile95(xs []float64) float64 {
